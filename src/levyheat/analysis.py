@@ -70,12 +70,6 @@ DIRECT_LIMIT_1D = 512
 DIRECT_LIMIT_2D = 64
 
 
-def _j_point(kernel: LevyKernel, dist: float) -> float:
-    if dist <= 1.0:
-        return kernel.near.j_scalar(dist, kernel.dimension)
-    return kernel.tail.j_scalar(dist, kernel.dimension, kernel.matching_constant)
-
-
 def dirichlet_form_direct(kernel: LevyKernel, f: GridField) -> float:
     """Brute-force double sum (1/2) dx^2N sum_{x != y} (f(x)-f(y))^2 J(x-y).
 
@@ -94,24 +88,16 @@ def dirichlet_form_direct(kernel: LevyKernel, f: GridField) -> float:
     dx = g.spacing
     vals = f.values
     total = 0.0
-    if g.dimension == 1:
-        for k in range(1, n):
-            w = _j_point(kernel, min(k, n - k) * dx)
-            if w == 0.0:
-                continue
-            diff = vals - np.roll(vals, k)
-            total += w * np.sum(diff * diff)
-    else:
-        for kx in range(n):
-            ax = min(kx, n - kx) * dx
-            for ky in range(n):
-                if kx == 0 and ky == 0:
-                    continue
-                w = _j_point(kernel, math.hypot(ax, min(ky, n - ky) * dx))
-                if w == 0.0:
-                    continue
-                diff = vals - np.roll(np.roll(vals, kx, axis=0), ky, axis=1)
-                total += w * np.sum(diff * diff)
+    shift = np.arange(n)
+    image = np.minimum(shift, n - shift) * dx  # minimum-image distance per axis
+    dist = image if g.dimension == 1 else np.hypot(image[:, None], image[None, :])
+    weights = np.zeros(g.shape)
+    off = dist > 0.0  # every cell but the diagonal one
+    weights[off] = kernel.eval_radial(dist[off])
+    axes = tuple(range(g.dimension))
+    for cell in zip(*np.nonzero(weights)):
+        diff = vals - np.roll(vals, cell, axis=axes)
+        total += weights[cell] * np.sum(diff * diff)
     return 0.5 * dx ** (2 * g.dimension) * total
 
 

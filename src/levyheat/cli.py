@@ -18,9 +18,8 @@ Subcommands::
     levyheat verify                      full acceptance battery
 
 Any module error aborts the run with the failing stage named and all
-partial outputs removed.  ``LEVYHEAT_WORKERS`` controls how many
-processes tabulate the symbol; ``--seed`` overrides the configured
-seed; every number is printed with 17 significant digits.
+partial outputs removed.  ``--seed`` overrides the configured seed;
+every number is printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import acceptance
 from .analysis import (
     dirichlet_form_spectral,
     fit_decay_exponent,
@@ -69,7 +69,6 @@ from .spectral import (
 from .symbol import build_symbol_table
 
 TABLE_RTOL = 1e-8
-ESCAPE_GUARD = 1e-6
 
 _NEAR = {
     "fractional": (FractionalPower, "beta"),
@@ -626,7 +625,7 @@ def _regularity_report(cfg, tab):
 
 
 def _interpolation_report(cfg, P, u):
-    rep = interpolation_check(P, u, cfg.interpolation.r, cfg.interpolation.s)
+    rep = interpolation_check(P, u, cfg.interpolation.r, cfg.interpolation.s, cfg.gamma())
     return (
         "\n".join(
             [
@@ -674,7 +673,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             guard_ratio = max(_boundary_ratio(u) for u in fields)
             guard = {
                 "max_boundary_ratio": guard_ratio,
-                "passed": bool(guard_ratio <= ESCAPE_GUARD),
+                "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),
             }
             art.write_text("norms.csv", _stage("analysis", _norms_csv, cfg, P, fields))
             artifacts.append("norms.csv")
@@ -721,7 +720,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             "seed": cfg.seed,
             "tolerances": {
                 "table_rtol": TABLE_RTOL,
-                "escape_guard": ESCAPE_GUARD,
+                "escape_guard": acceptance.ESCAPE_GUARD,
                 "quad_tol_achieved": float(tab.quad_tol),
             },
             "escape_guard": guard,
@@ -773,8 +772,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "verify":
-        from . import acceptance
-
         results = acceptance.run_all()
         print(acceptance.summary_table(results))
         return 0 if all(r.passed for r in results) else 1

@@ -52,13 +52,10 @@ class FractionalPower:
             raise DomainError(f"FractionalPower needs beta > 0, got {self.beta}")
 
     def j(self, r, dim):
-        return np.asarray(r, dtype=float) ** (-dim - self.beta)
-
-    def j_scalar(self, r, dim):
         return r ** (-dim - self.beta)
 
     def ell(self, r, dim):
-        return np.asarray(r, dtype=float) ** (-self.beta)
+        return r**-self.beta
 
     def ell_at_one(self, dim):
         return 1.0
@@ -82,14 +79,14 @@ class FractionalPower:
 class Borderline:
     """``J(z) = |z|^-N``: ell is identically one, the threshold case."""
 
-    def j(self, r, dim):
-        return np.asarray(r, dtype=float) ** (-dim)
+    #: ell as constant steps (see ``Oscillating.steps``): one step of 1
+    steps = (np.array([0.0, 1.0]), np.array([1.0]))
 
-    def j_scalar(self, r, dim):
+    def j(self, r, dim):
         return r**-dim
 
     def ell(self, r, dim):
-        return np.ones_like(np.asarray(r, dtype=float))
+        return 1.0 + 0.0 * r
 
     def ell_at_one(self, dim):
         return 1.0
@@ -120,15 +117,10 @@ class LogPerturbed:
             raise DomainError(f"LogPerturbed needs p in (0, 1], got {self.p}")
 
     def j(self, r, dim):
-        r = np.asarray(r, dtype=float)
-        return r ** (-dim) * np.log(np.e / r) ** (-self.p)
-
-    def j_scalar(self, r, dim):
-        return r**-dim * math.log(math.e / r) ** (-self.p)
+        return r**-dim * np.log(np.e / r) ** -self.p
 
     def ell(self, r, dim):
-        r = np.asarray(r, dtype=float)
-        return np.log(np.e / r) ** (-self.p)
+        return np.log(np.e / r) ** -self.p
 
     def ell_at_one(self, dim):
         return 1.0
@@ -159,13 +151,10 @@ class Bounded:
             raise DomainError(f"Bounded needs c0 > 0, got {self.c0}")
 
     def j(self, r, dim):
-        return np.full_like(np.asarray(r, dtype=float), self.c0)
-
-    def j_scalar(self, r, dim):
-        return self.c0
+        return self.c0 + 0.0 * r
 
     def ell(self, r, dim):
-        return self.c0 * np.asarray(r, dtype=float) ** dim
+        return self.c0 * r**dim
 
     def ell_at_one(self, dim):
         return self.c0
@@ -214,51 +203,44 @@ class Oscillating:
         """Active bands as (lo, hi, value) with lo = 2^-k (1 - 1/b_k)."""
         return self._band_list
 
-    def ell(self, r, dim):
-        r = np.asarray(r, dtype=float)
-        shape = r.shape
-        r = np.atleast_1d(r)
-        out = np.ones_like(r)
-        for lo, hi, val in self.bands():
-            out[(r > lo) & (r <= hi)] = val
-        return out.reshape(shape)
+    @cached_property
+    def steps(self):
+        """ell on (0, 1] as constant steps ``(edges, values)``: ell equals
+        ``values[i]`` on ``(edges[i], edges[i+1]]``, from 0 up to 1."""
+        edges, values = [0.0], []
+        for lo, hi, b_k in reversed(self.bands()):
+            edges += [lo, hi]
+            values += [1.0, b_k]
+        return np.array([*edges, 1.0]), np.array([*values, 1.0])
 
-    def ell_scalar(self, r):
-        for lo, hi, val in self.bands():
-            if lo < r <= hi:
-                return val
-        return 1.0
+    def _clipped_steps(self, a, b):
+        edges, values = self.steps
+        lo, hi = np.maximum(edges[:-1], a), np.minimum(edges[1:], b)
+        keep = hi > lo
+        return lo[keep], hi[keep], values[keep]
+
+    def ell(self, r, dim):
+        edges, values = self.steps
+        # the outermost steps are ell = 1, so clipping continues ell = 1
+        # outside (0, 1]
+        return values.take(np.searchsorted(edges, r) - 1, mode="clip")
 
     def j(self, r, dim):
-        r = np.asarray(r, dtype=float)
-        return self.ell(r, dim) * r ** (-dim)
-
-    def j_scalar(self, r, dim):
-        return self.ell_scalar(r) * r**-dim
+        return self.ell(r, dim) * r**-dim
 
     def ell_at_one(self, dim):
         return 1.0
 
     def breakpoints(self):
-        pts = []
-        for lo, hi, _ in self.bands():
-            pts.extend((lo, hi))
-        return tuple(sorted(pts))
-
-    def _segments(self, a, b):
-        """Constant-ell segments of (a, b) as (lo, hi, value)."""
-        edges = sorted({a, b, *(p for p in self.breakpoints() if a < p < b)})
-        segs = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * hi
-            segs.append((lo, hi, float(self.ell(np.asarray(mid), 0))))
-        return segs
+        return tuple(self.steps[0][1:-1])
 
     def int_symbol_measure(self, a, b, dim):
-        return sum(v * math.log(hi / lo) for lo, hi, v in self._segments(a, b))
+        lo, hi, v = self._clipped_steps(a, b)
+        return float(np.sum(v * np.log(hi / lo)))
 
     def int_moment_measure(self, a, b, dim):
-        return sum(0.5 * v * (hi * hi - lo * lo) for lo, hi, v in self._segments(a, b))
+        lo, hi, v = self._clipped_steps(a, b)
+        return float(np.sum(0.5 * v * (hi * hi - lo * lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +266,6 @@ class PowerTail:
         return ell1
 
     def j(self, r, dim, match):
-        return match * np.asarray(r, dtype=float) ** (-dim - self.alpha)
-
-    def j_scalar(self, r, dim, match):
         return match * r ** (-dim - self.alpha)
 
     def int_measure(self, a, dim, match):
@@ -308,10 +287,7 @@ class CompactSupport:
         return 1.0  # nothing to match against
 
     def j(self, r, dim, match):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def j_scalar(self, r, dim, match):
-        return 0.0
+        return 0.0 * r
 
     def int_measure(self, a, dim, match):
         return 0.0
@@ -337,10 +313,7 @@ class ExponentialTail:
         return ell1 * math.exp(self.lam)
 
     def j(self, r, dim, match):
-        return match * np.exp(-self.lam * np.asarray(r, dtype=float))
-
-    def j_scalar(self, r, dim, match):
-        return match * math.exp(-self.lam * r)
+        return match * np.exp(-self.lam * r)
 
     def int_measure(self, a, dim, match):
         lam = self.lam
@@ -409,13 +382,6 @@ class LevyKernel:
             out[~near] = self.tail.j(r[~near], self.dimension, self.matching_constant)
         return out[0] if scalar else out
 
-    def profile(self):
-        """The near profile as a plain rule r -> ell(r), with breakpoints."""
-        return ProfileFn(
-            lambda r: self.near.ell(np.asarray(r, dtype=float), self.dimension),
-            breakpoints=tuple(self.near.breakpoints()),
-        )
-
 
 @dataclass(frozen=True)
 class ProfileFn:
@@ -466,50 +432,38 @@ def ell(kernel: LevyKernel, r):
     return out[0] if np.ndim(r) == 0 else out
 
 
-def psi1(kernel: LevyKernel, r, *, rtol=1e-10):
-    """Accumulated profile mass ``int_r^1 ell(s)/s ds``.
-
-    Closed forms cover the fractional, borderline and bounded profiles;
-    the rest go through adaptive quadrature split at the profile's
-    breakpoints.
-    """
+def psi1(kernel: LevyKernel, r):
+    """Accumulated profile mass ``int_r^1 ell(s)/s ds``, in closed form:
+    every near profile integrates ell(s)/s exactly."""
     if not 0 < r <= 1:
         raise DomainError(f"psi1 needs r in (0, 1], got {r}")
     if r == 1.0:
         return 0.0
-    near, dim = kernel.near, kernel.dimension
-    if isinstance(near, (FractionalPower, Borderline, Bounded)):
-        return near.int_symbol_measure(r, 1.0, dim)
-    val, _ = adaptive_quad(
-        lambda s: float(near.ell(np.asarray(s), dim)) / s,
-        r,
-        1.0,
-        breakpoints=near.breakpoints(),
-        rtol=rtol,
-    )
-    return val
+    return kernel.near.int_symbol_measure(r, 1.0, kernel.dimension)
 
 
 def psi2(kernel: LevyKernel, r, *, rtol=1e-10):
     """Truncated second moment ``r^-2 int_0^r s ell(s) ds``."""
     if not 0 < r <= 1:
         raise DomainError(f"psi2 needs r in (0, 1], got {r}")
-    near, dim = kernel.near, kernel.dimension
+    near = kernel.near
     if isinstance(near, FractionalPower) and near.beta >= 2.0:
         raise AdmissibilityError(
             f"psi2 integrand s^(1-beta) is not integrable at 0 for beta={near.beta}",
             end="origin",
         )
-    if isinstance(near, (FractionalPower, Borderline, Bounded)):
-        return near.int_moment_measure(0.0, r, dim) / r**2
-    val, _ = adaptive_quad(
-        lambda s: s * float(near.ell(np.asarray(s), dim)),
-        0.0,
-        r,
-        breakpoints=near.breakpoints(),
-        rtol=rtol,
-    )
-    return val / r**2
+    return _moment_piece(kernel, 0.0, r, rtol) / r**2
+
+
+def _moment_piece(kernel, a, b, rtol):
+    """``int_a^b s ell(s) ds``: closed form where the profile has one,
+    adaptive quadrature otherwise."""
+    near, dim = kernel.near, kernel.dimension
+    closed = near.int_moment_measure(a, b, dim)
+    if closed is not None:
+        return closed
+    val, _ = adaptive_quad(lambda s: s * near.ell(s, dim), a, b, rtol=rtol)
+    return val
 
 
 def _surface_factor(dim):
@@ -518,7 +472,7 @@ def _surface_factor(dim):
 
 
 def _probe_refined(piece, decades, total_limit, rtol, end):
-    """Sum片 integrals over a refinement ladder, watching for divergence.
+    """Sum per-decade integrals over a refinement ladder, watching for divergence.
 
     ``piece(d)`` returns the integral over the d-th decade.  Divergence
     is declared when the running total passes ``total_limit`` or when
@@ -556,20 +510,6 @@ def _probe_refined(piece, decades, total_limit, rtol, end):
     return val
 
 
-def _near_piece(kernel, a, b, rtol):
-    closed = kernel.near.int_moment_measure(a, b, kernel.dimension)
-    if closed is not None:
-        return closed
-    val, _ = adaptive_quad(
-        lambda s: s * float(kernel.near.ell(np.asarray(s), kernel.dimension)),
-        a,
-        b,
-        breakpoints=kernel.near.breakpoints(),
-        rtol=rtol,
-    )
-    return val
-
-
 def levy_moment(kernel: LevyKernel, *, rtol=1e-8):
     """``int J(z) min(|z|^2, 1) dz``, the admissibility certificate.
 
@@ -577,7 +517,7 @@ def levy_moment(kernel: LevyKernel, *, rtol=1e-8):
     integrals fail to settle under decade-by-decade refinement.
     """
     near_val = _probe_refined(
-        lambda d: _near_piece(kernel, 10.0 ** -(d + 1), 10.0**-d, rtol),
+        lambda d: _moment_piece(kernel, 10.0 ** -(d + 1), 10.0**-d, rtol),
         decades=16,
         total_limit=1e12,
         rtol=rtol,

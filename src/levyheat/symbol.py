@@ -18,7 +18,9 @@ near/tail matching radius, evaluates the non-oscillatory parts by
 closed form or adaptive Gauss-Kronrod quadrature, and handles the
 oscillatory remainders with cosine-weighted rules (QAWO/QAWF) in one
 dimension and zero-to-zero Bessel panels with series acceleration in
-two.
+two.  In one dimension a piecewise-constant profile (borderline,
+oscillating) needs no quadrature near the origin: its near part is a
+sum of differences of the cosine integral Cin.
 
 Tables of multiplier values on a logarithmic grid feed the spectral
 propagators through monotone log-log interpolation; pure power kernels
@@ -28,14 +30,13 @@ carry a closed-form tag instead and bypass interpolation entirely.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import j0, sici
 
-from .bessel import j0, one_minus_j0
 from .errors import DomainError, QuadratureError
 from .kernels import CompactSupport, FractionalPower, LevyKernel, PowerTail, ProfileFn
 from .kernels import psi1 as kernel_psi1
@@ -50,6 +51,7 @@ from .quadrature import (
 )
 
 _FIRST_J0_ZERO = 2.404825557695773
+_EULER = 0.5772156649015329
 
 
 def log_grid(lo=1e-3, hi=1e4, per_decade=64):
@@ -61,47 +63,113 @@ def log_grid(lo=1e-3, hi=1e4, per_decade=64):
 
 
 # ---------------------------------------------------------------------------
+# special functions
+# ---------------------------------------------------------------------------
+
+
+def _one_minus_j0(x):
+    """``1 - J0(x)`` without cancellation: the Taylor series for
+    ``|x| <= 1``, the plain difference beyond.
+
+    Python floats stay on a plain-Python path, because quadrature calls
+    this once per node.
+    """
+    if isinstance(x, float):
+        return _one_minus_j0_series(0.25 * x * x) if abs(x) <= 1.0 else 1.0 - j0(x)
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) <= 1.0, _one_minus_j0_series(0.25 * x * x), 1.0 - j0(x))
+
+
+def _one_minus_j0_series(u):
+    # sum_{k>=1} (-1)^(k+1) u^k / (k!)^2 at u = x^2/4 in Horner form; ten
+    # terms reach roundoff for u <= 1/4
+    s = 1.0
+    for k in range(10, 1, -1):
+        s = 1.0 - u / (k * k) * s
+    return u * s
+
+
+def _cin(x):
+    """``Cin(x) = int_0^x (1 - cos u)/u du`` on an array of x >= 0: the
+    Taylor series for x <= 1, ``gamma + ln x - Ci(x)`` beyond, where that
+    form no longer cancels."""
+    u = x * x
+    s = 1.0
+    for k in range(9, 0, -1):
+        s = 1.0 - u * k / (2.0 * (k + 1) ** 2 * (2 * k + 1)) * s
+    out = 0.25 * u * s
+    big = x > 1.0
+    out[big] = _EULER + np.log(x[big]) - sici(x[big])[1]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # quadrature engine
 # ---------------------------------------------------------------------------
 
 
-def _near_j_scalar(kernel):
-    near, dim = kernel.near, kernel.dimension
-    return lambda r: near.j_scalar(r, dim)
+def _near_steps_1d(steps, xi):
+    """``int_0^1 (1 - cos xi r) ell(r)/r dr`` for a piecewise-constant ell,
+    exactly: ``sum v [Cin(xi hi) - Cin(xi lo)]`` over its steps.
 
-def _tail_j_scalar(kernel):
-    tail, dim, match = kernel.tail, kernel.dimension, kernel.matching_constant
-    return lambda r: tail.j_scalar(r, dim, match)
+    That difference cancels on thin steps (width below 1e-3 of ``hi``),
+    so those are integrated by Gauss panels no wider than half an
+    oscillation, where the rule is exact to roundoff; steps of zero
+    width add nothing.  Returns (value, roundoff bound).
+    """
+    edges, values = steps
+    lo, hi = edges[:-1], edges[1:]
+    thin = hi - lo < 1e-3 * hi
+    cin = _cin(xi * edges)
+    wide_v, cin_lo, cin_hi = values[~thin], cin[:-1][~thin], cin[1:][~thin]
+    value = float(wide_v @ (cin_hi - cin_lo))
+    err = np.finfo(float).eps * float(wide_v @ (cin_hi + cin_lo))
+
+    count = np.ceil(xi * (hi - lo)[thin] / math.pi).astype(int)
+    step = np.repeat(np.flatnonzero(thin), count)
+    if step.size:
+        width = (hi - lo)[step] / count.repeat(count)
+        index = np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
+        a = lo[step] + index * width
+        # panels interleaved with the gaps between them; keep every other
+        sums = gauss_panel_sums(
+            lambda r: 2.0 * np.sin(0.5 * xi * r) ** 2 / r, np.ravel([a, a + width], order="F")
+        )[::2]
+        terms = values[step] * sums
+        value += float(terms.sum())
+        err += 1e-15 * float(np.abs(terms).sum())
+    return value, err
 
 
 def _symbol_1d(kernel, xi, rtol):
     near = kernel.near
     tail = kernel.tail
     match = kernel.matching_constant
-    bp = near.breakpoints()
-    jn = _near_j_scalar(kernel)
-    jt = _tail_j_scalar(kernel)
     total = 0.0
     err = 0.0
 
-    # near part on (0, 1]: direct up to half an oscillation, then split
-    # the plain and cosine-weighted contributions
-    a = min(1.0, math.pi / xi)
-    v, e = adaptive_quad(
-        lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jn(r), 0.0, a, breakpoints=bp, rtol=rtol
-    )
-    total += v
-    err += e
-    if a < 1.0:
-        edges = [a, *(p for p in bp if a < p < 1.0), 1.0]
-        for u, w in zip(edges[:-1], edges[1:]):
-            total += near.int_symbol_measure(u, w, 1)
-            v, e = cos_weighted_quad(jn, u, w, xi, rtol=rtol)
+    steps = getattr(near, "steps", None)
+    if steps is not None:
+        total, err = _near_steps_1d(steps, xi)
+    else:
+        # near part on (0, 1]: direct up to half an oscillation, then
+        # split the plain and cosine-weighted contributions
+        jn = lambda r: near.j(r, 1)
+        a = min(1.0, math.pi / xi)
+        v, e = adaptive_quad(
+            lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jn(r), 0.0, a, rtol=rtol
+        )
+        total += v
+        err += e
+        if a < 1.0:
+            total += near.int_symbol_measure(a, 1.0, 1)
+            v, e = cos_weighted_quad(jn, a, 1.0, xi, rtol=rtol)
             total -= v
             err += e
 
     # tail part on (1, inf)
     if not isinstance(tail, CompactSupport):
+        jt = lambda r: tail.j(r, 1, match)
         big = max(1.0, math.pi / xi)
         if big > 1.0:
             v, e = adaptive_quad(
@@ -151,19 +219,14 @@ def _symbol_2d(kernel, xi, rtol):
     total = 0.0
     err = 0.0
 
-    jn = _near_j_scalar(kernel)
-
-    def near_direct(r):
-        return one_minus_j0(xi * r) * jn(r) * r
-
     a = min(1.0, _FIRST_J0_ZERO / xi)
-    v, e = adaptive_quad(near_direct, 0.0, a, breakpoints=bp, rtol=rtol)
+    v, e = adaptive_quad(
+        lambda r: _one_minus_j0(xi * r) * near.j(r, dim) * r, 0.0, a, breakpoints=bp, rtol=rtol
+    )
     total += v
     err += e
     if a < 1.0:
-        edges = [a, *(p for p in bp if a < p < 1.0), 1.0]
-        for u, w in zip(edges[:-1], edges[1:]):
-            total += near.int_symbol_measure(u, w, dim)
+        total += near.int_symbol_measure(a, 1.0, dim)
         panel_edges = _j0_panel_edges(a, 1.0, xi, bp)
         osc = lambda r: j0(xi * r) * near.j(r, dim) * r
         terms = gauss_panel_sums(osc, panel_edges)
@@ -172,10 +235,10 @@ def _symbol_2d(kernel, xi, rtol):
 
     if not isinstance(tail, CompactSupport):
         big = max(1.0, _FIRST_J0_ZERO / xi)
-        jt = _tail_j_scalar(kernel)
+        jt = lambda r: tail.j(r, dim, match)
         if big > 1.0:
             v, e = adaptive_quad(
-                lambda r: one_minus_j0(xi * r) * jt(r) * r,
+                lambda r: _one_minus_j0(xi * r) * jt(r) * r,
                 1.0,
                 big,
                 rtol=rtol,
@@ -187,8 +250,7 @@ def _symbol_2d(kernel, xi, rtol):
         k0 = max(1, int(math.ceil(xi * big / math.pi - 0.25)))
         edges = j0_zero(np.arange(k0, k0 + 61)) / xi
         edges = np.concatenate([[big], edges[edges > big]])
-        osc_tail = lambda r: j0(xi * r) * tail.j(r, dim, match) * r
-        v, e = accelerated_panel_tail(osc_tail, edges)
+        v, e = accelerated_panel_tail(lambda r: j0(xi * r) * jt(r) * r, edges)
         total -= v
         err += e
 
@@ -196,35 +258,32 @@ def _symbol_2d(kernel, xi, rtol):
 
 
 def _symbol_value_err(kernel, xi, rtol):
-    """(value, error estimate) at scalar xi > 0, no tolerance policing.
+    """(value, error estimate) at scalar xi > 0.
 
     Components are driven at rtol / 10 because the summed QUADPACK
     error estimates are conservative; the returned estimate stays
-    honest.
+    honest.  Raises QuadratureError carrying the achieved relative
+    tolerance if the estimate is materially worse than ``rtol`` (with
+    a small absolute floor for vanishing values near xi = 0).
     """
-    if kernel.dimension == 1:
-        return _symbol_1d(kernel, xi, rtol / 10.0)
-    return _symbol_2d(kernel, xi, rtol / 10.0)
+    engine = _symbol_1d if kernel.dimension == 1 else _symbol_2d
+    val, err = engine(kernel, xi, rtol / 10.0)
+    if err > max(20.0 * rtol * abs(val), 1e-12):
+        achieved = err / max(abs(val), 1e-300)
+        raise QuadratureError(
+            f"multiplier quadrature at xi={xi:g} achieved only {achieved:.2e} relative",
+            achieved_tol=achieved,
+        )
+    return val, err
 
 
 def symbol_quadrature(kernel: LevyKernel, xi, *, rtol=1e-8):
-    """Multiplier value m(xi) by radial quadrature (scalar xi).
-
-    Raises QuadratureError carrying the achieved relative tolerance if
-    the error estimate is materially worse than ``rtol`` (with a small
-    absolute floor for vanishing values near xi = 0).
-    """
+    """Multiplier value m(xi) by radial quadrature (scalar xi); see
+    ``_symbol_value_err`` for the tolerance it enforces."""
     xi = abs(float(xi))
     if xi == 0.0:
         return 0.0
-    val, err = _symbol_value_err(kernel, xi, rtol)
-    if err > max(20.0 * rtol * abs(val), 1e-12):
-        raise QuadratureError(
-            f"multiplier quadrature at xi={xi:g} achieved only "
-            f"{err / max(abs(val), 1e-300):.2e} relative",
-            achieved_tol=err / max(abs(val), 1e-300),
-        )
-    return val
+    return _symbol_value_err(kernel, xi, rtol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +337,8 @@ class SymbolTable:
         """Interpolated (or closed-form) multiplier at radial frequency rho.
 
         rho = 0 maps to 0 exactly; outside the tabulated range the
-        log-log edge slopes continue the table as local power laws.
+        log-log edge slopes continue the table as local power laws, and
+        a zero edge value raises DomainError.
         """
         rho = np.asarray(rho, dtype=float)
         scalar = rho.ndim == 0
@@ -297,21 +357,21 @@ class SymbolTable:
         out[inside] = np.exp(self._loglog(np.log(rho[inside])))
         below = pos & (rho < lo)
         if below.any():
-            slope = math.log(v[1] / v[0]) / math.log(g[1] / g[0])
-            out[below] = v[0] * (rho[below] / lo) ** slope
+            out[below] = v[0] * (rho[below] / lo) ** self._edge_slope(0, 1)
         above = pos & (rho > hi)
         if above.any():
-            slope = math.log(v[-1] / v[-2]) / math.log(g[-1] / g[-2])
-            out[above] = v[-1] * (rho[above] / hi) ** slope
+            out[above] = v[-1] * (rho[above] / hi) ** self._edge_slope(-2, -1)
         return out[0] if scalar else out
 
-
-def _worker_count():
-    raw = os.environ.get("LEVYHEAT_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    def _edge_slope(self, i, j):
+        """Log-log slope between two table entries at one edge; a zero
+        value has no power law to continue."""
+        g, v = self.radial_grid, self.values
+        if v[i] == 0.0 or v[j] == 0.0:
+            raise DomainError(
+                f"cannot extrapolate past rho = {g[i]:g}..{g[j]:g}: the table value is 0 there"
+            )
+        return math.log(v[j] / v[i]) / math.log(g[j] / g[i])
 
 
 def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=1e-8):
@@ -348,15 +408,7 @@ def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=1e-8):
     if grid.size == 0:
         return SymbolTable(kid, kernel.dimension, grid, np.empty(0), None, 0.0)
 
-    workers = _worker_count()
-    jobs = [(kernel, x, rtol) for x in grid]
-    if workers > 1 and grid.size > 8:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_symbol_point, jobs, chunksize=8))
-    else:
-        pairs = [_symbol_point(job) for job in jobs]
+    pairs = [_symbol_value_err(kernel, x, rtol) for x in grid.tolist()]
     values = np.array([p[0] for p in pairs])
     achieved = max(e / max(abs(v), 1e-300) for v, e in pairs)
     return SymbolTable(
@@ -367,18 +419,6 @@ def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=1e-8):
         closed_form=None,
         quad_tol=float(achieved),
     )
-
-
-def _symbol_point(args):
-    kernel, xi, rtol = args
-    val, err = _symbol_value_err(kernel, abs(float(xi)), rtol)
-    if err > max(20.0 * rtol * abs(val), 1e-12):
-        raise QuadratureError(
-            f"multiplier quadrature at xi={xi:g} achieved only "
-            f"{err / max(abs(val), 1e-300):.2e} relative",
-            achieved_tol=err / max(abs(val), 1e-300),
-        )
-    return val, err
 
 
 def lattice_symbol_table(kernel: LevyKernel, radii, *, rtol=1e-8):

@@ -201,6 +201,25 @@ def test_cross_oracle_spectral_vs_direct_2d():
         assert abs(Es - Ed) <= 0.02 * Ed, f"seed {seed}: {Es} vs {Ed}"
 
 
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+def test_direct_form_matches_pairwise_sum(dim, n):
+    # a literal sum over ordered pairs x != y at the minimum-image
+    # distance, one scalar kernel evaluation per pair
+    kern = LevyKernel(dimension=dim, near=FractionalPower(beta=0.5), tail=PowerTail(alpha=1.0))
+    g = PeriodicGrid(dimension=dim, half_width=2.0, points_per_axis=n)
+    f = random_band_limited(g, np.random.default_rng(31), 0.5)
+    cells = list(np.ndindex(g.shape))
+    total = 0.0
+    for x in cells:
+        for y in cells:
+            if x == y:
+                continue
+            sep = [min(abs(a - b), n - abs(a - b)) * g.spacing for a, b in zip(x, y)]
+            total += (f.values[x] - f.values[y]) ** 2 * kern.eval_radial(math.hypot(*sep))
+    want = 0.5 * g.spacing ** (2 * dim) * total
+    assert an.dirichlet_form_direct(kern, f) == pytest.approx(want, rel=1e-12)
+
+
 def test_direct_form_value_shift_invariance():
     g = PeriodicGrid(dimension=1, half_width=2.0, points_per_axis=128)
     f = random_band_limited(g, np.random.default_rng(7), 0.25)

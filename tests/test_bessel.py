@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from levyheat.bessel import j0, one_minus_j0
+from levyheat.symbol import _one_minus_j0 as one_minus_j0
+from levyheat.symbol import j0
 
 # high-precision references (40-digit arithmetic, rounded to double)
 J0_REF = [
@@ -29,8 +30,7 @@ def test_j0_reference_values(x, ref):
 
 
 def test_j0_against_scipy_dense():
-    # both the power-series branch and the asymptotic branch, including
-    # the handover at x = 12
+    # a dense grid from 0 to 5e4
     x = np.concatenate(
         [
             np.linspace(0.0, 12.0, 1201),
@@ -82,3 +82,12 @@ def test_j0_at_zero_and_symmetry_range():
     assert one_minus_j0(0.0) == 0.0
     x = np.linspace(0, 200, 5001)
     assert np.max(np.abs(j0(x))) <= 1.0 + 1e-12
+
+
+def test_one_minus_j0_scalar_path_matches_array_path():
+    # the plain-float branch and the array branch agree on both sides of
+    # the series/difference handover at |x| = 1
+    x = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.999999, 1.0, 1.000001]])
+    scalar = np.array([one_minus_j0(float(v)) for v in x])
+    assert np.array_equal(scalar, one_minus_j0(x))
+    assert np.allclose(scalar, 1.0 - scipy.special.j0(x), rtol=0.0, atol=1e-15)

@@ -191,6 +191,17 @@ def test_escape_guard_passes_for_compact_kernel(tmp_path):
     assert manifest["escape_guard"]["max_boundary_ratio"] < 1e-6
 
 
+def test_interpolation_section_writes_report(tmp_path):
+    path = write_cfg(tmp_path, interpolation=["r = 1.5", "s = 2.0"])
+    assert main(["evolve", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    lines = (out / "interpolation.txt").read_text().splitlines()
+    report = dict(line.split(" = ") for line in lines)
+    assert np.isfinite(float(report["required_constant"]))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "interpolation.txt" in manifest["artifacts"]
+
+
 def test_decay_fit_report_on_cauchy_flow(tmp_path):
     # wide domain so the periodic wraparound floor does not bend the fit
     body = BASE.replace("half_width = 64", "half_width = 2048").replace(

@@ -16,9 +16,11 @@ from levyheat.kernels import (
     PowerTail,
     ProfileFn,
 )
+from levyheat.quadrature import adaptive_quad, gauss_panel_sums
 from levyheat.symbol import (
     PurePower,
     SymbolTable,
+    _near_steps_1d,
     build_symbol_table,
     check_global_bounds,
     check_lower_psi,
@@ -172,12 +174,100 @@ def test_lattice_table_filters_and_sorts():
     assert (tab.values > 0).all()
 
 
-def test_parallel_table_matches_serial(monkeypatch):
-    grid = log_grid(0.5, 5.0, 10)
-    serial = build_symbol_table(BORDER_PT2, grid)
-    monkeypatch.setenv("LEVYHEAT_WORKERS", "2")
-    parallel = build_symbol_table(BORDER_PT2, grid)
-    assert np.array_equal(serial.values, parallel.values)
+def test_table_extrapolation_below_zero_edge_raises():
+    g = np.array([1.0, 2.0, 4.0])
+    tab = SymbolTable("k", 1, g, np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(DomainError, match="table value is 0"):
+        tab.evaluate(0.5)
+    # inside the range the zero entry still interpolates
+    assert np.isfinite(tab.evaluate(1.5))
+
+
+def test_table_extrapolation_above_zero_edge_raises():
+    g = np.array([1.0, 2.0, 4.0])
+    tab = SymbolTable("k", 1, g, np.array([1.0, 2.0, 0.0]))
+    with pytest.raises(DomainError, match="table value is 0"):
+        tab.evaluate(8.0)
+    assert np.isfinite(tab.evaluate(3.0))
+
+
+def _direct_near_part(near, xi, edges):
+    # 2 int_0^1 (1 - cos xi r) J(r) dr with breakpoints at the band edges
+    # and at every half period
+    half_periods = np.arange(1, int(xi / math.pi) + 1) * math.pi / xi
+    pts = np.union1d(edges[1:-1], half_periods[half_periods < 1.0])
+    val, _ = adaptive_quad(
+        lambda r: 2.0 * (1.0 - math.cos(xi * r)) * near.j(r, 1),
+        0.0,
+        1.0,
+        breakpoints=pts,
+        rtol=1e-12,
+        abs_floor=0.0,
+    )
+    return val
+
+
+@pytest.mark.parametrize("near", [Borderline(), Oscillating(1.0)], ids=["borderline", "osc"])
+@pytest.mark.parametrize("xi", [1e-3, 0.1, 10.0, 1e3, 1e4])
+def test_step_profile_near_part_matches_quadrature(near, xi):
+    edges, _ = near.steps
+    closed, bound = _near_steps_1d(near.steps, xi)
+    ref = _direct_near_part(near, xi, edges)
+    assert abs(2.0 * closed - ref) <= 1e-9 * ref
+    assert bound <= 1e-12 * closed
+
+
+def _direct_steps_part(steps, xi):
+    # 2 int_0^1 (1 - cos xi r) ell(r)/r dr one constant step at a time,
+    # with breakpoints at every half period; bands narrower than the
+    # spacing of doubles leave no room for nodes that resolve ell across
+    # a band edge, so each step carries its own value
+    edges, values = steps
+    half_periods = np.arange(1, int(xi / math.pi) + 1) * math.pi / xi
+    total = 0.0
+    for lo, hi, v in zip(edges[:-1], edges[1:], values):
+        val, _ = adaptive_quad(
+            lambda r: 4.0 * math.sin(0.5 * xi * r) ** 2 / r,
+            lo,
+            hi,
+            breakpoints=half_periods,
+            rtol=1e-12,
+            abs_floor=0.0,
+        )
+        total += v * val
+    return total
+
+
+@pytest.mark.parametrize("alpha_osc", [2.5, 3.0])
+def test_steep_oscillating_table_matches_quadrature(alpha_osc):
+    # bands of relative width 2^(-alpha_osc k), down to zero width, where
+    # the differences of Cin cancel
+    kernel = LevyKernel(1, Oscillating(alpha_osc), CompactSupport())
+    assert build_symbol_table(kernel).quad_tol <= 1e-8
+    xis = [1e-3, 0.1, 10.0, 1e3, 1e4]
+    tab = build_symbol_table(kernel, xis)
+    for xi, value in zip(xis, tab.values):
+        ref = _direct_steps_part(kernel.near.steps, xi)
+        assert abs(value - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("near", [Borderline(), Oscillating(1.0)], ids=["borderline", "osc"])
+def test_step_profile_near_part_at_high_frequency(near):
+    # adaptive quadrature needs minutes at xi = 1e6 (3e5 half periods),
+    # so the reference sums 16-point Gauss panels, one per half period
+    # or band piece, where the rule is exact to roundoff
+    xi = 1e6
+    edges, _ = near.steps
+    panel_edges = np.union1d(edges, np.arange(int(xi / math.pi) + 1) * math.pi / xi)
+    ref = float(
+        gauss_panel_sums(
+            lambda r: 2.0 * (1.0 - np.cos(xi * r)) * near.ell(r, 1) / r, panel_edges
+        ).sum()
+    )
+    closed, bound = _near_steps_1d(near.steps, xi)
+    assert abs(2.0 * closed - ref) <= 1e-9 * ref
+    # the roundoff bound covers the actual cancellation error
+    assert abs(2.0 * closed - ref) <= 2.0 * bound + 1e-13 * ref
 
 
 # ---------------------------------------------------------------------------
