@@ -57,6 +57,7 @@ from .kernels import (
 from .spectral import (
     GridField,
     PeriodicGrid,
+    boundary_ratio,
     box_field,
     delta_surrogate,
     lp_norm,
@@ -108,21 +109,41 @@ def _integrable_table():
     return build_symbol_table(_integrable_kernel())
 
 
-def _norm_bookkeeping(u0, fields):
-    """Mass drift, worst p-norm increase, per-snapshot sup norms."""
+def _norm_bookkeeping(u0, times, fields, P=None):
+    """One pass over a run's snapshots, consumed one field at a time.
+
+    Returns the mass drift, the worst p-norm increase (p = 1, 2, inf)
+    between consecutive snapshots, the L2/L4/sup series and the worst
+    face-to-sup ratio; given the propagator of a linear run, also the
+    worst smoothing ratio E(u(t)) / (||u0||_2^2 / (2 e t)).
+    """
     m0 = mass(u0)
     prev = {p: lp_norm(u0, p) for p in (1, 2, np.inf)}
-    drift = 0.0
-    increase = -np.inf
-    sups = []
-    for u in fields:
+    half_l2_sq = prev[2] ** 2
+    drift, increase, guard, energy_ratio = 0.0, -np.inf, 0.0, -np.inf
+    l2, l4, sups = [], [], []
+    for t, u in zip(times, fields):
         drift = max(drift, abs(mass(u) - m0))
         for p in (1, 2, np.inf):
             cur = lp_norm(u, p)
             increase = max(increase, cur - prev[p])
             prev[p] = cur
+        l2.append(prev[2])
+        l4.append(lp_norm(u, 4))
         sups.append(prev[np.inf])
-    return drift, increase, sups
+        guard = max(guard, boundary_ratio(u))
+        if P is not None:
+            bound = half_l2_sq / (2.0 * math.e * t)
+            energy_ratio = max(energy_ratio, dirichlet_form_spectral(P, u) / bound)
+    return {
+        "mass_drift": drift,
+        "norm_increase": increase,
+        "l2": l2,
+        "l4": l4,
+        "sups": sups,
+        "guard_max": guard,
+        "energy_ratio": energy_ratio,
+    }
 
 
 @functools.cache
@@ -149,20 +170,8 @@ def _poisson_run():
     ]
 
     u0 = delta_surrogate(grid)
-    half_l2_sq = lp_norm(u0, 2) ** 2
-    fields = [propagate_linear(P, u0, float(t)) for t in times]
-    drift, increase, _ = _norm_bookkeeping(u0, fields)
-    energy_ratio = max(
-        dirichlet_form_spectral(P, u) / (half_l2_sq / (2.0 * math.e * t))
-        for t, u in zip(times, fields)
-    )
-    return {
-        "gaps": gaps,
-        "sup_series": sup_series,
-        "mass_drift": drift,
-        "norm_increase": increase,
-        "energy_ratio": energy_ratio,
-    }
+    book = _norm_bookkeeping(u0, times, propagate_linear(P, u0, times), P)
+    return {"gaps": gaps, "sup_series": sup_series, **book}
 
 
 @functools.cache
@@ -178,38 +187,9 @@ def _bounded_tail_run():
     P = LinearPropagator.from_table(grid, tab)
 
     u0 = box_field(grid, width=4.0, height=1.0)
-    half_l2_sq = lp_norm(u0, 2) ** 2
     times = np.geomspace(1.0, 30.0, 16)
-    l2, l4, sups, guard = [], [], [], []
-    drift, increase, energy_ratio = 0.0, -np.inf, -np.inf
-    m0 = mass(u0)
-    prev = {p: lp_norm(u0, p) for p in (1, 2, np.inf)}
-    for t in times:
-        u = propagate_linear(P, u0, float(t))
-        drift = max(drift, abs(mass(u) - m0))
-        for p in (1, 2, np.inf):
-            cur = lp_norm(u, p)
-            increase = max(increase, cur - prev[p])
-            prev[p] = cur
-        l2.append(prev[2])
-        l4.append(lp_norm(u, 4))
-        sups.append(prev[np.inf])
-        guard.append(float(np.abs(u.values[0]) / prev[np.inf]))
-        energy_ratio = max(
-            energy_ratio,
-            dirichlet_form_spectral(P, u) / (half_l2_sq / (2.0 * math.e * t)),
-        )
-    return {
-        "times": times,
-        "l2": l2,
-        "l4": l4,
-        "sups": sups,
-        "sup0": lp_norm(u0, np.inf),
-        "guard_max": max(guard),
-        "mass_drift": drift,
-        "norm_increase": increase,
-        "energy_ratio": energy_ratio,
-    }
+    book = _norm_bookkeeping(u0, times, propagate_linear(P, u0, times), P)
+    return {"times": times, "sup0": lp_norm(u0, np.inf), **book}
 
 
 @functools.cache
@@ -220,14 +200,7 @@ def _porous_run():
     u0 = box_field(grid, width=2.0, height=1.0)
     times = np.geomspace(1.0, 300.0, 20)
     fields = evolve_nonlinear(P, PhiLaw(2.0, M=1.0), u0, 300.0, times, cfl=1.0)
-    drift, increase, _ = _norm_bookkeeping(u0, fields)
-    l2 = [lp_norm(u, 2) for u in fields]
-    return {
-        "times": times,
-        "l2": l2,
-        "mass_drift": drift,
-        "norm_increase": increase,
-    }
+    return {"times": times, **_norm_bookkeeping(u0, times, fields)}
 
 
 @functools.cache
@@ -238,18 +211,12 @@ def _sigma1_crosscheck():
     u0 = box_field(grid, width=2.0, height=1.0)
     snaps = (0.25, 0.5, 1.0)
     stepped = evolve_nonlinear(P, PhiLaw(1.0, M=1.0), u0, 1.0, snaps, cfl=0.25)
-    worst = 0.0
-    energy_ratio = -np.inf
-    half_l2_sq = lp_norm(u0, 2) ** 2
-    for t, us in zip(snaps, stepped):
-        ue = propagate_linear(P, u0, t)
-        diff = GridField(grid, us.values - ue.values)
-        worst = max(worst, lp_norm(diff, 2) / lp_norm(ue, 2))
-        energy_ratio = max(
-            energy_ratio,
-            dirichlet_form_spectral(P, ue) / (half_l2_sq / (2.0 * math.e * t)),
-        )
-    return {"worst_rel_l2": worst, "energy_ratio": energy_ratio}
+    exact = list(propagate_linear(P, u0, snaps))
+    worst = max(
+        lp_norm(GridField(grid, us.values - ue.values), 2) / lp_norm(ue, 2)
+        for us, ue in zip(stepped, exact)
+    )
+    return {"worst_rel_l2": worst, **_norm_bookkeeping(u0, snaps, exact, P)}
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +278,9 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Mass conservation and Lp contraction for linear and porous flows."""
     tol = 1e-10
-    worst_drift = max(
-        _poisson_run()["mass_drift"],
-        _bounded_tail_run()["mass_drift"],
-        _porous_run()["mass_drift"],
-    )
-    worst_increase = max(
-        _poisson_run()["norm_increase"],
-        _bounded_tail_run()["norm_increase"],
-        _porous_run()["norm_increase"],
-    )
+    runs = (_poisson_run(), _bounded_tail_run(), _porous_run())
+    worst_drift = max(run["mass_drift"] for run in runs)
+    worst_increase = max(run["norm_increase"] for run in runs)
     ok = worst_drift <= tol and worst_increase <= tol
     return CriterionResult(
         4,
@@ -334,11 +294,8 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Smoothing bound E(u(t)) <= |u0|_2^2 / (2 e t) on every linear run."""
     slack = 1.0 + 1e-12
-    worst = max(
-        _poisson_run()["energy_ratio"],
-        _bounded_tail_run()["energy_ratio"],
-        _sigma1_crosscheck()["energy_ratio"],
-    )
+    runs = (_poisson_run(), _bounded_tail_run(), _sigma1_crosscheck())
+    worst = max(run["energy_ratio"] for run in runs)
     return CriterionResult(
         5,
         "Dirichlet-form smoothing bound",

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import rfftn
 
 from .errors import ContractError, DomainError, GridMismatchError, ResourceLimitError
 from .evolve import LinearPropagator
 from .kernels import LevyKernel
-from .spectral import GridField, PeriodicGrid, forward, mollified_box_field
+from .spectral import GridField, PeriodicGrid, lp_norm, mollified_box_field
 from .symbol import SymbolTable
 
 #: relative slack granted to inequality margins (covers roundoff in the
@@ -29,40 +30,32 @@ from .symbol import SymbolTable
 MARGIN_TOL = 1e-10
 
 
-def _symbol_on_grid(source, grid: PeriodicGrid) -> np.ndarray:
-    """Multiplier values on a grid's frequency lattice from either a
-    bound propagator or a symbol table."""
-    if isinstance(source, LinearPropagator):
-        if source.grid != grid:
-            raise GridMismatchError("propagator bound to a different grid")
-        return source.symbol_values
-    if isinstance(source, SymbolTable):
-        vals = source.evaluate(grid.freq_radii())
-        vals[(0,) * grid.dimension] = 0.0
-        return vals
-    raise ContractError(f"expected LinearPropagator or SymbolTable, got {type(source)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet forms
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_form_spectral(source, f: GridField) -> float:
+def dirichlet_form_spectral(P: LinearPropagator, f: GridField) -> float:
     """E(f, f) = (2L)^-N sum m(xi) |f_hat(xi)|^2."""
-    m = _symbol_on_grid(source, f.grid)
-    vol = (2.0 * f.grid.half_width) ** f.grid.dimension
-    return float(np.sum(m * np.abs(forward(f).coeffs) ** 2) / vol)
+    return dirichlet_bilinear(P, f, f)
 
 
-def dirichlet_bilinear(source, f: GridField, g: GridField) -> float:
-    """Polarized form E(f, g) = (2L)^-N sum m Re(f_hat conj(g_hat))."""
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-    m = _symbol_on_grid(source, f.grid)
-    vol = (2.0 * f.grid.half_width) ** f.grid.dimension
-    prod = forward(f).coeffs * np.conj(forward(g).coeffs)
-    return float(np.sum(m * prod.real) / vol)
+def dirichlet_bilinear(P: LinearPropagator, f: GridField, g: GridField) -> float:
+    """Polarized form E(f, g) = (2L)^-N sum m Re(f_hat conj(g_hat)).
+
+    Read off the plain rfftn half lattice: the (-1)^kappa phase cancels in
+    the product, the dx^N factors leave dx^N / n^N, and every column but
+    the last axis's first and Nyquist one stands for itself and its mirror.
+    """
+    if not isinstance(P, LinearPropagator):
+        raise ContractError(f"expected a LinearPropagator, got {type(P)!r}")
+    if not f.grid == g.grid == P.grid:
+        raise GridMismatchError("fields and propagator live on different grids")
+    F = rfftn(f.values)
+    G = F if g is f else rfftn(g.values)
+    w = P.half * (F.real * G.real + F.imag * G.imag)
+    total = 2.0 * w.sum() - w[..., 0].sum() - w[..., -1].sum()
+    return float(total * f.grid.cell_volume / f.values.size)
 
 
 #: pair-sum cost guards for the brute-force form
@@ -122,7 +115,7 @@ def _power_field(f: GridField, a: float) -> GridField:
     return GridField(f.grid, f.values**a)
 
 
-def stroock_varopoulos_check(source, f: GridField, a, b) -> MarginReport:
+def stroock_varopoulos_check(P, f: GridField, a, b) -> MarginReport:
     """E(f^a, f^b) >= a b E(f, f) for f >= 0, a + b = 2."""
     if (f.values < 0).any():
         raise DomainError("field must be nonnegative")
@@ -130,8 +123,8 @@ def stroock_varopoulos_check(source, f: GridField, a, b) -> MarginReport:
         raise DomainError(f"need a + b = 2, got a + b = {a + b}")
     if a < 0 or b < 0:
         raise DomainError("exponents must be nonnegative")
-    energy = dirichlet_form_spectral(source, f)
-    left = dirichlet_bilinear(source, _power_field(f, a), _power_field(f, b))
+    energy = dirichlet_form_spectral(P, f)
+    left = dirichlet_bilinear(P, _power_field(f, a), _power_field(f, b))
     margin = left - a * b * energy
     return MarginReport(margin=margin, reference=energy, passed=bool(margin >= -MARGIN_TOL * energy))
 
@@ -174,7 +167,7 @@ def sv_power_triple(sigma: float, p: float) -> SVTriple:
     return SVTriple(F=F, G=G, H=H, description=f"power triple sigma={sigma}, p={p}")
 
 
-def generalized_sv_check(source, u: GridField, triple: SVTriple) -> MarginReport:
+def generalized_sv_check(P, u: GridField, triple: SVTriple) -> MarginReport:
     """E(F(u), G(u)) >= E(H(u), H(u)) whenever F'G' >= (H')^2."""
     if not triple.certified:
         raise ContractError(
@@ -184,8 +177,8 @@ def generalized_sv_check(source, u: GridField, triple: SVTriple) -> MarginReport
     fu = GridField(u.grid, np.asarray(triple.F(u.values), dtype=float))
     gu = GridField(u.grid, np.asarray(triple.G(u.values), dtype=float))
     hu = GridField(u.grid, np.asarray(triple.H(u.values), dtype=float))
-    right = dirichlet_form_spectral(source, hu)
-    left = dirichlet_bilinear(source, fu, gu)
+    right = dirichlet_form_spectral(P, hu)
+    left = dirichlet_bilinear(P, fu, gu)
     margin = left - right
     return MarginReport(margin=margin, reference=right, passed=bool(margin >= -MARGIN_TOL * right))
 
@@ -195,29 +188,28 @@ def generalized_sv_check(source, u: GridField, triple: SVTriple) -> MarginReport
 # ---------------------------------------------------------------------------
 
 
-def _norms(f: GridField, ps):
-    from .spectral import lp_norm
-
-    return [lp_norm(f, p) for p in ps]
-
-
-def nash_ratio(source, f: GridField, d: float, r_norm: float) -> float:
-    """Scale-invariant Nash quotient.
-
-    Normalizes g = f / ||f||_r and returns
-    E(g, g) / (||g||_2^2 min{1, ||g||_2^(2/d)}).
-    """
+def _nash_terms(P, f: GridField, d: float, r_norm: float):
+    """The Nash quotient of f and ||g||_2 for g = f / ||f||_r."""
     if not d > 0:
         raise DomainError(f"d must be positive, got {d}")
     if not 1.0 <= r_norm < 2.0:
         raise DomainError(f"r must lie in [1, 2), got {r_norm}")
-    nr, n2 = _norms(f, [r_norm, 2.0])
+    nr, n2 = lp_norm(f, r_norm), lp_norm(f, 2.0)
     if nr == 0.0:
         raise DomainError("zero field")
     g = GridField(f.grid, f.values / nr)
     g2 = n2 / nr
     denom = g2**2 * min(1.0, g2 ** (2.0 / d))
-    return dirichlet_form_spectral(source, g) / denom
+    return dirichlet_form_spectral(P, g) / denom, g2
+
+
+def nash_ratio(P, f: GridField, d: float, r_norm: float) -> float:
+    """Scale-invariant Nash quotient.
+
+    Normalizes g = f / ||f||_r and returns
+    E(g, g) / (||g||_2^2 min{1, ||g||_2^(2/d)}).
+    """
+    return _nash_terms(P, f, d, r_norm)[0]
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,7 @@ class NashReport:
 
 
 def nash_dilation_sweep(
-    source,
+    P,
     grid: PeriodicGrid,
     d: float,
     *,
@@ -261,13 +253,10 @@ def nash_dilation_sweep(
     scales = np.asarray(scales, dtype=float)
     ratios = np.empty_like(scales)
     poincare = nash = 0
-    from .spectral import lp_norm
-
     branches = []
     for i, lam in enumerate(scales):
         f = mollified_box_field(grid, half_width=half_width, edge_width=edge_width, scale=lam)
-        ratios[i] = nash_ratio(source, f, d, r_norm)
-        g2 = lp_norm(f, 2.0) / lp_norm(f, r_norm)
+        ratios[i], g2 = _nash_terms(P, f, d, r_norm)
         if g2 >= 1.0:
             poincare += 1
             branches.append("poincare")
@@ -291,7 +280,7 @@ class ConverseNashReport:
     passed: bool
 
 
-def converse_nash_check(source, v: GridField, q, p, nu, tau, C2, certificate) -> ConverseNashReport:
+def converse_nash_check(P, v: GridField, q, p, nu, tau, C2, certificate) -> ConverseNashReport:
     """Ratio form of the converse Nash inequality
     E(v,v) >= C ||v||_2^2 min{1/tau, (||v||_2/||v||_q)^(2/nu)}.
 
@@ -308,13 +297,13 @@ def converse_nash_check(source, v: GridField, q, p, nu, tau, C2, certificate) ->
         raise DomainError(f"need 1 <= q < p, got q={q}, p={p}")
     if np.ptp(v.values) == 0.0:
         raise ContractError("constant fields do not satisfy the decay premise")
-    nq, n2 = _norms(v, [q, 2.0])
+    nq, n2 = lp_norm(v, q), lp_norm(v, 2.0)
     if n2 == 0.0:
         raise DomainError("zero field")
     arm1 = 1.0 / tau
     arm2 = (n2 / nq) ** (2.0 / nu)
     denom = n2**2 * min(arm1, arm2)
-    ratio = dirichlet_form_spectral(source, v) / denom
+    ratio = dirichlet_form_spectral(P, v) / denom
     return ConverseNashReport(
         ratio=float(ratio),
         branch="time" if arm1 <= arm2 else "nash",
@@ -353,15 +342,15 @@ def theta_exponents(r, s, gamma, N):
     return theta1, theta2
 
 
-def interpolation_check(source, z: GridField, r, s, gamma) -> InterpolationReport:
+def interpolation_check(P, z: GridField, r, s, gamma) -> InterpolationReport:
     """Smallest constant c making
     ||z||_s^2 <= c (||z||_r^(2 theta1) E^(1-theta1) + ||z||_r^(2 theta2) E^(1-theta2))
     hold for this z."""
     theta1, theta2 = theta_exponents(r, s, gamma, z.grid.dimension)
-    energy = dirichlet_form_spectral(source, z)
+    energy = dirichlet_form_spectral(P, z)
     if energy <= 0.0:
         raise DomainError("field has zero energy; the inequality is vacuous")
-    nr, ns = _norms(z, [r, s])
+    nr, ns = lp_norm(z, r), lp_norm(z, s)
     m1 = nr ** (2.0 * theta1) * energy ** (1.0 - theta1)
     m2 = nr ** (2.0 * theta2) * energy ** (1.0 - theta2)
     return InterpolationReport(

@@ -59,6 +59,7 @@ from .kernels import (
 )
 from .spectral import (
     PeriodicGrid,
+    boundary_ratio,
     box_field,
     delta_surrogate,
     gaussian_field,
@@ -529,22 +530,9 @@ def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
     return random_band_limited(grid, rng, band_fraction=cfg.datum_param)
 
 
-def _boundary_ratio(u) -> float:
-    """Largest |u| on the domain faces relative to the sup-norm."""
-    vals = u.values
-    sup = float(np.max(np.abs(vals)))
-    if sup == 0.0:
-        return 0.0
-    if vals.ndim == 1:
-        edge = abs(float(vals[0]))
-    else:
-        edge = max(float(np.max(np.abs(vals[0, :]))), float(np.max(np.abs(vals[:, 0]))))
-    return edge / sup
-
-
 def _evolve_all(cfg, P, u0):
     if cfg.flow == "linear":
-        return [propagate_linear(P, u0, t) for t in cfg.snapshots]
+        return list(propagate_linear(P, u0, cfg.snapshots))
     phi = PhiLaw(cfg.sigma, M=cfg.mass_bound)
     return evolve_nonlinear(P, phi, u0, cfg.snapshots[-1], cfg.snapshots, cfl=cfg.cfl)
 
@@ -670,7 +658,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
             fields = _stage("evolve", _evolve_all, cfg, P, u0)
-            guard_ratio = max(_boundary_ratio(u) for u in fields)
+            guard_ratio = max(boundary_ratio(u) for u in fields)
             guard = {
                 "max_boundary_ratio": guard_ratio,
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),

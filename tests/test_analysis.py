@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyheat import analysis as an
-from levyheat.errors import ContractError, DomainError, ResourceLimitError
+from levyheat.errors import ContractError, DomainError, GridMismatchError, ResourceLimitError
 from levyheat.evolve import LinearPropagator, propagate_linear
 from levyheat.kernels import (
     Borderline,
@@ -19,6 +19,7 @@ from levyheat.spectral import (
     GridField,
     PeriodicGrid,
     box_field,
+    forward,
     lp_norm,
     mode_field,
     mollified_box_field,
@@ -177,6 +178,36 @@ def test_spectral_form_single_mode_closed_form(integrable_table):
     k = np.argmin(np.abs(g.freq_axis - xi1))
     want = P.symbol_values[k] * A**2 * (2 * g.half_width) / 2
     assert an.dirichlet_form_spectral(P, f) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_forms_match_full_lattice_sum(dim, n):
+    # (2L)^-N sum m Re(f_hat conj(h_hat)) over the whole lattice of the
+    # continuum-normalized transform
+    g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
+    P = abs_propagator(g)
+    rng = np.random.default_rng(41)
+    vol = (2 * g.half_width) ** dim
+    for _ in range(3):
+        f = GridField(g, rng.standard_normal(g.shape))
+        h = GridField(g, f.values + rng.standard_normal(g.shape))
+        F, H = forward(f).coeffs, forward(h).coeffs
+        want_ff = float(np.sum(P.symbol_values * np.abs(F) ** 2)) / vol
+        want_fh = float(np.sum(P.symbol_values * (F * np.conj(H)).real)) / vol
+        assert an.dirichlet_form_spectral(P, f) == pytest.approx(want_ff, rel=1e-12)
+        assert an.dirichlet_bilinear(P, f, h) == pytest.approx(want_fh, rel=1e-12)
+
+
+def test_forms_need_a_propagator_on_the_fields_grid(integrable_table):
+    g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=64)
+    f = GridField(g, np.ones(g.shape))
+    with pytest.raises(ContractError):
+        an.dirichlet_form_spectral(integrable_table, f)
+    other = abs_propagator(PeriodicGrid(dimension=1, half_width=2.0, points_per_axis=64))
+    with pytest.raises(GridMismatchError):
+        an.dirichlet_form_spectral(other, f)
+    with pytest.raises(GridMismatchError):
+        an.dirichlet_bilinear(abs_propagator(g), f, GridField(other.grid, np.ones(64)))
 
 
 def test_cross_oracle_spectral_vs_direct_1d():
@@ -365,9 +396,9 @@ def test_converse_nash(cauchy_table):
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = box_field(g, width=2.0)
     ts = np.geomspace(0.5, 8.0, 12)
-    series = [(t, lp_norm(propagate_linear(P, u0, t), 2.0)) for t in ts]
+    series = [(t, lp_norm(u, 2.0)) for t, u in zip(ts, propagate_linear(P, u0, ts))]
     fit = an.fit_decay_exponent(series)
-    v = propagate_linear(P, u0, 1.0)
+    (v,) = propagate_linear(P, u0, [1.0])
     rep = an.converse_nash_check(P, v, 1.0, 2.0, fit.exponent, 1.0, fit.prefactor, fit)
     assert rep.ratio > 0 and rep.passed
     # tau -> infinity sends the 1/tau arm to zero; it is then always the
@@ -489,7 +520,7 @@ def test_differential_inequality_consistency():
     P = abs_propagator(g)
     u0 = box_field(g, width=2.0)
     ts = np.geomspace(5.0, 200.0, 24)
-    series = [(t, lp_norm(propagate_linear(P, u0, t), 2.0) ** 2) for t in ts]
+    series = [(t, lp_norm(u, 2.0) ** 2) for t, u in zip(ts, propagate_linear(P, u0, ts))]
     fit = an.fit_late_decay(series)
     assert fit.exponent >= 1.0 * (1 - 0.1), f"psi decays too slowly: {fit.exponent:.3f}"
 

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from levyheat.errors import ContractError, DomainError, UnresolvableMeasureError
+from levyheat.errors import (
+    ContractError,
+    DomainError,
+    GridMismatchError,
+    UnresolvableMeasureError,
+)
 from levyheat.evolve import (
     LinearPropagator,
     PhiLaw,
@@ -23,9 +28,11 @@ from levyheat.kernels import (
 from levyheat.spectral import (
     GridField,
     PeriodicGrid,
+    SpectrumField,
     box_field,
     delta_surrogate,
     forward,
+    inverse,
     lp_norm,
     mass,
     mode_field,
@@ -83,6 +90,40 @@ def test_operator_quadratic_identity(cauchy_table):
     assert real_space == pytest.approx(spectral, rel=1e-12)
 
 
+def _continuum_pair_apply(P, mult, values):
+    """A multiplier applied through forward/inverse, phase and dx^N kept."""
+    F = forward(GridField(P.grid, values))
+    return inverse(SpectrumField(P.grid, mult * F.coeffs)).values
+
+
+def test_real_route_matches_continuum_pair_2d():
+    g = PeriodicGrid(dimension=2, half_width=4.0, points_per_axis=64)
+    P = poisson_propagator(g)
+    f = GridField(g, np.random.default_rng(5).standard_normal(g.shape))
+    want = _continuum_pair_apply(P, P.symbol_values, f.values)
+    got = apply_operator(P, f).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    want = _continuum_pair_apply(P, np.exp(-0.3 * P.symbol_values), f.values)
+    (got,) = propagate_linear(P, f, [0.3])
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_one_midpoint_step_matches_continuum_pair_2d():
+    g = PeriodicGrid(dimension=2, half_width=4.0, points_per_axis=64)
+    P = poisson_propagator(g)
+    phi = PhiLaw(sigma=2.0, M=1.0)
+    u0 = random_band_limited(g, np.random.default_rng(6), 0.5)
+    dt = 0.25 / (P.m_max * phi.derivative_bound(1.0))  # half the step bound: one step
+    (got,) = evolve_nonlinear(P, phi, u0, dt, [dt])
+
+    def rhs(v):
+        return -_continuum_pair_apply(P, P.symbol_values, v)
+
+    u = u0.values
+    want = u + dt * rhs(phi(u + 0.5 * dt * rhs(phi(u))))
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # linear propagation
 # ---------------------------------------------------------------------------
@@ -92,7 +133,7 @@ def test_propagate_t0_is_identity(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = random_band_limited(g, np.random.default_rng(4), 0.4)
-    out = propagate_linear(P, u0, 0.0)
+    (out,) = propagate_linear(P, u0, [0.0])
     assert np.max(np.abs(out.values - u0.values)) < 1e-12
 
 
@@ -100,8 +141,8 @@ def test_propagate_semigroup(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = random_band_limited(g, np.random.default_rng(8), 0.4)
-    one_shot = propagate_linear(P, u0, 0.7)
-    two_step = propagate_linear(P, propagate_linear(P, u0, 0.3), 0.4)
+    (one_shot,) = propagate_linear(P, u0, [0.7])
+    (two_step,) = propagate_linear(P, next(propagate_linear(P, u0, [0.3])), [0.4])
     err = np.max(np.abs(one_shot.values - two_step.values))
     assert err < 1e-10, f"semigroup defect {err:.3e}"
 
@@ -110,7 +151,26 @@ def test_propagate_rejects_negative_time(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
     P = LinearPropagator.from_table(g, cauchy_table)
     with pytest.raises(DomainError):
-        propagate_linear(P, GridField(g, np.zeros(g.shape)), -0.1)
+        propagate_linear(P, GridField(g, np.zeros(g.shape)), [-0.1])
+    with pytest.raises(DomainError):
+        propagate_linear(P, GridField(g, np.zeros(g.shape)), [0.5, -0.1])
+    other = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=64)
+    with pytest.raises(GridMismatchError):
+        propagate_linear(P, GridField(other, np.zeros(other.shape)), [0.5])
+
+
+def test_propagate_yields_lazily_and_matches_single_times(cauchy_table):
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
+    P = LinearPropagator.from_table(g, cauchy_table)
+    u0 = random_band_limited(g, np.random.default_rng(9), 0.4)
+    times = [0.0, 0.3, 2.0, 0.1]
+    run = propagate_linear(P, u0, times)
+    assert iter(run) is run, "expected an iterator, not a list"
+    fields = list(run)
+    assert len(fields) == len(times)
+    for t, u in zip(times, fields):
+        (alone,) = propagate_linear(P, u0, [t])
+        assert np.array_equal(u.values, alone.values)
 
 
 @pytest.mark.parametrize("t", [1.0, 2.0, 5.0])
@@ -118,7 +178,7 @@ def test_poisson_supnorm_decay(t):
     # delta evolves to the Poisson kernel; sup norm 1/(pi t)
     g = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**15)
     P = poisson_propagator(g)
-    u = propagate_linear(P, delta_surrogate(g), t)
+    (u,) = propagate_linear(P, delta_surrogate(g), [t])
     got = lp_norm(u, math.inf)
     want = 1.0 / (math.pi * t)
     assert got == pytest.approx(want, rel=0.02), f"sup at t={t}: {got} vs {want}"
@@ -128,7 +188,7 @@ def test_poisson_profile_pointwise():
     g = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**15)
     P = poisson_propagator(g)
     t = 2.0
-    u = propagate_linear(P, delta_surrogate(g), t)
+    (u,) = propagate_linear(P, delta_surrogate(g), [t])
     oracle = t / (math.pi * (t**2 + g.axis**2))
     err = np.max(np.abs(u.values - oracle)) / oracle.max()
     assert err < 0.02, f"Poisson profile error {err:.3e}"
@@ -140,7 +200,7 @@ def test_lp_contraction(p, t):
     g = PeriodicGrid(dimension=1, half_width=64.0, points_per_axis=4096)
     P = poisson_propagator(g)
     u0 = random_band_limited(g, np.random.default_rng(31), 0.3)
-    u = propagate_linear(P, u0, t)
+    (u,) = propagate_linear(P, u0, [t])
     assert lp_norm(u, p) <= lp_norm(u0, p) + 1e-10
 
 
@@ -157,9 +217,9 @@ def test_energy_dissipation_rate_second_order():
     t = 0.5
     defects = []
     for h in (0.02, 0.01):
-        a = lp_norm(propagate_linear(P, u0, t), 2) ** 2
-        b = lp_norm(propagate_linear(P, u0, t + h), 2) ** 2
-        mid = propagate_linear(P, u0, t + 0.5 * h)
+        ut, uth, mid = propagate_linear(P, u0, [t, t + h, t + 0.5 * h])
+        a = lp_norm(ut, 2) ** 2
+        b = lp_norm(uth, 2) ** 2
         defects.append(abs((b - a) / (2 * h) + energy(mid)))
     assert defects[1] < 0.3 * defects[0], f"defect not O(h^2): {defects}"
 
@@ -171,8 +231,8 @@ def test_smoothing_bound_all_modes():
     u0 = random_band_limited(g, np.random.default_rng(77), 0.5)
     vol = 2 * g.half_width
     n2sq = lp_norm(u0, 2) ** 2
-    for t in (0.01, 0.1, 1.0, 10.0):
-        u = propagate_linear(P, u0, t)
+    times = (0.01, 0.1, 1.0, 10.0)
+    for t, u in zip(times, propagate_linear(P, u0, times)):
         E = float(np.sum(P.symbol_values * np.abs(forward(u).coeffs) ** 2)) / vol
         bound = n2sq / (2 * math.e * t)
         assert E <= bound * (1 + 1e-12), f"t={t}: E={E} exceeds {bound}"
@@ -182,8 +242,7 @@ def test_nonnegativity_preserved_when_resolvable():
     g = PeriodicGrid(dimension=1, half_width=64.0, points_per_axis=4096)
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0)
-    for t in (0.5, 2.0):
-        u = propagate_linear(P, u0, t)
+    for u in propagate_linear(P, u0, (0.5, 2.0)):
         assert u.values.min() >= -1e-8 * lp_norm(u0, math.inf)
 
 
@@ -254,8 +313,7 @@ def test_sigma_one_matches_exact_linear_flow():
     u0 = box_field(g, width=2.0, height=0.8)
     snaps = [0.25, 0.5, 1.0]
     got = evolve_nonlinear(P, PhiLaw(sigma=1.0, M=1.0), u0, 1.0, snaps, cfl=0.25)
-    for t, u in zip(snaps, got):
-        exact = propagate_linear(P, u0, t)
+    for t, u, exact in zip(snaps, got, propagate_linear(P, u0, snaps)):
         rel = lp_norm(GridField(g, u.values - exact.values), 2) / lp_norm(exact, 2)
         assert rel < 1e-4, f"sigma=1 defect {rel:.3e} at t={t}"
 
