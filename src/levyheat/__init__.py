@@ -16,7 +16,6 @@ from .errors import (
     GridMismatchError,
     PipelineError,
     QuadratureError,
-    ResourceLimitError,
     StabilityError,
     UnresolvableMeasureError,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "GridMismatchError",
     "PipelineError",
     "QuadratureError",
-    "ResourceLimitError",
     "StabilityError",
     "UnresolvableMeasureError",
     "__version__",

@@ -3,7 +3,7 @@ and the regularizing-effect diagnostic.
 
 Everything here is a measurement instrument: the quadratic form E(f,f)
 evaluated two independent ways (spectrally through the multiplier and
-by brute-force double sum through the kernel), ratio landscapes for the
+by the lattice double sum through the kernel), ratio landscapes for the
 Nash- and Stroock-Varopoulos-type inequalities whose constants the
 theory leaves existential, least-squares power-law fits for decay
 exponents, and a trend classifier for whether e^{-m t} is integrable
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import rfftn
+from scipy.fft import irfftn, rfftn
 
-from .errors import ContractError, DomainError, GridMismatchError, ResourceLimitError
+from .errors import ContractError, DomainError, GridMismatchError
 from .evolve import LinearPropagator
 from .kernels import LevyKernel
 from .spectral import GridField, PeriodicGrid, lp_norm, mollified_box_field
@@ -58,40 +58,27 @@ def dirichlet_bilinear(P: LinearPropagator, f: GridField, g: GridField) -> float
     return float(total * f.grid.cell_volume / f.values.size)
 
 
-#: pair-sum cost guards for the brute-force form
-DIRECT_LIMIT_1D = 512
-DIRECT_LIMIT_2D = 64
-
-
 def dirichlet_form_direct(kernel: LevyKernel, f: GridField) -> float:
-    """Brute-force double sum (1/2) dx^2N sum_{x != y} (f(x)-f(y))^2 J(x-y).
+    """Lattice double sum (1/2) dx^2N sum_{x != y} (f(x)-f(y))^2 J(x-y).
 
     The oracle for the spectral form; pairs interact at the periodic
     minimum-image distance and the diagonal cell is excluded (the
-    difference vanishes there anyway).
+    difference vanishes there anyway).  Expanding the square leaves the
+    autocorrelation C(s) = sum_x f(x) f(x+s) against the sampled kernel
+    weights W(s):  E = dx^2N sum_s W(s) (C(0) - C(s)).  C comes from the
+    FFT, so the sum never touches the multiplier or its quadrature.
     """
     g = f.grid
     n = g.points_per_axis
-    if g.dimension == 1 and n > DIRECT_LIMIT_1D:
-        raise ResourceLimitError(f"direct form limited to n <= {DIRECT_LIMIT_1D} in 1D, got {n}")
-    if g.dimension == 2 and n > DIRECT_LIMIT_2D:
-        raise ResourceLimitError(
-            f"direct form limited to n <= {DIRECT_LIMIT_2D} per axis in 2D, got {n}"
-        )
-    dx = g.spacing
-    vals = f.values
-    total = 0.0
     shift = np.arange(n)
-    image = np.minimum(shift, n - shift) * dx  # minimum-image distance per axis
+    image = np.minimum(shift, n - shift) * g.spacing  # minimum-image distance per axis
     dist = image if g.dimension == 1 else np.hypot(image[:, None], image[None, :])
     weights = np.zeros(g.shape)
     off = dist > 0.0  # every cell but the diagonal one
     weights[off] = kernel.eval_radial(dist[off])
-    axes = tuple(range(g.dimension))
-    for cell in zip(*np.nonzero(weights)):
-        diff = vals - np.roll(vals, cell, axis=axes)
-        total += weights[cell] * np.sum(diff * diff)
-    return 0.5 * dx ** (2 * g.dimension) * total
+    spectrum = rfftn(f.values)
+    corr = irfftn(spectrum.real**2 + spectrum.imag**2, s=g.shape)
+    return float(g.cell_volume**2 * np.sum(weights * (corr.flat[0] - corr)))
 
 
 # ---------------------------------------------------------------------------

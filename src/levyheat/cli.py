@@ -67,9 +67,10 @@ from .spectral import (
     random_band_limited,
     write_field_csv,
 )
-from .symbol import build_symbol_table
+from .symbol import TABLE_RTOL, build_symbol_table, log_grid
 
-TABLE_RTOL = 1e-8
+#: commands that bind the multiplier to the configured grid's lattice
+_LATTICE_COMMANDS = ("evolve", "decay-fit", "nash-check")
 
 _NEAR = {
     "fractional": (FractionalPower, "beta"),
@@ -534,7 +535,16 @@ def _evolve_all(cfg, P, u0):
     if cfg.flow == "linear":
         return list(propagate_linear(P, u0, cfg.snapshots))
     phi = PhiLaw(cfg.sigma, M=cfg.mass_bound)
-    return evolve_nonlinear(P, phi, u0, cfg.snapshots[-1], cfg.snapshots, cfl=cfg.cfl)
+    return evolve_nonlinear(P, phi, u0, cfg.snapshots, cfl=cfg.cfl)
+
+
+def _lattice_table_grid(grid: PeriodicGrid):
+    """Table radii spanning exactly the lattice's nonzero |xi|, the 2-D
+    corner included.  A lone radius (1-D, n = 2) is tabulated with one
+    more point an octave above it, since interpolation needs two."""
+    radii = grid.freq_radii()
+    lo, hi = radii[radii > 0].min(), radii.max()
+    return log_grid(lo, max(hi, 2.0 * lo))
 
 
 def _norms_csv(cfg, P, fields):
@@ -632,8 +642,10 @@ def _interpolation_report(cfg, P, u):
 def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
     """Execute one pipeline scope; returns the manifest dictionary.
 
-    Stages run in a fixed order (kernel, symbol-table, initial-datum,
-    evolve, analysis, write); the first failure is re-raised as a
+    Stages run in a fixed order (kernel, grid, symbol-table,
+    initial-datum, evolve, analysis, write).  Commands that run on the
+    grid tabulate the multiplier over exactly its lattice's radii; the
+    others use the default range.  The first failure is re-raised as a
     PipelineError naming the stage, with everything already written
     removed.
     """
@@ -642,7 +654,9 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
     guard = None
     try:
         kernel = _stage("kernel", cfg.kernel)
-        tab = _stage("symbol-table", build_symbol_table, kernel, rtol=TABLE_RTOL)
+        grid = _stage("grid", cfg.grid) if command in _LATTICE_COMMANDS else None
+        radii = None if grid is None else _lattice_table_grid(grid)
+        tab = _stage("symbol-table", build_symbol_table, kernel, radii)
         artifacts: list[str] = []
 
         if command == "symbol":
@@ -654,7 +668,6 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             artifacts.append("table.csv")
 
         elif command in ("evolve", "decay-fit"):
-            grid = _stage("grid", cfg.grid)
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
             fields = _stage("evolve", _evolve_all, cfg, P, u0)
@@ -684,7 +697,6 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         elif command == "nash-check":
             if cfg.nash is None:
                 raise ConfigError("nash-check needs a [nash] section")
-            grid = _stage("grid", cfg.grid)
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             text, rows = _stage("analysis", _nash_report, cfg, P, grid)
             art.write_text("nash.txt", text)

@@ -58,10 +58,6 @@ class StabilityError(RuntimeError):
         self.dt = dt
 
 
-class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds the configured resource budget."""
-
-
 class PipelineError(RuntimeError):
     """A pipeline stage failed; ``stage`` names it."""
 

@@ -179,7 +179,10 @@ class Oscillating:
     one elsewhere, so ell is unbounded along the band tops while the
     accumulated mass psi1 still grows only linearly in k.  Bands with
     ``b_k <= 2`` would overlap their dyadic block and are skipped; the
-    construction stops at ``k = OSC_BAND_LIMIT``.
+    construction stops at ``k = OSC_BAND_LIMIT``, or earlier at the first
+    band whose edges coincide in double precision (``1/b_k`` at or below
+    half an ulp of 1, from about ``alpha_osc * k = 54`` on), since it and
+    every later band would be empty.
     """
 
     alpha_osc: float
@@ -196,7 +199,10 @@ class Oscillating:
             if b_k <= 2.0:
                 continue
             hi = 2.0**-k
-            out.append((hi * (1.0 - 1.0 / b_k), hi, b_k))
+            lo = hi * (1.0 - 1.0 / b_k)
+            if lo == hi:
+                break
+            out.append((lo, hi, b_k))
         return tuple(out)
 
     def bands(self):

@@ -1,19 +1,10 @@
-"""Periodic grids, the discrete transform pair, and field constructors.
+"""Periodic grids, the real-FFT transform pair, and field constructors.
 
 Functions live on the torus [-L, L)^N sampled at n points per axis (n a
-power of two).  The transform normalization approximates the continuum
-Fourier transform,
-
-    coeff(kappa) = dx^N sum_x values(x) e^{-i xi_kappa . x},
-    xi_kappa = (pi / L) kappa,
-
-so a Fourier multiplier m(xi) applies to the coefficients without any
-rescaling.  With x running from -L, this is an FFT decorated with the
-alternating phase (-1)^kappa and the volume element dx^N.
-
-When a real, even multiplier acts on a real field, or a form is read off
-two spectra, the decorations cancel, so the package's multiplier and form
-paths use the plain real FFT pair (``rfftn``/``irfftn``) on the half lattice.
+power of two).  Every lattice transform in the package is the plain real
+FFT pair ``scipy.fft.rfftn``/``irfftn`` on the half lattice: a real, even
+multiplier m(xi) acts on a real field as ``irfftn(m * rfftn(u))``, with
+xi_kappa = (pi / L) kappa in FFT ordering.
 
 Decay experiments on the torus stand in for the whole space; the caller
 is responsible for choosing L large enough that nothing of size matters
@@ -75,14 +66,6 @@ class PeriodicGrid:
         n = self.points_per_axis
         return 2.0 * math.pi * np.fft.fftfreq(n, d=self.spacing)
 
-    @cached_property
-    def _phase(self):
-        n = self.points_per_axis
-        alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        if self.dimension == 1:
-            return alt
-        return np.outer(alt, alt)
-
     def coordinates(self):
         """Node coordinates, one array per axis (broadcastable)."""
         if self.dimension == 1:
@@ -120,36 +103,6 @@ class GridField:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class SpectrumField:
-    """Complex transform coefficients indexed by integer frequency."""
-
-    grid: PeriodicGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"spectrum shape {c.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-
-def forward(f: GridField) -> SpectrumField:
-    """Continuum-normalized transform: dx^N (-1)^kappa FFT."""
-    g = f.grid
-    coeffs = g.cell_volume * g._phase * np.fft.fftn(f.values)
-    return SpectrumField(g, coeffs)
-
-
-def inverse(F: SpectrumField) -> GridField:
-    """Inverse of :func:`forward`; discards the O(roundoff) imaginary part."""
-    g = F.grid
-    vals = np.fft.ifftn(F.coeffs * g._phase).real / g.cell_volume
-    return GridField(g, vals)
-
-
 def _apply_multiplier(mult, values):
     """Real samples whose spectrum is ``mult`` (an even multiplier on the
     rfftn half lattice) times that of ``values``."""
@@ -176,12 +129,6 @@ def boundary_ratio(f: GridField) -> float:
     sup = float(vals.max())
     # the first row and column in 2-D; vals[0] is both in 1-D
     return 0.0 if sup == 0.0 else float(max(vals[0].max(), vals[..., 0].max())) / sup
-
-
-def spectrum_l2(F: SpectrumField) -> float:
-    """L2 norm read off the spectrum: ((2L)^-N sum |coeff|^2)^(1/2)."""
-    vol = (2.0 * F.grid.half_width) ** F.grid.dimension
-    return float(math.sqrt(np.sum(np.abs(F.coeffs) ** 2) / vol))
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,11 @@ class SymbolTable:
         return math.log(v[j] / v[i]) / math.log(g[j] / g[i])
 
 
-def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=1e-8):
+#: relative quadrature tolerance of every table entry by default
+TABLE_RTOL = 1e-8
+
+
+def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=TABLE_RTOL):
     """Tabulate the multiplier on a radial grid (default: 64 points per
     decade over [1e-3, 1e4]).
 
@@ -419,14 +423,6 @@ def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=1e-8):
         closed_form=None,
         quad_tol=float(achieved),
     )
-
-
-def lattice_symbol_table(kernel: LevyKernel, radii, *, rtol=1e-8):
-    """Exact-frequency table: quadrature at each requested radius, no
-    interpolation error.  Meant for small grids (cross-validation)."""
-    radii = np.unique(np.asarray(radii, dtype=float))
-    radii = radii[radii > 0]
-    return build_symbol_table(kernel, radii, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from levyheat import analysis as an
-from levyheat.errors import ContractError, DomainError, GridMismatchError, ResourceLimitError
+from levyheat.cli import _lattice_table_grid
+from levyheat.errors import ContractError, DomainError, GridMismatchError
 from levyheat.evolve import LinearPropagator, propagate_linear
 from levyheat.kernels import (
     Borderline,
@@ -19,7 +20,6 @@ from levyheat.spectral import (
     GridField,
     PeriodicGrid,
     box_field,
-    forward,
     lp_norm,
     mode_field,
     mollified_box_field,
@@ -183,7 +183,8 @@ def test_spectral_form_single_mode_closed_form(integrable_table):
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
 def test_forms_match_full_lattice_sum(dim, n):
     # (2L)^-N sum m Re(f_hat conj(h_hat)) over the whole lattice of the
-    # continuum-normalized transform
+    # transform dx^N FFT (the continuum phase (-1)^kappa cancels in the
+    # product)
     g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
     P = abs_propagator(g)
     rng = np.random.default_rng(41)
@@ -191,7 +192,8 @@ def test_forms_match_full_lattice_sum(dim, n):
     for _ in range(3):
         f = GridField(g, rng.standard_normal(g.shape))
         h = GridField(g, f.values + rng.standard_normal(g.shape))
-        F, H = forward(f).coeffs, forward(h).coeffs
+        F = g.cell_volume * np.fft.fftn(f.values)
+        H = g.cell_volume * np.fft.fftn(h.values)
         want_ff = float(np.sum(P.symbol_values * np.abs(F) ** 2)) / vol
         want_fh = float(np.sum(P.symbol_values * (F * np.conj(H)).real)) / vol
         assert an.dirichlet_form_spectral(P, f) == pytest.approx(want_ff, rel=1e-12)
@@ -260,15 +262,24 @@ def test_direct_form_value_shift_invariance():
     assert b == pytest.approx(a, rel=1e-12)
 
 
-def test_direct_form_size_limits():
-    g = PeriodicGrid(dimension=1, half_width=2.0, points_per_axis=1024)
-    f = GridField(g, np.zeros(g.shape))
-    with pytest.raises(ResourceLimitError):
-        an.dirichlet_form_direct(INTEGRABLE, f)
-    kern2 = LevyKernel(dimension=2, near=Bounded(c0=0.5), tail=CompactSupport())
-    g2 = PeriodicGrid(dimension=2, half_width=2.0, points_per_axis=128)
-    with pytest.raises(ResourceLimitError):
-        an.dirichlet_form_direct(kern2, GridField(g2, np.zeros(g2.shape)))
+@pytest.mark.parametrize(
+    "kern,L,n",
+    [
+        (INTEGRABLE, 128.0, 2**16),
+        (LevyKernel(dimension=2, near=Bounded(c0=0.5), tail=CompactSupport()), 8.0, 256),
+    ],
+    ids=["1d-65536", "2d-256"],
+)
+def test_cross_oracle_spectral_vs_direct_production_scale(kern, L, n):
+    # grid sizes of real runs, the multiplier tabulated over the lattice's
+    # radii as the CLI does; criterion 9's tolerance
+    g = PeriodicGrid(dimension=kern.dimension, half_width=L, points_per_axis=n)
+    P = LinearPropagator.from_table(g, build_symbol_table(kern, _lattice_table_grid(g)))
+    for seed in range(3):
+        f = random_band_limited(g, np.random.default_rng(900 + seed), 0.25)
+        Es = an.dirichlet_form_spectral(P, f)
+        Ed = an.dirichlet_form_direct(kern, f)
+        assert abs(Es - Ed) <= 0.02 * Ed, f"seed {seed}: {Es} vs {Ed}"
 
 
 def test_bilinear_form_symmetry(integrable_table):

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from levyheat.cli import ExperimentConfig, main, parse_config, run
+from levyheat.cli import ExperimentConfig, _lattice_table_grid, main, parse_config, run
 from levyheat.errors import ConfigError, PipelineError
+from levyheat.spectral import PeriodicGrid
 
 BASE = """\
 [experiment]
@@ -178,6 +179,28 @@ def test_evolve_writes_fields_norms_manifest(tmp_path):
     assert len(rows) == 6
     # 17-significant-digit round trip
     parsed = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(parsed).all() and parsed.shape == (6, 5)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 2048), (2, 32)])
+def test_table_spans_the_lattice_radii(dim, n):
+    grid = PeriodicGrid(dimension=dim, half_width=64.0, points_per_axis=n)
+    radii = grid.freq_radii()
+    lo, hi = radii[radii > 0].min(), radii.max()
+    table = _lattice_table_grid(grid)
+    # a lone radius (1-D, n = 2) gets a second point an octave above it
+    assert table[0] == lo and table[-1] == max(hi, 2.0 * lo)
+    assert table.size >= 2
+
+
+def test_two_point_grid_runs(tmp_path):
+    # a 1-D n = 2 lattice has one nonzero radius; the bounded kernel has no
+    # closed form, so its table is built over that radius
+    body = BASE.replace("near = fractional\nnear_param = 1.0", "near = bounded\nnear_param = 0.7")
+    body = body.replace("tail = power\ntail_param = 1.0", "tail = compact")
+    path = write_cfg(tmp_path, body=body.replace("points = 2048", "points = 2"))
+    assert main(["evolve", "--config", str(path)]) == 0
+    parsed = np.loadtxt(tmp_path / "out" / "norms.csv", delimiter=",", skiprows=1)
     assert np.isfinite(parsed).all() and parsed.shape == (6, 5)
 
 

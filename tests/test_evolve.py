@@ -28,17 +28,25 @@ from levyheat.kernels import (
 from levyheat.spectral import (
     GridField,
     PeriodicGrid,
-    SpectrumField,
     box_field,
     delta_surrogate,
-    forward,
-    inverse,
     lp_norm,
     mass,
     mode_field,
     random_band_limited,
 )
-from levyheat.symbol import build_symbol_table
+from levyheat.symbol import build_symbol_table, symbol_quadrature
+
+
+def alternating_phase(grid):
+    """(-1)^kappa on the full lattice: x runs from -L, not from 0."""
+    alt = np.where(np.arange(grid.points_per_axis) % 2 == 0, 1.0, -1.0)
+    return alt if grid.dimension == 1 else np.outer(alt, alt)
+
+
+def continuum_spectrum(f):
+    """Full-lattice continuum-normalized transform dx^N sum_x f(x) e^{-i xi . x}."""
+    return f.grid.cell_volume * alternating_phase(f.grid) * np.fft.fftn(f.values)
 
 
 def poisson_propagator(grid):
@@ -85,15 +93,16 @@ def test_operator_quadratic_identity(cauchy_table):
     P = LinearPropagator.from_table(g, cauchy_table)
     f = random_band_limited(g, np.random.default_rng(2), 0.3)
     real_space = g.cell_volume * float(np.sum(apply_operator(P, f).values * f.values))
-    F = forward(f)
-    spectral = float(np.sum(P.symbol_values * np.abs(F.coeffs) ** 2)) / (2 * g.half_width)
+    F = continuum_spectrum(f)
+    spectral = float(np.sum(P.symbol_values * np.abs(F) ** 2)) / (2 * g.half_width)
     assert real_space == pytest.approx(spectral, rel=1e-12)
 
 
 def _continuum_pair_apply(P, mult, values):
-    """A multiplier applied through forward/inverse, phase and dx^N kept."""
-    F = forward(GridField(P.grid, values))
-    return inverse(SpectrumField(P.grid, mult * F.coeffs)).values
+    """A multiplier applied through the full-lattice continuum-normalized
+    pair, phase and dx^N kept."""
+    coeffs = mult * continuum_spectrum(GridField(P.grid, values))
+    return np.fft.ifftn(coeffs * alternating_phase(P.grid)).real / P.grid.cell_volume
 
 
 def test_real_route_matches_continuum_pair_2d():
@@ -114,7 +123,7 @@ def test_one_midpoint_step_matches_continuum_pair_2d():
     phi = PhiLaw(sigma=2.0, M=1.0)
     u0 = random_band_limited(g, np.random.default_rng(6), 0.5)
     dt = 0.25 / (P.m_max * phi.derivative_bound(1.0))  # half the step bound: one step
-    (got,) = evolve_nonlinear(P, phi, u0, dt, [dt])
+    (got,) = evolve_nonlinear(P, phi, u0, [dt])
 
     def rhs(v):
         return -_continuum_pair_apply(P, P.symbol_values, v)
@@ -122,6 +131,21 @@ def test_one_midpoint_step_matches_continuum_pair_2d():
     u = u0.values
     want = u + dt * rhs(phi(u + 0.5 * dt * rhs(phi(u))))
     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_from_kernel_quadrature_at_lattice_radii():
+    kern = LevyKernel(dimension=1, near=Borderline(), tail=PowerTail(alpha=2.0))
+    g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=8)
+    P = LinearPropagator.from_kernel(g, kern)
+    radii = g.freq_radii()
+    assert P.symbol_values[radii == 0.0].tolist() == [0.0]
+    # +xi and -xi share a radius, so each of the three inner radii is hit twice
+    uniq, counts = np.unique(radii[radii > 0], return_counts=True)
+    assert counts.tolist() == [2, 2, 2, 1]
+    for rho in uniq:
+        shared = P.symbol_values[radii == rho]
+        assert (shared == symbol_quadrature(kern, rho)).all()
+        assert shared[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +236,7 @@ def test_energy_dissipation_rate_second_order():
     vol = 2 * g.half_width
 
     def energy(f):
-        return float(np.sum(P.symbol_values * np.abs(forward(f).coeffs) ** 2)) / vol
+        return float(np.sum(P.symbol_values * np.abs(continuum_spectrum(f)) ** 2)) / vol
 
     t = 0.5
     defects = []
@@ -233,7 +257,7 @@ def test_smoothing_bound_all_modes():
     n2sq = lp_norm(u0, 2) ** 2
     times = (0.01, 0.1, 1.0, 10.0)
     for t, u in zip(times, propagate_linear(P, u0, times)):
-        E = float(np.sum(P.symbol_values * np.abs(forward(u).coeffs) ** 2)) / vol
+        E = float(np.sum(P.symbol_values * np.abs(continuum_spectrum(u)) ** 2)) / vol
         bound = n2sq / (2 * math.e * t)
         assert E <= bound * (1 + 1e-12), f"t={t}: E={E} exceeds {bound}"
 
@@ -259,6 +283,20 @@ def test_fundamental_solution_is_poisson_kernel():
     assert lp_norm(mu, math.inf) == pytest.approx(1 / math.pi, rel=1e-3)
     oracle = 1.0 / (math.pi * (1.0 + g.axis**2))
     assert np.max(np.abs(mu.values - oracle)) < 2e-3 / math.pi
+
+
+def test_fundamental_solution_2d_is_heat_kernel():
+    # m = |xi|^2: the Gauss-Weierstrass kernel (4 pi t)^-1 e^{-|x|^2/(4t)};
+    # at L = 8, t = 0.5 its periodic images and its spectrum beyond the
+    # lattice edge (e^{-79}) are below roundoff
+    g = PeriodicGrid(dimension=2, half_width=8.0, points_per_axis=64)
+    P = LinearPropagator(g, g.freq_radii() ** 2)
+    t = 0.5
+    mu = fundamental_solution(P, t)
+    x, y = g.coordinates()
+    exact = np.exp(-(x**2 + y**2) / (4 * t)) / (4 * math.pi * t)
+    assert np.unravel_index(np.argmax(mu.values), g.shape) == (32, 32)
+    assert np.max(np.abs(mu.values - exact)) <= 1e-12 * exact.max()
 
 
 @pytest.mark.parametrize("t", [0.5, 5.0])
@@ -312,7 +350,7 @@ def test_sigma_one_matches_exact_linear_flow():
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0, height=0.8)
     snaps = [0.25, 0.5, 1.0]
-    got = evolve_nonlinear(P, PhiLaw(sigma=1.0, M=1.0), u0, 1.0, snaps, cfl=0.25)
+    got = evolve_nonlinear(P, PhiLaw(sigma=1.0, M=1.0), u0, snaps, cfl=0.25)
     for t, u, exact in zip(snaps, got, propagate_linear(P, u0, snaps)):
         rel = lp_norm(GridField(g, u.values - exact.values), 2) / lp_norm(exact, 2)
         assert rel < 1e-4, f"sigma=1 defect {rel:.3e} at t={t}"
@@ -323,7 +361,7 @@ def test_nonlinear_mass_conservation():
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0, height=0.9)
     snaps = [0.2, 1.0, 2.0]
-    fields = evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, 2.0, snaps)
+    fields = evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, snaps)
     for t, u in zip(snaps, fields):
         assert mass(u) == pytest.approx(mass(u0), abs=1e-10), f"mass drift at t={t}"
 
@@ -333,7 +371,7 @@ def test_nonlinear_sup_norm_decreases():
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0, height=0.9)
     snaps = [0.0, 0.5, 1.0, 2.0]
-    fields = evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, 2.0, snaps)
+    fields = evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, snaps)
     sups = [lp_norm(u, math.inf) for u in fields]
     assert all(a >= b - 1e-12 for a, b in zip(sups, sups[1:])), sups
 
@@ -343,7 +381,7 @@ def test_snapshots_include_t0_and_land_exactly():
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0, height=0.5)
     snaps = [0.0, 0.37, 1.0]
-    fields = evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, 1.0, snaps)
+    fields = evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, snaps)
     assert len(fields) == 3
     assert np.array_equal(fields[0].values, u0.values)
 
@@ -354,11 +392,11 @@ def test_evolve_nonlinear_validation():
     phi = PhiLaw(sigma=2.0, M=0.5)
     u0 = box_field(g, width=2.0, height=0.4)
     with pytest.raises(DomainError):
-        evolve_nonlinear(P, phi, u0, -1.0, [0.5])
+        evolve_nonlinear(P, phi, u0, [-0.5])
     with pytest.raises(DomainError):
-        evolve_nonlinear(P, phi, u0, 1.0, [2.0])
+        evolve_nonlinear(P, phi, u0, [0.5, -1.0])
     with pytest.raises(ContractError):
         # sup norm above the law's validity bound M
-        evolve_nonlinear(P, phi, box_field(g, width=2.0, height=0.9), 1.0, [0.5])
+        evolve_nonlinear(P, phi, box_field(g, width=2.0, height=0.9), [0.5])
     with pytest.raises(DomainError):
-        evolve_nonlinear(P, phi, u0, 1.0, [0.5], cfl=1.5)
+        evolve_nonlinear(P, phi, u0, [0.5], cfl=1.5)

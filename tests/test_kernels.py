@@ -104,6 +104,15 @@ def test_ell_oscillating_band_invariants():
         assert val > 2.0, f"band ({lo}, {hi}] has non-admissible height {val}"
 
 
+@pytest.mark.parametrize("alpha_osc,count", [(2.0, 26), (3.0, 17)])
+def test_oscillating_bands_stop_before_the_first_empty_one(alpha_osc, count):
+    # from alpha_osc * k = 54 on, 1 - 2^-(alpha_osc k) rounds to 1 and the
+    # band (2^-k (1 - 1/b_k), 2^-k] is empty in double precision
+    bands = Oscillating(alpha_osc).bands()
+    assert all(lo < hi for lo, hi, _ in bands)
+    assert len(bands) == count
+
+
 def test_ell_rejects_bad_radius():
     k = kernel(Borderline(), CompactSupport())
     with pytest.raises(DomainError):

@@ -9,16 +9,13 @@ from levyheat.spectral import (
     PeriodicGrid,
     box_field,
     delta_surrogate,
-    forward,
     gaussian_field,
-    inverse,
     lp_norm,
     mass,
     mode_field,
     mollified_box_field,
     random_band_limited,
     random_nonnegative,
-    spectrum_l2,
     translate,
     write_field_csv,
 )
@@ -60,51 +57,6 @@ def test_field_value_validation():
     bad[3] = np.inf
     with pytest.raises(ContractError):
         GridField(g, bad)
-
-
-# ---------------------------------------------------------------------------
-# transform pair
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
-def test_forward_inverse_roundtrip(dim, n):
-    g = PeriodicGrid(dimension=dim, half_width=3.0, points_per_axis=n)
-    rng = np.random.default_rng(5)
-    f = GridField(g, rng.standard_normal(g.shape))
-    back = inverse(forward(f))
-    err = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
-    assert err < 1e-12, f"round-trip error {err:.3e}"
-
-
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
-def test_constant_field_transforms_to_zero_mode(dim, n):
-    g = PeriodicGrid(dimension=dim, half_width=2.5, points_per_axis=n)
-    F = forward(GridField(g, np.ones(g.shape)))
-    vol = (2 * g.half_width) ** dim
-    zero = (0,) * dim
-    assert F.coeffs[zero] == pytest.approx(vol, rel=1e-12)
-    rest = np.abs(F.coeffs).sum() - abs(F.coeffs[zero])
-    assert rest < 1e-12 * vol, f"nonzero off-mode mass {rest:.3e}"
-
-
-def test_gaussian_matches_continuum_transform():
-    # e^{-x^2/2} <-> sqrt(2 pi) e^{-xi^2/2}; periodization negligible at L=20
-    g = PeriodicGrid(dimension=1, half_width=20.0, points_per_axis=1024)
-    F = forward(gaussian_field(g, sigma=1.0))
-    expected = math.sqrt(2 * math.pi) * np.exp(-0.5 * g.freq_axis**2)
-    err = np.max(np.abs(F.coeffs - expected))
-    assert err < 1e-8, f"Gaussian transform error {err:.3e}"
-
-
-def test_parseval_and_hermitian_symmetry():
-    g = PeriodicGrid(dimension=1, half_width=5.0, points_per_axis=512)
-    rng = np.random.default_rng(17)
-    f = GridField(g, rng.standard_normal(g.shape))
-    F = forward(f)
-    assert spectrum_l2(F) == pytest.approx(lp_norm(f, 2), rel=1e-10)
-    sym = np.max(np.abs(F.coeffs - np.conj(np.roll(F.coeffs[::-1], 1))))
-    assert sym < 1e-10 * np.max(np.abs(F.coeffs)), f"hermitian defect {sym:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +107,8 @@ def test_mass():
     both = GridField(g, f.values + h.values)
     assert mass(both) == pytest.approx(mass(f) + mass(h), rel=1e-13)
     # mass is the zero Fourier coefficient
-    assert mass(h) == pytest.approx(forward(h).coeffs[0, 0].real, rel=1e-12)
+    zero_coeff = g.cell_volume * np.fft.fftn(h.values)[0, 0].real
+    assert mass(h) == pytest.approx(zero_coeff, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +128,10 @@ def test_delta_surrogate_mass_one():
 def test_mode_field_spectrum():
     g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=128)
     A = 0.8
-    F = forward(mode_field(g, 5, amplitude=A))
+    F = g.cell_volume * np.fft.fftn(mode_field(g, 5, amplitude=A).values)
     k = np.argmin(np.abs(g.freq_axis - 5 * math.pi / g.half_width))
     # cosine splits into two conjugate spikes of weight A(2L)/2 = A L
-    assert abs(F.coeffs[k]) == pytest.approx(A * g.half_width, rel=1e-12)
+    assert abs(F[k]) == pytest.approx(A * g.half_width, rel=1e-12)
 
 
 def test_mollified_box_dilation_family():
@@ -196,9 +149,9 @@ def test_random_band_limited_is_band_limited_and_seeded():
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=512)
     f = random_band_limited(g, np.random.default_rng(42), band_fraction=0.25)
     assert lp_norm(f, math.inf) == pytest.approx(1.0, rel=1e-13)
-    F = forward(f)
+    F = g.cell_volume * np.fft.fftn(f.values)
     outside = np.abs(g.freq_axis) > 0.25 * g.max_frequency + 1e-9
-    leak = np.max(np.abs(F.coeffs[outside]))
+    leak = np.max(np.abs(F[outside]))
     assert leak < 1e-10, f"spectral leak outside band: {leak:.3e}"
     f2 = random_band_limited(g, np.random.default_rng(42), band_fraction=0.25)
     assert np.array_equal(f.values, f2.values)

@@ -26,7 +26,6 @@ from levyheat.symbol import (
     check_lower_psi,
     check_small_xi_power,
     check_upper_psi,
-    lattice_symbol_table,
     log_grid,
     symbol_quadrature,
 )
@@ -166,12 +165,6 @@ def test_table_rejects_bad_data():
 def test_table_quad_tol_recorded():
     tab = build_symbol_table(BORDER_PT2, log_grid(0.5, 2.0, 8), rtol=1e-8)
     assert 0.0 < tab.quad_tol < 2e-7
-
-
-def test_lattice_table_filters_and_sorts():
-    tab = lattice_symbol_table(BORDER_PT2, [3.0, 1.0, 0.0, 1.0, 2.0])
-    assert np.allclose(tab.radial_grid, [1.0, 2.0, 3.0])
-    assert (tab.values > 0).all()
 
 
 def test_table_extrapolation_below_zero_edge_raises():
