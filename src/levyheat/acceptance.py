@@ -39,11 +39,11 @@ from .analysis import (
 )
 from .errors import DomainError
 from .evolve import (
+    LinearFlow,
     LinearPropagator,
     PhiLaw,
     evolve_nonlinear,
     fundamental_solution,
-    propagate_linear,
 )
 from .kernels import (
     Borderline,
@@ -57,11 +57,10 @@ from .kernels import (
 from .spectral import (
     GridField,
     PeriodicGrid,
-    boundary_ratio,
     box_field,
     delta_surrogate,
+    field_norms,
     lp_norm,
-    mass,
     random_band_limited,
     random_nonnegative,
 )
@@ -109,32 +108,31 @@ def _integrable_table():
     return build_symbol_table(_integrable_kernel())
 
 
-def _norm_bookkeeping(u0, times, fields, P=None):
+def _norm_bookkeeping(u0, fields, energies=None):
     """One pass over a run's snapshots, consumed one field at a time.
 
     Returns the mass drift, the worst p-norm increase (p = 1, 2, inf)
     between consecutive snapshots, the L2/L4/sup series and the worst
-    face-to-sup ratio; given the propagator of a linear run, also the
-    worst smoothing ratio E(u(t)) / (||u0||_2^2 / (2 e t)).
+    face-to-sup ratio; given the (t, E(u(t))) pairs of a linear run,
+    also the worst smoothing ratio E(u(t)) / (||u0||_2^2 / (2 e t)).
     """
-    m0 = mass(u0)
-    prev = {p: lp_norm(u0, p) for p in (1, 2, np.inf)}
-    half_l2_sq = prev[2] ** 2
-    drift, increase, guard, energy_ratio = 0.0, -np.inf, 0.0, -np.inf
+    first = field_norms(u0)
+    prev = first.lp
+    drift, increase, guard = 0.0, -np.inf, 0.0
     l2, l4, sups = [], [], []
-    for t, u in zip(times, fields):
-        drift = max(drift, abs(mass(u) - m0))
-        for p in (1, 2, np.inf):
-            cur = lp_norm(u, p)
-            increase = max(increase, cur - prev[p])
-            prev[p] = cur
+    for u in fields:
+        cur = field_norms(u)
+        drift = max(drift, abs(cur.mass - first.mass))
+        increase = max(increase, *(cur.lp[p] - prev[p] for p in (1, 2, np.inf)))
+        prev = cur.lp
         l2.append(prev[2])
-        l4.append(lp_norm(u, 4))
+        l4.append(prev[4])
         sups.append(prev[np.inf])
-        guard = max(guard, boundary_ratio(u))
-        if P is not None:
-            bound = half_l2_sq / (2.0 * math.e * t)
-            energy_ratio = max(energy_ratio, dirichlet_form_spectral(P, u) / bound)
+        guard = max(guard, cur.face_ratio)
+    energy_ratio = -np.inf
+    if energies is not None:
+        l2_sq = first.lp[2] ** 2
+        energy_ratio = max(e / (l2_sq / (2.0 * math.e * t)) for t, e in energies)
     return {
         "mass_drift": drift,
         "norm_increase": increase,
@@ -144,6 +142,12 @@ def _norm_bookkeeping(u0, times, fields, P=None):
         "guard_max": guard,
         "energy_ratio": energy_ratio,
     }
+
+
+def _linear_bookkeeping(P, u0, times):
+    """``_norm_bookkeeping`` of the exact linear flow, energies included."""
+    flow = LinearFlow(P, u0)
+    return _norm_bookkeeping(u0, flow.fields(times), zip(times, flow.energies(times)))
 
 
 @functools.cache
@@ -169,8 +173,7 @@ def _poisson_run():
         (float(t), lp_norm(fundamental_solution(P, float(t)), np.inf)) for t in times
     ]
 
-    u0 = delta_surrogate(grid)
-    book = _norm_bookkeeping(u0, times, propagate_linear(P, u0, times), P)
+    book = _linear_bookkeeping(P, delta_surrogate(grid), times)
     return {"gaps": gaps, "sup_series": sup_series, **book}
 
 
@@ -188,7 +191,7 @@ def _bounded_tail_run():
 
     u0 = box_field(grid, width=4.0, height=1.0)
     times = np.geomspace(1.0, 30.0, 16)
-    book = _norm_bookkeeping(u0, times, propagate_linear(P, u0, times), P)
+    book = _linear_bookkeeping(P, u0, times)
     return {"times": times, "sup0": lp_norm(u0, np.inf), **book}
 
 
@@ -200,7 +203,7 @@ def _porous_run():
     u0 = box_field(grid, width=2.0, height=1.0)
     times = np.geomspace(1.0, 300.0, 20)
     fields = evolve_nonlinear(P, PhiLaw(2.0, M=1.0), u0, times, cfl=1.0)
-    return {"times": times, **_norm_bookkeeping(u0, times, fields)}
+    return {"times": times, **_norm_bookkeeping(u0, fields)}
 
 
 @functools.cache
@@ -211,12 +214,14 @@ def _sigma1_crosscheck():
     u0 = box_field(grid, width=2.0, height=1.0)
     snaps = (0.25, 0.5, 1.0)
     stepped = evolve_nonlinear(P, PhiLaw(1.0, M=1.0), u0, snaps, cfl=0.25)
-    exact = list(propagate_linear(P, u0, snaps))
+    flow = LinearFlow(P, u0)
+    exact = list(flow.fields(snaps))
     worst = max(
         lp_norm(GridField(grid, us.values - ue.values), 2) / lp_norm(ue, 2)
         for us, ue in zip(stepped, exact)
     )
-    return {"worst_rel_l2": worst, **_norm_bookkeeping(u0, snaps, exact, P)}
+    energies = zip(snaps, flow.energies(snaps))
+    return {"worst_rel_l2": worst, **_norm_bookkeeping(u0, exact, energies)}
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +509,14 @@ _CRITERIA = (
 
 
 def run_all() -> list[CriterionResult]:
-    """Execute the full battery in order (shared runs are reused)."""
-    return [fn() for fn in _CRITERIA]
+    """The full battery in order, each criterion run once per process."""
+    return [run_criterion(number) for number in range(1, len(_CRITERIA) + 1)]
 
 
+@functools.cache
 def run_criterion(number: int) -> CriterionResult:
+    """One criterion's result, computed on the first request in this
+    process and shared by every later one."""
     if not 1 <= number <= len(_CRITERIA):
         raise DomainError(f"criterion number must be 1..{len(_CRITERIA)}, got {number}")
     return _CRITERIA[number - 1]()

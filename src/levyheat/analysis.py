@@ -22,7 +22,7 @@ from scipy.fft import irfftn, rfftn
 from .errors import ContractError, DomainError, GridMismatchError
 from .evolve import LinearPropagator
 from .kernels import LevyKernel
-from .spectral import GridField, PeriodicGrid, lp_norm, mollified_box_field
+from .spectral import GridField, PeriodicGrid, _parseval, lp_norm, mollified_box_field
 from .symbol import SymbolTable
 
 #: relative slack granted to inequality margins (covers roundoff in the
@@ -44,8 +44,7 @@ def dirichlet_bilinear(P: LinearPropagator, f: GridField, g: GridField) -> float
     """Polarized form E(f, g) = (2L)^-N sum m Re(f_hat conj(g_hat)).
 
     Read off the plain rfftn half lattice: the (-1)^kappa phase cancels in
-    the product, the dx^N factors leave dx^N / n^N, and every column but
-    the last axis's first and Nyquist one stands for itself and its mirror.
+    the product and the dx^N factors leave dx^N / n^N (``_parseval``).
     """
     if not isinstance(P, LinearPropagator):
         raise ContractError(f"expected a LinearPropagator, got {type(P)!r}")
@@ -53,9 +52,7 @@ def dirichlet_bilinear(P: LinearPropagator, f: GridField, g: GridField) -> float
         raise GridMismatchError("fields and propagator live on different grids")
     F = rfftn(f.values)
     G = F if g is f else rfftn(g.values)
-    w = P.half * (F.real * G.real + F.imag * G.imag)
-    total = 2.0 * w.sum() - w[..., 0].sum() - w[..., -1].sum()
-    return float(total * f.grid.cell_volume / f.values.size)
+    return _parseval(P.grid, P.half * (F.real * G.real + F.imag * G.imag))
 
 
 def dirichlet_form_direct(kernel: LevyKernel, f: GridField) -> float:

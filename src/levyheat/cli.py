@@ -45,7 +45,7 @@ from .analysis import (
     theta_exponents,
 )
 from .errors import ConfigError, PipelineError
-from .evolve import LinearPropagator, PhiLaw, evolve_nonlinear, propagate_linear
+from .evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear
 from .kernels import (
     Borderline,
     Bounded,
@@ -59,11 +59,10 @@ from .kernels import (
 )
 from .spectral import (
     PeriodicGrid,
-    boundary_ratio,
     box_field,
     delta_surrogate,
+    field_norms,
     gaussian_field,
-    lp_norm,
     random_band_limited,
     write_field_csv,
 )
@@ -71,6 +70,14 @@ from .symbol import TABLE_RTOL, build_symbol_table, log_grid
 
 #: commands that bind the multiplier to the configured grid's lattice
 _LATTICE_COMMANDS = ("evolve", "decay-fit", "nash-check")
+#: every command, with the config section it cannot run without
+_COMMAND_SECTION = {
+    "symbol": None,
+    "evolve": None,
+    "decay-fit": "decay",
+    "nash-check": "nash",
+    "regularity": "regularity",
+}
 
 _NEAR = {
     "fractional": (FractionalPower, "beta"),
@@ -531,11 +538,16 @@ def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
     return random_band_limited(grid, rng, band_fraction=cfg.datum_param)
 
 
-def _evolve_all(cfg, P, u0):
+def _flow(cfg, P, u0):
+    """Iterators over the snapshot fields and their Dirichlet energies:
+    the linear flow reads every energy off the datum's spectrum, the
+    nonlinear flow's fields are measured one by one."""
     if cfg.flow == "linear":
-        return list(propagate_linear(P, u0, cfg.snapshots))
+        flow = LinearFlow(P, u0)
+        return flow.fields(cfg.snapshots), iter(flow.energies(cfg.snapshots))
     phi = PhiLaw(cfg.sigma, M=cfg.mass_bound)
-    return evolve_nonlinear(P, phi, u0, cfg.snapshots, cfl=cfg.cfl)
+    fields = evolve_nonlinear(P, phi, u0, cfg.snapshots, cfl=cfg.cfl)
+    return iter(fields), (dirichlet_form_spectral(P, u) for u in fields)
 
 
 def _lattice_table_grid(grid: PeriodicGrid):
@@ -547,29 +559,43 @@ def _lattice_table_grid(grid: PeriodicGrid):
     return log_grid(lo, max(hi, 2.0 * lo))
 
 
-def _norms_csv(cfg, P, fields):
+def _snapshot_pass(cfg, P, u0, command, art, artifacts):
+    """Run the flow and analyse its snapshots in one pass (a linear run
+    holds one field at a time; the nonlinear stepper returns all of
+    them); writes norms.csv (and, for ``evolve``, each field as it
+    comes) and returns the decay series by p, the escape-guard ratio
+    and the last field."""
+    fields, energies = _stage("evolve", _flow, cfg, P, u0)
+    fit_ps = cfg.decay.norms if command == "decay-fit" else ()
     rows = ["t,l1,l2,linf,energy"]
-    for t, u in zip(cfg.snapshots, fields):
-        cells = [
-            _fmt(t),
-            _fmt(lp_norm(u, 1)),
-            _fmt(lp_norm(u, 2)),
-            _fmt(lp_norm(u, np.inf)),
-            _fmt(dirichlet_form_spectral(P, u)),
-        ]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    series = {p: [] for p in fit_ps}
+    guard_ratio = 0.0
+    for i, t in enumerate(cfg.snapshots):
+        u = _stage("evolve", next, fields)
+        norms = _stage("analysis", field_norms, u, fit_ps)
+        energy = _stage("analysis", next, energies)
+        lp = norms.lp
+        rows.append(",".join(_fmt(x) for x in (t, lp[1], lp[2], lp[np.inf], energy)))
+        for p in fit_ps:
+            series[p].append((t, lp[p]))
+        guard_ratio = max(guard_ratio, norms.face_ratio)
+        if command == "evolve":
+            fname = f"field_{i:04d}.csv"
+            _stage("write", write_field_csv, u, art.target(fname))
+            artifacts.append(fname)
+    art.write_text("norms.csv", "\n".join(rows) + "\n")
+    artifacts.append("norms.csv")
+    return series, guard_ratio, u
 
 
-def _decay_report(cfg, fields):
+def _decay_report(cfg, series):
     lines = [f"name = {cfg.name}", f"q = {_fmt(cfg.decay.q)}"]
     all_within = True
     for i, p in enumerate(cfg.decay.norms):
-        series = [(t, lp_norm(u, p)) for t, u in zip(cfg.snapshots, fields)]
         if cfg.decay.window is None:
-            fit = fit_late_decay(series)
+            fit = fit_late_decay(series[p])
         else:
-            fit = fit_decay_exponent(series, window=cfg.decay.window)
+            fit = fit_decay_exponent(series[p], window=cfg.decay.window)
         tag = f"norm_{p:g}"
         lines += [
             f"{tag}_exponent = {_fmt(fit.exponent)}",
@@ -642,13 +668,20 @@ def _interpolation_report(cfg, P, u):
 def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
     """Execute one pipeline scope; returns the manifest dictionary.
 
-    Stages run in a fixed order (kernel, grid, symbol-table,
-    initial-datum, evolve, analysis, write).  Commands that run on the
-    grid tabulate the multiplier over exactly its lattice's radii; the
-    others use the default range.  The first failure is re-raised as a
-    PipelineError naming the stage, with everything already written
-    removed.
+    The command and the config section it needs are checked before any
+    computation.  Stages run in a fixed order (kernel, grid,
+    symbol-table, initial-datum, then evolve, analysis and write once
+    per snapshot).  Commands that run on
+    the grid tabulate the multiplier over exactly its lattice's radii;
+    the others use the default range.  The first failure is re-raised
+    as a PipelineError naming the stage, with everything already
+    written removed.
     """
+    if command not in _COMMAND_SECTION:
+        raise ConfigError(f"unknown command {command!r}")
+    section = _COMMAND_SECTION[command]
+    if section is not None and getattr(cfg, section) is None:
+        raise ConfigError(f"{command} needs a [{section}] section")
     out_dir = Path(output_override or cfg.output)
     art = _Artifacts(out_dir)
     guard = None
@@ -670,48 +703,31 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         elif command in ("evolve", "decay-fit"):
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
-            fields = _stage("evolve", _evolve_all, cfg, P, u0)
-            guard_ratio = max(boundary_ratio(u) for u in fields)
+            series, guard_ratio, last = _snapshot_pass(cfg, P, u0, command, art, artifacts)
             guard = {
                 "max_boundary_ratio": guard_ratio,
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),
             }
-            art.write_text("norms.csv", _stage("analysis", _norms_csv, cfg, P, fields))
-            artifacts.append("norms.csv")
-            if command == "evolve":
-                for i, u in enumerate(fields):
-                    fname = f"field_{i:04d}.csv"
-                    _stage("write", write_field_csv, u, art.target(fname))
-                    artifacts.append(fname)
             if command == "decay-fit":
-                if cfg.decay is None:
-                    raise ConfigError("decay-fit needs a [decay] section")
-                text, _ = _stage("analysis", _decay_report, cfg, fields)
+                text, _ = _stage("analysis", _decay_report, cfg, series)
                 art.write_text("decay_fit.txt", text)
                 artifacts.append("decay_fit.txt")
             if cfg.interpolation is not None:
-                text = _stage("analysis", _interpolation_report, cfg, P, fields[-1])
+                text = _stage("analysis", _interpolation_report, cfg, P, last)
                 art.write_text("interpolation.txt", text)
                 artifacts.append("interpolation.txt")
 
         elif command == "nash-check":
-            if cfg.nash is None:
-                raise ConfigError("nash-check needs a [nash] section")
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             text, rows = _stage("analysis", _nash_report, cfg, P, grid)
             art.write_text("nash.txt", text)
             art.write_text("nash_rows.csv", rows)
             artifacts += ["nash.txt", "nash_rows.csv"]
 
-        elif command == "regularity":
-            if cfg.regularity is None:
-                raise ConfigError("regularity needs a [regularity] section")
+        else:
             text = _stage("analysis", _regularity_report, cfg, tab)
             art.write_text("regularity.txt", text)
             artifacts.append("regularity.txt")
-
-        else:
-            raise ConfigError(f"unknown command {command!r}")
 
         manifest = {
             "name": cfg.name,

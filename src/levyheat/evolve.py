@@ -6,7 +6,14 @@ The linear flow is diagonal in the transform variables,
 
 so propagation is exact in time; the only discretization is the grid
 itself.  Every multiplier acts through the real FFT pair on the half
-lattice, and a run of snapshot times transforms its datum once.  The
+lattice, and a run of snapshot times transforms its datum once
+(``LinearFlow``): that one spectrum yields every field, and the
+Dirichlet energies of the fields in closed form,
+
+    E(u(t)) = (dx^N / n^N) sum' m(xi) e^{-2 m(xi) t} |U0(xi)|^2,
+
+with no transform of a snapshot (sum' is the half-lattice sum with
+mirror weight 2, as in ``analysis.dirichlet_bilinear``).  The
 fundamental solution is the inverse transform of e^{-m(xi) t} and exists
 on a grid only when that factor has decayed below roundoff scale before
 the lattice's maximum frequency -- precisely the regime in which the
@@ -34,7 +41,7 @@ from .errors import (
     StabilityError,
     UnresolvableMeasureError,
 )
-from .spectral import GridField, PeriodicGrid, _apply_multiplier
+from .spectral import GridField, PeriodicGrid, _apply_multiplier, _parseval
 from .symbol import SymbolTable, symbol_quadrature
 
 
@@ -106,19 +113,48 @@ def apply_operator(P: LinearPropagator, f: GridField) -> GridField:
     return GridField(P.grid, _apply_multiplier(P.half, f.values))
 
 
+def _check_times(times):
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
+        raise DomainError(f"times must be nonnegative, got {min(times)}")
+    return times
+
+
+class LinearFlow:
+    """The exact linear flow from one datum.
+
+    The datum is transformed once, at construction; its spectrum serves
+    both the fields at any snapshot times and their Dirichlet energies.
+    """
+
+    def __init__(self, P: LinearPropagator, u0: GridField):
+        if u0.grid != P.grid:
+            raise GridMismatchError("field and propagator live on different grids")
+        self.P = P
+        self.spectrum = rfftn(u0.values)
+
+    def fields(self, times):
+        """Solutions at ``times`` (all >= 0), in order, each computed
+        only when it is requested; the times are checked at the call."""
+        times = _check_times(times)
+        P, U0 = self.P, self.spectrum
+        return (GridField(P.grid, irfftn(np.exp(-P.half * t) * U0, s=P.grid.shape)) for t in times)
+
+    def energies(self, times) -> list:
+        """E(u(t)) for each t in ``times``, read off the datum's spectrum."""
+        times = _check_times(times)
+        P, U0 = self.P, self.spectrum
+        w = P.half * (U0.real**2 + U0.imag**2)
+        return [_parseval(P.grid, w * np.exp(-2.0 * P.half * t)) for t in times]
+
+
 def propagate_linear(P: LinearPropagator, u0: GridField, times):
     """Exact-in-time linear solutions at ``times`` (all >= 0), in order.
 
     Checks its arguments and transforms the datum at the call; the
     returned iterator computes each field only when it is requested.
     """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise DomainError(f"times must be nonnegative, got {min(times)}")
-    if u0.grid != P.grid:
-        raise GridMismatchError("field and propagator live on different grids")
-    U0 = rfftn(u0.values)
-    return (GridField(P.grid, irfftn(np.exp(-P.half * t) * U0, s=P.grid.shape)) for t in times)
+    return LinearFlow(P, u0).fields(times)
 
 
 #: resolvability threshold: e^{-m_edge t} must fall below this before

@@ -4,7 +4,15 @@ Functions live on the torus [-L, L)^N sampled at n points per axis (n a
 power of two).  Every lattice transform in the package is the plain real
 FFT pair ``scipy.fft.rfftn``/``irfftn`` on the half lattice: a real, even
 multiplier m(xi) acts on a real field as ``irfftn(m * rfftn(u))``, with
-xi_kappa = (pi / L) kappa in FFT ordering.
+xi_kappa = (pi / L) kappa in FFT ordering, and a lattice integral of a
+product of two fields is read off their half-lattice spectra
+(Parseval).
+
+Norms use exact products where the power is an integer the package
+measures -- |u| for p = 1, u*u for p = 2, (u*u)^2 for p = 4 -- and a
+general power only for other p; ``field_norms`` gives every scalar a
+snapshot is checked by (mass, the L^1/L^2/L^4/sup norms, the face
+ratio) with one scratch array.
 
 Decay experiments on the torus stand in for the whole space; the caller
 is responsible for choosing L large enough that nothing of size matters
@@ -17,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfftn, rfftn
@@ -109,26 +118,71 @@ def _apply_multiplier(mult, values):
     return irfftn(mult * rfftn(values), s=values.shape)
 
 
+def _parseval(grid: PeriodicGrid, w) -> float:
+    """(dx^N / n^N) times the full-lattice sum of ``w``, an even real
+    quantity known on the rfftn half lattice: every column but the last
+    axis's first and Nyquist one stands for itself and its mirror."""
+    total = 2.0 * w.sum() - w[..., 0].sum() - w[..., -1].sum()
+    return float(total * grid.cell_volume / grid.points_per_axis**grid.dimension)
+
+
+def _root(f: GridField, power_sum, p) -> float:
+    return float((f.grid.cell_volume * power_sum) ** (1.0 / p))
+
+
 def lp_norm(f: GridField, p) -> float:
-    """Discrete L^p norm (dx^N sum |u|^p)^(1/p); max |u| for p = inf."""
+    """Discrete L^p norm (dx^N sum |u|^p)^(1/p); max |u| for p = inf.
+
+    p = 1, 2 and 4 sum the exact products |u|, u*u and (u*u)^2; any
+    other p raises |u| to a general power.
+    """
     if p == math.inf or p == "inf":
         return float(np.max(np.abs(f.values)))
     p = float(p)
     if p < 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
-    return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    v = f.values
+    if p == 1.0:
+        return _root(f, np.sum(np.abs(v)), p)
+    if p == 2.0:
+        return _root(f, np.sum(v * v), p)
+    if p == 4.0:
+        sq = v * v
+        sq *= sq
+        return _root(f, np.sum(sq), p)
+    return _root(f, np.sum(np.abs(v) ** p), p)
 
 
 def mass(f: GridField) -> float:
     return float(f.grid.cell_volume * np.sum(f.values))
 
 
-def boundary_ratio(f: GridField) -> float:
-    """Largest |u| on the domain faces relative to the sup-norm."""
-    vals = np.abs(f.values)
-    sup = float(vals.max())
-    # the first row and column in 2-D; vals[0] is both in 1-D
-    return 0.0 if sup == 0.0 else float(max(vals[0].max(), vals[..., 0].max())) / sup
+class FieldNorms(NamedTuple):
+    """The scalars a snapshot is checked by."""
+
+    mass: float
+    #: L^p norm by p: 1, 2, 4 and inf, plus any extra p asked for
+    lp: dict
+    #: largest |u| on the domain faces relative to the sup-norm
+    face_ratio: float
+
+
+def field_norms(f: GridField, extra=()) -> FieldNorms:
+    """Mass, L^1/L^2/L^4/sup norms (and L^p for each p in ``extra``) and
+    face ratio of one field, each equal to what ``mass``/``lp_norm``
+    return; |u|, u*u and (u*u)^2 take turns in one scratch array."""
+    v = f.values
+    buf = np.abs(v)
+    sup = float(buf.max())
+    # the first row and column in 2-D; buf[0] is both in 1-D
+    face = 0.0 if sup == 0.0 else float(max(buf[0].max(), buf[..., 0].max())) / sup
+    lp = {1.0: _root(f, np.sum(buf), 1.0), math.inf: sup}
+    np.multiply(v, v, out=buf)
+    lp[2.0] = _root(f, np.sum(buf), 2.0)
+    buf *= buf
+    lp[4.0] = _root(f, np.sum(buf), 4.0)
+    lp.update((float(p), lp_norm(f, p)) for p in extra if float(p) not in lp)
+    return FieldNorms(mass(f), lp, face)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each test prints its one-line verdict (visible under ``pytest -s`` and
 in any failure report).  Expensive experiment artifacts are memoized
 inside ``levyheat.acceptance``, so the battery costs a dozen seconds
-once per session regardless of test ordering.
+once per session regardless of test ordering, and each criterion's result
+is memoized too, so the summary table and ``verify`` reuse them.
 """
 
 from levyheat import acceptance
@@ -69,3 +70,11 @@ def test_summary_table_counts_failures():
     table = acceptance.summary_table(results)
     assert f"{len(results)}/{len(results)} criteria passed" in table, table.splitlines()[-1]
     assert all(line.startswith("[PASS]") for line in table.splitlines()[:-1])
+
+
+def test_criterion_results_are_memoized():
+    # one run per criterion and process: the battery, the summary table
+    # and the verify subcommand share each result
+    first = acceptance.run_criterion(10)
+    assert acceptance.run_criterion(10) is first
+    assert acceptance.run_all()[9] is first

@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from levyheat import cli
+from levyheat.analysis import dirichlet_form_spectral
 from levyheat.cli import ExperimentConfig, _lattice_table_grid, main, parse_config, run
 from levyheat.errors import ConfigError, PipelineError
-from levyheat.spectral import PeriodicGrid
+from levyheat.evolve import LinearFlow, LinearPropagator
+from levyheat.spectral import GridField, PeriodicGrid
+from levyheat.symbol import build_symbol_table
 
 BASE = """\
 [experiment]
@@ -300,7 +304,8 @@ def test_outputs_byte_reproducible(tmp_path):
     path = write_cfg(tmp_path, body=body)
     for sub in ("a", "b"):
         assert main(["evolve", "--config", str(path), "--output", str(tmp_path / sub)]) == 0
-    for name in ("manifest.json", "norms.csv", "field_0003.csv"):
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    for name in ["manifest.json", *manifest["artifacts"]]:
         bytes_a = (tmp_path / "a" / name).read_bytes()
         bytes_b = (tmp_path / "b" / name).read_bytes()
         assert bytes_a == bytes_b, f"{name} differs between identical runs"
@@ -320,6 +325,62 @@ def test_pipeline_failure_names_stage_and_cleans_up(tmp_path):
     assert leftover == [], f"partial outputs not removed: {leftover}"
 
 
+@pytest.mark.parametrize("flow", ["linear", "nonlinear"])
+def test_evolve_energy_column_is_the_form_of_each_field(tmp_path, flow):
+    # linear runs read the energies off the datum's spectrum, nonlinear
+    # runs measure each field; both must be E(u) of the written snapshot
+    body = BASE.replace("snapshots = 1 1.5 2.3 3.4 5.1 7.7", "snapshots = 0 0.1 0.25 0.5")
+    if flow == "nonlinear":
+        body = body.replace("kind = linear", "kind = nonlinear\nsigma = 2")
+    path = write_cfg(tmp_path, body=body)
+    assert main(["evolve", "--config", str(path)]) == 0
+    cfg = parse_config(path)
+    grid = cfg.grid()
+    tab = build_symbol_table(cfg.kernel(), _lattice_table_grid(grid))
+    P = LinearPropagator.from_table(grid, tab)
+    out = tmp_path / "out"
+    energies = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)[:, 4]
+    assert energies.shape == (4,)
+    for i, energy in enumerate(energies):
+        values = np.loadtxt(out / f"field_{i:04d}.csv", delimiter=",", skiprows=1)[:, -1]
+        want = dirichlet_form_spectral(P, GridField(grid, values))
+        assert energy == pytest.approx(want, rel=1e-12), i
+
+
+def test_snapshot_failure_is_stage_evolve_and_cleans_up(tmp_path, monkeypatch):
+    # the third snapshot fails after two field files were written
+    real_fields = LinearFlow.fields
+
+    def failing_fields(self, times):
+        fields = real_fields(self, times)
+        yield next(fields)
+        yield next(fields)
+        raise FloatingPointError("snapshot 2 overflowed")
+
+    monkeypatch.setattr(LinearFlow, "fields", failing_fields)
+    cfg = parse_config(write_cfg(tmp_path))
+    with pytest.raises(PipelineError, match="overflowed") as err:
+        run(cfg, "evolve")
+    assert err.value.stage == "evolve"
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "command,section", [("decay-fit", "decay"), ("nash-check", "nash"), ("regularity", "regularity")]
+)
+def test_missing_command_section_fails_before_any_computation(
+    tmp_path, monkeypatch, capsys, command, section
+):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the symbol table was built before the config check")
+
+    monkeypatch.setattr(cli, "build_symbol_table", no_table)
+    path = write_cfg(tmp_path)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{command} needs a [{section}] section" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, interpolation=["r = 1.0", "s = 2.0"])
     assert main(["decay-fit", "--config", str(bad)]) == 2
@@ -332,8 +393,8 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_verify_subcommand_passes(capsys):
-    # the battery is memoized by the acceptance tests in this session,
-    # so this mostly re-prints the table
+    # criterion results are memoized per process, so after the acceptance
+    # tests this only re-prints the table
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "12/12 criteria passed" in out

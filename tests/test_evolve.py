@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levyheat.analysis import dirichlet_form_spectral
 from levyheat.errors import (
     ContractError,
     DomainError,
@@ -10,6 +11,7 @@ from levyheat.errors import (
     UnresolvableMeasureError,
 )
 from levyheat.evolve import (
+    LinearFlow,
     LinearPropagator,
     PhiLaw,
     apply_operator,
@@ -195,6 +197,35 @@ def test_propagate_yields_lazily_and_matches_single_times(cauchy_table):
     for t, u in zip(times, fields):
         (alone,) = propagate_linear(P, u0, [t])
         assert np.array_equal(u.values, alone.values)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_linear_energies_match_the_form_of_each_field(dim, n):
+    # the closed form read off the datum's spectrum against the spectral
+    # form of the propagated fields, t = 0 included
+    g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
+    P = poisson_propagator(g)
+    u0 = random_band_limited(g, np.random.default_rng(23), 0.5)
+    times = [0.0, 0.05, 0.3, 1.0, 4.0]
+    flow = LinearFlow(P, u0)
+    energies = flow.energies(times)
+    assert len(energies) == len(times)
+    for t, u, e in zip(times, flow.fields(times), energies):
+        assert e == pytest.approx(dirichlet_form_spectral(P, u), rel=1e-12), t
+    assert energies == sorted(energies, reverse=True)
+
+
+def test_linear_flow_checks_its_arguments(cauchy_table):
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
+    P = LinearPropagator.from_table(g, cauchy_table)
+    flow = LinearFlow(P, GridField(g, np.zeros(g.shape)))
+    with pytest.raises(DomainError):
+        flow.energies([0.5, -0.1])
+    with pytest.raises(DomainError):
+        flow.fields([-0.1])
+    other = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=64)
+    with pytest.raises(GridMismatchError):
+        LinearFlow(P, GridField(other, np.zeros(other.shape)))
 
 
 @pytest.mark.parametrize("t", [1.0, 2.0, 5.0])

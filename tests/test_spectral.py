@@ -9,6 +9,7 @@ from levyheat.spectral import (
     PeriodicGrid,
     box_field,
     delta_surrogate,
+    field_norms,
     gaussian_field,
     lp_norm,
     mass,
@@ -109,6 +110,35 @@ def test_mass():
     # mass is the zero Fourier coefficient
     zero_coeff = g.cell_volume * np.fft.fftn(h.values)[0, 0].real
     assert mass(h) == pytest.approx(zero_coeff, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 3.0, 1.5, math.inf])
+def test_lp_norm_matches_generic_formula(dim, n, p):
+    # the exact-product paths (p = 1, 2, 4) and the pow path agree with
+    # (dx^N sum |v|^p)^(1/p) on signed random fields
+    g = PeriodicGrid(dimension=dim, half_width=3.0, points_per_axis=n)
+    rng = np.random.default_rng(17 + dim)
+    for _ in range(3):
+        f = GridField(g, rng.standard_normal(g.shape) * rng.uniform(0.1, 10.0))
+        a = np.abs(f.values)
+        want = a.max() if p == math.inf else (g.cell_volume * np.sum(a**p)) ** (1.0 / p)
+        assert lp_norm(f, p) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_field_norms_equal_the_single_scalars(dim, n):
+    g = PeriodicGrid(dimension=dim, half_width=3.0, points_per_axis=n)
+    f = GridField(g, np.random.default_rng(5).standard_normal(g.shape))
+    got = field_norms(f, extra=(3.0, 2.0))
+    assert got.mass == mass(f)
+    assert set(got.lp) == {1.0, 2.0, 3.0, 4.0, math.inf}
+    for p, value in got.lp.items():
+        assert value == lp_norm(f, p), p
+    a = np.abs(f.values)
+    faces = a[0].max() if dim == 1 else max(a[0].max(), a[:, 0].max())
+    assert got.face_ratio == faces / a.max()
+    assert field_norms(GridField(g, np.zeros(g.shape))).face_ratio == 0.0
 
 
 # ---------------------------------------------------------------------------
