@@ -56,6 +56,7 @@ from .kernels import (
     LogPerturbed,
     Oscillating,
     PowerTail,
+    tail_exponent,
 )
 from .spectral import (
     PeriodicGrid,
@@ -66,7 +67,7 @@ from .spectral import (
     random_band_limited,
     write_field_csv,
 )
-from .symbol import TABLE_RTOL, build_symbol_table, log_grid
+from .symbol import TABLE_RTOL, build_symbol_table
 
 #: commands that bind the multiplier to the configured grid's lattice
 _LATTICE_COMMANDS = ("evolve", "decay-fit", "nash-check")
@@ -177,12 +178,6 @@ class ExperimentConfig:
             half_width=self.half_width,
             points_per_axis=self.points,
         )
-
-    def gamma(self) -> float:
-        """Low-frequency multiplier order implied by the tail."""
-        if self.tail == "power":
-            return min(self.tail_param, 2.0)
-        return 2.0
 
     def canonical_text(self) -> str:
         """Normalized key-value rendering (the hashing basis).
@@ -485,7 +480,10 @@ def _validate_objects(cfg: ExperimentConfig):
     if cfg.interpolation is not None:
         try:
             theta_exponents(
-                cfg.interpolation.r, cfg.interpolation.s, cfg.gamma(), cfg.dimension
+                cfg.interpolation.r,
+                cfg.interpolation.s,
+                tail_exponent(cfg.kernel()),
+                cfg.dimension,
             )
         except Exception as exc:
             raise ConfigError(f"[interpolation]: {exc}")
@@ -550,15 +548,6 @@ def _flow(cfg, P, u0):
     return iter(fields), (dirichlet_form_spectral(P, u) for u in fields)
 
 
-def _lattice_table_grid(grid: PeriodicGrid):
-    """Table radii spanning exactly the lattice's nonzero |xi|, the 2-D
-    corner included.  A lone radius (1-D, n = 2) is tabulated with one
-    more point an octave above it, since interpolation needs two."""
-    radii = grid.freq_radii()
-    lo, hi = radii[radii > 0].min(), radii.max()
-    return log_grid(lo, max(hi, 2.0 * lo))
-
-
 def _snapshot_pass(cfg, P, u0, command, art, artifacts):
     """Run the flow and analyse its snapshots in one pass (a linear run
     holds one field at a time; the nonlinear stepper returns all of
@@ -571,6 +560,7 @@ def _snapshot_pass(cfg, P, u0, command, art, artifacts):
     series = {p: [] for p in fit_ps}
     guard_ratio = 0.0
     for i, t in enumerate(cfg.snapshots):
+        u = None  # release the previous field before the next is computed
         u = _stage("evolve", next, fields)
         norms = _stage("analysis", field_norms, u, fit_ps)
         energy = _stage("analysis", next, energies)
@@ -649,7 +639,8 @@ def _regularity_report(cfg, tab):
 
 
 def _interpolation_report(cfg, P, u):
-    rep = interpolation_check(P, u, cfg.interpolation.r, cfg.interpolation.s, cfg.gamma())
+    gamma = tail_exponent(cfg.kernel())
+    rep = interpolation_check(P, u, cfg.interpolation.r, cfg.interpolation.s, gamma)
     return (
         "\n".join(
             [
@@ -688,7 +679,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
     try:
         kernel = _stage("kernel", cfg.kernel)
         grid = _stage("grid", cfg.grid) if command in _LATTICE_COMMANDS else None
-        radii = None if grid is None else _lattice_table_grid(grid)
+        radii = None if grid is None else LinearPropagator.table_grid(grid)
         tab = _stage("symbol-table", build_symbol_table, kernel, radii)
         artifacts: list[str] = []
 

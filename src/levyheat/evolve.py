@@ -13,11 +13,15 @@ Dirichlet energies of the fields in closed form,
     E(u(t)) = (dx^N / n^N) sum' m(xi) e^{-2 m(xi) t} |U0(xi)|^2,
 
 with no transform of a snapshot (sum' is the half-lattice sum with
-mirror weight 2, as in ``analysis.dirichlet_bilinear``).  The
-fundamental solution is the inverse transform of e^{-m(xi) t} and exists
-on a grid only when that factor has decayed below roundoff scale before
-the lattice's maximum frequency -- precisely the regime in which the
-continuum equation regularizes.
+mirror weight 2, as in ``analysis.dirichlet_bilinear``).  Each decay
+factor e^{-m t} is one half-lattice array, exponentiated in place, and
+binding a table to a grid (``from_table``) evaluates it on the half
+lattice only, mirroring the values into the other columns.
+
+The fundamental solution is the inverse transform of e^{-m(xi) t} and
+exists on a grid only when that factor has decayed below roundoff scale
+before the lattice's maximum frequency -- precisely the regime in which
+the continuum equation regularizes.
 
 The nonlinear problem  du/dt + L_J Phi(u) = 0  with Phi an odd power
 is integrated by an explicit midpoint (second-order Runge-Kutta) rule
@@ -41,8 +45,8 @@ from .errors import (
     StabilityError,
     UnresolvableMeasureError,
 )
-from .spectral import GridField, PeriodicGrid, _apply_multiplier, _parseval
-from .symbol import SymbolTable, symbol_quadrature
+from .spectral import GridField, PeriodicGrid, _apply_multiplier, _mirror_half, _parseval
+from .symbol import SymbolTable, log_grid, symbol_quadrature
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,21 @@ class LinearPropagator:
 
     @classmethod
     def from_table(cls, grid: PeriodicGrid, tab: SymbolTable):
-        """Evaluate a symbol table on the grid's exact frequencies."""
-        vals = tab.evaluate(grid.freq_radii())
-        zero = (0,) * grid.dimension
-        vals[zero] = 0.0
-        return cls(grid, vals)
+        """Evaluate a symbol table on the grid's exact frequencies: on the
+        rfftn half lattice, mirrored into the other columns."""
+        half = tab.evaluate(grid.half_freq_radii())
+        half[(0,) * grid.dimension] = 0.0
+        return cls(grid, _mirror_half(half, grid.points_per_axis))
+
+    @staticmethod
+    def table_grid(grid: PeriodicGrid):
+        """Table radii spanning exactly the lattice's nonzero |xi|, the 2-D
+        corner included, for ``from_table``.  A lone radius (1-D, n = 2)
+        is tabulated with one more point an octave above it, since
+        interpolation needs two."""
+        radii = grid.half_freq_radii()
+        lo, hi = radii[radii > 0].min(), radii.max()
+        return log_grid(lo, max(hi, 2.0 * lo))
 
     @classmethod
     def from_kernel(cls, grid: PeriodicGrid, kernel):
@@ -138,14 +152,25 @@ class LinearFlow:
         only when it is requested; the times are checked at the call."""
         times = _check_times(times)
         P, U0 = self.P, self.spectrum
-        return (GridField(P.grid, irfftn(np.exp(-P.half * t) * U0, s=P.grid.shape)) for t in times)
+        return (GridField(P.grid, irfftn(_decay(P, t) * U0, s=P.grid.shape)) for t in times)
 
     def energies(self, times) -> list:
         """E(u(t)) for each t in ``times``, read off the datum's spectrum."""
         times = _check_times(times)
         P, U0 = self.P, self.spectrum
         w = P.half * (U0.real**2 + U0.imag**2)
-        return [_parseval(P.grid, w * np.exp(-2.0 * P.half * t)) for t in times]
+        energies = []
+        for t in times:
+            d = _decay(P, 2.0 * t)
+            d *= w
+            energies.append(_parseval(P.grid, d))
+        return energies
+
+
+def _decay(P: LinearPropagator, t):
+    """e^{-m t} on the half lattice, built in one array."""
+    d = P.half * -t
+    return np.exp(d, out=d)
 
 
 def propagate_linear(P: LinearPropagator, u0: GridField, times):
@@ -181,7 +206,7 @@ def fundamental_solution(P: LinearPropagator, t) -> GridField:
         )
     # irfftn centres the kernel on index 0; fftshift moves it to the node
     # x = 0 (index n / 2) on every axis
-    kernel = irfftn(np.exp(-P.half * float(t)), s=P.grid.shape)
+    kernel = irfftn(_decay(P, float(t)), s=P.grid.shape)
     return GridField(P.grid, np.fft.fftshift(kernel) / P.grid.cell_volume)
 
 

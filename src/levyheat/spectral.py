@@ -88,6 +88,14 @@ class PeriodicGrid:
         fx, fy = self.freq_axis[:, None], self.freq_axis[None, :]
         return np.hypot(fx, fy)
 
+    def half_freq_radii(self):
+        """|xi| on the rfftn half lattice: ``freq_radii()`` restricted to
+        the last axis's first n // 2 + 1 columns."""
+        last = self.freq_axis[: self.points_per_axis // 2 + 1]
+        if self.dimension == 1:
+            return np.abs(last)
+        return np.hypot(self.freq_axis[:, None], last[None, :])
+
     @property
     def max_frequency(self):
         """Largest |xi| along one axis: pi / dx."""
@@ -110,6 +118,15 @@ class GridField:
         if not np.isfinite(vals).all():
             raise ContractError("field values must be finite")
         object.__setattr__(self, "values", vals)
+
+
+def _mirror_half(half, n):
+    """The full FFT-ordered lattice (n points on the last axis) of an
+    even quantity known on its rfftn half lattice: column n - j repeats
+    column j.  ``fftfreq`` gives exact negatives, so for a function of
+    |xi| the copies are bit-identical to evaluating at those columns."""
+    cols = half.shape[-1]
+    return np.concatenate([half, half[..., n - cols : 0 : -1]], axis=-1)
 
 
 def _apply_multiplier(mult, values):
@@ -248,8 +265,7 @@ def random_band_limited(grid: PeriodicGrid, rng, band_fraction=0.25) -> GridFiel
     |xi| <= band_fraction * (pi / dx); unit sup-norm."""
     if not 0 < band_fraction <= 1:
         raise DomainError(f"band_fraction must lie in (0, 1], got {band_fraction}")
-    n = grid.points_per_axis
-    keep = grid.freq_radii()[..., : n // 2 + 1] <= band_fraction * grid.max_frequency
+    keep = grid.half_freq_radii() <= band_fraction * grid.max_frequency
     vals = _apply_multiplier(keep, rng.standard_normal(grid.shape))
     peak = np.max(np.abs(vals))
     if peak == 0.0:

@@ -18,9 +18,24 @@ near/tail matching radius, evaluates the non-oscillatory parts by
 closed form or adaptive Gauss-Kronrod quadrature, and handles the
 oscillatory remainders with cosine-weighted rules (QAWO/QAWF) in one
 dimension and zero-to-zero Bessel panels with series acceleration in
-two.  In one dimension a piecewise-constant profile (borderline,
-oscillating) needs no quadrature near the origin: its near part is a
-sum of differences of the cosine integral Cin.
+two.
+
+Closed forms replace quadrature wherever they are exact:
+
+* the near part of the Bounded profile, ``c0 (1 - sin xi / xi)`` in one
+  dimension and ``c0 (1/2 - J1(xi) / xi)`` in two (Taylor series for
+  xi <= 1);
+* in one dimension, the near part of a piecewise-constant profile
+  (borderline, oscillating), a sum of differences of the cosine
+  integral Cin;
+* in one dimension, the oscillatory tail ``int_a^inf cos(xi r) J(r) dr``
+  of a power tail with alpha = 1 or 2 (Si/Ci, or the continued fraction
+  of E_{alpha+1}, see ``PowerTail.cos_transform_tail``) and of the
+  exponential tail.
+
+QAWF remains only for power tails of non-integer alpha.  Each closed
+form reports a roundoff bound, so a table's achieved tolerance stays
+honest.
 
 Tables of multiplier values on a logarithmic grid feed the spectral
 propagators through monotone log-log interpolation; pure power kernels
@@ -35,10 +50,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import j0, sici
+from scipy.special import j0, j1, sici
 
 from .errors import DomainError, QuadratureError
-from .kernels import CompactSupport, FractionalPower, LevyKernel, PowerTail, ProfileFn
+from .kernels import Bounded, CompactSupport, FractionalPower, LevyKernel, PowerTail, ProfileFn
 from .kernels import psi1 as kernel_psi1
 from .kernels import psi2 as kernel_psi2
 from .quadrature import (
@@ -87,6 +102,29 @@ def _one_minus_j0_series(u):
     for k in range(10, 1, -1):
         s = 1.0 - u / (k * k) * s
     return u * s
+
+
+def _bounded_near(c0, xi, dim):
+    """The near part ``int_0^1 (1 - B(xi r)) c0 r^(N-1) dr`` of the
+    Bounded profile, exactly: ``c0 (1 - sin xi / xi)`` in one dimension,
+    ``c0 (1/2 - J1(xi) / xi)`` in two, each by its Taylor series for
+    ``xi <= 1``, where the difference would cancel.  Returns (value,
+    roundoff bound)."""
+    eps = np.finfo(float).eps
+    if xi <= 1.0:
+        # t_1 (1 + r_1 (1 + r_2 (...))) with first term t_1 and term ratios r_k
+        #   1 - sin x / x:    t_1 = x^2 / 6,   r_k = -x^2 / ((2k + 2)(2k + 3))
+        #   1/2 - J1(x) / x:  t_1 = x^2 / 16,  r_k = -x^2 / (4 (k + 1)(k + 2))
+        # nine terms reach roundoff for xi <= 1
+        x2 = xi * xi
+        s = 1.0
+        for k in range(9, 0, -1):
+            denom = (2 * k + 2) * (2 * k + 3) if dim == 1 else 4 * (k + 1) * (k + 2)
+            s = 1.0 - x2 / denom * s
+        value = c0 * x2 / (6.0 if dim == 1 else 16.0) * s
+        return value, 4.0 * eps * value
+    head, second = (1.0, math.sin(xi) / xi) if dim == 1 else (0.5, j1(xi) / xi)
+    return c0 * (head - second), 4.0 * eps * c0 * (head + abs(second))
 
 
 def _cin(x):
@@ -145,22 +183,19 @@ def _symbol_1d(kernel, xi, rtol):
     near = kernel.near
     tail = kernel.tail
     match = kernel.matching_constant
-    total = 0.0
-    err = 0.0
 
-    steps = getattr(near, "steps", None)
-    if steps is not None:
-        total, err = _near_steps_1d(steps, xi)
+    if isinstance(near, Bounded):
+        total, err = _bounded_near(near.c0, xi, 1)
+    elif hasattr(near, "steps"):
+        total, err = _near_steps_1d(near.steps, xi)
     else:
         # near part on (0, 1]: direct up to half an oscillation, then
         # split the plain and cosine-weighted contributions
         jn = lambda r: near.j(r, 1)
         a = min(1.0, math.pi / xi)
-        v, e = adaptive_quad(
+        total, err = adaptive_quad(
             lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jn(r), 0.0, a, rtol=rtol
         )
-        total += v
-        err += e
         if a < 1.0:
             total += near.int_symbol_measure(a, 1.0, 1)
             v, e = cos_weighted_quad(jn, a, 1.0, xi, rtol=rtol)
@@ -179,7 +214,9 @@ def _symbol_1d(kernel, xi, rtol):
             err += e
         total += tail.int_measure(big, 1, match)
         closed = tail.cos_transform_tail(big, xi, 1, match)
-        if closed is None:
+        if closed is not None:
+            v, e = closed
+        else:
             v, e = cos_weighted_tail(jt, big, xi)
             if e > 100.0 * rtol * max(abs(v), 1e-6):
                 # QAWF's estimate can be pessimistic for particular
@@ -191,10 +228,8 @@ def _symbol_1d(kernel, xi, rtol):
                 v, e = accelerated_panel_tail(
                     lambda r: np.cos(xi * r) * jt(r), edges
                 )
-            total -= v
-            err += e
-        else:
-            total -= closed
+        total -= v
+        err += e
 
     return 2.0 * total, 2.0 * err
 
@@ -216,22 +251,25 @@ def _symbol_2d(kernel, xi, rtol):
     match = kernel.matching_constant
     dim = 2
     bp = near.breakpoints()
-    total = 0.0
-    err = 0.0
 
     a = min(1.0, _FIRST_J0_ZERO / xi)
-    v, e = adaptive_quad(
-        lambda r: _one_minus_j0(xi * r) * near.j(r, dim) * r, 0.0, a, breakpoints=bp, rtol=rtol
-    )
-    total += v
-    err += e
-    if a < 1.0:
-        total += near.int_symbol_measure(a, 1.0, dim)
-        panel_edges = _j0_panel_edges(a, 1.0, xi, bp)
-        osc = lambda r: j0(xi * r) * near.j(r, dim) * r
-        terms = gauss_panel_sums(osc, panel_edges)
-        total -= float(terms.sum())
-        err += 1e-15 * float(np.abs(terms).sum())
+    if isinstance(near, Bounded):
+        total, err = _bounded_near(near.c0, xi, dim)
+    else:
+        total, err = adaptive_quad(
+            lambda r: _one_minus_j0(xi * r) * near.j(r, dim) * r,
+            0.0,
+            a,
+            breakpoints=bp,
+            rtol=rtol,
+        )
+        if a < 1.0:
+            total += near.int_symbol_measure(a, 1.0, dim)
+            panel_edges = _j0_panel_edges(a, 1.0, xi, bp)
+            osc = lambda r: j0(xi * r) * near.j(r, dim) * r
+            terms = gauss_panel_sums(osc, panel_edges)
+            total -= float(terms.sum())
+            err += 1e-15 * float(np.abs(terms).sum())
 
     if not isinstance(tail, CompactSupport):
         big = max(1.0, _FIRST_J0_ZERO / xi)

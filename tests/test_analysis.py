@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from levyheat import analysis as an
-from levyheat.cli import _lattice_table_grid
 from levyheat.errors import ContractError, DomainError, GridMismatchError
 from levyheat.evolve import LinearPropagator, propagate_linear
 from levyheat.kernels import (
@@ -274,7 +273,7 @@ def test_cross_oracle_spectral_vs_direct_production_scale(kern, L, n):
     # grid sizes of real runs, the multiplier tabulated over the lattice's
     # radii as the CLI does; criterion 9's tolerance
     g = PeriodicGrid(dimension=kern.dimension, half_width=L, points_per_axis=n)
-    P = LinearPropagator.from_table(g, build_symbol_table(kern, _lattice_table_grid(g)))
+    P = LinearPropagator.from_table(g, build_symbol_table(kern, LinearPropagator.table_grid(g)))
     for seed in range(3):
         f = random_band_limited(g, np.random.default_rng(900 + seed), 0.25)
         Es = an.dirichlet_form_spectral(P, f)

@@ -1,13 +1,14 @@
 """Config parsing, validation wording, pipeline artifacts, determinism."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from levyheat import cli
+from levyheat import acceptance, cli
 from levyheat.analysis import dirichlet_form_spectral
-from levyheat.cli import ExperimentConfig, _lattice_table_grid, main, parse_config, run
+from levyheat.cli import ExperimentConfig, main, parse_config, run
 from levyheat.errors import ConfigError, PipelineError
 from levyheat.evolve import LinearFlow, LinearPropagator
 from levyheat.spectral import GridField, PeriodicGrid
@@ -191,7 +192,7 @@ def test_table_spans_the_lattice_radii(dim, n):
     grid = PeriodicGrid(dimension=dim, half_width=64.0, points_per_axis=n)
     radii = grid.freq_radii()
     lo, hi = radii[radii > 0].min(), radii.max()
-    table = _lattice_table_grid(grid)
+    table = LinearPropagator.table_grid(grid)
     # a lone radius (1-D, n = 2) gets a second point an octave above it
     assert table[0] == lo and table[-1] == max(hi, 2.0 * lo)
     assert table.size >= 2
@@ -336,7 +337,7 @@ def test_evolve_energy_column_is_the_form_of_each_field(tmp_path, flow):
     assert main(["evolve", "--config", str(path)]) == 0
     cfg = parse_config(path)
     grid = cfg.grid()
-    tab = build_symbol_table(cfg.kernel(), _lattice_table_grid(grid))
+    tab = build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(grid))
     P = LinearPropagator.from_table(grid, tab)
     out = tmp_path / "out"
     energies = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)[:, 4]
@@ -363,6 +364,34 @@ def test_snapshot_failure_is_stage_evolve_and_cleans_up(tmp_path, monkeypatch):
         run(cfg, "evolve")
     assert err.value.stage == "evolve"
     assert list((tmp_path / "out").glob("*")) == []
+
+
+def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
+    # when the next snapshot is requested, the consumer must have let go
+    # of the previous one, so that only one field is alive at a time
+    real_fields = LinearFlow.fields
+    requested = []
+
+    def checked_fields(self, times):
+        for u in real_fields(self, times):
+            previous = weakref.ref(u)
+            # hand the field over without keeping a reference here
+            held = [u]
+            del u
+            yield held.pop()
+            requested.append(previous() is None)
+
+    monkeypatch.setattr(LinearFlow, "fields", checked_fields)
+    cfg = parse_config(write_cfg(tmp_path, decay=["norms = 2", "q = 1"]))
+    for command in ("evolve", "decay-fit"):
+        run(cfg, command)
+        assert requested == [True] * (len(cfg.snapshots) - 1), command
+        requested.clear()
+    grid = cfg.grid()
+    P = LinearPropagator(grid, np.abs(grid.freq_radii()))
+    u0 = GridField(grid, np.cos(grid.axis))
+    acceptance._linear_bookkeeping(P, u0, cfg.snapshots)
+    assert requested == [True] * len(cfg.snapshots)
 
 
 @pytest.mark.parametrize(

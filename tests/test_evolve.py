@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import irfftn
 
 from levyheat.analysis import dirichlet_form_spectral
 from levyheat.errors import (
@@ -30,6 +31,7 @@ from levyheat.kernels import (
 from levyheat.spectral import (
     GridField,
     PeriodicGrid,
+    _mirror_half,
     box_field,
     delta_surrogate,
     lp_norm,
@@ -150,6 +152,32 @@ def test_from_kernel_quadrature_at_lattice_radii():
         assert shared[0] > 0
 
 
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4096), (2, 2), (2, 64)])
+def test_from_table_equals_evaluating_the_full_lattice(dim, n):
+    # the half lattice is evaluated and mirrored; the mirror must repeat
+    # exactly what evaluating every column gives
+    g = PeriodicGrid(dimension=dim, half_width=16.0, points_per_axis=n)
+    kern = LevyKernel(dimension=dim, near=Bounded(1.0), tail=PowerTail(alpha=1.0))
+    tab = build_symbol_table(kern, LinearPropagator.table_grid(g))
+    want = tab.evaluate(g.freq_radii())
+    want[(0,) * dim] = 0.0
+    assert np.array_equal(LinearPropagator.from_table(g, tab).symbol_values, want)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_half_lattice_mirror_for_odd_and_even_n(dim, n):
+    freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=0.3)
+    radii = np.abs(freqs) if dim == 1 else np.hypot(freqs[:, None], freqs[None, :])
+    tab = build_symbol_table(
+        LevyKernel(dimension=1, near=Bounded(1.0), tail=PowerTail(alpha=1.0)),
+        np.geomspace(radii[radii > 0].min(), radii.max(), 20),
+    )
+    full = tab.evaluate(radii)
+    half = tab.evaluate(radii[..., : n // 2 + 1])
+    assert np.array_equal(_mirror_half(half, n), full)
+
+
 # ---------------------------------------------------------------------------
 # linear propagation
 # ---------------------------------------------------------------------------
@@ -197,6 +225,25 @@ def test_propagate_yields_lazily_and_matches_single_times(cauchy_table):
     for t, u in zip(times, fields):
         (alone,) = propagate_linear(P, u0, [t])
         assert np.array_equal(u.values, alone.values)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_flow_fields_are_separate_and_match_the_plain_decay(dim, n):
+    # each snapshot is irfftn(e^{-m t} U0) to the bit, and producing the
+    # next one leaves the one already held untouched
+    g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
+    P = poisson_propagator(g)
+    flow = LinearFlow(P, random_band_limited(g, np.random.default_rng(5), 0.5))
+    times = [0.0, 0.2, 1.5]
+    fields = flow.fields(times)
+    first = next(fields)
+    kept = first.values.copy()
+    rest = list(fields)
+    assert np.array_equal(first.values, kept)
+    for t, u in zip(times, [first, *rest]):
+        plain = irfftn(np.exp(-P.half * t) * flow.spectrum, s=g.shape)
+        assert np.array_equal(u.values, plain), t
+    assert not any(np.shares_memory(first.values, u.values) for u in rest)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])

@@ -1,11 +1,17 @@
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
+from levyheat.cli import parse_config
 from levyheat.errors import DomainError
+from levyheat.evolve import LinearPropagator
 from levyheat.kernels import (
+    SICI_MAX_X,
     Borderline,
     Bounded,
     CompactSupport,
@@ -20,6 +26,7 @@ from levyheat.quadrature import adaptive_quad, gauss_panel_sums
 from levyheat.symbol import (
     PurePower,
     SymbolTable,
+    _bounded_near,
     _near_steps_1d,
     build_symbol_table,
     check_global_bounds,
@@ -261,6 +268,98 @@ def test_step_profile_near_part_at_high_frequency(near):
     assert abs(2.0 * closed - ref) <= 1e-9 * ref
     # the roundoff bound covers the actual cancellation error
     assert abs(2.0 * closed - ref) <= 2.0 * bound + 1e-13 * ref
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+# ---------------------------------------------------------------------------
+
+
+def _si_ci_tail(alpha, x):
+    """int_x^inf cos(u) u^(-1-alpha) du from Si/Ci at 50 digits, with the
+    modulus of int_x^inf e^(iu) u^(-1-alpha) du, the oscillation's
+    envelope, which bounds it."""
+    with mpmath.workdps(50):
+        X = mpmath.mpf(x)
+        if alpha == 1.0:
+            value = mpmath.cos(X) / X - (mpmath.pi / 2 - mpmath.si(X))
+        else:
+            value = (
+                mpmath.cos(X) / (2 * X**2) - mpmath.sin(X) / (2 * X) + mpmath.ci(X) / 2
+            )
+        envelope = abs(X**-alpha * mpmath.expint(alpha + 1, -1j * X))
+        return value, float(envelope)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_power_tail_cosine_integral_matches_si_ci(alpha):
+    # x = omega a from pi (the split point for omega <= pi) to 1e7
+    # (criterion 8's tables), both sides of the Si/Ci-to-continued-fraction
+    # switch included.  The integral vanishes at the zeros of its
+    # oscillation, so the scale of the error is the envelope there.
+    below = math.nextafter(SICI_MAX_X, 0.0)
+    xs = [*np.geomspace(math.pi, 1e7, 61), below, SICI_MAX_X, 2 * SICI_MAX_X, 100.0]
+    tail = PowerTail(alpha)
+    for x in xs:
+        ref, envelope = _si_ci_tail(alpha, x)
+        value, bound = tail.cos_transform_tail(1.0, x, 1, 1.0)
+        err = float(abs(value / x**alpha - ref))
+        assert err <= 1e-13 * envelope, (x, err / envelope)
+        assert 0.0 < bound and err <= bound / x**alpha, (x, err, bound)
+    # the split point scales omega out: omega^alpha I(omega a)
+    value, _ = tail.cos_transform_tail(math.pi / 1e-3, 1e-3, 1, 0.5)
+    want = 0.5 * 1e-3**alpha * float(_si_ci_tail(alpha, math.pi)[0])
+    assert value == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bounded_near_part_closed_form(dim):
+    # int_0^1 (1 - cos xi r) dr = 1 - sin xi / xi and
+    # int_0^1 (1 - J0(xi r)) r dr = 1/2 - J1(xi) / xi, series side included
+    c0 = 0.7
+    for xi in [*np.geomspace(1e-8, 1e7, 91), 1.0, math.nextafter(1.0, 2.0)]:
+        with mpmath.workdps(50):
+            X = mpmath.mpf(xi)
+            exact = 1 - mpmath.sin(X) / X if dim == 1 else 0.5 - mpmath.besselj(1, X) / X
+            ref = float(c0 * exact)
+        value, bound = _bounded_near(c0, xi, dim)
+        assert abs(value - ref) <= 1e-14 * ref, (xi, value, ref)
+        assert 0.0 < bound and abs(value - ref) <= bound, (xi, value, ref, bound)
+
+
+def _count_quad(monkeypatch):
+    """Record every scipy.integrate.quad call as (upper limit, weight)."""
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(fn, a, b, *args, **kwargs):
+        calls.append((b, kwargs.get("weight")))
+        return quad(fn, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bounded_compact_table_needs_no_quadrature(monkeypatch, dim):
+    calls = _count_quad(monkeypatch)
+    build_symbol_table(LevyKernel(dim, Bounded(0.7), CompactSupport()), log_grid(1e-3, 1e4, 8))
+    assert calls == []
+
+
+def test_lattice_and_criterion_8_tables_need_no_qawf(monkeypatch):
+    # QAWF: a cosine weight on an infinite interval
+    calls = _count_quad(monkeypatch)
+    qawf = lambda: [c for c in calls if c == (np.inf, "cos")]
+    cfg = parse_config(Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg")
+    build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(cfg.grid()))
+    build_symbol_table(BORDER_PT2, log_grid(1e-3, 1e7, per_decade=32))
+    osc = LevyKernel(1, Oscillating(1.0), PowerTail(2.0))
+    build_symbol_table(osc, log_grid(1e-3, 1e6, per_decade=32))
+    assert qawf() == []
+    # the count sees QAWF where it remains: non-integer alpha
+    symbol_quadrature(LevyKernel(1, Bounded(1.0), PowerTail(1.5)), 0.5)
+    assert len(qawf()) == 1
 
 
 # ---------------------------------------------------------------------------
