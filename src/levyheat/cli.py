@@ -97,7 +97,7 @@ _SECTION_KEYS = {
     "experiment": {"name", "output", "seed"},
     "kernel": {"dimension", "near", "near_param", "tail", "tail_param"},
     "grid": {"half_width", "points"},
-    "flow": {"kind", "sigma", "mass_bound", "cfl", "snapshots"},
+    "flow": {"kind", "sigma", "mass_bound", "snapshots"},
     "initial": {"kind", "width", "scale", "band"},
     "decay": {"norms", "q", "window", "targets", "tolerance"},
     "nash": {"d", "r"},
@@ -156,7 +156,6 @@ class ExperimentConfig:
     flow: str
     sigma: float
     mass_bound: float
-    cfl: float
     snapshots: tuple
     datum: str
     datum_param: float | None
@@ -196,7 +195,6 @@ class ExperimentConfig:
             ("flow.kind", self.flow),
             ("flow.sigma", _fmt(self.sigma)),
             ("flow.mass_bound", _fmt(self.mass_bound)),
-            ("flow.cfl", _fmt(self.cfl)),
             ("flow.snapshots", " ".join(_fmt(t) for t in self.snapshots)),
             ("initial.kind", self.datum),
         ]
@@ -338,7 +336,6 @@ def parse_config(path) -> ExperimentConfig:
         if not sigma >= 1.0:
             raise ConfigError(f"[flow].sigma: nonlinearity order must be >= 1, got {sigma}")
     mass_bound = flow_sec.number("mass_bound", 1.0)
-    cfl = flow_sec.number("cfl", 1.0)
     snapshots = _floats(flow_sec.require("snapshots"), key="[flow].snapshots")
     if any(t < 0 for t in snapshots) or any(
         b <= a for a, b in zip(snapshots, snapshots[1:])
@@ -447,7 +444,6 @@ def parse_config(path) -> ExperimentConfig:
         flow=flow,
         sigma=sigma,
         mass_bound=mass_bound,
-        cfl=cfl,
         snapshots=snapshots,
         datum=datum,
         datum_param=datum_param,
@@ -475,8 +471,6 @@ def _validate_objects(cfg: ExperimentConfig):
         PhiLaw(cfg.sigma, M=cfg.mass_bound)
     except Exception as exc:
         raise ConfigError(f"[flow]: {exc}")
-    if not 0 < cfg.cfl <= 1.0:
-        raise ConfigError(f"[flow].cfl must lie in (0, 1], got {cfg.cfl}")
     if cfg.interpolation is not None:
         try:
             theta_exponents(
@@ -537,24 +531,25 @@ def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
 
 
 def _flow(cfg, P, u0):
-    """Iterators over the snapshot fields and their Dirichlet energies:
-    the linear flow reads every energy off the datum's spectrum, the
+    """Iterators over the snapshot fields and their Dirichlet energies,
+    and the stepper's work counters (None for the linear flow): the
+    linear flow reads every energy off the datum's spectrum, the
     nonlinear flow's fields are measured one by one."""
     if cfg.flow == "linear":
         flow = LinearFlow(P, u0)
-        return flow.fields(cfg.snapshots), iter(flow.energies(cfg.snapshots))
+        return flow.fields(cfg.snapshots), iter(flow.energies(cfg.snapshots)), None
     phi = PhiLaw(cfg.sigma, M=cfg.mass_bound)
-    fields = evolve_nonlinear(P, phi, u0, cfg.snapshots, cfl=cfg.cfl)
-    return iter(fields), (dirichlet_form_spectral(P, u) for u in fields)
+    fields = evolve_nonlinear(P, phi, u0, cfg.snapshots)
+    return iter(fields), (dirichlet_form_spectral(P, u) for u in fields), fields.work()
 
 
 def _snapshot_pass(cfg, P, u0, command, art, artifacts):
     """Run the flow and analyse its snapshots in one pass (a linear run
     holds one field at a time; the nonlinear stepper returns all of
     them); writes norms.csv (and, for ``evolve``, each field as it
-    comes) and returns the decay series by p, the escape-guard ratio
-    and the last field."""
-    fields, energies = _stage("evolve", _flow, cfg, P, u0)
+    comes) and returns the decay series by p, the escape-guard ratio,
+    the last field and the stepper's work counters."""
+    fields, energies, work = _stage("evolve", _flow, cfg, P, u0)
     fit_ps = cfg.decay.norms if command == "decay-fit" else ()
     rows = ["t,l1,l2,linf,energy"]
     series = {p: [] for p in fit_ps}
@@ -575,7 +570,7 @@ def _snapshot_pass(cfg, P, u0, command, art, artifacts):
             artifacts.append(fname)
     art.write_text("norms.csv", "\n".join(rows) + "\n")
     artifacts.append("norms.csv")
-    return series, guard_ratio, u
+    return series, guard_ratio, u, work
 
 
 def _decay_report(cfg, series):
@@ -675,7 +670,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         raise ConfigError(f"{command} needs a [{section}] section")
     out_dir = Path(output_override or cfg.output)
     art = _Artifacts(out_dir)
-    guard = None
+    guard = work = None
     try:
         kernel = _stage("kernel", cfg.kernel)
         grid = _stage("grid", cfg.grid) if command in _LATTICE_COMMANDS else None
@@ -694,7 +689,9 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         elif command in ("evolve", "decay-fit"):
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
-            series, guard_ratio, last = _snapshot_pass(cfg, P, u0, command, art, artifacts)
+            series, guard_ratio, last, work = _snapshot_pass(
+                cfg, P, u0, command, art, artifacts
+            )
             guard = {
                 "max_boundary_ratio": guard_ratio,
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),
@@ -733,6 +730,8 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             "escape_guard": guard,
             "artifacts": sorted(artifacts),
         }
+        if work is not None:
+            manifest["work"] = work
         art.write_text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return manifest
     except ConfigError:

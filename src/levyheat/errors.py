@@ -51,7 +51,8 @@ class UnresolvableMeasureError(RuntimeError):
 
 
 class StabilityError(RuntimeError):
-    """The explicit time stepper detected runaway growth."""
+    """The nonlinear time stepper detected runaway growth of the
+    sup-norm; ``dt`` is the step that produced it."""
 
     def __init__(self, message: str, dt: float):
         super().__init__(message)

@@ -77,6 +77,14 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(path)
 
 
+def test_removed_cfl_key_is_rejected_as_unknown(tmp_path, capsys):
+    # the nonlinear stepper's steps are set by accuracy; [flow].cfl is gone
+    path = write_cfg(tmp_path)
+    path.write_text(path.read_text().replace("kind = linear", "kind = linear\ncfl = 0.5"))
+    assert main(["evolve", "--config", str(path)]) == 2
+    assert "unknown keys ['cfl']" in capsys.readouterr().err
+
+
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown sections"):
         parse_config(write_cfg(tmp_path, plotting=["dpi = 300"]))
@@ -185,6 +193,27 @@ def test_evolve_writes_fields_norms_manifest(tmp_path):
     # 17-significant-digit round trip
     parsed = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)
     assert np.isfinite(parsed).all() and parsed.shape == (6, 5)
+
+
+def test_nonlinear_manifest_records_the_stepper_work(tmp_path):
+    body = BASE.replace("kind = linear", "kind = nonlinear\nsigma = 2")
+    path = write_cfg(tmp_path, body=body.replace("points = 2048", "points = 256"))
+    assert main(["evolve", "--config", str(path)]) == 0
+    work = json.loads((tmp_path / "out" / "manifest.json").read_text())["work"]
+    assert set(work) == {"evolve.steps", "evolve.dt_min", "evolve.dt_max"}
+    # the rule dt = 0.05 max(t, 0.05), clipped to each snapshot
+    t, dts = 0.0, []
+    for target in (1, 1.5, 2.3, 3.4, 5.1, 7.7):
+        while t < target - 1e-13 * target:
+            dts.append(min(0.05 * max(t, 0.05), target - t))
+            t += dts[-1]
+        t = target
+    assert work["evolve.steps"] == len(dts) == 127
+    assert work["evolve.dt_min"] == pytest.approx(min(dts), rel=1e-12)
+    assert work["evolve.dt_max"] == pytest.approx(max(dts), rel=1e-12)
+    # a linear run takes no steps and records no work
+    assert main(["evolve", "--config", str(write_cfg(tmp_path))]) == 0
+    assert "work" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 2048), (2, 32)])

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from scipy.fft import irfftn
 
+from levyheat import evolve
 from levyheat.analysis import dirichlet_form_spectral
 from levyheat.errors import (
     ContractError,
     DomainError,
     GridMismatchError,
+    StabilityError,
     UnresolvableMeasureError,
 )
 from levyheat.evolve import (
+    PHI_SERIES_EDGE,
     LinearFlow,
     LinearPropagator,
     PhiLaw,
+    _phi_functions,
     apply_operator,
     evolve_nonlinear,
     fundamental_solution,
@@ -121,20 +125,30 @@ def test_real_route_matches_continuum_pair_2d():
     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_one_midpoint_step_matches_continuum_pair_2d():
-    g = PeriodicGrid(dimension=2, half_width=4.0, points_per_axis=64)
+def test_one_etd_step_matches_continuum_pair_2d():
+    # a lattice fine enough that z = -c m dt spans both sides of the
+    # phi-functions' series switch
+    g = PeriodicGrid(dimension=2, half_width=0.5, points_per_axis=64)
     P = poisson_propagator(g)
     phi = PhiLaw(sigma=2.0, M=1.0)
     u0 = random_band_limited(g, np.random.default_rng(6), 0.5)
-    dt = 0.25 / (P.m_max * phi.derivative_bound(1.0))  # half the step bound: one step
-    (got,) = evolve_nonlinear(P, phi, u0, [dt])
-
-    def rhs(v):
-        return -_continuum_pair_apply(P, P.symbol_values, v)
+    dt = 0.002  # below the first step of the accuracy rule: one step
+    run = evolve_nonlinear(P, phi, u0, [dt])
+    assert run.steps == 1
 
     u = u0.values
-    want = u + dt * rhs(phi(u + 0.5 * dt * rhs(phi(u))))
-    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+    c = 0.5 * phi.derivative_bound(np.max(np.abs(u)))
+    m = P.symbol_values
+    z = -c * m * dt
+    assert z.min() < -PHI_SERIES_EDGE < z.max()
+    ez, phi1, phi2 = _phi_functions(z)
+
+    def residual(v):
+        return phi(v) - c * v
+
+    a = _continuum_pair_apply(P, ez, u) - dt * _continuum_pair_apply(P, m * phi1, residual(u))
+    want = a - dt * _continuum_pair_apply(P, m * phi2, residual(a) - residual(u))
+    assert np.max(np.abs(run[0].values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_from_kernel_quadrature_at_lattice_radii():
@@ -428,7 +442,7 @@ def test_sigma_one_matches_exact_linear_flow():
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0, height=0.8)
     snaps = [0.25, 0.5, 1.0]
-    got = evolve_nonlinear(P, PhiLaw(sigma=1.0, M=1.0), u0, snaps, cfl=0.25)
+    got = evolve_nonlinear(P, PhiLaw(sigma=1.0, M=1.0), u0, snaps)
     for t, u, exact in zip(snaps, got, propagate_linear(P, u0, snaps)):
         rel = lp_norm(GridField(g, u.values - exact.values), 2) / lp_norm(exact, 2)
         assert rel < 1e-4, f"sigma=1 defect {rel:.3e} at t={t}"
@@ -476,5 +490,74 @@ def test_evolve_nonlinear_validation():
     with pytest.raises(ContractError):
         # sup norm above the law's validity bound M
         evolve_nonlinear(P, phi, box_field(g, width=2.0, height=0.9), [0.5])
-    with pytest.raises(DomainError):
-        evolve_nonlinear(P, phi, u0, [0.5], cfl=1.5)
+
+
+def test_phi_functions_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    z = -np.concatenate(
+        [
+            np.geomspace(1e-12, 745.0, 301),
+            PHI_SERIES_EDGE * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])),
+        ]
+    )
+    ez, phi1, phi2 = _phi_functions(z)
+    worst, worst_exp = 0.0, 0.0
+    with mpmath.workdps(40):
+        for k, zk in enumerate(z):
+            x = mpmath.mpf(zk)
+            em1 = mpmath.expm1(x)
+            for got, want in ((phi1[k], em1 / x), (phi2[k], (em1 - x) / x**2)):
+                worst = max(worst, float(abs((got - want) / want)))
+            # e^z is 1 + expm1(z): exact to roundoff of 1, the size of the
+            # decay factor at frequency 0
+            worst_exp = max(worst_exp, float(abs(ez[k] - mpmath.exp(x))))
+    assert worst <= 1e-14, f"worst phi relative error {worst:.2e}"
+    assert worst_exp <= np.finfo(float).eps, f"worst e^z error {worst_exp:.2e}"
+    ez, phi1, phi2 = _phi_functions(np.zeros(1))
+    assert (ez[0], phi1[0], phi2[0]) == (1.0, 1.0, 0.5)
+
+
+def test_step_count_is_the_same_on_every_grid():
+    snaps = [0.5, 1.0, 2.0]
+    runs = []
+    for n in (256, 4096):
+        g = PeriodicGrid(dimension=1, half_width=32.0, points_per_axis=n)
+        u0 = box_field(g, width=2.0, height=0.9)
+        runs.append(evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0, M=1.0), u0, snaps))
+    coarse, fine = (run.work() for run in runs)
+    assert coarse == fine and coarse["evolve.steps"] > 0
+
+
+def test_fields_match_a_step_refined_reference(monkeypatch):
+    # criterion 4's porous run on a shorter domain: dx = 1/2 under pi |xi|;
+    # the reference takes ten times as many steps, so its own error is
+    # ~1/100 of the stepper's (ETD-RK2 is second order)
+    g = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=1024)
+    P = LinearPropagator(g, math.pi * np.abs(g.freq_radii()))
+    u0 = box_field(g, width=2.0, height=1.0)
+    snaps = np.geomspace(1.0, 30.0, 8)
+    phi = PhiLaw(sigma=2.0, M=1.0)
+    got = evolve_nonlinear(P, phi, u0, snaps)
+    monkeypatch.setattr(evolve, "STEP_FRACTION", evolve.STEP_FRACTION / 10)
+    ref = evolve_nonlinear(P, phi, u0, snaps)
+    assert ref.steps > 9 * got.steps
+    worst = max(
+        lp_norm(GridField(g, u.values - r.values), 2) / lp_norm(r, 2) for u, r in zip(got, ref)
+    )
+    # measured 3.1e-4 (at t = 1), as on criterion 4's 2^14 and 2^16 lattices
+    assert worst < 3.5e-4, f"stepper vs. refined reference {worst:.3e}"
+
+
+def test_under_stabilised_run_raises_stability_error(monkeypatch):
+    # m_max ~ 1600: Heun's rule (c = 0) at the accuracy rule's first step
+    # amplifies the top modes; the stabiliser c = Phi' / 2 keeps them down
+    g = PeriodicGrid(dimension=1, half_width=1.0, points_per_axis=1024)
+    P = poisson_propagator(g)
+    u0 = box_field(g, width=0.5, height=0.9)
+    phi = PhiLaw(sigma=2.0, M=1.0)
+    run = evolve_nonlinear(P, phi, u0, [0.1])
+    assert lp_norm(run[0], math.inf) <= 0.9
+    monkeypatch.setattr(PhiLaw, "derivative_bound", lambda self, amplitude: 0.0)
+    with pytest.raises(StabilityError) as err:
+        evolve_nonlinear(P, phi, u0, [0.1])
+    assert err.value.dt == pytest.approx(evolve.STEP_FRACTION * evolve.STEP_T0)
