@@ -257,44 +257,6 @@ def nash_dilation_sweep(
     )
 
 
-@dataclass(frozen=True)
-class ConverseNashReport:
-    ratio: float
-    branch: str
-    passed: bool
-
-
-def converse_nash_check(P, v: GridField, q, p, nu, tau, C2, certificate) -> ConverseNashReport:
-    """Ratio form of the converse Nash inequality
-    E(v,v) >= C ||v||_2^2 min{1/tau, (||v||_2/||v||_q)^(2/nu)}.
-
-    (q, p, nu, tau, C2) are the parameters of the decay premise
-    ||v(t)||_p <= C2 t^-nu ||v0||_q; ``certificate`` must be the
-    DecayFit that established it for this flow — without one the
-    premise is unverified and the check refuses to run.
-    """
-    if certificate is None:
-        raise ContractError("decay premise not certified: run a decay fit first")
-    if not (nu > 0 and tau > 0 and C2 > 0):
-        raise DomainError("nu, tau and C2 must be positive")
-    if not 1 <= q < p:
-        raise DomainError(f"need 1 <= q < p, got q={q}, p={p}")
-    if np.ptp(v.values) == 0.0:
-        raise ContractError("constant fields do not satisfy the decay premise")
-    nq, n2 = lp_norm(v, q), lp_norm(v, 2.0)
-    if n2 == 0.0:
-        raise DomainError("zero field")
-    arm1 = 1.0 / tau
-    arm2 = (n2 / nq) ** (2.0 / nu)
-    denom = n2**2 * min(arm1, arm2)
-    ratio = dirichlet_form_spectral(P, v) / denom
-    return ConverseNashReport(
-        ratio=float(ratio),
-        branch="time" if arm1 <= arm2 else "nash",
-        passed=bool(ratio > 0.0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # interpolation inequality
 # ---------------------------------------------------------------------------

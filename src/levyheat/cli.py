@@ -15,7 +15,8 @@ Subcommands::
     levyheat decay-fit   --config FILE   norm decay-rate report
     levyheat nash-check  --config FILE   dilation-sweep report
     levyheat regularity  --config FILE   smoothing trichotomy report
-    levyheat verify                      full acceptance battery
+    levyheat verify                      full acceptance battery (seconds
+                                         per criterion on stderr)
 
 Any module error aborts the run with the failing stage named and all
 partial outputs removed.  ``--seed`` overrides the configured seed;
@@ -29,6 +30,7 @@ import configparser
 import hashlib
 import json
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -774,13 +776,26 @@ def _build_parser():
     return parser
 
 
+def _verify() -> int:
+    """The battery's table on stdout, then each criterion's wall seconds
+    on stderr; a criterion that first requests a shared memoized run
+    carries that run's cost."""
+    results, seconds = [], []
+    for number in acceptance.CRITERION_NUMBERS:
+        start = time.perf_counter()
+        results.append(acceptance.run_criterion(number))
+        seconds.append(time.perf_counter() - start)
+    print(acceptance.summary_table(results))
+    for result, spent in zip(results, seconds):
+        print(f"criterion {result.number}: {spent:.3f} s", file=sys.stderr)
+    return 0 if all(r.passed for r in results) else 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "verify":
-        results = acceptance.run_all()
-        print(acceptance.summary_table(results))
-        return 0 if all(r.passed for r in results) else 1
+        return _verify()
 
     try:
         cfg = parse_config(args.config)

@@ -78,3 +78,10 @@ def test_criterion_results_are_memoized():
     first = acceptance.run_criterion(10)
     assert acceptance.run_criterion(10) is first
     assert acceptance.run_all()[9] is first
+
+
+def test_sv_exponent_pairs_are_distinct_inequalities():
+    # E is symmetric, so (a, b) and (b, a) check the same inequality
+    pairs = acceptance.SV_EXPONENT_PAIRS
+    assert all(a + b == 2.0 and 0 < a < b for a, b in pairs)
+    assert len({frozenset(pair) for pair in pairs}) == len(pairs)

@@ -401,28 +401,6 @@ def test_nash_dilation_sweep_floor_and_branches(cauchy_table):
     assert drift < 0.20, f"floor unstable under refinement: {drift:.3f}"
 
 
-def test_converse_nash(cauchy_table):
-    g = PeriodicGrid(dimension=1, half_width=32.0, points_per_axis=2048)
-    P = LinearPropagator.from_table(g, cauchy_table)
-    u0 = box_field(g, width=2.0)
-    ts = np.geomspace(0.5, 8.0, 12)
-    series = [(t, lp_norm(u, 2.0)) for t, u in zip(ts, propagate_linear(P, u0, ts))]
-    fit = an.fit_decay_exponent(series)
-    (v,) = propagate_linear(P, u0, [1.0])
-    rep = an.converse_nash_check(P, v, 1.0, 2.0, fit.exponent, 1.0, fit.prefactor, fit)
-    assert rep.ratio > 0 and rep.passed
-    # tau -> infinity sends the 1/tau arm to zero; it is then always the
-    # min, and the bound it certifies becomes vacuous (ratio ~ tau)
-    rep_inf = an.converse_nash_check(P, v, 1.0, 2.0, fit.exponent, 1e12, fit.prefactor, fit)
-    assert rep_inf.branch == "time"
-    assert rep_inf.ratio > rep.ratio
-    with pytest.raises(ContractError):
-        an.converse_nash_check(P, v, 1.0, 2.0, 0.5, 1.0, 1.0, None)
-    const = GridField(g, np.ones(g.shape))
-    with pytest.raises(ContractError):
-        an.converse_nash_check(P, const, 1.0, 2.0, 0.5, 1.0, 1.0, fit)
-
-
 # ---------------------------------------------------------------------------
 # interpolation inequality
 # ---------------------------------------------------------------------------

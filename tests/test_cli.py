@@ -1,6 +1,7 @@
 """Config parsing, validation wording, pipeline artifacts, determinism."""
 
 import json
+import types
 import weakref
 
 import numpy as np
@@ -456,3 +457,23 @@ def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "12/12 criteria passed" in out
+
+
+def test_verify_reports_seconds_per_criterion_on_stderr(monkeypatch, capsys):
+    # stub criteria on a fake clock: criterion k takes k / 8 s and
+    # criterion 5 fails; the table alone goes to stdout
+    clock = [0.0]
+
+    def stub(number):
+        clock[0] += number / 8
+        return acceptance.CriterionResult(number, f"stub {number}", number != 5, "ok")
+
+    monkeypatch.setattr(acceptance, "run_criterion", stub)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    numbers = list(acceptance.CRITERION_NUMBERS)
+    assert numbers == list(range(1, 13))
+    want = acceptance.summary_table([stub(n) for n in numbers])
+    assert captured.out == want + "\n"
+    assert captured.err.splitlines() == [f"criterion {n}: {n / 8:.3f} s" for n in numbers]

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from levyheat.errors import ContractError, DomainError, GridMismatchError
 from levyheat.spectral import (
+    ERF_SATURATES,
     GridField,
     PeriodicGrid,
     box_field,
@@ -17,7 +19,6 @@ from levyheat.spectral import (
     mollified_box_field,
     random_band_limited,
     random_nonnegative,
-    translate,
     write_field_csv,
 )
 
@@ -126,6 +127,17 @@ def test_lp_norm_matches_generic_formula(dim, n, p):
         assert lp_norm(f, p) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+def test_general_p_norm_is_exactly_the_power_sum(p):
+    # powering only the nonzero samples leaves the sum bit-identical,
+    # on a box with exact zeros and on a dense signed field
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=1024)
+    rng = np.random.default_rng(23)
+    for f in (box_field(g, width=3.0, height=1.7), GridField(g, rng.standard_normal(g.shape))):
+        want = (g.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p)
+        assert lp_norm(f, p) == want
+
+
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
 def test_field_norms_equal_the_single_scalars(dim, n):
     g = PeriodicGrid(dimension=dim, half_width=3.0, points_per_axis=n)
@@ -175,6 +187,47 @@ def test_mollified_box_dilation_family():
         assert lp_norm(f, 2) ** 2 == pytest.approx(lam * l2_0**2, rel=1e-6)
 
 
+def test_erf_is_exactly_one_from_the_saturation_edge():
+    # mollified_box_field skips erf beyond this edge; a scipy whose erf
+    # stops saturating there must fail here, not move fields silently
+    z = np.concatenate([np.arange(ERF_SATURATES, 40.0, 1e-5), [40.0, 1e300, np.inf]])
+    assert np.all(erf(z) == 1.0)
+    assert np.all(erf(-z) == -1.0)
+
+
+def _mollified_box_everywhere(grid, half_width, edge_width, scale):
+    # the profile with erf evaluated at every sample
+    vals = np.full(grid.shape, float(scale) ** grid.dimension)
+    for ax in grid.coordinates():
+        y = scale * ax
+        vals = vals * 0.5 * (erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width))
+    return vals
+
+
+@pytest.mark.parametrize("dim,n", [(1, 4096), (2, 64)])
+@pytest.mark.parametrize(
+    "half_width,edge_width,scales",
+    [
+        (1.0, 0.25, 2.0 ** np.arange(-6.0, 6.5, 0.5)),  # the sweep's family
+        (3.0, 0.1, (0.37, 1.0, 2.0)),  # a plateau: h > 6 w
+        (1.0, 0.25, (1e-3,)),  # support wider than the domain
+    ],
+)
+def test_mollified_box_is_bit_identical_to_erf_everywhere(dim, n, half_width, edge_width, scales):
+    g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
+    for lam in scales:
+        got = mollified_box_field(g, half_width=half_width, edge_width=edge_width, scale=lam)
+        want = _mollified_box_everywhere(g, half_width, edge_width, lam)
+        assert got.values.tobytes() == want.tobytes(), f"lambda = {lam}"
+
+
+def test_mollified_box_needs_a_positive_scale():
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
+    for lam in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError):
+            mollified_box_field(g, scale=lam)
+
+
 def test_random_band_limited_is_band_limited_and_seeded():
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=512)
     f = random_band_limited(g, np.random.default_rng(42), band_fraction=0.25)
@@ -193,14 +246,6 @@ def test_random_nonnegative_floor():
     g = PeriodicGrid(dimension=2, half_width=4.0, points_per_axis=32)
     f = random_nonnegative(g, np.random.default_rng(9), floor=0.05)
     assert f.values.min() == pytest.approx(0.05, abs=1e-15)
-
-
-def test_translate_is_periodic_and_norm_preserving():
-    g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=64)
-    f = box_field(g, width=1.0)
-    shifted = translate(f, 13)
-    assert lp_norm(shifted, 2) == pytest.approx(lp_norm(f, 2), rel=1e-14)
-    assert np.array_equal(translate(shifted, 64 - 13).values, f.values)
 
 
 def test_write_field_csv_roundtrips(tmp_path):
