@@ -9,8 +9,9 @@ algebra, and the regularity trichotomy.  Seeds, grids and tolerances
 are fixed so a run is bit-reproducible; expensive experiment artifacts
 are memoized and shared between criteria.
 
-``run_all`` executes the battery in order; the ``verify`` CLI
-subcommand and ``tests/test_acceptance.py`` both drive it.
+``run_criterion`` runs one criterion, memoized per process; the
+``verify`` CLI subcommand and ``tests/test_acceptance.py`` both call it
+for each number of ``CRITERION_NUMBERS``, in battery order.
 """
 
 from __future__ import annotations
@@ -326,8 +327,7 @@ def criterion_6() -> CriterionResult:
     for i in range(1000):
         rng = np.random.default_rng(7000 + i)
         f = random_nonnegative(grid, rng)
-        for a, b in SV_EXPONENT_PAIRS:
-            rep = stroock_varopoulos_check(P, f, a, b)
+        for rep in stroock_varopoulos_check(P, f, SV_EXPONENT_PAIRS):
             fails += not rep.passed
             if rep.reference > 0:
                 worst = min(worst, rep.margin / rep.reference)
@@ -519,11 +519,6 @@ _CRITERIA = (
 
 #: the criteria's numbers, in battery order
 CRITERION_NUMBERS = range(1, len(_CRITERIA) + 1)
-
-
-def run_all() -> list[CriterionResult]:
-    """The full battery in order, each criterion run once per process."""
-    return [run_criterion(number) for number in CRITERION_NUMBERS]
 
 
 @functools.cache

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfftn, rfftn
@@ -99,18 +98,25 @@ def _power_field(f: GridField, a: float) -> GridField:
     return GridField(f.grid, f.values**a)
 
 
-def stroock_varopoulos_check(P, f: GridField, a, b) -> MarginReport:
-    """E(f^a, f^b) >= a b E(f, f) for f >= 0, a + b = 2."""
+def stroock_varopoulos_check(P, f: GridField, pairs) -> list[MarginReport]:
+    """E(f^a, f^b) >= a b E(f, f) for f >= 0 and each (a, b) in ``pairs``
+    with a + b = 2; one report per pair, E(f, f) computed once."""
     if (f.values < 0).any():
         raise DomainError("field must be nonnegative")
-    if abs(a + b - 2.0) > 1e-12:
-        raise DomainError(f"need a + b = 2, got a + b = {a + b}")
-    if a < 0 or b < 0:
-        raise DomainError("exponents must be nonnegative")
+    for a, b in pairs:
+        if abs(a + b - 2.0) > 1e-12:
+            raise DomainError(f"need a + b = 2, got a + b = {a + b}")
+        if a < 0 or b < 0:
+            raise DomainError("exponents must be nonnegative")
     energy = dirichlet_form_spectral(P, f)
-    left = dirichlet_bilinear(P, _power_field(f, a), _power_field(f, b))
-    margin = left - a * b * energy
-    return MarginReport(margin=margin, reference=energy, passed=bool(margin >= -MARGIN_TOL * energy))
+    margins = [
+        dirichlet_bilinear(P, _power_field(f, a), _power_field(f, b)) - a * b * energy
+        for a, b in pairs
+    ]
+    return [
+        MarginReport(margin=m, reference=energy, passed=bool(m >= -MARGIN_TOL * energy))
+        for m in margins
+    ]
 
 
 @dataclass(frozen=True)
@@ -335,64 +341,6 @@ def rho_eps(q, p, N, alpha, sigma):
     rho = N * (p - q) / (p * (N * (sigma - 1.0) + alpha * q))
     eps = 1.0 - (sigma - 1.0) * rho
     return rho, eps
-
-
-@dataclass(frozen=True)
-class ExponentSet:
-    """All exponents of one (q, p) decay estimate collected in one place.
-
-    Derived values: rho and epsilon (decay and iteration exponents),
-    the norm indices s = 2p/(p+sigma-1) and r = s q / p entering the
-    interpolation step, theta1/theta2 at gamma = min(alpha, 2), and the
-    Nash dimension d = N(2-r)/(r gamma).  theta1/theta2 are lazy: they
-    exist only when 1 < r, which excludes the open endpoint r = 1.
-    """
-
-    q: float
-    p: float
-    N: int
-    alpha: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        rho_eps(self.q, self.p, self.N, self.alpha, self.sigma)  # range check
-
-    @cached_property
-    def rho(self):
-        return rho_eps(self.q, self.p, self.N, self.alpha, self.sigma)[0]
-
-    @cached_property
-    def epsilon(self):
-        return rho_eps(self.q, self.p, self.N, self.alpha, self.sigma)[1]
-
-    @property
-    def gamma(self):
-        return min(self.alpha, 2.0)
-
-    @property
-    def s(self):
-        # mathematically <= 2 for sigma >= 1; clamp the roundoff residue
-        return min(2.0, 2.0 * self.p / (self.p + self.sigma - 1.0))
-
-    @property
-    def r(self):
-        return self.s * self.q / self.p
-
-    @cached_property
-    def thetas(self):
-        return theta_exponents(self.r, self.s, self.gamma, self.N)
-
-    @property
-    def theta1(self):
-        return self.thetas[0]
-
-    @property
-    def theta2(self):
-        return self.thetas[1]
-
-    @property
-    def d(self):
-        return self.N * (2.0 - self.r) / (self.r * self.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -106,6 +107,10 @@ _SECTION_KEYS = {
     "regularity": {"times"},
     "interpolation": {"r", "s"},
 }
+
+
+#: the only keys that take infinity: the sup norm, and no bound on the datum
+_INFINITE_KEYS = ("[decay].norms", "[flow].mass_bound")
 
 
 def _fmt(x) -> str:
@@ -240,7 +245,15 @@ def _floats(raw: str, *, key: str):
         raise ConfigError(f"{key}: expected space-separated numbers, got {raw!r}")
     if not vals:
         raise ConfigError(f"{key}: empty value")
+    _check_finite(vals, raw, key)
     return vals
+
+
+def _check_finite(vals, raw, key):
+    """NaN is never a config number, and infinity only under ``_INFINITE_KEYS``."""
+    for v in vals:
+        if math.isnan(v) or (math.isinf(v) and key not in _INFINITE_KEYS):
+            raise ConfigError(f"{key}: {v} is not allowed (got {raw!r})")
 
 
 class _Section:
@@ -271,9 +284,11 @@ class _Section:
                 raise ConfigError(f"[{self.name}]: missing required key '{key}'")
             return default
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             raise ConfigError(f"[{self.name}].{key}: not a number: {raw!r}")
+        _check_finite((val,), raw, f"[{self.name}].{key}")
+        return val
 
     def integer(self, key, default=None):
         val = self.number(key, default)

@@ -118,10 +118,6 @@ class LinearPropagator:
         return self.symbol_values[..., : self.grid.points_per_axis // 2 + 1]
 
     @property
-    def m_max(self):
-        return float(self.symbol_values.max())
-
-    @property
     def edge_value(self):
         """Symbol value at the axis Nyquist frequency (resolution edge)."""
         n = self.grid.points_per_axis
@@ -180,15 +176,6 @@ def _decay(P: LinearPropagator, t):
     """e^{-m t} on the half lattice, built in one array."""
     d = P.half * -t
     return np.exp(d, out=d)
-
-
-def propagate_linear(P: LinearPropagator, u0: GridField, times):
-    """Exact-in-time linear solutions at ``times`` (all >= 0), in order.
-
-    Checks its arguments and transforms the datum at the call; the
-    returned iterator computes each field only when it is requested.
-    """
-    return LinearFlow(P, u0).fields(times)
 
 
 #: resolvability threshold: e^{-m_edge t} must fall below this before

@@ -7,9 +7,7 @@ is most conveniently described through the profile function
 
     ell(r) = r^N J(r),
 
-which is what every regularity statement in the package is phrased in:
-``psi1(r) = int_r^1 ell(s)/s ds`` measures the accumulated singular
-mass, ``psi2(r) = r^-2 int_0^r s ell(s) ds`` the quadratic truncation.
+which is what every regularity statement in the package is phrased in.
 
 The admissibility (Levy) condition ``int J(z) min(|z|^2, 1) dz < inf``
 is certified numerically by ``levy_moment``, which refines the
@@ -177,8 +175,8 @@ class Oscillating:
 
     Inside the dyadic block ``(2^-k-1, 2^-k]`` the profile equals ``b_k``
     on the thin band ``(a_k, 2^-k]`` with ``a_k = 2^-k (1 - 1/b_k)`` and
-    one elsewhere, so ell is unbounded along the band tops while the
-    accumulated mass psi1 still grows only linearly in k.  Bands with
+    one elsewhere, so ell is unbounded along the band tops while the mass
+    ``int_r^1 ell(s)/s ds`` still grows only linearly in k.  Bands with
     ``b_k <= 2`` would overlap their dyadic block and are skipped; the
     construction stops at ``k = OSC_BAND_LIMIT``, or earlier at the first
     band whose edges coincide in double precision (``1/b_k`` at or below
@@ -445,76 +443,9 @@ class LevyKernel:
         return out[0] if scalar else out
 
 
-@dataclass(frozen=True)
-class ProfileFn:
-    """A bare profile rule r -> ell(r) on (0, 1], used by the checker
-    that compares a multiplier against psi1 of a smaller profile."""
-
-    fn: object
-    breakpoints: tuple = ()
-
-    def __call__(self, r):
-        return self.fn(r)
-
-    def psi1(self, r, *, rtol=1e-10):
-        if not 0 < r <= 1:
-            raise DomainError(f"psi1 needs r in (0, 1], got {r}")
-        if r == 1.0:
-            return 0.0
-        val, _ = adaptive_quad(
-            lambda s: self.fn(s) / s, r, 1.0, breakpoints=self.breakpoints, rtol=rtol
-        )
-        return val
-
-    @staticmethod
-    def constant(value=1.0):
-        return ProfileFn(lambda r: np.full_like(np.asarray(r, dtype=float), value))
-
-    @staticmethod
-    def power(exponent):
-        return ProfileFn(lambda r: np.asarray(r, dtype=float) ** (-exponent))
-
-
 # ---------------------------------------------------------------------------
 # catalog operations
 # ---------------------------------------------------------------------------
-
-
-def eval_kernel(kernel: LevyKernel, z):
-    """Kernel value J(z) at radius |z| (vectorized, z != 0)."""
-    return kernel.eval_radial(np.abs(np.asarray(z, dtype=float)))
-
-
-def ell(kernel: LevyKernel, r):
-    """Profile value ell(r) = r^N J(r) for r in (0, 1]."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if ((r_arr <= 0) | (r_arr > 1)).any():
-        raise DomainError(f"ell is defined on (0, 1], got {r}")
-    out = kernel.near.ell(r_arr, kernel.dimension)
-    return out[0] if np.ndim(r) == 0 else out
-
-
-def psi1(kernel: LevyKernel, r):
-    """Accumulated profile mass ``int_r^1 ell(s)/s ds``, in closed form:
-    every near profile integrates ell(s)/s exactly."""
-    if not 0 < r <= 1:
-        raise DomainError(f"psi1 needs r in (0, 1], got {r}")
-    if r == 1.0:
-        return 0.0
-    return kernel.near.int_symbol_measure(r, 1.0, kernel.dimension)
-
-
-def psi2(kernel: LevyKernel, r, *, rtol=1e-10):
-    """Truncated second moment ``r^-2 int_0^r s ell(s) ds``."""
-    if not 0 < r <= 1:
-        raise DomainError(f"psi2 needs r in (0, 1], got {r}")
-    near = kernel.near
-    if isinstance(near, FractionalPower) and near.beta >= 2.0:
-        raise AdmissibilityError(
-            f"psi2 integrand s^(1-beta) is not integrable at 0 for beta={near.beta}",
-            end="origin",
-        )
-    return _moment_piece(kernel, 0.0, r, rtol) / r**2
 
 
 def _moment_piece(kernel, a, b, rtol):

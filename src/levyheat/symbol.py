@@ -53,9 +53,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import j0, j1, sici
 
 from .errors import DomainError, QuadratureError
-from .kernels import Bounded, CompactSupport, FractionalPower, LevyKernel, PowerTail, ProfileFn
-from .kernels import psi1 as kernel_psi1
-from .kernels import psi2 as kernel_psi2
+from .kernels import Bounded, CompactSupport, FractionalPower, LevyKernel, PowerTail
 from .quadrature import (
     accelerated_panel_tail,
     adaptive_quad,
@@ -462,108 +460,3 @@ def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=TABLE_RTOL):
         quad_tol=float(achieved),
     )
 
-
-# ---------------------------------------------------------------------------
-# empirical bound checkers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GlobalBoundsReport:
-    c1: float
-    c2: float
-    passed: bool
-
-
-def check_global_bounds(tab: SymbolTable) -> GlobalBoundsReport:
-    """Empirical constants in  c1 min(1, rho^2) <= m <= c2 max(1, rho^2)."""
-    rho, m = tab.radial_grid, tab.values
-    if rho.size == 0:
-        raise DomainError("empty table")
-    c1 = float(np.min(m / np.minimum(1.0, rho**2)))
-    c2 = float(np.max(m / np.maximum(1.0, rho**2)))
-    return GlobalBoundsReport(c1=c1, c2=c2, passed=bool(0 < c1 <= c2 < np.inf))
-
-
-@dataclass(frozen=True)
-class UpperPsiReport:
-    ratios: np.ndarray
-    max_ratio: float
-    median_ratio: float
-    passed: bool
-
-
-def check_upper_psi(kernel: LevyKernel, tab: SymbolTable) -> UpperPsiReport:
-    """Ratios m(rho) / (psi1(1/rho) + psi2(1/rho)) over the grid's rho > 1.
-
-    Bounded ratios are the empirical content of the high-frequency
-    multiplier bound; the report carries the whole landscape so tests
-    can assert stability, not just finiteness.
-    """
-    mask = tab.radial_grid > 1.0
-    if not mask.any():
-        raise DomainError("table has no entries with rho > 1")
-    rho = tab.radial_grid[mask]
-    m = tab.values[mask]
-    denom = np.array(
-        [kernel_psi1(kernel, 1.0 / p) + kernel_psi2(kernel, 1.0 / p) for p in rho]
-    )
-    ratios = m / denom
-    finite = bool(np.isfinite(ratios).all())
-    return UpperPsiReport(
-        ratios=ratios,
-        max_ratio=float(ratios.max()),
-        median_ratio=float(np.median(ratios)),
-        passed=finite,
-    )
-
-
-@dataclass(frozen=True)
-class LowerPsiReport:
-    min_ratio: float
-    passed: bool
-    hypothesis_certified: bool
-
-
-def check_lower_psi(
-    tab: SymbolTable, beta_profile: ProfileFn, *, certified=True
-) -> LowerPsiReport:
-    """Minimum of m(rho) / psi1_beta(1/rho) over rho > 1.
-
-    The caller certifies that ``beta_profile`` lies below the kernel's
-    own profile; with an uncertified hypothesis the numbers are still
-    computed but the report is flagged unverified.
-    """
-    mask = tab.radial_grid > 1.0
-    if not mask.any():
-        raise DomainError("table has no entries with rho > 1")
-    rho = tab.radial_grid[mask]
-    m = tab.values[mask]
-    denom = np.array([beta_profile.psi1(1.0 / p) for p in rho])
-    ratios = m / np.maximum(denom, 1e-300)
-    min_ratio = float(ratios.min())
-    return LowerPsiReport(
-        min_ratio=min_ratio,
-        passed=bool(min_ratio > 1e-6),
-        hypothesis_certified=bool(certified),
-    )
-
-
-@dataclass(frozen=True)
-class SmallXiReport:
-    c_emp: float
-    gamma: float
-    passed: bool
-
-
-def check_small_xi_power(tab: SymbolTable, alpha: float) -> SmallXiReport:
-    """Empirical constant in m(rho) >= c rho^gamma, gamma = min(alpha, 2),
-    over the grid's rho <= 1."""
-    gamma = min(alpha, 2.0)
-    mask = tab.radial_grid <= 1.0
-    if not mask.any():
-        raise DomainError("table has no entries with rho <= 1")
-    rho = tab.radial_grid[mask]
-    m = tab.values[mask]
-    c_emp = float(np.min(m / rho**gamma))
-    return SmallXiReport(c_emp=c_emp, gamma=gamma, passed=bool(c_emp > 1e-8))

@@ -5,7 +5,7 @@ import pytest
 
 from levyheat import analysis as an
 from levyheat.errors import ContractError, DomainError, GridMismatchError
-from levyheat.evolve import LinearPropagator, propagate_linear
+from levyheat.evolve import LinearFlow, LinearPropagator
 from levyheat.kernels import (
     Borderline,
     Bounded,
@@ -126,33 +126,6 @@ def test_rho_eps_recurrences():
 def test_rho_eps_rejects_bad_ranges(q, p, N, alpha, sigma):
     with pytest.raises(DomainError):
         an.rho_eps(q, p, N, alpha, sigma)
-
-
-def test_exponent_set_derived_values():
-    es = an.ExponentSet(q=1.2, p=1.8, N=1, alpha=1.0, sigma=1.0)
-    assert es.rho == pytest.approx((1 / 1.2 - 1 / 1.8), rel=1e-14)
-    assert es.epsilon == 1.0
-    assert es.s == 2.0
-    assert es.r == pytest.approx(2 * 1.2 / 1.8, rel=1e-14)
-    assert es.gamma == 1.0
-    assert (es.theta1, es.theta2) == an.theta_exponents(es.r, es.s, 1.0, 1)
-    assert es.d == pytest.approx((2 - es.r) / es.r, rel=1e-14)
-
-
-def test_exponent_set_sigma_two():
-    es = an.ExponentSet(q=2.0, p=2.5, N=1, alpha=1.0, sigma=2.0)
-    assert es.s == pytest.approx(2 * 2.5 / 3.5, rel=1e-14)
-    assert es.r == pytest.approx(es.s * 2.0 / 2.5, rel=1e-14)
-    assert es.theta1 > es.theta2 > 0
-
-
-def test_exponent_set_open_endpoint_r_one():
-    # q = p (sigma+1)/2 ... sigma=2, q=2, p=3 lands exactly on r=1,
-    # the interpolation endpoint the estimates leave open
-    es = an.ExponentSet(q=2.0, p=3.0, N=1, alpha=1.0, sigma=2.0)
-    assert es.r == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        es.theta1
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +274,8 @@ def test_sv_identity_cases(integrable_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, integrable_table)
     f = random_nonnegative(g, np.random.default_rng(15))
-    assert an.stroock_varopoulos_check(P, f, 1.0, 1.0).margin == 0.0
-    rep0 = an.stroock_varopoulos_check(P, f, 0.0, 2.0)
+    assert an.stroock_varopoulos_check(P, f, [(1.0, 1.0)])[0].margin == 0.0
+    (rep0,) = an.stroock_varopoulos_check(P, f, [(0.0, 2.0)])
     assert rep0.margin == 0.0, "a=0 pairs a constant against f^2: zero both sides"
     assert rep0.passed
 
@@ -312,9 +285,27 @@ def test_sv_margin_sweep(integrable_table):
     P = LinearPropagator.from_table(g, integrable_table)
     for seed in range(100):
         f = random_nonnegative(g, np.random.default_rng(3000 + seed))
-        for a in (0.5, 1.5):
-            rep = an.stroock_varopoulos_check(P, f, a, 2.0 - a)
+        pairs = [(a, 2.0 - a) for a in (0.5, 1.5)]
+        for (a, _), rep in zip(pairs, an.stroock_varopoulos_check(P, f, pairs)):
             assert rep.passed, f"seed {seed} a={a}: margin {rep.margin:.3e}"
+
+
+def test_sv_computes_the_energy_once_for_all_pairs(integrable_table, monkeypatch):
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
+    P = LinearPropagator.from_table(g, integrable_table)
+    f = random_nonnegative(g, np.random.default_rng(16))
+    pairs = [(0.5, 1.5), (0.25, 1.75), (1.0, 1.0)]
+    alone = [an.stroock_varopoulos_check(P, f, [pair])[0] for pair in pairs]
+    calls = []
+    form = an.dirichlet_form_spectral
+
+    def counted(P, f):
+        calls.append(f)
+        return form(P, f)
+
+    monkeypatch.setattr(an, "dirichlet_form_spectral", counted)
+    assert an.stroock_varopoulos_check(P, f, pairs) == alone
+    assert len(calls) == 1
 
 
 def test_sv_rejects_bad_inputs(integrable_table):
@@ -322,9 +313,9 @@ def test_sv_rejects_bad_inputs(integrable_table):
     P = LinearPropagator.from_table(g, integrable_table)
     f = random_nonnegative(g, np.random.default_rng(1))
     with pytest.raises(DomainError):
-        an.stroock_varopoulos_check(P, GridField(g, f.values - 1.0), 1.0, 1.0)
+        an.stroock_varopoulos_check(P, GridField(g, f.values - 1.0), [(1.0, 1.0)])
     with pytest.raises(DomainError):
-        an.stroock_varopoulos_check(P, f, 0.5, 1.0)
+        an.stroock_varopoulos_check(P, f, [(0.5, 1.0)])
 
 
 def test_generalized_sv(integrable_table):
@@ -508,7 +499,7 @@ def test_differential_inequality_consistency():
     P = abs_propagator(g)
     u0 = box_field(g, width=2.0)
     ts = np.geomspace(5.0, 200.0, 24)
-    series = [(t, lp_norm(u, 2.0) ** 2) for t, u in zip(ts, propagate_linear(P, u0, ts))]
+    series = [(t, lp_norm(u, 2.0) ** 2) for t, u in zip(ts, LinearFlow(P, u0).fields(ts))]
     fit = an.fit_late_decay(series)
     assert fit.exponent >= 1.0 * (1 - 0.1), f"psi decays too slowly: {fit.exponent:.3f}"
 

@@ -1,8 +1,10 @@
 """Config parsing, validation wording, pipeline artifacts, determinism."""
 
 import json
+import re
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,6 +440,50 @@ def test_missing_command_section_fails_before_any_computation(
     assert main([command, "--config", str(path)]) == 2
     assert f"{command} needs a [{section}] section" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (f"{key} = {val}", f"{key} = {bad}")
+        for key, val in (("points", "2048"), ("dimension", "1"), ("seed", "11"))
+        for bad in ("inf", "nan", "1e400")
+    ]
+    + [
+        ("half_width = 64", "half_width = inf"),
+        ("1 1.5 2.3 3.4 5.1 7.7", "1 1.5 nan"),
+        ("1 1.5 2.3 3.4 5.1 7.7", "1 1.5 inf"),
+    ],
+)
+def test_non_finite_numbers_fail_before_any_computation(tmp_path, monkeypatch, capsys, old, new):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the symbol table was built before the config check")
+
+    monkeypatch.setattr(cli, "build_symbol_table", no_table)
+    path = write_cfg(tmp_path)
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    assert main(["evolve", "--config", str(path)]) == 2
+    assert "is not allowed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinity_stays_valid_for_norms_and_mass_bound(tmp_path):
+    path = write_cfg(tmp_path, decay=["norms = 2 inf", "q = 1"])
+    path.write_text(path.read_text().replace("kind = linear", "kind = linear\nmass_bound = inf"))
+    cfg = parse_config(path)
+    assert cfg.decay.norms == (2.0, np.inf)
+    assert cfg.mass_bound == np.inf
+
+
+def test_schema_doc_lists_every_config_key():
+    text = (Path(__file__).parents[1] / "docs" / "config-schema.txt").read_text()
+    # a line opening with [section] starts that section's block, whose
+    # keys sit at two spaces' indent
+    blocks = {block.split()[0]: block for block in re.split(r"^(?=\[)", text, flags=re.M)}
+    for section, keys in cli._SECTION_KEYS.items():
+        documented = set(re.findall(r"^  (\w+) ", blocks[f"[{section}]"], flags=re.M))
+        assert keys <= documented, f"[{section}] undocumented: {sorted(keys - documented)}"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

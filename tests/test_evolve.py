@@ -22,7 +22,6 @@ from levyheat.evolve import (
     apply_operator,
     evolve_nonlinear,
     fundamental_solution,
-    propagate_linear,
 )
 from levyheat.kernels import (
     Borderline,
@@ -121,7 +120,7 @@ def test_real_route_matches_continuum_pair_2d():
     got = apply_operator(P, f).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     want = _continuum_pair_apply(P, np.exp(-0.3 * P.symbol_values), f.values)
-    (got,) = propagate_linear(P, f, [0.3])
+    (got,) = LinearFlow(P, f).fields([0.3])
     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -201,7 +200,7 @@ def test_propagate_t0_is_identity(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = random_band_limited(g, np.random.default_rng(4), 0.4)
-    (out,) = propagate_linear(P, u0, [0.0])
+    (out,) = LinearFlow(P, u0).fields([0.0])
     assert np.max(np.abs(out.values - u0.values)) < 1e-12
 
 
@@ -209,8 +208,8 @@ def test_propagate_semigroup(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = random_band_limited(g, np.random.default_rng(8), 0.4)
-    (one_shot,) = propagate_linear(P, u0, [0.7])
-    (two_step,) = propagate_linear(P, next(propagate_linear(P, u0, [0.3])), [0.4])
+    (one_shot,) = LinearFlow(P, u0).fields([0.7])
+    (two_step,) = LinearFlow(P, next(LinearFlow(P, u0).fields([0.3]))).fields([0.4])
     err = np.max(np.abs(one_shot.values - two_step.values))
     assert err < 1e-10, f"semigroup defect {err:.3e}"
 
@@ -219,12 +218,12 @@ def test_propagate_rejects_negative_time(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
     P = LinearPropagator.from_table(g, cauchy_table)
     with pytest.raises(DomainError):
-        propagate_linear(P, GridField(g, np.zeros(g.shape)), [-0.1])
+        LinearFlow(P, GridField(g, np.zeros(g.shape))).fields([-0.1])
     with pytest.raises(DomainError):
-        propagate_linear(P, GridField(g, np.zeros(g.shape)), [0.5, -0.1])
+        LinearFlow(P, GridField(g, np.zeros(g.shape))).fields([0.5, -0.1])
     other = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=64)
     with pytest.raises(GridMismatchError):
-        propagate_linear(P, GridField(other, np.zeros(other.shape)), [0.5])
+        LinearFlow(P, GridField(other, np.zeros(other.shape))).fields([0.5])
 
 
 def test_propagate_yields_lazily_and_matches_single_times(cauchy_table):
@@ -232,12 +231,12 @@ def test_propagate_yields_lazily_and_matches_single_times(cauchy_table):
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = random_band_limited(g, np.random.default_rng(9), 0.4)
     times = [0.0, 0.3, 2.0, 0.1]
-    run = propagate_linear(P, u0, times)
+    run = LinearFlow(P, u0).fields(times)
     assert iter(run) is run, "expected an iterator, not a list"
     fields = list(run)
     assert len(fields) == len(times)
     for t, u in zip(times, fields):
-        (alone,) = propagate_linear(P, u0, [t])
+        (alone,) = LinearFlow(P, u0).fields([t])
         assert np.array_equal(u.values, alone.values)
 
 
@@ -294,7 +293,7 @@ def test_poisson_supnorm_decay(t):
     # delta evolves to the Poisson kernel; sup norm 1/(pi t)
     g = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**15)
     P = poisson_propagator(g)
-    (u,) = propagate_linear(P, delta_surrogate(g), [t])
+    (u,) = LinearFlow(P, delta_surrogate(g)).fields([t])
     got = lp_norm(u, math.inf)
     want = 1.0 / (math.pi * t)
     assert got == pytest.approx(want, rel=0.02), f"sup at t={t}: {got} vs {want}"
@@ -304,7 +303,7 @@ def test_poisson_profile_pointwise():
     g = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**15)
     P = poisson_propagator(g)
     t = 2.0
-    (u,) = propagate_linear(P, delta_surrogate(g), [t])
+    (u,) = LinearFlow(P, delta_surrogate(g)).fields([t])
     oracle = t / (math.pi * (t**2 + g.axis**2))
     err = np.max(np.abs(u.values - oracle)) / oracle.max()
     assert err < 0.02, f"Poisson profile error {err:.3e}"
@@ -316,7 +315,7 @@ def test_lp_contraction(p, t):
     g = PeriodicGrid(dimension=1, half_width=64.0, points_per_axis=4096)
     P = poisson_propagator(g)
     u0 = random_band_limited(g, np.random.default_rng(31), 0.3)
-    (u,) = propagate_linear(P, u0, [t])
+    (u,) = LinearFlow(P, u0).fields([t])
     assert lp_norm(u, p) <= lp_norm(u0, p) + 1e-10
 
 
@@ -333,7 +332,7 @@ def test_energy_dissipation_rate_second_order():
     t = 0.5
     defects = []
     for h in (0.02, 0.01):
-        ut, uth, mid = propagate_linear(P, u0, [t, t + h, t + 0.5 * h])
+        ut, uth, mid = LinearFlow(P, u0).fields([t, t + h, t + 0.5 * h])
         a = lp_norm(ut, 2) ** 2
         b = lp_norm(uth, 2) ** 2
         defects.append(abs((b - a) / (2 * h) + energy(mid)))
@@ -348,7 +347,7 @@ def test_smoothing_bound_all_modes():
     vol = 2 * g.half_width
     n2sq = lp_norm(u0, 2) ** 2
     times = (0.01, 0.1, 1.0, 10.0)
-    for t, u in zip(times, propagate_linear(P, u0, times)):
+    for t, u in zip(times, LinearFlow(P, u0).fields(times)):
         E = float(np.sum(P.symbol_values * np.abs(continuum_spectrum(u)) ** 2)) / vol
         bound = n2sq / (2 * math.e * t)
         assert E <= bound * (1 + 1e-12), f"t={t}: E={E} exceeds {bound}"
@@ -358,7 +357,7 @@ def test_nonnegativity_preserved_when_resolvable():
     g = PeriodicGrid(dimension=1, half_width=64.0, points_per_axis=4096)
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0)
-    for u in propagate_linear(P, u0, (0.5, 2.0)):
+    for u in LinearFlow(P, u0).fields((0.5, 2.0)):
         assert u.values.min() >= -1e-8 * lp_norm(u0, math.inf)
 
 
@@ -443,7 +442,7 @@ def test_sigma_one_matches_exact_linear_flow():
     u0 = box_field(g, width=2.0, height=0.8)
     snaps = [0.25, 0.5, 1.0]
     got = evolve_nonlinear(P, PhiLaw(sigma=1.0, M=1.0), u0, snaps)
-    for t, u, exact in zip(snaps, got, propagate_linear(P, u0, snaps)):
+    for t, u, exact in zip(snaps, got, LinearFlow(P, u0).fields(snaps)):
         rel = lp_norm(GridField(g, u.values - exact.values), 2) / lp_norm(exact, 2)
         assert rel < 1e-4, f"sigma=1 defect {rel:.3e} at t={t}"
 

@@ -14,12 +14,7 @@ from levyheat.kernels import (
     LogPerturbed,
     Oscillating,
     PowerTail,
-    ProfileFn,
-    ell,
-    eval_kernel,
     levy_moment,
-    psi1,
-    psi2,
     tail_exponent,
 )
 
@@ -35,18 +30,18 @@ def kernel(near, tail, dim=1):
 
 def test_fractional_power_pointwise():
     k = kernel(FractionalPower(0.5), CompactSupport())
-    assert abs(eval_kernel(k, 0.5) - 2.0 * math.sqrt(2.0)) < 1e-14
+    assert abs(k.eval_radial(0.5) - 2.0 * math.sqrt(2.0)) < 1e-14
 
 
 def test_borderline_pointwise_2d():
     k = kernel(Borderline(), CompactSupport(), dim=2)
-    assert abs(eval_kernel(k, 0.5) - 4.0) < 1e-14
+    assert abs(k.eval_radial(0.5) - 4.0) < 1e-14
 
 
 def test_eval_kernel_vectorized_and_signed():
     k = kernel(FractionalPower(1.0), PowerTail(1.0))
     z = np.array([-0.5, 0.5, 2.0, -2.0])
-    vals = eval_kernel(k, z)
+    vals = k.eval_radial(np.abs(z))
     assert np.allclose(vals[0], vals[1]) and np.allclose(vals[2], vals[3])
     # pure power continues across the matching radius
     assert np.allclose(vals, np.abs(z) ** -2.0)
@@ -55,20 +50,20 @@ def test_eval_kernel_vectorized_and_signed():
 def test_eval_kernel_rejects_origin():
     k = kernel(Borderline(), CompactSupport())
     with pytest.raises(DomainError):
-        eval_kernel(k, 0.0)
+        k.eval_radial(0.0)
 
 
 def test_compact_support_vanishes_beyond_one():
     k = kernel(Bounded(1.0), CompactSupport())
-    assert eval_kernel(k, 1.5) == 0.0
-    assert eval_kernel(k, 1.0) == 1.0
+    assert k.eval_radial(1.5) == 0.0
+    assert k.eval_radial(1.0) == 1.0
 
 
 def test_exponential_tail_continuity():
     for dim in (1, 2):
         k = kernel(FractionalPower(1.2), ExponentialTail(1.5), dim=dim)
-        left = eval_kernel(k, 1.0 - 1e-12)
-        right = eval_kernel(k, 1.0 + 1e-12)
+        left = k.eval_radial(1.0 - 1e-12)
+        right = k.eval_radial(1.0 + 1e-12)
         assert abs(left - right) < 1e-9 * left, f"dim {dim}: {left} vs {right}"
 
 
@@ -86,15 +81,15 @@ def test_exponential_matching_constant():
 def test_ell_constant_for_borderline():
     k = kernel(Borderline(), PowerTail(1.0), dim=2)
     r = np.geomspace(1e-6, 1.0, 50)
-    assert np.allclose(ell(k, r), 1.0)
+    assert np.allclose(k.near.ell(r, k.dimension), 1.0)
 
 
 def test_ell_oscillating_band_value():
     k = kernel(Oscillating(1.0), CompactSupport())
     # inside the k=2 band (3/16, 1/4] the profile sits at 2^2 = 4
-    assert abs(ell(k, 0.21875) - 4.0) < 1e-14
-    assert abs(ell(k, 0.25) - 4.0) < 1e-14  # right band edge included
-    assert abs(ell(k, 0.26) - 1.0) < 1e-14  # just outside
+    assert abs(k.near.ell(0.21875, k.dimension) - 4.0) < 1e-14
+    assert abs(k.near.ell(0.25, k.dimension) - 4.0) < 1e-14  # right band edge included
+    assert abs(k.near.ell(0.26, k.dimension) - 1.0) < 1e-14  # just outside
 
 
 def test_ell_oscillating_band_invariants():
@@ -113,28 +108,22 @@ def test_oscillating_bands_stop_before_the_first_empty_one(alpha_osc, count):
     assert len(bands) == count
 
 
-def test_ell_rejects_bad_radius():
-    k = kernel(Borderline(), CompactSupport())
-    with pytest.raises(DomainError):
-        ell(k, 0.0)
-    with pytest.raises(DomainError):
-        ell(k, 1.5)
-
-
 # ---------------------------------------------------------------------------
-# psi functionals
+# psi functionals, read off the near profiles' closed forms:
+# psi1(r) = int_r^1 ell(s)/s ds = near.int_symbol_measure(r, 1, N),
+# psi2(r) = r^-2 int_0^r s ell(s) ds = near.int_moment_measure(0, r, N) / r^2
 # ---------------------------------------------------------------------------
 
 
 def test_psi1_borderline_log():
     k = kernel(Borderline(), CompactSupport())
-    assert abs(psi1(k, 0.1) - math.log(10.0)) < 1e-13
+    assert abs(k.near.int_symbol_measure(0.1, 1.0, k.dimension) - math.log(10.0)) < 1e-13
 
 
 def test_psi1_fractional_power():
     k = kernel(FractionalPower(0.5), CompactSupport())
     # (r^{-1/2} - 1)/(1/2) at r = 1/4
-    assert abs(psi1(k, 0.25) - 2.0) < 1e-13
+    assert abs(k.near.int_symbol_measure(0.25, 1.0, k.dimension) - 2.0) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -143,7 +132,8 @@ def test_psi1_fractional_power():
 )
 def test_psi1_log_perturbed(p, ref):
     k = kernel(LogPerturbed(p), CompactSupport())
-    assert abs(psi1(k, 0.1) - ref) < 1e-10, f"psi1 logpert({p}) = {psi1(k, 0.1)}"
+    val = k.near.int_symbol_measure(0.1, 1.0, k.dimension)
+    assert abs(val - ref) < 1e-10, f"psi1 logpert({p}) = {val}"
 
 
 def test_psi1_oscillating_linear_growth():
@@ -152,33 +142,21 @@ def test_psi1_oscillating_linear_growth():
     for idx in range(2, 16):
         b = 2.0**idx
         edge = 2.0**-idx * (1.0 - 1.0 / b)
-        val = psi1(k, edge)
+        val = k.near.int_symbol_measure(edge, 1.0, k.dimension)
         assert val <= 3.0 * idx, f"psi1 at band {idx} edge = {val}"
         assert val >= math.log(1.0 / edge) - 1e-12
 
 
 def test_psi2_borderline():
     k = kernel(Borderline(), CompactSupport())
-    assert abs(psi2(k, 0.3) - 0.5) < 1e-13
-    assert abs(psi2(k, 1.0) - 0.5) < 1e-13
+    for r in (0.3, 1.0):
+        assert abs(k.near.int_moment_measure(0.0, r, k.dimension) / r**2 - 0.5) < 1e-13
 
 
 def test_psi2_fractional_power_value():
     k = kernel(FractionalPower(1.25), CompactSupport())
-    assert abs(psi2(k, 0.7) - 0.7**-1.25 / 0.75) < 1e-12
-
-
-def test_psi2_rejects_supercritical_origin():
-    k = kernel(FractionalPower(2.0), CompactSupport())
-    with pytest.raises(AdmissibilityError) as info:
-        psi2(k, 0.5)
-    assert info.value.end == "origin"
-
-
-def test_psi1_at_one_is_zero():
-    for near in (Borderline(), FractionalPower(0.7), Bounded(2.0)):
-        k = kernel(near, CompactSupport())
-        assert psi1(k, 1.0) == 0.0
+    psi2 = k.near.int_moment_measure(0.0, 0.7, k.dimension) / 0.7**2
+    assert abs(psi2 - 0.7**-1.25 / 0.75) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +231,3 @@ def test_bad_parameters_rejected():
 def test_bad_dimension_rejected():
     with pytest.raises(DomainError):
         LevyKernel(dimension=3, near=Borderline(), tail=CompactSupport())
-
-
-def test_profile_fn_helpers():
-    const = ProfileFn.constant(2.0)
-    assert const(0.5) == 2.0
-    assert abs(const.psi1(0.1) - 2.0 * math.log(10.0)) < 1e-10
-    pw = ProfileFn.power(1.0)
-    assert abs(pw.psi1(0.5) - 1.0) < 1e-10  # int_r^1 s^{-2} ds = 1/r - 1

@@ -20,7 +20,6 @@ from levyheat.kernels import (
     LevyKernel,
     Oscillating,
     PowerTail,
-    ProfileFn,
 )
 from levyheat.quadrature import adaptive_quad, gauss_panel_sums
 from levyheat.symbol import (
@@ -29,10 +28,6 @@ from levyheat.symbol import (
     _bounded_near,
     _near_steps_1d,
     build_symbol_table,
-    check_global_bounds,
-    check_lower_psi,
-    check_small_xi_power,
-    check_upper_psi,
     log_grid,
     symbol_quadrature,
 )
@@ -360,56 +355,3 @@ def test_lattice_and_criterion_8_tables_need_no_qawf(monkeypatch):
     # the count sees QAWF where it remains: non-integer alpha
     symbol_quadrature(LevyKernel(1, Bounded(1.0), PowerTail(1.5)), 0.5)
     assert len(qawf()) == 1
-
-
-# ---------------------------------------------------------------------------
-# bound checkers
-# ---------------------------------------------------------------------------
-
-
-def test_global_bounds_pure_power():
-    tab = build_symbol_table(PURE1)
-    rep = check_global_bounds(tab)
-    assert rep.passed
-    # for m = pi|xi| both envelope constants collapse to pi
-    assert abs(rep.c1 - math.pi) < 1e-6
-    assert abs(rep.c2 - math.pi) < 1e-6
-
-
-def test_small_xi_power_pure_power():
-    tab = build_symbol_table(PURE1)
-    rep = check_small_xi_power(tab, alpha=1.0)
-    assert rep.passed and rep.gamma == 1.0
-    assert abs(rep.c_emp - math.pi) < 1e-6
-
-
-def test_small_xi_gamma_capped():
-    tab = build_symbol_table(PURE1)
-    assert check_small_xi_power(tab, alpha=3.7).gamma == 2.0
-
-
-def test_upper_psi_borderline():
-    tab = build_symbol_table(BORDER_PT2, log_grid(1e-2, 1e3, 16))
-    rep = check_upper_psi(BORDER_PT2, tab)
-    assert rep.passed
-    # m ~ 2 log(rho) while psi1 + psi2 ~ log(rho) + 1/2: ratio settles near 2
-    assert rep.max_ratio < 4.0
-    assert 1.0 < rep.median_ratio < 3.0
-
-
-def test_lower_psi_borderline():
-    tab = build_symbol_table(BORDER_PT2, log_grid(1e-2, 1e3, 16))
-    rep = check_lower_psi(tab, ProfileFn.constant(1.0))
-    assert rep.passed and rep.hypothesis_certified
-    assert rep.min_ratio > 0.5
-    uncert = check_lower_psi(tab, ProfileFn.constant(1.0), certified=False)
-    assert not uncert.hypothesis_certified
-
-
-def test_checkers_need_matching_range():
-    tab = build_symbol_table(BORDER_PT2, log_grid(2.0, 50.0, 8))
-    with pytest.raises(DomainError):
-        check_small_xi_power(tab, 1.0)
-    tab_lo = build_symbol_table(BORDER_PT2, log_grid(0.01, 0.5, 8))
-    with pytest.raises(DomainError):
-        check_upper_psi(BORDER_PT2, tab_lo)
