@@ -165,7 +165,7 @@ def _poisson_run():
     bookkeeping of the matching delta-surrogate evolution.
     """
     grid = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**15)
-    P = LinearPropagator(grid, np.abs(grid.freq_radii()))
+    P = LinearPropagator(grid, grid.half_freq_radii())
     x = grid.axis
 
     gaps = {}
@@ -353,7 +353,7 @@ def criterion_7() -> CriterionResult:
     for exponent in (17, 18):
         grid = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=2**exponent)
         P = LinearPropagator.from_table(grid, tab)
-        reports.append(nash_dilation_sweep(P, grid, d, r_norm=1.5))
+        reports.append(nash_dilation_sweep(P, d, r_norm=1.5))
     coarse, fine = reports
     branches_ok = (
         coarse.branch_poincare >= 10

@@ -21,7 +21,7 @@ from scipy.fft import irfftn, rfftn
 from .errors import ContractError, DomainError, GridMismatchError
 from .evolve import LinearPropagator
 from .kernels import LevyKernel
-from .spectral import GridField, PeriodicGrid, _parseval, lp_norm, mollified_box_field
+from .spectral import GridField, _parseval, lp_norm, mollified_box_field
 from .symbol import SymbolTable
 
 #: relative slack granted to inequality margins (covers roundoff in the
@@ -222,30 +222,29 @@ class NashReport:
         return bool(self.min_ratio > 0.0)
 
 
-def nash_dilation_sweep(
-    P,
-    grid: PeriodicGrid,
-    d: float,
-    *,
-    r_norm=1.0,
-    scales=None,
-    half_width=1.0,
-    edge_width=0.25,
-) -> NashReport:
+#: the dilation family of ``nash_dilation_sweep``: scales lambda = 2^-6..2^6
+#: in half-octave steps of a mollified box of these half and edge widths
+NASH_SCALES = 2.0 ** np.arange(-6.0, 6.5, 0.5)
+NASH_BOX_HALF_WIDTH = 1.0
+NASH_BOX_EDGE_WIDTH = 0.25
+
+
+def nash_dilation_sweep(P, d: float, *, r_norm=1.0) -> NashReport:
     """nash_ratio along the mass-preserving dilation family
-    lambda^N f(lambda x) of a mollified box.
+    lambda^N f(lambda x) of a mollified box on the propagator's grid
+    (``NASH_SCALES``, ``NASH_BOX_HALF_WIDTH``, ``NASH_BOX_EDGE_WIDTH``).
 
     With r = 1 the family keeps ||f||_1 fixed while ||f||_2 sweeps both
     sides of 1, exercising both branches of the min.
     """
-    if scales is None:
-        scales = 2.0 ** np.arange(-6.0, 6.5, 0.5)
-    scales = np.asarray(scales, dtype=float)
+    scales = NASH_SCALES
     ratios = np.empty_like(scales)
     poincare = nash = 0
     branches = []
     for i, lam in enumerate(scales):
-        f = mollified_box_field(grid, half_width=half_width, edge_width=edge_width, scale=lam)
+        f = mollified_box_field(
+            P.grid, half_width=NASH_BOX_HALF_WIDTH, edge_width=NASH_BOX_EDGE_WIDTH, scale=lam
+        )
         ratios[i], g2 = _nash_terms(P, f, d, r_norm)
         if g2 >= 1.0:
             poincare += 1
@@ -258,7 +257,10 @@ def nash_dilation_sweep(
         scales=scales,
         branch_poincare=poincare,
         branch_nash=nash,
-        family=f"mollified box dilations, half_width={half_width}, edge={edge_width}",
+        family=(
+            f"mollified box dilations, half_width={NASH_BOX_HALF_WIDTH}, "
+            f"edge={NASH_BOX_EDGE_WIDTH}"
+        ),
         branches=tuple(branches),
     )
 

@@ -332,6 +332,10 @@ def parse_config(path) -> ExperimentConfig:
     near_param = kern.number("near_param") if _NEAR[near][1] else None
     if _NEAR[near][1] is None and "near_param" in kern.mapping:
         raise ConfigError(f"[kernel].near_param: profile {near!r} takes no parameter")
+    if near == "fractional" and not 0.0 < near_param < 2.0:
+        raise ConfigError(
+            f"[kernel].near_param: fractional needs beta in (0, 2), got {_fmt(near_param)}"
+        )
     tail_param = kern.number("tail_param") if _TAIL[tail][1] else None
     if _TAIL[tail][1] is None and "tail_param" in kern.mapping:
         raise ConfigError(f"[kernel].tail_param: profile {tail!r} takes no parameter")
@@ -361,10 +365,11 @@ def parse_config(path) -> ExperimentConfig:
 
     init = sec["initial"]
     datum = init.require("kind")
-    if datum == "box":
-        datum_param = init.number("width", 1.0)
-    elif datum == "gaussian":
-        datum_param = init.number("scale", 1.0)
+    if datum in ("box", "gaussian"):
+        key = "width" if datum == "box" else "scale"
+        datum_param = init.number(key, 1.0)
+        if not datum_param > 0:
+            raise ConfigError(f"[initial].{key} must be positive, got {_fmt(datum_param)}")
     elif datum == "delta":
         datum_param = None
     elif datum == "random":
@@ -506,25 +511,25 @@ def _validate_objects(cfg: ExperimentConfig):
 
 
 class _Artifacts:
-    """Tracks written files so a failed run can sweep them away."""
+    """Names of the files written so far, for the manifest and so that a
+    failed run can sweep them away."""
 
     def __init__(self, root: Path):
         self.root = root
-        self.paths = []
+        self.names = []
 
     def target(self, name) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
-        p = self.root / name
-        self.paths.append(p)
-        return p
+        self.names.append(name)
+        return self.root / name
 
     def write_text(self, name, text):
         self.target(name).write_text(text)
 
     def discard_all(self):
-        for p in self.paths:
+        for name in self.names:
             try:
-                p.unlink()
+                (self.root / name).unlink()
             except FileNotFoundError:
                 pass
 
@@ -560,7 +565,7 @@ def _flow(cfg, P, u0):
     return iter(fields), (dirichlet_form_spectral(P, u) for u in fields), fields.work()
 
 
-def _snapshot_pass(cfg, P, u0, command, art, artifacts):
+def _snapshot_pass(cfg, P, u0, command, art):
     """Run the flow and analyse its snapshots in one pass (a linear run
     holds one field at a time; the nonlinear stepper returns all of
     them); writes norms.csv (and, for ``evolve``, each field as it
@@ -584,9 +589,7 @@ def _snapshot_pass(cfg, P, u0, command, art, artifacts):
         if command == "evolve":
             fname = f"field_{i:04d}.csv"
             _stage("write", write_field_csv, u, art.target(fname))
-            artifacts.append(fname)
     art.write_text("norms.csv", "\n".join(rows) + "\n")
-    artifacts.append("norms.csv")
     return series, guard_ratio, u, work
 
 
@@ -617,8 +620,8 @@ def _decay_report(cfg, series):
     return "\n".join(lines) + "\n", all_within
 
 
-def _nash_report(cfg, P, grid):
-    rep = nash_dilation_sweep(P, grid, cfg.nash.d, r_norm=cfg.nash.r)
+def _nash_report(cfg, P):
+    rep = nash_dilation_sweep(P, cfg.nash.d, r_norm=cfg.nash.r)
     rows = ["sample_id,scale,ratio,branch"]
     for i, (lam, ratio, branch) in enumerate(zip(rep.scales, rep.ratios, rep.branches)):
         rows.append(f"{i},{_fmt(lam)},{_fmt(ratio)},{branch}")
@@ -693,7 +696,6 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         grid = _stage("grid", cfg.grid) if command in _LATTICE_COMMANDS else None
         radii = None if grid is None else LinearPropagator.table_grid(grid)
         tab = _stage("symbol-table", build_symbol_table, kernel, radii)
-        artifacts: list[str] = []
 
         if command == "symbol":
             rows = ["xi,m"]
@@ -701,14 +703,11 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
                 f"{_fmt(x)},{_fmt(v)}" for x, v in zip(tab.radial_grid, tab.values)
             ]
             art.write_text("table.csv", "\n".join(rows) + "\n")
-            artifacts.append("table.csv")
 
         elif command in ("evolve", "decay-fit"):
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
-            series, guard_ratio, last, work = _snapshot_pass(
-                cfg, P, u0, command, art, artifacts
-            )
+            series, guard_ratio, last, work = _snapshot_pass(cfg, P, u0, command, art)
             guard = {
                 "max_boundary_ratio": guard_ratio,
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),
@@ -716,23 +715,19 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             if command == "decay-fit":
                 text, _ = _stage("analysis", _decay_report, cfg, series)
                 art.write_text("decay_fit.txt", text)
-                artifacts.append("decay_fit.txt")
             if cfg.interpolation is not None:
                 text = _stage("analysis", _interpolation_report, cfg, P, last)
                 art.write_text("interpolation.txt", text)
-                artifacts.append("interpolation.txt")
 
         elif command == "nash-check":
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
-            text, rows = _stage("analysis", _nash_report, cfg, P, grid)
+            text, rows = _stage("analysis", _nash_report, cfg, P)
             art.write_text("nash.txt", text)
             art.write_text("nash_rows.csv", rows)
-            artifacts += ["nash.txt", "nash_rows.csv"]
 
         else:
             text = _stage("analysis", _regularity_report, cfg, tab)
             art.write_text("regularity.txt", text)
-            artifacts.append("regularity.txt")
 
         manifest = {
             "name": cfg.name,
@@ -745,7 +740,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
                 "quad_tol_achieved": float(tab.quad_tol),
             },
             "escape_guard": guard,
-            "artifacts": sorted(artifacts),
+            "artifacts": sorted(art.names),
         }
         if work is not None:
             manifest["work"] = work

@@ -14,9 +14,10 @@ Dirichlet energies of the fields in closed form,
 
 with no transform of a snapshot (sum' is the half-lattice sum with
 mirror weight 2, as in ``analysis.dirichlet_bilinear``).  Each decay
-factor e^{-m t} is one half-lattice array, exponentiated in place, and
-binding a table to a grid (``from_table``) evaluates it on the half
-lattice only, mirroring the values into the other columns.
+factor e^{-m t} is one half-lattice array, exponentiated in place.  A
+propagator stores m on the half lattice only, since m is even, and
+binding a table to a grid (``from_table``) evaluates it there, at the
+lattice's exact radii.
 
 The fundamental solution is the inverse transform of e^{-m(xi) t} and
 exists on a grid only when that factor has decayed below roundoff scale
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -54,37 +54,41 @@ from .errors import (
     StabilityError,
     UnresolvableMeasureError,
 )
-from .spectral import GridField, PeriodicGrid, _apply_multiplier, _mirror_half, _parseval
+from .spectral import GridField, PeriodicGrid, _apply_multiplier, _parseval
 from .symbol import SymbolTable, log_grid, symbol_quadrature
 
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Multiplier values bound to a grid's frequency lattice."""
+    """Multiplier values bound to a grid's frequency lattice: ``half`` is
+    m on the rfftn half lattice, shape ``grid.shape[:-1] + (n // 2 + 1,)``
+    (m is even, so these columns determine it)."""
 
     grid: PeriodicGrid
-    symbol_values: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.symbol_values, dtype=float)
-        if vals.shape != self.grid.shape:
+        vals = np.asarray(self.half, dtype=float)
+        n = self.grid.points_per_axis
+        shape = self.grid.shape[:-1] + (n // 2 + 1,)
+        if vals.shape != shape:
             raise GridMismatchError(
-                f"symbol lattice shape {vals.shape} does not match grid {self.grid.shape}"
+                f"half-lattice symbol shape {vals.shape} does not match {shape} "
+                f"of grid {self.grid.shape}"
             )
         if not np.isfinite(vals).all() or (vals < 0).any():
             raise ContractError("symbol values must be finite and nonnegative")
         zero = (0,) * self.grid.dimension
         if vals[zero] != 0.0:
             raise ContractError(f"symbol at frequency 0 must vanish, got {vals[zero]}")
-        object.__setattr__(self, "symbol_values", vals)
+        object.__setattr__(self, "half", vals)
 
     @classmethod
     def from_table(cls, grid: PeriodicGrid, tab: SymbolTable):
-        """Evaluate a symbol table on the grid's exact frequencies: on the
-        rfftn half lattice, mirrored into the other columns."""
-        half = tab.evaluate(grid.half_freq_radii())
-        half[(0,) * grid.dimension] = 0.0
-        return cls(grid, _mirror_half(half, grid.points_per_axis))
+        """Evaluate a symbol table at the grid's exact frequencies on the
+        rfftn half lattice; raises DomainError if the lattice reaches
+        outside the table."""
+        return cls(grid, tab.evaluate(grid.half_freq_radii()))
 
     @staticmethod
     def table_grid(grid: PeriodicGrid):
@@ -103,26 +107,17 @@ class LinearPropagator:
         Cost grows with the number of distinct radii; meant for the
         small grids of cross-validation runs, not production evolution.
         """
-        radii = grid.freq_radii()
-        flat = radii.ravel()
-        uniq, inv = np.unique(flat, return_inverse=True)
-        values = np.empty_like(uniq)
-        for i, rho in enumerate(uniq):
-            values[i] = 0.0 if rho == 0.0 else symbol_quadrature(kernel, rho)
+        radii = grid.half_freq_radii()
+        uniq, inv = np.unique(radii.ravel(), return_inverse=True)
+        values = np.array([0.0 if rho == 0.0 else symbol_quadrature(kernel, rho) for rho in uniq])
         return cls(grid, values[inv].reshape(radii.shape))
-
-    @cached_property
-    def half(self):
-        """The multiplier on the rfftn half lattice (m is even, so the
-        last axis's first n // 2 + 1 columns determine it)."""
-        return self.symbol_values[..., : self.grid.points_per_axis // 2 + 1]
 
     @property
     def edge_value(self):
         """Symbol value at the axis Nyquist frequency (resolution edge)."""
         n = self.grid.points_per_axis
         idx = (n // 2,) + (0,) * (self.grid.dimension - 1)
-        return float(self.symbol_values[idx])
+        return float(self.half[idx])
 
 
 def apply_operator(P: LinearPropagator, f: GridField) -> GridField:

@@ -277,10 +277,10 @@ class PowerTail:
         # int_a^inf J r^(dim-1) dr; the r powers cancel to r^(-1-alpha)
         return match * a**-self.alpha / self.alpha
 
-    def cos_transform_tail(self, a, omega, dim, match):
-        """``int_a^inf cos(omega r) J(r) r^(dim-1) dr`` as (value, error
-        bound): closed form for alpha = 1 and 2, None for any other alpha
-        (the symbol engine then integrates by QAWF).
+    def cos_transform_tail(self, a, omega, match):
+        """``int_a^inf cos(omega r) J(r) dr`` in one dimension as (value,
+        error bound): closed form for alpha = 1 and 2, None for any other
+        alpha (the symbol engine then integrates by QAWF).
 
         With x = omega a this is ``match omega^alpha I(x)``, where
 
@@ -379,13 +379,10 @@ class ExponentialTail:
             return match * math.exp(-lam * a) / lam
         return match * math.exp(-lam * a) * (a / lam + 1.0 / lam**2)
 
-    def cos_transform_tail(self, a, omega, dim, match):
-        # Re int_a^inf r^(dim-1) e^(-(lam - i omega) r) dr
+    def cos_transform_tail(self, a, omega, match):
+        # Re int_a^inf e^(-(lam - i omega) r) dr, one dimension
         c = complex(self.lam, -omega)
-        if dim == 1:
-            w = np.exp(-c * a) / c
-        else:
-            w = np.exp(-c * a) * (a / c + 1.0 / c**2)
+        w = np.exp(-c * a) / c
         return match * w.real, 4.0 * _EPS * match * abs(w)
 
     def exponent(self):

@@ -81,16 +81,10 @@ class PeriodicGrid:
             return (self.axis,)
         return (self.axis[:, None], self.axis[None, :])
 
-    def freq_radii(self):
-        """|xi| at each lattice frequency, FFT ordering."""
-        if self.dimension == 1:
-            return np.abs(self.freq_axis)
-        fx, fy = self.freq_axis[:, None], self.freq_axis[None, :]
-        return np.hypot(fx, fy)
-
     def half_freq_radii(self):
-        """|xi| on the rfftn half lattice: ``freq_radii()`` restricted to
-        the last axis's first n // 2 + 1 columns."""
+        """|xi| on the rfftn half lattice, FFT ordering: every axis but the
+        last in full, the last axis's first n // 2 + 1 columns (the
+        nonnegative frequencies, Nyquist included)."""
         last = self.freq_axis[: self.points_per_axis // 2 + 1]
         if self.dimension == 1:
             return np.abs(last)
@@ -118,15 +112,6 @@ class GridField:
         if not np.isfinite(vals).all():
             raise ContractError("field values must be finite")
         object.__setattr__(self, "values", vals)
-
-
-def _mirror_half(half, n):
-    """The full FFT-ordered lattice (n points on the last axis) of an
-    even quantity known on its rfftn half lattice: column n - j repeats
-    column j.  ``fftfreq`` gives exact negatives, so for a function of
-    |xi| the copies are bit-identical to evaluating at those columns."""
-    cols = half.shape[-1]
-    return np.concatenate([half, half[..., n - cols : 0 : -1]], axis=-1)
 
 
 def _apply_multiplier(mult, values):

@@ -38,8 +38,11 @@ form reports a roundoff bound, so a table's achieved tolerance stays
 honest.
 
 Tables of multiplier values on a logarithmic grid feed the spectral
-propagators through monotone log-log interpolation; pure power kernels
-carry a closed-form tag instead and bypass interpolation entirely.
+propagators through monotone log-log interpolation, inside the
+tabulated range only: a radius outside it raises DomainError, so a
+lattice wider than its table is reported, never extrapolated.  Pure
+power kernels carry a closed-form tag instead and bypass interpolation
+entirely.
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ def _symbol_1d(kernel, xi, rtol):
             total += v
             err += e
         total += tail.int_measure(big, 1, match)
-        closed = tail.cos_transform_tail(big, xi, 1, match)
+        closed = tail.cos_transform_tail(big, xi, match)
         if closed is not None:
             v, e = closed
         else:
@@ -293,18 +296,22 @@ def _symbol_2d(kernel, xi, rtol):
     return 2.0 * math.pi * total, 2.0 * math.pi * err
 
 
-def _symbol_value_err(kernel, xi, rtol):
+#: relative quadrature tolerance of every multiplier value
+TABLE_RTOL = 1e-8
+
+
+def _symbol_value_err(kernel, xi):
     """(value, error estimate) at scalar xi > 0.
 
-    Components are driven at rtol / 10 because the summed QUADPACK
+    Components are driven at TABLE_RTOL / 10 because the summed QUADPACK
     error estimates are conservative; the returned estimate stays
     honest.  Raises QuadratureError carrying the achieved relative
-    tolerance if the estimate is materially worse than ``rtol`` (with
-    a small absolute floor for vanishing values near xi = 0).
+    tolerance if the estimate is materially worse than ``TABLE_RTOL``
+    (with a small absolute floor for vanishing values near xi = 0).
     """
     engine = _symbol_1d if kernel.dimension == 1 else _symbol_2d
-    val, err = engine(kernel, xi, rtol / 10.0)
-    if err > max(20.0 * rtol * abs(val), 1e-12):
+    val, err = engine(kernel, xi, TABLE_RTOL / 10.0)
+    if err > max(20.0 * TABLE_RTOL * abs(val), 1e-12):
         achieved = err / max(abs(val), 1e-300)
         raise QuadratureError(
             f"multiplier quadrature at xi={xi:g} achieved only {achieved:.2e} relative",
@@ -313,13 +320,13 @@ def _symbol_value_err(kernel, xi, rtol):
     return val, err
 
 
-def symbol_quadrature(kernel: LevyKernel, xi, *, rtol=1e-8):
+def symbol_quadrature(kernel: LevyKernel, xi):
     """Multiplier value m(xi) by radial quadrature (scalar xi); see
     ``_symbol_value_err`` for the tolerance it enforces."""
     xi = abs(float(xi))
     if xi == 0.0:
         return 0.0
-    return _symbol_value_err(kernel, xi, rtol)[0]
+    return _symbol_value_err(kernel, xi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +351,6 @@ class SymbolTable:
     tolerance across the grid.
     """
 
-    kernel_id: str
     dimension: int
     radial_grid: np.ndarray
     values: np.ndarray
@@ -372,9 +378,9 @@ class SymbolTable:
     def evaluate(self, rho):
         """Interpolated (or closed-form) multiplier at radial frequency rho.
 
-        rho = 0 maps to 0 exactly; outside the tabulated range the
-        log-log edge slopes continue the table as local power laws, and
-        a zero edge value raises DomainError.
+        rho = 0 maps to 0 exactly.  A table answers only inside its
+        tabulated range; any other rho raises DomainError, naming the
+        range and the radii outside it.
         """
         rho = np.asarray(rho, dtype=float)
         scalar = rho.ndim == 0
@@ -387,34 +393,19 @@ class SymbolTable:
             return out[0] if scalar else out
         if self.radial_grid.size < 2:
             raise DomainError("table too small to interpolate and no closed form")
-        g, v = self.radial_grid, self.values
-        lo, hi = g[0], g[-1]
-        inside = pos & (rho >= lo) & (rho <= hi)
-        out[inside] = np.exp(self._loglog(np.log(rho[inside])))
-        below = pos & (rho < lo)
-        if below.any():
-            out[below] = v[0] * (rho[below] / lo) ** self._edge_slope(0, 1)
-        above = pos & (rho > hi)
-        if above.any():
-            out[above] = v[-1] * (rho[above] / hi) ** self._edge_slope(-2, -1)
+        lo, hi = self.radial_grid[0], self.radial_grid[-1]
+        outside = pos & ((rho < lo) | (rho > hi))
+        if outside.any():
+            far = rho[outside]
+            raise DomainError(
+                f"{far.size} radii outside the table's range [{lo:g}, {hi:g}], "
+                f"from {far.min():g} to {far.max():g}"
+            )
+        out[pos] = np.exp(self._loglog(np.log(rho[pos])))
         return out[0] if scalar else out
 
-    def _edge_slope(self, i, j):
-        """Log-log slope between two table entries at one edge; a zero
-        value has no power law to continue."""
-        g, v = self.radial_grid, self.values
-        if v[i] == 0.0 or v[j] == 0.0:
-            raise DomainError(
-                f"cannot extrapolate past rho = {g[i]:g}..{g[j]:g}: the table value is 0 there"
-            )
-        return math.log(v[j] / v[i]) / math.log(g[j] / g[i])
 
-
-#: relative quadrature tolerance of every table entry by default
-TABLE_RTOL = 1e-8
-
-
-def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=TABLE_RTOL):
+def build_symbol_table(kernel: LevyKernel, grid=None):
     """Tabulate the multiplier on a radial grid (default: 64 points per
     decade over [1e-3, 1e4]).
 
@@ -425,7 +416,6 @@ def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=TABLE_RTOL):
     if grid is None:
         grid = log_grid()
     grid = np.asarray(grid, dtype=float)
-    kid = f"{kernel.near!r}+{kernel.tail!r}@N={kernel.dimension}"
 
     pure = (
         isinstance(kernel.near, FractionalPower)
@@ -434,25 +424,23 @@ def build_symbol_table(kernel: LevyKernel, grid=None, *, rtol=TABLE_RTOL):
     )
     if pure:
         alpha = kernel.tail.alpha
-        coeff = symbol_quadrature(kernel, 1.0, rtol=rtol)
+        coeff = symbol_quadrature(kernel, 1.0)
         tag = PurePower(alpha=alpha, coefficient=coeff)
         return SymbolTable(
-            kernel_id=kid,
             dimension=kernel.dimension,
             radial_grid=grid,
             values=tag.coefficient * grid**alpha,
             closed_form=tag,
-            quad_tol=rtol,
+            quad_tol=TABLE_RTOL,
         )
 
     if grid.size == 0:
-        return SymbolTable(kid, kernel.dimension, grid, np.empty(0), None, 0.0)
+        return SymbolTable(kernel.dimension, grid, np.empty(0), None, 0.0)
 
-    pairs = [_symbol_value_err(kernel, x, rtol) for x in grid.tolist()]
+    pairs = [_symbol_value_err(kernel, x) for x in grid.tolist()]
     values = np.array([p[0] for p in pairs])
     achieved = max(e / max(abs(v), 1e-300) for v, e in pairs)
     return SymbolTable(
-        kernel_id=kid,
         dimension=kernel.dimension,
         radial_grid=grid,
         values=values,

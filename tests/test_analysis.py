@@ -26,6 +26,7 @@ from levyheat.spectral import (
     random_nonnegative,
 )
 from levyheat.symbol import build_symbol_table, log_grid
+from lattice import full_multiplier
 
 INTEGRABLE = LevyKernel(dimension=1, near=Bounded(c0=0.7), tail=CompactSupport())
 CAUCHY = LevyKernel(dimension=1, near=FractionalPower(beta=1.0), tail=PowerTail(alpha=1.0))
@@ -48,7 +49,7 @@ def borderline_table():
 
 
 def abs_propagator(grid):
-    return LinearPropagator(grid, np.abs(grid.freq_radii()))
+    return LinearPropagator(grid, grid.half_freq_radii())
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def test_spectral_form_single_mode_closed_form(integrable_table):
     f = mode_field(g, 3, amplitude=A)
     xi1 = 3 * math.pi / g.half_width
     k = np.argmin(np.abs(g.freq_axis - xi1))
-    want = P.symbol_values[k] * A**2 * (2 * g.half_width) / 2
+    want = P.half[k] * A**2 * (2 * g.half_width) / 2
     assert an.dirichlet_form_spectral(P, f) == pytest.approx(want, rel=1e-12)
 
 
@@ -161,13 +162,14 @@ def test_forms_match_full_lattice_sum(dim, n):
     P = abs_propagator(g)
     rng = np.random.default_rng(41)
     vol = (2 * g.half_width) ** dim
+    m = full_multiplier(P)
     for _ in range(3):
         f = GridField(g, rng.standard_normal(g.shape))
         h = GridField(g, f.values + rng.standard_normal(g.shape))
         F = g.cell_volume * np.fft.fftn(f.values)
         H = g.cell_volume * np.fft.fftn(h.values)
-        want_ff = float(np.sum(P.symbol_values * np.abs(F) ** 2)) / vol
-        want_fh = float(np.sum(P.symbol_values * (F * np.conj(H)).real)) / vol
+        want_ff = float(np.sum(m * np.abs(F) ** 2)) / vol
+        want_fh = float(np.sum(m * (F * np.conj(H)).real)) / vol
         assert an.dirichlet_form_spectral(P, f) == pytest.approx(want_ff, rel=1e-12)
         assert an.dirichlet_bilinear(P, f, h) == pytest.approx(want_fh, rel=1e-12)
 
@@ -358,7 +360,7 @@ def test_nash_ratio_single_mode_closed_form(cauchy_table):
     xi1 = 4 * math.pi / g.half_width
     k = np.argmin(np.abs(g.freq_axis - xi1))
     g2 = lp_norm(f, 2.0) / lp_norm(f, 1.0)
-    want = P.symbol_values[k] / min(1.0, g2 ** (2.0 / d))
+    want = P.half[k] / min(1.0, g2 ** (2.0 / d))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -379,7 +381,7 @@ def test_nash_dilation_sweep_floor_and_branches(cauchy_table):
     d, r = 1.0 / 3.0, 1.5
     g = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=2**17)
     P = LinearPropagator.from_table(g, cauchy_table)
-    rep = an.nash_dilation_sweep(P, g, d, r_norm=r)
+    rep = an.nash_dilation_sweep(P, d, r_norm=r)
     assert rep.branch_poincare >= 10 and rep.branch_nash >= 10, (
         f"branch counts {rep.branch_poincare}/{rep.branch_nash}"
     )
@@ -387,7 +389,7 @@ def test_nash_dilation_sweep_floor_and_branches(cauchy_table):
     assert rep.passed
     g_fine = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=2**18)
     P_fine = LinearPropagator.from_table(g_fine, cauchy_table)
-    rep_fine = an.nash_dilation_sweep(P_fine, g_fine, d, r_norm=r)
+    rep_fine = an.nash_dilation_sweep(P_fine, d, r_norm=r)
     drift = abs(rep_fine.min_ratio - rep.min_ratio) / rep.min_ratio
     assert drift < 0.20, f"floor unstable under refinement: {drift:.3f}"
 
@@ -407,7 +409,7 @@ def test_interpolation_single_mode(cauchy_table):
     # s = 2: the second monomial is exactly the energy
     xi1 = 5 * math.pi / g.half_width
     k = np.argmin(np.abs(g.freq_axis - xi1))
-    E = P.symbol_values[k] * A**2 * g.half_width
+    E = P.half[k] * A**2 * g.half_width
     assert rep.monomial2 == pytest.approx(E, rel=1e-12)
     assert rep.norm_s_sq == pytest.approx(A**2 * g.half_width, rel=1e-12)
     # the report is exactly the smallest admissible constant for this z

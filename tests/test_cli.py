@@ -16,6 +16,7 @@ from levyheat.errors import ConfigError, PipelineError
 from levyheat.evolve import LinearFlow, LinearPropagator
 from levyheat.spectral import GridField, PeriodicGrid
 from levyheat.symbol import build_symbol_table
+from lattice import full_lattice_radii
 
 BASE = """\
 [experiment]
@@ -222,7 +223,7 @@ def test_nonlinear_manifest_records_the_stepper_work(tmp_path):
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 2048), (2, 32)])
 def test_table_spans_the_lattice_radii(dim, n):
     grid = PeriodicGrid(dimension=dim, half_width=64.0, points_per_axis=n)
-    radii = grid.freq_radii()
+    radii = full_lattice_radii(grid)
     lo, hi = radii[radii > 0].min(), radii.max()
     table = LinearPropagator.table_grid(grid)
     # a lone radius (1-D, n = 2) gets a second point an octave above it
@@ -420,7 +421,7 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
         assert requested == [True] * (len(cfg.snapshots) - 1), command
         requested.clear()
     grid = cfg.grid()
-    P = LinearPropagator(grid, np.abs(grid.freq_radii()))
+    P = LinearPropagator(grid, grid.half_freq_radii())
     u0 = GridField(grid, np.cos(grid.axis))
     acceptance._linear_bookkeeping(P, u0, cfg.snapshots)
     assert requested == [True] * len(cfg.snapshots)
@@ -474,6 +475,53 @@ def test_infinity_stays_valid_for_norms_and_mass_bound(tmp_path):
     cfg = parse_config(path)
     assert cfg.decay.norms == (2.0, np.inf)
     assert cfg.mass_bound == np.inf
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("width = 2.0", f"width = {bad}", "[initial].width must be positive")
+        for bad in ("0", "-1")
+    ]
+    + [
+        ("kind = box", f"kind = gaussian\nscale = {bad}", "[initial].scale must be positive")
+        for bad in ("0", "-1")
+    ]
+    + [
+        ("near_param = 1.0", f"near_param = {bad}", "fractional needs beta in (0, 2)")
+        for bad in ("2", "2.5")
+    ],
+)
+def test_out_of_range_datum_or_order_fails_before_any_computation(
+    tmp_path, monkeypatch, capsys, old, new, message
+):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the symbol table was built before the config check")
+
+    monkeypatch.setattr(cli, "build_symbol_table", no_table)
+    path = write_cfg(tmp_path)
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    assert main(["evolve", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reference_config_is_criterion_3(tmp_path):
+    # the reference decay-fit and criterion 3 are one run, table included:
+    # the same snapshot times and norms, and the criterion's targets
+    path = Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg"
+    cfg = parse_config(path)
+    assert cfg.decay.norms == (2.0, 4.0)
+    assert cfg.decay.targets == (0.5, 0.75) and cfg.decay.tolerance == 0.10
+    assert main(["decay-fit", "--config", str(path), "--output", str(tmp_path)]) == 0
+    rows = (tmp_path / "norms.csv").read_text().splitlines()
+    assert rows[0] == "t,l1,l2,linf,energy"
+    t, _, l2, linf, _ = np.array([[float(v) for v in row.split(",")] for row in rows[1:]]).T
+    run = acceptance._bounded_tail_run()
+    assert np.array_equal(t, run["times"])
+    assert np.array_equal(l2, run["l2"])
+    assert np.array_equal(linf, run["sups"])
 
 
 def test_schema_doc_lists_every_config_key():

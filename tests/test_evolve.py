@@ -34,7 +34,6 @@ from levyheat.kernels import (
 from levyheat.spectral import (
     GridField,
     PeriodicGrid,
-    _mirror_half,
     box_field,
     delta_surrogate,
     lp_norm,
@@ -42,7 +41,8 @@ from levyheat.spectral import (
     mode_field,
     random_band_limited,
 )
-from levyheat.symbol import build_symbol_table, symbol_quadrature
+from levyheat.symbol import build_symbol_table, log_grid, symbol_quadrature
+from lattice import full_lattice_radii, full_multiplier
 
 
 def alternating_phase(grid):
@@ -59,7 +59,7 @@ def continuum_spectrum(f):
 def poisson_propagator(grid):
     """Multiplier m(xi) = |xi|: the alpha=1 flow normalized so the
     fundamental solution is the Poisson kernel t/(pi (t^2 + x^2))."""
-    return LinearPropagator(grid, np.abs(grid.freq_radii()))
+    return LinearPropagator(grid, grid.half_freq_radii())
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ def test_operator_eigenmode(cauchy_table):
     assert resid < 1e-6 * lam, f"eigenrelation residual {resid:.3e}"
     # the tabulated eigenvalue itself is pi|xi| to interpolation accuracy
     k = np.argmin(np.abs(g.freq_axis - xi1))
-    assert P.symbol_values[k] == pytest.approx(lam, rel=1e-6)
+    assert P.half[k] == pytest.approx(lam, rel=1e-6)
 
 
 def test_operator_quadratic_identity(cauchy_table):
@@ -101,7 +101,7 @@ def test_operator_quadratic_identity(cauchy_table):
     f = random_band_limited(g, np.random.default_rng(2), 0.3)
     real_space = g.cell_volume * float(np.sum(apply_operator(P, f).values * f.values))
     F = continuum_spectrum(f)
-    spectral = float(np.sum(P.symbol_values * np.abs(F) ** 2)) / (2 * g.half_width)
+    spectral = float(np.sum(full_multiplier(P) * np.abs(F) ** 2)) / (2 * g.half_width)
     assert real_space == pytest.approx(spectral, rel=1e-12)
 
 
@@ -116,10 +116,11 @@ def test_real_route_matches_continuum_pair_2d():
     g = PeriodicGrid(dimension=2, half_width=4.0, points_per_axis=64)
     P = poisson_propagator(g)
     f = GridField(g, np.random.default_rng(5).standard_normal(g.shape))
-    want = _continuum_pair_apply(P, P.symbol_values, f.values)
+    m = full_multiplier(P)
+    want = _continuum_pair_apply(P, m, f.values)
     got = apply_operator(P, f).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    want = _continuum_pair_apply(P, np.exp(-0.3 * P.symbol_values), f.values)
+    want = _continuum_pair_apply(P, np.exp(-0.3 * m), f.values)
     (got,) = LinearFlow(P, f).fields([0.3])
     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -137,7 +138,7 @@ def test_one_etd_step_matches_continuum_pair_2d():
 
     u = u0.values
     c = 0.5 * phi.derivative_bound(np.max(np.abs(u)))
-    m = P.symbol_values
+    m = full_multiplier(P)
     z = -c * m * dt
     assert z.min() < -PHI_SERIES_EDGE < z.max()
     ez, phi1, phi2 = _phi_functions(z)
@@ -154,41 +155,55 @@ def test_from_kernel_quadrature_at_lattice_radii():
     kern = LevyKernel(dimension=1, near=Borderline(), tail=PowerTail(alpha=2.0))
     g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=8)
     P = LinearPropagator.from_kernel(g, kern)
-    radii = g.freq_radii()
-    assert P.symbol_values[radii == 0.0].tolist() == [0.0]
+    radii, m = full_lattice_radii(g), full_multiplier(P)
+    assert m[radii == 0.0].tolist() == [0.0]
     # +xi and -xi share a radius, so each of the three inner radii is hit twice
     uniq, counts = np.unique(radii[radii > 0], return_counts=True)
     assert counts.tolist() == [2, 2, 2, 1]
     for rho in uniq:
-        shared = P.symbol_values[radii == rho]
+        shared = m[radii == rho]
         assert (shared == symbol_quadrature(kern, rho)).all()
         assert shared[0] > 0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 4096), (2, 2), (2, 64)])
 def test_from_table_equals_evaluating_the_full_lattice(dim, n):
-    # the half lattice is evaluated and mirrored; the mirror must repeat
-    # exactly what evaluating every column gives
+    # the propagator stores the half lattice only, which determines m on
+    # the full lattice; it must be exactly the table at those radii
     g = PeriodicGrid(dimension=dim, half_width=16.0, points_per_axis=n)
     kern = LevyKernel(dimension=dim, near=Bounded(1.0), tail=PowerTail(alpha=1.0))
     tab = build_symbol_table(kern, LinearPropagator.table_grid(g))
-    want = tab.evaluate(g.freq_radii())
-    want[(0,) * dim] = 0.0
-    assert np.array_equal(LinearPropagator.from_table(g, tab).symbol_values, want)
+    P = LinearPropagator.from_table(g, tab)
+    assert P.half.shape == g.shape[:-1] + (n // 2 + 1,)
+    assert np.array_equal(P.half, tab.evaluate(g.half_freq_radii()))
 
 
-@pytest.mark.parametrize("n", [7, 8])
+def test_from_table_reports_a_lattice_wider_than_its_table():
+    # the table starts at 1e-3, as the default one does; this lattice's lowest
+    # mode is pi / 4096
+    g = PeriodicGrid(dimension=1, half_width=4096.0, points_per_axis=2**14)
+    kern = LevyKernel(dimension=1, near=Bounded(1.0), tail=PowerTail(alpha=1.0))
+    tab = build_symbol_table(kern, log_grid(1e-3, 10.0, 16))
+    with pytest.raises(DomainError, match="outside the table's range"):
+        LinearPropagator.from_table(g, tab)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-def test_half_lattice_mirror_for_odd_and_even_n(dim, n):
-    freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=0.3)
-    radii = np.abs(freqs) if dim == 1 else np.hypot(freqs[:, None], freqs[None, :])
-    tab = build_symbol_table(
-        LevyKernel(dimension=1, near=Bounded(1.0), tail=PowerTail(alpha=1.0)),
-        np.geomspace(radii[radii > 0].min(), radii.max(), 20),
-    )
-    full = tab.evaluate(radii)
-    half = tab.evaluate(radii[..., : n // 2 + 1])
-    assert np.array_equal(_mirror_half(half, n), full)
+def test_propagator_takes_only_the_half_lattice(dim):
+    g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=16)
+    with pytest.raises(GridMismatchError):
+        LinearPropagator(g, full_lattice_radii(g))
+    with pytest.raises(ContractError):
+        LinearPropagator(g, g.half_freq_radii() + 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_edge_value_is_the_nyquist_entry(dim):
+    g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=16)
+    P = LinearPropagator(g, g.half_freq_radii() ** 2)
+    # xi = (pi / dx, 0): the last column in 1-D, row n / 2 of column 0 in 2-D
+    nyquist = P.half[8] if dim == 1 else P.half[8, 0]
+    assert P.edge_value == nyquist == g.max_frequency**2
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +340,10 @@ def test_energy_dissipation_rate_second_order():
     P = poisson_propagator(g)
     u0 = random_band_limited(g, np.random.default_rng(12), 0.2)
     vol = 2 * g.half_width
+    m = full_multiplier(P)
 
     def energy(f):
-        return float(np.sum(P.symbol_values * np.abs(continuum_spectrum(f)) ** 2)) / vol
+        return float(np.sum(m * np.abs(continuum_spectrum(f)) ** 2)) / vol
 
     t = 0.5
     defects = []
@@ -346,9 +362,10 @@ def test_smoothing_bound_all_modes():
     u0 = random_band_limited(g, np.random.default_rng(77), 0.5)
     vol = 2 * g.half_width
     n2sq = lp_norm(u0, 2) ** 2
+    m = full_multiplier(P)
     times = (0.01, 0.1, 1.0, 10.0)
     for t, u in zip(times, LinearFlow(P, u0).fields(times)):
-        E = float(np.sum(P.symbol_values * np.abs(continuum_spectrum(u)) ** 2)) / vol
+        E = float(np.sum(m * np.abs(continuum_spectrum(u)) ** 2)) / vol
         bound = n2sq / (2 * math.e * t)
         assert E <= bound * (1 + 1e-12), f"t={t}: E={E} exceeds {bound}"
 
@@ -381,7 +398,7 @@ def test_fundamental_solution_2d_is_heat_kernel():
     # at L = 8, t = 0.5 its periodic images and its spectrum beyond the
     # lattice edge (e^{-79}) are below roundoff
     g = PeriodicGrid(dimension=2, half_width=8.0, points_per_axis=64)
-    P = LinearPropagator(g, g.freq_radii() ** 2)
+    P = LinearPropagator(g, g.half_freq_radii() ** 2)
     t = 0.5
     mu = fundamental_solution(P, t)
     x, y = g.coordinates()
@@ -532,7 +549,7 @@ def test_fields_match_a_step_refined_reference(monkeypatch):
     # the reference takes ten times as many steps, so its own error is
     # ~1/100 of the stepper's (ETD-RK2 is second order)
     g = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=1024)
-    P = LinearPropagator(g, math.pi * np.abs(g.freq_radii()))
+    P = LinearPropagator(g, math.pi * g.half_freq_radii())
     u0 = box_field(g, width=2.0, height=1.0)
     snaps = np.geomspace(1.0, 30.0, 8)
     phi = PhiLaw(sigma=2.0, M=1.0)
