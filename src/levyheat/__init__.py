@@ -9,7 +9,6 @@ that control the decay of solutions.
 """
 
 from .errors import (
-    AdmissibilityError,
     ConfigError,
     ContractError,
     DomainError,
@@ -23,7 +22,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError",
     "ConfigError",
     "ContractError",
     "DomainError",

@@ -135,8 +135,6 @@ class SVTriple:
     F: object
     G: object
     H: object
-    description: str
-    certified: bool = True
 
 
 def sv_power_triple(sigma: float, p: float) -> SVTriple:
@@ -154,16 +152,11 @@ def sv_power_triple(sigma: float, p: float) -> SVTriple:
     def H(z):
         return c * np.abs(z) ** (h_pow - 1.0) * z
 
-    return SVTriple(F=F, G=G, H=H, description=f"power triple sigma={sigma}, p={p}")
+    return SVTriple(F=F, G=G, H=H)
 
 
 def generalized_sv_check(P, u: GridField, triple: SVTriple) -> MarginReport:
     """E(F(u), G(u)) >= E(H(u), H(u)) whenever F'G' >= (H')^2."""
-    if not triple.certified:
-        raise ContractError(
-            "triple lacks the certificate F'G' >= (H')^2; use a catalog triple "
-            "or certify explicitly"
-        )
     fu = GridField(u.grid, np.asarray(triple.F(u.values), dtype=float))
     gu = GridField(u.grid, np.asarray(triple.G(u.values), dtype=float))
     hu = GridField(u.grid, np.asarray(triple.H(u.values), dtype=float))
@@ -208,10 +201,16 @@ class NashReport:
 
     ratios: np.ndarray
     scales: np.ndarray
-    branch_poincare: int
-    branch_nash: int
-    family: str
-    branches: tuple = ()
+    #: "poincare" where ||g||_2 >= 1, else "nash", one per scale
+    branches: tuple
+
+    @property
+    def branch_poincare(self):
+        return self.branches.count("poincare")
+
+    @property
+    def branch_nash(self):
+        return self.branches.count("nash")
 
     @property
     def min_ratio(self):
@@ -239,30 +238,14 @@ def nash_dilation_sweep(P, d: float, *, r_norm=1.0) -> NashReport:
     """
     scales = NASH_SCALES
     ratios = np.empty_like(scales)
-    poincare = nash = 0
     branches = []
     for i, lam in enumerate(scales):
         f = mollified_box_field(
             P.grid, half_width=NASH_BOX_HALF_WIDTH, edge_width=NASH_BOX_EDGE_WIDTH, scale=lam
         )
         ratios[i], g2 = _nash_terms(P, f, d, r_norm)
-        if g2 >= 1.0:
-            poincare += 1
-            branches.append("poincare")
-        else:
-            nash += 1
-            branches.append("nash")
-    return NashReport(
-        ratios=ratios,
-        scales=scales,
-        branch_poincare=poincare,
-        branch_nash=nash,
-        family=(
-            f"mollified box dilations, half_width={NASH_BOX_HALF_WIDTH}, "
-            f"edge={NASH_BOX_EDGE_WIDTH}"
-        ),
-        branches=tuple(branches),
-    )
+        branches.append("poincare" if g2 >= 1.0 else "nash")
+    return NashReport(ratios=ratios, scales=scales, branches=tuple(branches))
 
 
 # ---------------------------------------------------------------------------

@@ -332,10 +332,6 @@ def parse_config(path) -> ExperimentConfig:
     near_param = kern.number("near_param") if _NEAR[near][1] else None
     if _NEAR[near][1] is None and "near_param" in kern.mapping:
         raise ConfigError(f"[kernel].near_param: profile {near!r} takes no parameter")
-    if near == "fractional" and not 0.0 < near_param < 2.0:
-        raise ConfigError(
-            f"[kernel].near_param: fractional needs beta in (0, 2), got {_fmt(near_param)}"
-        )
     tail_param = kern.number("tail_param") if _TAIL[tail][1] else None
     if _TAIL[tail][1] is None and "tail_param" in kern.mapping:
         raise ConfigError(f"[kernel].tail_param: profile {tail!r} takes no parameter")
@@ -354,8 +350,6 @@ def parse_config(path) -> ExperimentConfig:
         sigma = 1.0
     else:
         sigma = flow_sec.number("sigma")
-        if not sigma >= 1.0:
-            raise ConfigError(f"[flow].sigma: nonlinearity order must be >= 1, got {sigma}")
     mass_bound = flow_sec.number("mass_bound", 1.0)
     snapshots = _floats(flow_sec.require("snapshots"), key="[flow].snapshots")
     if any(t < 0 for t in snapshots) or any(

@@ -1,9 +1,8 @@
 """Exception taxonomy shared by every module in the package.
 
 All errors carry enough context to be actionable: quadrature failures
-report the tolerance actually achieved, admissibility failures name the
-end of the integration range that diverges, and pipeline failures name
-the stage that blew up.
+report the tolerance actually achieved and pipeline failures name the
+stage that blew up.
 """
 
 
@@ -21,17 +20,6 @@ class ConfigError(ValueError):
 
 class GridMismatchError(ValueError):
     """Two fields or operators live on incompatible grids."""
-
-
-class AdmissibilityError(ValueError):
-    """A kernel moment integral diverges, so the kernel is not admissible.
-
-    ``end`` is either ``"origin"`` or ``"infinity"``.
-    """
-
-    def __init__(self, message: str, end: str):
-        super().__init__(message)
-        self.end = end
 
 
 class QuadratureError(RuntimeError):

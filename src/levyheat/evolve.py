@@ -55,7 +55,7 @@ from .errors import (
     UnresolvableMeasureError,
 )
 from .spectral import GridField, PeriodicGrid, _apply_multiplier, _parseval
-from .symbol import SymbolTable, log_grid, symbol_quadrature
+from .symbol import SymbolTable, log_grid
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,6 @@ class LinearPropagator:
         radii = grid.half_freq_radii()
         lo, hi = radii[radii > 0].min(), radii.max()
         return log_grid(lo, max(hi, 2.0 * lo))
-
-    @classmethod
-    def from_kernel(cls, grid: PeriodicGrid, kernel):
-        """Direct quadrature at every distinct lattice radius.
-
-        Cost grows with the number of distinct radii; meant for the
-        small grids of cross-validation runs, not production evolution.
-        """
-        radii = grid.half_freq_radii()
-        uniq, inv = np.unique(radii.ravel(), return_inverse=True)
-        values = np.array([0.0 if rho == 0.0 else symbol_quadrature(kernel, rho) for rho in uniq])
-        return cls(grid, values[inv].reshape(radii.shape))
 
     @property
     def edge_value(self):

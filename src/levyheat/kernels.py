@@ -8,10 +8,6 @@ is most conveniently described through the profile function
     ell(r) = r^N J(r),
 
 which is what every regularity statement in the package is phrased in.
-
-The admissibility (Levy) condition ``int J(z) min(|z|^2, 1) dz < inf``
-is certified numerically by ``levy_moment``, which refines the
-integration limits decade by decade and flags the diverging end.
 """
 
 from __future__ import annotations
@@ -23,8 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import sici
 
-from .errors import AdmissibilityError, DomainError
-from .quadrature import adaptive_quad, wynn_epsilon_limit
+from .errors import DomainError
 
 #: deepest oscillation band kept in the Oscillating profile; below
 #: ``2**-OSC_BAND_LIMIT`` the profile continues with ell = 1.
@@ -40,15 +35,15 @@ OSC_BAND_LIMIT = 40
 class FractionalPower:
     """``J(z) = |z|^(-N-beta)``, the fractional-Laplacian-type singularity.
 
-    ``beta`` in (0, 2) is the admissible range; larger values may be
-    constructed but fail the Levy moment certification at the origin.
+    ``beta`` in (0, 2) is the admissible range: outside it the Levy
+    condition ``int J min(|z|^2, 1) dz < inf`` fails at the origin.
     """
 
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise DomainError(f"FractionalPower needs beta > 0, got {self.beta}")
+        if not 0 < self.beta < 2:
+            raise DomainError(f"FractionalPower needs beta in (0, 2), got {self.beta}")
 
     def j(self, r, dim):
         return r ** (-dim - self.beta)
@@ -65,13 +60,6 @@ class FractionalPower:
     def int_symbol_measure(self, a, b, dim):
         # int_a^b ell(r)/r dr = int_a^b r^(-1-beta) dr
         return (a**-self.beta - b**-self.beta) / self.beta
-
-    def int_moment_measure(self, a, b, dim):
-        # int_a^b r ell(r) dr = int_a^b r^(1-beta) dr
-        if self.beta == 2.0:
-            return math.log(b / a)
-        e = 2.0 - self.beta
-        return (b**e - a**e) / e
 
 
 @dataclass(frozen=True)
@@ -95,9 +83,6 @@ class Borderline:
 
     def int_symbol_measure(self, a, b, dim):
         return math.log(b / a)
-
-    def int_moment_measure(self, a, b, dim):
-        return 0.5 * (b * b - a * a)
 
 
 @dataclass(frozen=True)
@@ -135,9 +120,6 @@ class LogPerturbed:
         q = 1.0 - self.p
         return (ub**q - ua**q) / q
 
-    def int_moment_measure(self, a, b, dim):
-        return None  # no elementary form; quadrature fallback
-
 
 @dataclass(frozen=True)
 class Bounded:
@@ -163,10 +145,6 @@ class Bounded:
 
     def int_symbol_measure(self, a, b, dim):
         return self.c0 * (b**dim - a**dim) / dim
-
-    def int_moment_measure(self, a, b, dim):
-        e = dim + 2
-        return self.c0 * (b**e - a**e) / e
 
 
 @dataclass(frozen=True)
@@ -242,10 +220,6 @@ class Oscillating:
     def int_symbol_measure(self, a, b, dim):
         lo, hi, v = self._clipped_steps(a, b)
         return float(np.sum(v * np.log(hi / lo)))
-
-    def int_moment_measure(self, a, b, dim):
-        lo, hi, v = self._clipped_steps(a, b)
-        return float(np.sum(0.5 * v * (hi * hi - lo * lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,92 +417,6 @@ class LevyKernel:
 # ---------------------------------------------------------------------------
 # catalog operations
 # ---------------------------------------------------------------------------
-
-
-def _moment_piece(kernel, a, b, rtol):
-    """``int_a^b s ell(s) ds``: closed form where the profile has one,
-    adaptive quadrature otherwise."""
-    near, dim = kernel.near, kernel.dimension
-    closed = near.int_moment_measure(a, b, dim)
-    if closed is not None:
-        return closed
-    val, _ = adaptive_quad(lambda s: s * near.ell(s, dim), a, b, rtol=rtol)
-    return val
-
-
-def _surface_factor(dim):
-    # the angular measure of the unit sphere: two points or a circle
-    return 2.0 if dim == 1 else 2.0 * math.pi
-
-
-def _probe_refined(piece, decades, total_limit, rtol, end):
-    """Sum per-decade integrals over a refinement ladder, watching for divergence.
-
-    ``piece(d)`` returns the integral over the d-th decade.  Divergence
-    is declared when the running total passes ``total_limit`` or when
-    the per-decade increments stop decreasing; otherwise the partial
-    sums are extrapolated to their limit.
-    """
-    partials = []
-    total = 0.0
-    increments = []
-    for d in range(decades):
-        inc = piece(d)
-        if not np.isfinite(inc):
-            raise AdmissibilityError(f"kernel moment diverges at the {end}", end=end)
-        total += inc
-        increments.append(inc)
-        partials.append(total)
-        if total > total_limit:
-            raise AdmissibilityError(
-                f"kernel moment exceeds {total_limit:g} at the {end}", end=end
-            )
-    if increments[-1] <= rtol * max(total, 1e-300):
-        return total
-    if increments[-1] >= increments[-2] * (1.0 - 1e-3):
-        # increments no longer decreasing: logarithmic or worse divergence
-        raise AdmissibilityError(
-            f"kernel moment increments do not decay at the {end}", end=end
-        )
-    val, err = wynn_epsilon_limit(np.asarray(partials))
-    if err > 10 * rtol * abs(val):
-        raise AdmissibilityError(
-            f"kernel moment fails to converge at the {end} "
-            f"(extrapolation residual {err:.2e})",
-            end=end,
-        )
-    return val
-
-
-def levy_moment(kernel: LevyKernel, *, rtol=1e-8):
-    """``int J(z) min(|z|^2, 1) dz``, the admissibility certificate.
-
-    Raises AdmissibilityError naming the diverging end when the partial
-    integrals fail to settle under decade-by-decade refinement.
-    """
-    near_val = _probe_refined(
-        lambda d: _moment_piece(kernel, 10.0 ** -(d + 1), 10.0**-d, rtol),
-        decades=16,
-        total_limit=1e12,
-        rtol=rtol,
-        end="origin",
-    )
-    if isinstance(kernel.tail, CompactSupport):
-        tail_val = 0.0
-    else:
-        tail_val = _probe_refined(
-            lambda d: (
-                kernel.tail.int_measure(10.0**d, kernel.dimension, kernel.matching_constant)
-                - kernel.tail.int_measure(
-                    10.0 ** (d + 1), kernel.dimension, kernel.matching_constant
-                )
-            ),
-            decades=16,
-            total_limit=1e12,
-            rtol=rtol,
-            end="infinity",
-        )
-    return _surface_factor(kernel.dimension) * (near_val + tail_val)
 
 
 def tail_exponent(kernel: LevyKernel):

@@ -189,7 +189,8 @@ def test_forms_need_a_propagator_on_the_fields_grid(integrable_table):
 def test_cross_oracle_spectral_vs_direct_1d():
     # dx = 1/64 keeps the midpoint-rule bias of the double sum within budget
     g = PeriodicGrid(dimension=1, half_width=2.0, points_per_axis=256)
-    P = LinearPropagator.from_kernel(g, INTEGRABLE)
+    tab = build_symbol_table(INTEGRABLE, LinearPropagator.table_grid(g))
+    P = LinearPropagator.from_table(g, tab)
     for seed in range(10):
         f = random_band_limited(g, np.random.default_rng(500 + seed), 0.25)
         Es = an.dirichlet_form_spectral(P, f)
@@ -200,7 +201,8 @@ def test_cross_oracle_spectral_vs_direct_1d():
 def test_cross_oracle_spectral_vs_direct_2d():
     kern = LevyKernel(dimension=2, near=Bounded(c0=0.5), tail=CompactSupport())
     g = PeriodicGrid(dimension=2, half_width=2.0, points_per_axis=64)
-    P = LinearPropagator.from_kernel(g, kern)
+    tab = build_symbol_table(kern, LinearPropagator.table_grid(g))
+    P = LinearPropagator.from_table(g, tab)
     for seed in range(3):
         f = random_band_limited(g, np.random.default_rng(100 + seed), 0.25)
         Es = an.dirichlet_form_spectral(P, f)
@@ -324,7 +326,7 @@ def test_generalized_sv(integrable_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, integrable_table)
     f = random_band_limited(g, np.random.default_rng(44), 0.3)
-    ident = an.SVTriple(F=lambda z: z, G=lambda z: z, H=lambda z: z, description="id")
+    ident = an.SVTriple(F=lambda z: z, G=lambda z: z, H=lambda z: z)
     assert an.generalized_sv_check(P, f, ident).margin == 0.0
     tri = an.sv_power_triple(2.0, 2.0)
     # the catalog constant c_{p,sigma} = 2 sqrt(sigma (p-1)) / (p+sigma-1)
@@ -333,17 +335,6 @@ def test_generalized_sv(integrable_table):
         u = random_band_limited(g, np.random.default_rng(7000 + seed), 0.3)
         rep = an.generalized_sv_check(P, u, tri)
         assert rep.passed, f"seed {seed}: margin {rep.margin:.3e} vs E_H {rep.reference:.3e}"
-
-
-def test_generalized_sv_requires_certification(integrable_table):
-    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
-    P = LinearPropagator.from_table(g, integrable_table)
-    f = random_band_limited(g, np.random.default_rng(2), 0.3)
-    rogue = an.SVTriple(
-        F=lambda z: z**3, G=lambda z: z, H=lambda z: z, description="uncertified", certified=False
-    )
-    with pytest.raises(ContractError):
-        an.generalized_sv_check(P, f, rogue)
 
 
 # ---------------------------------------------------------------------------

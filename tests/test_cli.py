@@ -488,9 +488,10 @@ def test_infinity_stays_valid_for_norms_and_mass_bound(tmp_path):
         for bad in ("0", "-1")
     ]
     + [
-        ("near_param = 1.0", f"near_param = {bad}", "fractional needs beta in (0, 2)")
+        ("near_param = 1.0", f"near_param = {bad}", "needs beta in (0, 2)")
         for bad in ("2", "2.5")
-    ],
+    ]
+    + [("kind = linear", "kind = nonlinear\nsigma = 0.5", "sigma must be >= 1")],
 )
 def test_out_of_range_datum_or_order_fails_before_any_computation(
     tmp_path, monkeypatch, capsys, old, new, message

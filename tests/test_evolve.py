@@ -41,7 +41,7 @@ from levyheat.spectral import (
     mode_field,
     random_band_limited,
 )
-from levyheat.symbol import build_symbol_table, log_grid, symbol_quadrature
+from levyheat.symbol import build_symbol_table, log_grid
 from lattice import full_lattice_radii, full_multiplier
 
 
@@ -149,21 +149,6 @@ def test_one_etd_step_matches_continuum_pair_2d():
     a = _continuum_pair_apply(P, ez, u) - dt * _continuum_pair_apply(P, m * phi1, residual(u))
     want = a - dt * _continuum_pair_apply(P, m * phi2, residual(a) - residual(u))
     assert np.max(np.abs(run[0].values - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_from_kernel_quadrature_at_lattice_radii():
-    kern = LevyKernel(dimension=1, near=Borderline(), tail=PowerTail(alpha=2.0))
-    g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=8)
-    P = LinearPropagator.from_kernel(g, kern)
-    radii, m = full_lattice_radii(g), full_multiplier(P)
-    assert m[radii == 0.0].tolist() == [0.0]
-    # +xi and -xi share a radius, so each of the three inner radii is hit twice
-    uniq, counts = np.unique(radii[radii > 0], return_counts=True)
-    assert counts.tolist() == [2, 2, 2, 1]
-    for rho in uniq:
-        shared = m[radii == rho]
-        assert (shared == symbol_quadrature(kern, rho)).all()
-        assert shared[0] > 0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 4096), (2, 2), (2, 64)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levyheat.errors import AdmissibilityError, DomainError
+from levyheat.errors import DomainError
 from levyheat.kernels import (
     Borderline,
     Bounded,
@@ -14,7 +14,6 @@ from levyheat.kernels import (
     LogPerturbed,
     Oscillating,
     PowerTail,
-    levy_moment,
     tail_exponent,
 )
 
@@ -110,8 +109,7 @@ def test_oscillating_bands_stop_before_the_first_empty_one(alpha_osc, count):
 
 # ---------------------------------------------------------------------------
 # psi functionals, read off the near profiles' closed forms:
-# psi1(r) = int_r^1 ell(s)/s ds = near.int_symbol_measure(r, 1, N),
-# psi2(r) = r^-2 int_0^r s ell(s) ds = near.int_moment_measure(0, r, N) / r^2
+# psi1(r) = int_r^1 ell(s)/s ds = near.int_symbol_measure(r, 1, N)
 # ---------------------------------------------------------------------------
 
 
@@ -147,60 +145,6 @@ def test_psi1_oscillating_linear_growth():
         assert val >= math.log(1.0 / edge) - 1e-12
 
 
-def test_psi2_borderline():
-    k = kernel(Borderline(), CompactSupport())
-    for r in (0.3, 1.0):
-        assert abs(k.near.int_moment_measure(0.0, r, k.dimension) / r**2 - 0.5) < 1e-13
-
-
-def test_psi2_fractional_power_value():
-    k = kernel(FractionalPower(1.25), CompactSupport())
-    psi2 = k.near.int_moment_measure(0.0, 0.7, k.dimension) / 0.7**2
-    assert abs(psi2 - 0.7**-1.25 / 0.75) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# levy moment and admissibility
-# ---------------------------------------------------------------------------
-
-
-def test_moment_pure_power_alpha_one():
-    k = kernel(FractionalPower(1.0), PowerTail(1.0))
-    assert abs(levy_moment(k) - 4.0) < 1e-8
-
-
-def test_moment_bounded_compact_2d():
-    k = kernel(Bounded(1.0 / math.pi), CompactSupport(), dim=2)
-    assert abs(levy_moment(k) - 0.5) < 1e-10
-
-
-def test_moment_oscillating_exponential():
-    # band-sum + exponential tail in closed form: 5.11726190476...
-    k = kernel(Oscillating(1.0), ExponentialTail(0.5))
-    assert abs(levy_moment(k) - 5.1172619047619048) < 1e-7
-
-
-def test_moment_log_perturbed_2d():
-    # 2 pi e^2 Gamma(1/2, 2)/sqrt(2)
-    k = kernel(LogPerturbed(0.5), CompactSupport(), dim=2)
-    assert abs(levy_moment(k) - 2.6475409503602902) < 1e-7
-
-
-@pytest.mark.parametrize("beta", [2.0, 2.7, 3.5])
-def test_moment_diverges_at_origin(beta):
-    k = kernel(FractionalPower(beta), CompactSupport())
-    with pytest.raises(AdmissibilityError) as info:
-        levy_moment(k)
-    assert info.value.end == "origin"
-
-
-def test_moment_near_critical_beta():
-    # beta = 1.95 still converges; the series accelerator has to work
-    k = kernel(FractionalPower(1.95), CompactSupport())
-    ref = 2.0 * (1.0 / (2.0 - 1.95))  # 2 int_0^1 r^{1-beta} dr
-    assert abs(levy_moment(k) - ref) / ref < 1e-6
-
-
 def test_tail_exponent_capped_at_two():
     assert tail_exponent(kernel(Borderline(), PowerTail(3.0))) == 2.0
     assert tail_exponent(kernel(Borderline(), PowerTail(0.5))) == 0.5
@@ -218,6 +162,10 @@ def test_bad_parameters_rejected():
         FractionalPower(0.0)
     with pytest.raises(DomainError):
         FractionalPower(-1.0)
+    with pytest.raises(DomainError):
+        FractionalPower(2.0)
+    with pytest.raises(DomainError):
+        FractionalPower(float("nan"))
     with pytest.raises(DomainError):
         PowerTail(0.0)
     with pytest.raises(DomainError):
