@@ -92,9 +92,7 @@ class MarginReport:
 
 
 def _power_field(f: GridField, a: float) -> GridField:
-    if a == 0.0:
-        # the convention f^0 = 1 everywhere (constants have zero form)
-        return GridField(f.grid, np.ones(f.grid.shape))
+    # 0.0**0.0 == 1.0 gives the convention f^0 = 1 (constants have zero form)
     return GridField(f.grid, f.values**a)
 
 
@@ -368,6 +366,8 @@ def fit_decay_exponent(series, window=None) -> DecayFit:
         t, y = t[keep], y[keep]
     if t.size < 5:
         raise DomainError(f"need at least 5 points in the window, got {t.size}")
+    if (t <= 0).any():
+        raise DomainError("times must be positive to fit a power law")
     if (y <= 0).any():
         raise DomainError("norms must be positive to fit a power law")
     lt, ly = np.log(t), np.log(y)
@@ -416,10 +416,7 @@ CK_PROBE_MAX = 8
 @dataclass(frozen=True)
 class RegularityReport:
     classification: str
-    partial_integrals: np.ndarray
-    cutoffs: np.ndarray
     ck_order: object  # smallest k with divergent k-th moment, or None (C^inf)
-    time: float
 
 
 def _weighted_partials(tab: SymbolTable, t: float, cutoffs, weight_power: int):
@@ -499,13 +496,7 @@ def regularizing_diagnostic(tab: SymbolTable, t, cutoffs=None) -> RegularityRepo
                 break
     elif cls is DIVERGENT:
         ck = 0
-    return RegularityReport(
-        classification=cls,
-        partial_integrals=partials,
-        cutoffs=cutoffs,
-        ck_order=ck,
-        time=float(t),
-    )
+    return RegularityReport(classification=cls, ck_order=ck)
 
 
 def log_symbol_slope(tab: SymbolTable, decades=2.0) -> float:

@@ -59,7 +59,6 @@ from .kernels import (
     LogPerturbed,
     Oscillating,
     PowerTail,
-    tail_exponent,
 )
 from .spectral import (
     PeriodicGrid,
@@ -387,6 +386,11 @@ def parse_config(path) -> ExperimentConfig:
         window = None if window_raw == "auto" else _floats(window_raw, key="[decay].window")
         if window is not None and (len(window) != 2 or window[0] >= window[1]):
             raise ConfigError("[decay].window: expected 'auto' or two increasing times")
+        if snapshots[0] == 0.0 and (window is None or window[0] <= 0.0 <= window[1]):
+            raise ConfigError(
+                "[decay]: a power-law fit needs positive times, but the window "
+                f"{window_raw!r} includes the snapshot at t = 0"
+            )
         targets = d.get("targets")
         tolerance = None
         if targets is not None:
@@ -492,7 +496,7 @@ def _validate_objects(cfg: ExperimentConfig):
             theta_exponents(
                 cfg.interpolation.r,
                 cfg.interpolation.s,
-                tail_exponent(cfg.kernel()),
+                cfg.kernel().tail.exponent(),
                 cfg.dimension,
             )
         except Exception as exc:
@@ -648,7 +652,7 @@ def _regularity_report(cfg, tab):
 
 
 def _interpolation_report(cfg, P, u):
-    gamma = tail_exponent(cfg.kernel())
+    gamma = cfg.kernel().tail.exponent()
     rep = interpolation_check(P, u, cfg.interpolation.r, cfg.interpolation.s, gamma)
     return (
         "\n".join(
@@ -740,10 +744,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             manifest["work"] = work
         art.write_text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return manifest
-    except ConfigError:
-        art.discard_all()
-        raise
-    except PipelineError:
+    except (ConfigError, PipelineError):
         art.discard_all()
         raise
     except Exception as exc:  # belt and braces: name the write stage

@@ -3,11 +3,15 @@
 A kernel is the pair of a near-origin profile on ``0 < |z| <= 1`` and a
 tail profile on ``|z| > 1``, glued continuously at ``|z| = 1`` by a
 matching constant whenever both sides are positive.  The near behaviour
-is most conveniently described through the profile function
+is the profile function
 
-    ell(r) = r^N J(r),
+    ell(r) = r^N J(r).
 
-which is what every regularity statement in the package is phrased in.
+A near profile answers ``j``, which the direct form and the multiplier
+quadrature evaluate; the singular ones (all but bounded) also give
+``int_symbol_measure(a) = int_a^1 ell(r)/r dr`` in closed form, and the
+piecewise-constant ones (borderline, oscillating) store ell itself as
+``steps``.
 """
 
 from __future__ import annotations
@@ -48,18 +52,9 @@ class FractionalPower:
     def j(self, r, dim):
         return r ** (-dim - self.beta)
 
-    def ell(self, r, dim):
-        return r**-self.beta
-
-    def ell_at_one(self, dim):
-        return 1.0
-
-    def breakpoints(self):
-        return ()
-
-    def int_symbol_measure(self, a, b, dim):
-        # int_a^b ell(r)/r dr = int_a^b r^(-1-beta) dr
-        return (a**-self.beta - b**-self.beta) / self.beta
+    def int_symbol_measure(self, a):
+        # int_a^1 ell(r)/r dr = int_a^1 r^(-1-beta) dr
+        return (a**-self.beta - 1.0) / self.beta
 
 
 @dataclass(frozen=True)
@@ -72,17 +67,11 @@ class Borderline:
     def j(self, r, dim):
         return r**-dim
 
-    def ell(self, r, dim):
+    def ell(self, r):
         return 1.0 + 0.0 * r
 
-    def ell_at_one(self, dim):
-        return 1.0
-
-    def breakpoints(self):
-        return ()
-
-    def int_symbol_measure(self, a, b, dim):
-        return math.log(b / a)
+    def int_symbol_measure(self, a):
+        return math.log(1.0 / a)
 
 
 @dataclass(frozen=True)
@@ -103,22 +92,13 @@ class LogPerturbed:
     def j(self, r, dim):
         return r**-dim * np.log(np.e / r) ** -self.p
 
-    def ell(self, r, dim):
-        return np.log(np.e / r) ** -self.p
-
-    def ell_at_one(self, dim):
-        return 1.0
-
-    def breakpoints(self):
-        return ()
-
-    def int_symbol_measure(self, a, b, dim):
-        # substitute u = log(e/r): int ell/r dr = int_{log(e/b)}^{log(e/a)} u^-p du
-        ua, ub = math.log(math.e / b), math.log(math.e / a)
+    def int_symbol_measure(self, a):
+        # substitute u = log(e/r): int_a^1 ell/r dr = int_1^{log(e/a)} u^-p du
+        u = math.log(math.e / a)
         if self.p == 1.0:
-            return math.log(ub / ua)
+            return math.log(u)
         q = 1.0 - self.p
-        return (ub**q - ua**q) / q
+        return (u**q - 1.0) / q
 
 
 @dataclass(frozen=True)
@@ -133,18 +113,6 @@ class Bounded:
 
     def j(self, r, dim):
         return self.c0 + 0.0 * r
-
-    def ell(self, r, dim):
-        return self.c0 * r**dim
-
-    def ell_at_one(self, dim):
-        return self.c0
-
-    def breakpoints(self):
-        return ()
-
-    def int_symbol_measure(self, a, b, dim):
-        return self.c0 * (b**dim - a**dim) / dim
 
 
 @dataclass(frozen=True)
@@ -169,7 +137,8 @@ class Oscillating:
             raise DomainError(f"Oscillating needs alpha_osc >= 0, got {self.alpha_osc}")
 
     @cached_property
-    def _band_list(self):
+    def bands(self):
+        """Active bands as (lo, hi, value) with lo = 2^-k (1 - 1/b_k)."""
         out = []
         for k in range(1, OSC_BAND_LIMIT + 1):
             b_k = 2.0 ** (self.alpha_osc * k)
@@ -182,44 +151,30 @@ class Oscillating:
             out.append((lo, hi, b_k))
         return tuple(out)
 
-    def bands(self):
-        """Active bands as (lo, hi, value) with lo = 2^-k (1 - 1/b_k)."""
-        return self._band_list
-
     @cached_property
     def steps(self):
         """ell on (0, 1] as constant steps ``(edges, values)``: ell equals
         ``values[i]`` on ``(edges[i], edges[i+1]]``, from 0 up to 1."""
         edges, values = [0.0], []
-        for lo, hi, b_k in reversed(self.bands()):
+        for lo, hi, b_k in reversed(self.bands):
             edges += [lo, hi]
             values += [1.0, b_k]
         return np.array([*edges, 1.0]), np.array([*values, 1.0])
 
-    def _clipped_steps(self, a, b):
-        edges, values = self.steps
-        lo, hi = np.maximum(edges[:-1], a), np.minimum(edges[1:], b)
-        keep = hi > lo
-        return lo[keep], hi[keep], values[keep]
-
-    def ell(self, r, dim):
+    def ell(self, r):
         edges, values = self.steps
         # the outermost steps are ell = 1, so clipping continues ell = 1
         # outside (0, 1]
         return values.take(np.searchsorted(edges, r) - 1, mode="clip")
 
     def j(self, r, dim):
-        return self.ell(r, dim) * r**-dim
+        return self.ell(r) * r**-dim
 
-    def ell_at_one(self, dim):
-        return 1.0
-
-    def breakpoints(self):
-        return tuple(self.steps[0][1:-1])
-
-    def int_symbol_measure(self, a, b, dim):
-        lo, hi, v = self._clipped_steps(a, b)
-        return float(np.sum(v * np.log(hi / lo)))
+    def int_symbol_measure(self, a):
+        edges, values = self.steps
+        lo, hi = np.maximum(edges[:-1], a), np.minimum(edges[1:], 1.0)
+        keep = hi > lo
+        return float(np.sum(values[keep] * np.log(hi[keep] / lo[keep])))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +187,7 @@ class PowerTail:
     """``J(z) = matching * |z|^(-N-alpha)`` beyond the unit ball.
 
     ``alpha`` in (0, 2] is the range the decay theory addresses;
-    ``tail_exponent`` caps the reported exponent at 2 regardless.
+    ``exponent`` caps the reported exponent at 2 regardless.
     """
 
     alpha: float
@@ -324,9 +279,6 @@ class CompactSupport:
     def j(self, r, dim, match):
         return 0.0 * r
 
-    def int_measure(self, a, dim, match):
-        return 0.0
-
     def exponent(self):
         return 2.0
 
@@ -393,7 +345,7 @@ class LevyKernel:
             raise DomainError(f"unknown near profile {self.near!r}")
         if not isinstance(self.tail, TAIL_PROFILES):
             raise DomainError(f"unknown tail profile {self.tail!r}")
-        match = self.tail.matching(self.near.ell_at_one(self.dimension))
+        match = self.tail.matching(float(self.near.j(1.0, self.dimension)))
         object.__setattr__(self, "matching_constant", match)
 
     # -- radial evaluation ---------------------------------------------------
@@ -413,13 +365,3 @@ class LevyKernel:
             out[~near] = self.tail.j(r[~near], self.dimension, self.matching_constant)
         return out[0] if scalar else out
 
-
-# ---------------------------------------------------------------------------
-# catalog operations
-# ---------------------------------------------------------------------------
-
-
-def tail_exponent(kernel: LevyKernel):
-    """Effective tail decay index: min(alpha, 2) for power tails, 2 for
-    anything decaying at least that fast."""
-    return kernel.tail.exponent()

@@ -13,7 +13,7 @@ in two dimensions
     m(xi) = 2 pi int_0^inf (1 - B0(r xi)) J(r) r dr
 
 with B0 the order-zero Bessel function.  The engine splits the radial
-line at the origin singularity, at the profile breakpoints and at the
+line at the origin singularity, at the step profiles' edges and at the
 near/tail matching radius, evaluates the non-oscillatory parts by
 closed form or adaptive Gauss-Kronrod quadrature, and handles the
 oscillatory remainders with cosine-weighted rules (QAWO/QAWF) in one
@@ -84,16 +84,10 @@ def log_grid(lo=1e-3, hi=1e4, per_decade=64):
 
 
 def _one_minus_j0(x):
-    """``1 - J0(x)`` without cancellation: the Taylor series for
-    ``|x| <= 1``, the plain difference beyond.
-
-    Python floats stay on a plain-Python path, because quadrature calls
-    this once per node.
-    """
-    if isinstance(x, float):
-        return _one_minus_j0_series(0.25 * x * x) if abs(x) <= 1.0 else 1.0 - j0(x)
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= 1.0, _one_minus_j0_series(0.25 * x * x), 1.0 - j0(x))
+    """``1 - J0(x)`` at a float x without cancellation: the Taylor series
+    for ``|x| <= 1``, the plain difference beyond.  Quadrature calls this
+    once per node."""
+    return _one_minus_j0_series(0.25 * x * x) if abs(x) <= 1.0 else 1.0 - j0(x)
 
 
 def _one_minus_j0_series(u):
@@ -198,7 +192,7 @@ def _symbol_1d(kernel, xi, rtol):
             lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jn(r), 0.0, a, rtol=rtol
         )
         if a < 1.0:
-            total += near.int_symbol_measure(a, 1.0, 1)
+            total += near.int_symbol_measure(a)
             v, e = cos_weighted_quad(jn, a, 1.0, xi, rtol=rtol)
             total -= v
             err += e
@@ -251,7 +245,7 @@ def _symbol_2d(kernel, xi, rtol):
     tail = kernel.tail
     match = kernel.matching_constant
     dim = 2
-    bp = near.breakpoints()
+    bp = near.steps[0][1:-1] if hasattr(near, "steps") else ()
 
     a = min(1.0, _FIRST_J0_ZERO / xi)
     if isinstance(near, Bounded):
@@ -265,7 +259,7 @@ def _symbol_2d(kernel, xi, rtol):
             rtol=rtol,
         )
         if a < 1.0:
-            total += near.int_symbol_measure(a, 1.0, dim)
+            total += near.int_symbol_measure(a)
             panel_edges = _j0_panel_edges(a, 1.0, xi, bp)
             osc = lambda r: j0(xi * r) * near.j(r, dim) * r
             terms = gauss_panel_sums(osc, panel_edges)

@@ -472,6 +472,14 @@ def test_fit_input_validation():
     bad_t = np.concatenate([t[:5], t[3:8]])
     with pytest.raises(DomainError):
         an.fit_decay_exponent(np.column_stack([bad_t, np.ones_like(bad_t)]))
+    # a snapshot at t = 0 has no logarithm: inside the window it is an
+    # error, outside it the fit runs
+    t0 = np.linspace(0.0, 5.0, 10)
+    with pytest.raises(DomainError, match="times must be positive"):
+        an.fit_decay_exponent(np.column_stack([t0, np.ones_like(t0)]))
+    with pytest.raises(DomainError, match="times must be positive"):
+        an.fit_decay_exponent(np.column_stack([t0, np.ones_like(t0)]), window=(-1.0, 5.0))
+    an.fit_decay_exponent(np.column_stack([t0, np.ones_like(t0)]), window=(0.5, 5.0))
 
 
 def test_late_window_fit_beats_global():

@@ -335,14 +335,35 @@ def test_seed_override_changes_manifest_and_fields(tmp_path):
 
 def test_outputs_byte_reproducible(tmp_path):
     body = BASE.replace("kind = box\nwidth = 2.0", "kind = random\nband = 0.25")
-    path = write_cfg(tmp_path, body=body)
-    for sub in ("a", "b"):
-        assert main(["evolve", "--config", str(path), "--output", str(tmp_path / sub)]) == 0
-    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    for name in ["manifest.json", *manifest["artifacts"]]:
-        bytes_a = (tmp_path / "a" / name).read_bytes()
-        bytes_b = (tmp_path / "b" / name).read_bytes()
-        assert bytes_a == bytes_b, f"{name} differs between identical runs"
+    body_2d = body.replace("dimension = 1", "dimension = 2").replace("points = 2048", "points = 8")
+    for dim, text in ((1, body), (2, body_2d)):
+        root = tmp_path / f"{dim}d"
+        root.mkdir()
+        path = write_cfg(root, body=text)
+        for sub in ("a", "b"):
+            assert main(["evolve", "--config", str(path), "--output", str(root / sub)]) == 0
+        manifest = json.loads((root / "a" / "manifest.json").read_text())
+        for name in ["manifest.json", *manifest["artifacts"]]:
+            bytes_a = (root / "a" / name).read_bytes()
+            bytes_b = (root / "b" / name).read_bytes()
+            assert bytes_a == bytes_b, f"{dim}-D {name} differs between identical runs"
+    # the 2-D snapshot format: header x,y,u, then the n^2 nodes with x
+    # outer, each value parsing back to the field exactly
+    cfg = parse_config(path)
+    grid = cfg.grid()
+    P = LinearPropagator.from_table(
+        grid, build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(grid))
+    )
+    fields = LinearFlow(P, cli._initial_field(cfg, grid)).fields(cfg.snapshots)
+    x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    for i, u in enumerate(fields):
+        header, *rows = (root / "a" / f"field_{i:04d}.csv").read_text().splitlines()
+        assert header == "x,y,u"
+        parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert parsed.shape == (64, 3)
+        assert np.array_equal(parsed[:, 0], x.ravel()) and np.array_equal(parsed[:, 1], y.ravel())
+        assert np.array_equal(parsed[:, 2], u.values.ravel())
+    assert i == len(cfg.snapshots) - 1
 
 
 def test_pipeline_failure_names_stage_and_cleans_up(tmp_path):
@@ -491,7 +512,15 @@ def test_infinity_stays_valid_for_norms_and_mass_bound(tmp_path):
         ("near_param = 1.0", f"near_param = {bad}", "needs beta in (0, 2)")
         for bad in ("2", "2.5")
     ]
-    + [("kind = linear", "kind = nonlinear\nsigma = 0.5", "sigma must be >= 1")],
+    + [("kind = linear", "kind = nonlinear\nsigma = 0.5", "sigma must be >= 1")]
+    + [
+        (
+            "snapshots = 1 1.5 2.3 3.4 5.1 7.7",
+            f"snapshots = 0 1 1.5 2.3 3.4 5.1 7.7\n\n[decay]\nnorms = 2{window}",
+            "includes the snapshot at t = 0",
+        )
+        for window in ("", "\nwindow = auto", "\nwindow = 0 8", "\nwindow = -1 8")
+    ],
 )
 def test_out_of_range_datum_or_order_fails_before_any_computation(
     tmp_path, monkeypatch, capsys, old, new, message

@@ -14,7 +14,6 @@ from levyheat.kernels import (
     LogPerturbed,
     Oscillating,
     PowerTail,
-    tail_exponent,
 )
 
 
@@ -80,20 +79,20 @@ def test_exponential_matching_constant():
 def test_ell_constant_for_borderline():
     k = kernel(Borderline(), PowerTail(1.0), dim=2)
     r = np.geomspace(1e-6, 1.0, 50)
-    assert np.allclose(k.near.ell(r, k.dimension), 1.0)
+    assert np.allclose(k.near.ell(r), 1.0)
 
 
 def test_ell_oscillating_band_value():
     k = kernel(Oscillating(1.0), CompactSupport())
     # inside the k=2 band (3/16, 1/4] the profile sits at 2^2 = 4
-    assert abs(k.near.ell(0.21875, k.dimension) - 4.0) < 1e-14
-    assert abs(k.near.ell(0.25, k.dimension) - 4.0) < 1e-14  # right band edge included
-    assert abs(k.near.ell(0.26, k.dimension) - 1.0) < 1e-14  # just outside
+    assert abs(k.near.ell(0.21875) - 4.0) < 1e-14
+    assert abs(k.near.ell(0.25) - 4.0) < 1e-14  # right band edge included
+    assert abs(k.near.ell(0.26) - 1.0) < 1e-14  # just outside
 
 
 def test_ell_oscillating_band_invariants():
     osc = Oscillating(1.0)
-    for lo, hi, val in osc.bands():
+    for lo, hi, val in osc.bands:
         assert 0.0 < lo < hi <= 0.5
         assert val > 2.0, f"band ({lo}, {hi}] has non-admissible height {val}"
 
@@ -102,26 +101,26 @@ def test_ell_oscillating_band_invariants():
 def test_oscillating_bands_stop_before_the_first_empty_one(alpha_osc, count):
     # from alpha_osc * k = 54 on, 1 - 2^-(alpha_osc k) rounds to 1 and the
     # band (2^-k (1 - 1/b_k), 2^-k] is empty in double precision
-    bands = Oscillating(alpha_osc).bands()
+    bands = Oscillating(alpha_osc).bands
     assert all(lo < hi for lo, hi, _ in bands)
     assert len(bands) == count
 
 
 # ---------------------------------------------------------------------------
 # psi functionals, read off the near profiles' closed forms:
-# psi1(r) = int_r^1 ell(s)/s ds = near.int_symbol_measure(r, 1, N)
+# psi1(r) = int_r^1 ell(s)/s ds = near.int_symbol_measure(r)
 # ---------------------------------------------------------------------------
 
 
 def test_psi1_borderline_log():
     k = kernel(Borderline(), CompactSupport())
-    assert abs(k.near.int_symbol_measure(0.1, 1.0, k.dimension) - math.log(10.0)) < 1e-13
+    assert abs(k.near.int_symbol_measure(0.1) - math.log(10.0)) < 1e-13
 
 
 def test_psi1_fractional_power():
     k = kernel(FractionalPower(0.5), CompactSupport())
     # (r^{-1/2} - 1)/(1/2) at r = 1/4
-    assert abs(k.near.int_symbol_measure(0.25, 1.0, k.dimension) - 2.0) < 1e-13
+    assert abs(k.near.int_symbol_measure(0.25) - 2.0) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -130,7 +129,7 @@ def test_psi1_fractional_power():
 )
 def test_psi1_log_perturbed(p, ref):
     k = kernel(LogPerturbed(p), CompactSupport())
-    val = k.near.int_symbol_measure(0.1, 1.0, k.dimension)
+    val = k.near.int_symbol_measure(0.1)
     assert abs(val - ref) < 1e-10, f"psi1 logpert({p}) = {val}"
 
 
@@ -140,16 +139,16 @@ def test_psi1_oscillating_linear_growth():
     for idx in range(2, 16):
         b = 2.0**idx
         edge = 2.0**-idx * (1.0 - 1.0 / b)
-        val = k.near.int_symbol_measure(edge, 1.0, k.dimension)
+        val = k.near.int_symbol_measure(edge)
         assert val <= 3.0 * idx, f"psi1 at band {idx} edge = {val}"
         assert val >= math.log(1.0 / edge) - 1e-12
 
 
 def test_tail_exponent_capped_at_two():
-    assert tail_exponent(kernel(Borderline(), PowerTail(3.0))) == 2.0
-    assert tail_exponent(kernel(Borderline(), PowerTail(0.5))) == 0.5
-    assert tail_exponent(kernel(Borderline(), CompactSupport())) == 2.0
-    assert tail_exponent(kernel(Borderline(), ExponentialTail(1.0))) == 2.0
+    assert kernel(Borderline(), PowerTail(3.0)).tail.exponent() == 2.0
+    assert kernel(Borderline(), PowerTail(0.5)).tail.exponent() == 0.5
+    assert kernel(Borderline(), CompactSupport()).tail.exponent() == 2.0
+    assert kernel(Borderline(), ExponentialTail(1.0)).tail.exponent() == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from levyheat import cli
 from levyheat.cli import parse_config
 from levyheat.errors import DomainError
 from levyheat.evolve import LinearPropagator
@@ -18,6 +19,7 @@ from levyheat.kernels import (
     ExponentialTail,
     FractionalPower,
     LevyKernel,
+    LogPerturbed,
     Oscillating,
     PowerTail,
 )
@@ -45,6 +47,43 @@ BORDER_PT2_REF = [
 # 2 pi int_0^5 (1 - J0(t))/t dt
 BORDER_COMPACT_2D_AT_5 = 9.6782870205787045
 
+# frozen multiplier references (mpmath, 30 digits), one kernel each for
+# the profile paths nothing else evaluates: (kernel, [(xi, m(xi)), ...])
+KERNEL_PATH_REFS = {
+    # 2 int_0^1 (1 - cos xi r) log(e/r)^-p / r dr by quadrature
+    "logperturbed_1d": (
+        LevyKernel(1, LogPerturbed(0.5), CompactSupport()),
+        [(0.7, 0.20199268256626684), (13.0, 4.1525158260056445), (200.0, 6.5256556626640813)],
+    ),
+    # 2 pi int_0^1 (1 - J0(xi r)) log(e/r)^-p / r dr by quadrature
+    "logperturbed_2d": (
+        LevyKernel(2, LogPerturbed(0.5), CompactSupport()),
+        [(0.7, 0.31903810634988603), (13.0, 10.838575182258940), (200.0, 18.685945739731161)],
+    ),
+    # 2 pi sum_steps v int_lo^hi (1 - J0(xi r)) / r dr over the double-
+    # precision band edges, step by step
+    "oscillating_1_2d": (
+        LevyKernel(2, Oscillating(1.0), CompactSupport()),
+        [(0.7, 0.42408132486389193), (13.0, 26.038144646705484), (200.0, 67.573732716032523)],
+    ),
+    "oscillating_2.5_2d": (
+        LevyKernel(2, Oscillating(2.5), CompactSupport()),
+        [(0.7, 0.58420020321803228), (13.0, 33.458541114308034), (200.0, 73.346252880933820)],
+    ),
+    # 2 pi [int_0^1 (1 - J0(xi r)) / r dr + int_1^inf (1 - J0(xi r)) e^(1 - r) r dr]
+    "exponential_2d": (
+        LevyKernel(2, Borderline(), ExponentialTail(1.0)),
+        [(0.7, 7.8339968281006132), (13.0, 27.960271017268187), (200.0, 45.128258654395474)],
+    ),
+    # beta = 1/2, alpha = 3/2 in closed form:
+    # 2 [xi^beta pi / (2 Gamma(1 + beta) sin(pi beta / 2)) - 1/beta + Re E_{1+beta}(-i xi)]
+    #   + 2 [1/alpha - Re E_{1+alpha}(-i xi)]
+    "fractional_power_qawf_1d": (
+        LevyKernel(1, FractionalPower(0.5), PowerTail(1.5)),
+        [(0.3, 0.42925180082394037), (4.0, 7.4424934228260048), (50.0, 32.781667085102638)],
+    ),
+}
+
 
 @pytest.mark.parametrize("xi", [1e-3, 0.04, 1.0, 17.0, 1e4])
 def test_pure_power_symbol_is_pi_xi(xi):
@@ -67,6 +106,39 @@ def test_symbol_even_and_zero():
 def test_borderline_power_tail_reference(xi, ref):
     m = symbol_quadrature(BORDER_PT2, xi)
     assert abs(m - ref) < 1e-8 * ref, f"m({xi}) = {m!r} want {ref!r}"
+
+
+@pytest.mark.parametrize(
+    "kernel,xi,ref",
+    [(k, xi, ref) for k, pairs in KERNEL_PATH_REFS.values() for xi, ref in pairs],
+    ids=[f"{name}-{xi:g}" for name, (_, pairs) in KERNEL_PATH_REFS.items() for xi, _ in pairs],
+)
+def test_kernel_path_reference(kernel, xi, ref):
+    m = symbol_quadrature(kernel, xi)
+    assert abs(m - ref) <= 1e-9 * ref, f"m({xi}) = {m!r} want {ref!r}"
+
+
+#: a parameter inside every catalog profile's range
+_CATALOG_PARAM = {"beta": 0.8, "p": 0.5, "c0": 0.7, "alpha_osc": 1.0, "alpha": 1.5, "lam": 1.0}
+
+
+def _catalog_kernels():
+    for near_cls, near_arg in cli._NEAR.values():
+        for tail_cls, tail_arg in cli._TAIL.values():
+            for dim in (1, 2):
+                near = near_cls(_CATALOG_PARAM[near_arg]) if near_arg else near_cls()
+                tail = tail_cls(_CATALOG_PARAM[tail_arg]) if tail_arg else tail_cls()
+                yield LevyKernel(dim, near, tail)
+
+
+def test_every_catalog_kernel_has_a_finite_positive_even_symbol():
+    kernels = list(_catalog_kernels())
+    assert len(kernels) == 30
+    for k in kernels:
+        for xi in (0.3, 30.0):
+            m = symbol_quadrature(k, xi)
+            assert math.isfinite(m) and m > 0.0, (k, xi, m)
+            assert symbol_quadrature(k, -xi) == m
 
 
 def test_bounded_compact_closed_form_1d():
@@ -243,7 +315,7 @@ def test_step_profile_near_part_at_high_frequency(near):
     panel_edges = np.union1d(edges, np.arange(int(xi / math.pi) + 1) * math.pi / xi)
     ref = float(
         gauss_panel_sums(
-            lambda r: 2.0 * (1.0 - np.cos(xi * r)) * near.ell(r, 1) / r, panel_edges
+            lambda r: 2.0 * (1.0 - np.cos(xi * r)) * near.ell(r) / r, panel_edges
         ).sum()
     )
     closed, bound = _near_steps_1d(near.steps, xi)
