@@ -209,7 +209,7 @@ class PowerTail:
     def cos_transform_tail(self, a, omega, match):
         """``int_a^inf cos(omega r) J(r) dr`` in one dimension as (value,
         error bound): closed form for alpha = 1 and 2, None for any other
-        alpha (the symbol engine then integrates by QAWF).
+        alpha (the symbol engine then sums zero-to-zero panels).
 
         With x = omega a this is ``match omega^alpha I(x)``, where
 

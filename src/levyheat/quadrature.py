@@ -1,11 +1,12 @@
 """Quadrature helpers used by the kernel and multiplier modules.
 
-The workhorses are the QUADPACK routines behind ``scipy.integrate.quad``:
-adaptive Gauss-Kronrod subdivision for general pieces, the oscillatory
-(QAWO/QAWF) variants for cosine-weighted integrals, and, for Bessel
-weights where QUADPACK has no dedicated rule, a vectorized Gauss-Legendre
-panel scheme that integrates between consecutive zeros of the oscillating
-factor and sums the panel series with Wynn-epsilon acceleration.
+The workhorses are the QUADPACK routines behind ``scipy.integrate.quad``
+on finite intervals: adaptive Gauss-Kronrod subdivision for general
+pieces and the cosine-weighted variant (QAWO).  Infinite oscillatory
+tails, under a cosine or a Bessel weight alike, go to a vectorized
+Gauss-Legendre panel scheme that integrates between consecutive zeros
+of the oscillating factor and sums the panel series by Euler's
+transform.
 
 All routines return ``(value, error_estimate)`` so callers can propagate
 an honest achieved tolerance.
@@ -13,6 +14,8 @@ an honest achieved tolerance.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -53,21 +56,6 @@ def cos_weighted_quad(fn, a, b, omega, *, rtol=REL_TOL, abs_floor=ABS_FLOOR):
     return val, err
 
 
-def cos_weighted_tail(fn, a, omega, *, abs_floor=ABS_FLOOR):
-    """``int_a^inf fn(r) cos(omega r) dr`` for decaying ``fn`` (QAWF).
-
-    QAWF integrates cycle by cycle between the zeros of the cosine and
-    extrapolates the partial sums, which is exactly the zero-to-zero
-    panel strategy with series acceleration.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            fn, a, np.inf, weight="cos", wvar=omega, epsabs=abs_floor, limit=400
-        )
-    return val, err
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -88,56 +76,28 @@ def gauss_panel_sums(fn_vec, edges):
     return half * (vals @ _GL_WEIGHTS)
 
 
-def wynn_epsilon_limit(partial_sums):
-    """Limit of a sequence of partial sums via Wynn's epsilon algorithm.
-
-    Returns ``(value, error_estimate)``.  Built for alternating panel
-    series; also safe on geometrically convergent ones.
-    """
-    s = np.asarray(partial_sums, dtype=float)
-    n = len(s)
-    if n == 1:
-        return float(s[0]), np.inf
-    eps_prev = np.zeros(n)
-    eps_curr = s.astype(float)
-    best = float(s[-1])
-    best_err = abs(s[-1] - s[-2])
-    col = 0
-    while len(eps_curr) >= 2:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            denom = eps_curr[1:] - eps_curr[:-1]
-            # a vanished difference means the previous column converged
-            # exactly; propagate infinity so later entries are discarded
-            inv = np.where(denom == 0.0, np.inf, 1.0 / denom)
-            eps_next = eps_prev[1 : len(eps_curr)] + inv
-        eps_prev, eps_curr = eps_curr, eps_next
-        col += 1
-        if col % 2 == 1:
-            continue
-        # judge each even column by the spread of its own last entries;
-        # noise columns (post-roundoff-floor) have large spreads and are
-        # never selected
-        finite = eps_curr[np.isfinite(eps_curr)]
-        if len(finite) >= 2:
-            cand_err = abs(finite[-1] - finite[-2])
-            if cand_err < best_err:
-                best, best_err = float(finite[-1]), cand_err
-    floor = 8.0 * np.finfo(float).eps * abs(best)
-    return best, max(best_err, floor)
-
-
 def accelerated_panel_tail(fn_vec, edges):
     """Sum of panel integrals accelerated as an alternating series.
 
     ``edges`` should straddle consecutive zeros of the oscillatory
     factor inside ``fn_vec`` so that panel contributions alternate in
-    sign; the epsilon algorithm then converges far beyond the truncated
-    panel range.
+    sign.  Euler's transform sums the n partial sums S_k as their
+    binomial average ``sum C(n-1, k) S_k / 2^(n-1)``, converging like
+    2^-n on a decaying tail.  The error estimate is the change on
+    dropping the last partial sum plus a roundoff floor.
     """
     terms = gauss_panel_sums(fn_vec, edges)
     partial = np.cumsum(terms)
-    value, err = wynn_epsilon_limit(partial)
-    return value, err + 1e-16 * np.abs(terms).sum()
+    value = float(_binomial_weights(partial.size) @ partial)
+    shorter = float(_binomial_weights(partial.size - 1) @ partial[:-1])
+    floor = 8.0 * np.finfo(float).eps * abs(value) + 1e-16 * np.abs(terms).sum()
+    return value, abs(value - shorter) + floor
+
+
+@functools.cache
+def _binomial_weights(n):
+    """Weights ``C(n-1, k) / 2^(n-1)``, k = 0..n-1, of Euler's transform."""
+    return np.array([math.comb(n - 1, k) for k in range(n)]) / 2.0 ** (n - 1)
 
 
 def j0_zero(k):
@@ -150,3 +110,19 @@ def j0_zero(k):
     beta = (k - 0.25) * np.pi
     b8 = 8.0 * beta
     return beta + 1.0 / b8 - 124.0 / (3.0 * b8**3) + 120928.0 / (15.0 * b8**5)
+
+
+def zero_panel_edges(lo, hi, omega, weight, breakpoints=()):
+    """Edges on [lo, hi] at the zeros of cos(omega r), (k + 1/2) pi / omega
+    for ``weight`` "cos", or of J0(omega r), ``j0_zero(k) / omega`` for "j0",
+    plus the breakpoints inside; with ``hi = inf``, lo and the next 61
+    zeros, the panels of ``accelerated_panel_tail``."""
+    first, shift = (0, 0.5) if weight == "cos" else (1, 0.25)
+    k_lo = max(first, int(math.ceil(omega * lo / math.pi - shift)))
+    finite = not math.isinf(hi)
+    k_hi = max(k_lo, int(math.ceil(omega * hi / math.pi + 1.0))) if finite else k_lo + 60
+    k = np.arange(k_lo, k_hi + 1)
+    zeros = (k + 0.5) * math.pi / omega if weight == "cos" else j0_zero(k) / omega
+    zeros = zeros[(zeros > lo) & (zeros < hi)]
+    inner = np.asarray([p for p in breakpoints if lo < p < hi])
+    return np.union1d(np.union1d(zeros, inner), [lo, hi] if finite else [lo])

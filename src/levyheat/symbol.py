@@ -14,11 +14,14 @@ in two dimensions
 
 with B0 the order-zero Bessel function.  The engine splits the radial
 line at the origin singularity, at the step profiles' edges and at the
-near/tail matching radius, evaluates the non-oscillatory parts by
-closed form or adaptive Gauss-Kronrod quadrature, and handles the
-oscillatory remainders with cosine-weighted rules (QAWO/QAWF) in one
-dimension and zero-to-zero Bessel panels with series acceleration in
-two.
+near/tail matching radius and evaluates the non-oscillatory parts by
+closed form or adaptive Gauss-Kronrod quadrature.  Every oscillatory
+tail without a closed form, in either dimension, is summed over
+zero-to-zero panels of its weight (cos in one dimension, J0 in two)
+by Euler's transform.  The 1-D near remainder on
+[pi/xi, 1] stays with QUADPACK's cosine-weighted rule (QAWO): there
+the panel count grows like xi / pi, and at xi = 1e6 the 3e5 panels of
+a FractionalPower near part cost some 300 times QAWO's time.
 
 Closed forms replace quadrature wherever they are exact:
 
@@ -31,11 +34,11 @@ Closed forms replace quadrature wherever they are exact:
 * in one dimension, the oscillatory tail ``int_a^inf cos(xi r) J(r) dr``
   of a power tail with alpha = 1 or 2 (Si/Ci, or the continued fraction
   of E_{alpha+1}, see ``PowerTail.cos_transform_tail``) and of the
-  exponential tail.
+  exponential tail;
+* the coefficient of a pure power kernel, ``m(xi) = c |xi|^alpha``.
 
-QAWF remains only for power tails of non-integer alpha.  Each closed
-form reports a roundoff bound, so a table's achieved tolerance stays
-honest.
+Each closed form reports a roundoff bound, so a table's achieved
+tolerance stays honest.
 
 Tables of multiplier values on a logarithmic grid feed the spectral
 propagators through monotone log-log interpolation, inside the
@@ -61,9 +64,8 @@ from .quadrature import (
     accelerated_panel_tail,
     adaptive_quad,
     cos_weighted_quad,
-    cos_weighted_tail,
     gauss_panel_sums,
-    j0_zero,
+    zero_panel_edges,
 )
 
 _FIRST_J0_ZERO = 2.404825557695773
@@ -176,9 +178,6 @@ def _near_steps_1d(steps, xi):
 
 def _symbol_1d(kernel, xi, rtol):
     near = kernel.near
-    tail = kernel.tail
-    match = kernel.matching_constant
-
     if isinstance(near, Bounded):
         total, err = _bounded_near(near.c0, xi, 1)
     elif hasattr(near, "steps"):
@@ -197,53 +196,41 @@ def _symbol_1d(kernel, xi, rtol):
             total -= v
             err += e
 
-    # tail part on (1, inf)
-    if not isinstance(tail, CompactSupport):
-        jt = lambda r: tail.j(r, 1, match)
-        big = max(1.0, math.pi / xi)
-        if big > 1.0:
-            v, e = adaptive_quad(
-                lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jt(r), 1.0, big, rtol=rtol
-            )
-            total += v
-            err += e
-        total += tail.int_measure(big, 1, match)
-        closed = tail.cos_transform_tail(big, xi, match)
-        if closed is not None:
-            v, e = closed
-        else:
-            v, e = cos_weighted_tail(jt, big, xi)
-            if e > 100.0 * rtol * max(abs(v), 1e-6):
-                # QAWF's estimate can be pessimistic for particular
-                # omega / lower-limit combinations; redo with explicit
-                # zero-to-zero panels and series acceleration.
-                k0 = int(math.ceil(xi * big / math.pi - 0.5))
-                edges = (np.arange(k0, k0 + 61) + 0.5) * math.pi / xi
-                edges = np.concatenate([[big], edges[edges > big]])
-                v, e = accelerated_panel_tail(
-                    lambda r: np.cos(xi * r) * jt(r), edges
-                )
-        total -= v
+    for v, e in _tail_parts(kernel, xi, rtol):
+        total += v
         err += e
-
     return 2.0 * total, 2.0 * err
 
 
-def _j0_panel_edges(lo, hi, xi, breakpoints=()):
-    """Panel edges straddling the zeros of r -> B0(r xi) inside [lo, hi]."""
-    k_lo = max(1, int(math.ceil(xi * lo / math.pi - 0.25)))
-    k_hi = max(k_lo, int(math.ceil(xi * hi / math.pi + 1.0)))
-    zeros = j0_zero(np.arange(k_lo, k_hi + 1)) / xi
-    zeros = zeros[(zeros > lo) & (zeros < hi)]
-    inner = np.asarray([p for p in breakpoints if lo < p < hi])
-    edges = np.union1d(np.union1d(zeros, inner), [lo, hi])
-    return edges
+def _tail_parts(kernel, xi, rtol):
+    """(value, err) parts of ``int_1^inf (1 - B(xi r)) J(r) r^(N-1) dr``: quadrature
+    up to big (pi/xi in 1-D, first J0 zero/xi in 2-D, at least 1), the tail's measure
+    beyond big, and minus ``int_big^inf B(xi r) J(r) r^(N-1) dr`` (closed form or panels).
+    Callers add them one by one; a pre-summed tail would move tables by an ulp."""
+    tail, match, dim = kernel.tail, kernel.matching_constant, kernel.dimension
+    if isinstance(tail, CompactSupport):
+        return []
+    jt = lambda r: tail.j(r, dim, match)
+    if dim == 1:
+        big = max(1.0, math.pi / xi)
+        plain = lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jt(r)
+        osc = lambda r: np.cos(xi * r) * jt(r)
+    else:
+        big = max(1.0, _FIRST_J0_ZERO / xi)
+        plain = lambda r: _one_minus_j0(xi * r) * jt(r) * r
+        osc = lambda r: j0(xi * r) * jt(r) * r
+    closed = tail.cos_transform_tail(big, xi, match) if dim == 1 else None
+    weight = "cos" if dim == 1 else "j0"
+    v, e = closed or accelerated_panel_tail(osc, zero_panel_edges(big, math.inf, xi, weight))
+    return [
+        adaptive_quad(plain, 1.0, big, rtol=rtol),
+        (tail.int_measure(big, dim, match), 0.0),
+        (-v, e),
+    ]
 
 
 def _symbol_2d(kernel, xi, rtol):
     near = kernel.near
-    tail = kernel.tail
-    match = kernel.matching_constant
     dim = 2
     bp = near.steps[0][1:-1] if hasattr(near, "steps") else ()
 
@@ -260,33 +247,15 @@ def _symbol_2d(kernel, xi, rtol):
         )
         if a < 1.0:
             total += near.int_symbol_measure(a)
-            panel_edges = _j0_panel_edges(a, 1.0, xi, bp)
+            panel_edges = zero_panel_edges(a, 1.0, xi, "j0", bp)
             osc = lambda r: j0(xi * r) * near.j(r, dim) * r
             terms = gauss_panel_sums(osc, panel_edges)
             total -= float(terms.sum())
             err += 1e-15 * float(np.abs(terms).sum())
 
-    if not isinstance(tail, CompactSupport):
-        big = max(1.0, _FIRST_J0_ZERO / xi)
-        jt = lambda r: tail.j(r, dim, match)
-        if big > 1.0:
-            v, e = adaptive_quad(
-                lambda r: _one_minus_j0(xi * r) * jt(r) * r,
-                1.0,
-                big,
-                rtol=rtol,
-            )
-            total += v
-            err += e
-        total += tail.int_measure(big, dim, match)
-        # oscillatory Bessel tail: zero-to-zero panels, epsilon-accelerated
-        k0 = max(1, int(math.ceil(xi * big / math.pi - 0.25)))
-        edges = j0_zero(np.arange(k0, k0 + 61)) / xi
-        edges = np.concatenate([[big], edges[edges > big]])
-        v, e = accelerated_panel_tail(lambda r: j0(xi * r) * jt(r) * r, edges)
-        total -= v
+    for v, e in _tail_parts(kernel, xi, rtol):
+        total += v
         err += e
-
     return 2.0 * math.pi * total, 2.0 * math.pi * err
 
 
@@ -326,6 +295,10 @@ def symbol_quadrature(kernel: LevyKernel, xi):
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
+
+
+#: roundoff bound of a pure power's coefficient (mpmath: under 6 ulps, both dimensions)
+PURE_POWER_RTOL = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -404,8 +377,11 @@ def build_symbol_table(kernel: LevyKernel, grid=None):
     decade over [1e-3, 1e4]).
 
     Kernels that are a single power law globally (FractionalPower(beta)
-    with PowerTail(alpha), beta == alpha) get a closed-form tag with the
-    coefficient measured once at xi = 1.
+    with PowerTail(alpha), beta == alpha) get a closed-form tag: m(xi) =
+    c xi^alpha with ``c = pi / (Gamma(1 + alpha) sin(pi alpha / 2))`` in
+    one dimension and ``2 pi 2^-alpha Gamma(1 - alpha/2) / (alpha
+    Gamma(1 + alpha/2))`` in two, whose roundoff bound is the table's
+    ``quad_tol``.
     """
     if grid is None:
         grid = log_grid()
@@ -418,14 +394,21 @@ def build_symbol_table(kernel: LevyKernel, grid=None):
     )
     if pure:
         alpha = kernel.tail.alpha
-        coeff = symbol_quadrature(kernel, 1.0)
+        if kernel.dimension == 1:
+            # sin(pi alpha / 2) = sin(pi (2 - alpha) / 2); the smaller
+            # argument keeps the sine accurate as alpha -> 2
+            sine = math.sin(0.5 * math.pi * min(alpha, 2.0 - alpha))
+            coeff = math.pi / (math.gamma(1.0 + alpha) * sine)
+        else:
+            gammas = math.gamma(1.0 - 0.5 * alpha) / math.gamma(1.0 + 0.5 * alpha)
+            coeff = 2.0 * math.pi * 2.0**-alpha * gammas / alpha
         tag = PurePower(alpha=alpha, coefficient=coeff)
         return SymbolTable(
             dimension=kernel.dimension,
             radial_grid=grid,
             values=tag.coefficient * grid**alpha,
             closed_form=tag,
-            quad_tol=TABLE_RTOL,
+            quad_tol=PURE_POWER_RTOL,
         )
 
     if grid.size == 0:

@@ -7,10 +7,9 @@ from levyheat.quadrature import (
     accelerated_panel_tail,
     adaptive_quad,
     cos_weighted_quad,
-    cos_weighted_tail,
     gauss_panel_sums,
     j0_zero,
-    wynn_epsilon_limit,
+    zero_panel_edges,
 )
 
 # frozen references (40-digit arithmetic)
@@ -49,18 +48,6 @@ def test_cos_weighted_finite():
     assert abs(val - (-0.08)) < 1e-12, f"QAWO value {val}"
 
 
-def test_cos_weighted_tail_exponential():
-    val, err = cos_weighted_tail(lambda r: math.exp(-r), 1.0, 2.5)
-    assert abs(val - COS_EXP_TAIL) < 1e-12
-    val2, _ = cos_weighted_tail(lambda r: math.exp(-0.7 * r), 2.0, 3.0)
-    assert abs(val2 - COS_EXP_TAIL2) < 1e-12
-
-
-def test_cos_weighted_tail_power():
-    val, err = cos_weighted_tail(lambda r: r**-2.0, 2.0, 3.0)
-    assert abs(val - COS_POWER_TAIL) < 1e-10, f"QAWF {val} vs {COS_POWER_TAIL}"
-
-
 def test_gauss_panels_sum_to_integral():
     edges = np.linspace(0.0, math.pi, 11)
     terms = gauss_panel_sums(np.sin, edges)
@@ -75,27 +62,65 @@ def test_gauss_panels_polynomial_exactness():
     assert abs(terms.sum() - 1.0) < 1e-14
 
 
-def test_wynn_geometric():
-    # partial sums of sum 3 * (1/4)^k -> 4
-    k = np.arange(20)
-    partial = np.cumsum(3.0 * 0.25**k)
-    val, err = wynn_epsilon_limit(partial[:8])
-    assert abs(val - 4.0) < 1e-12
-    assert err < 1e-10
+def _check_engine_cos_tail(f, a, omega, ref):
+    # the 1-D engine's tail: panels from a between the cosine's zeros
+    edges = zero_panel_edges(a, math.inf, omega, "cos")
+    val, err = accelerated_panel_tail(lambda r: np.cos(omega * r) * f(r), edges)
+    assert abs(val - ref) <= 1e-14 * abs(ref), f"panel tail {val!r} vs {ref!r}"
+    assert abs(val - ref) <= err <= 1e-14
 
 
-def test_wynn_alternating_log2():
-    partial = np.cumsum([(-1.0) ** k / (k + 1) for k in range(18)])
-    val, err = wynn_epsilon_limit(partial)
-    assert abs(val - math.log(2.0)) < 1e-12
+def test_cos_weighted_tail_exponential():
+    _check_engine_cos_tail(lambda r: np.exp(-r), 1.0, 2.5, COS_EXP_TAIL)
+    _check_engine_cos_tail(lambda r: np.exp(-0.7 * r), 2.0, 3.0, COS_EXP_TAIL2)
+
+
+def test_cos_weighted_tail_power():
+    _check_engine_cos_tail(lambda r: r**-2.0, 2.0, 3.0, COS_POWER_TAIL)
 
 
 def test_accelerated_panel_tail_matches_qawf():
-    # same oscillatory tail integral two ways
+    # the reference QAWF once computed, from hand-placed edges: 2, then the
+    # first 38 zeros of cos(3 r) beyond it
     edges = np.pi * (np.arange(40) + 0.5) / 3.0
     edges = np.concatenate([[2.0], edges[edges > 2.0]])
     val, err = accelerated_panel_tail(lambda r: np.cos(3.0 * r) * r**-2.0, edges)
     assert abs(val - COS_POWER_TAIL) < 1e-11, f"panel tail {val}"
+    assert abs(val - COS_POWER_TAIL) <= err
+
+
+def _dirichlet_panels(count):
+    # int_0^inf sin(r)/r dr = pi/2 over the panels [k pi, (k+1) pi]: an
+    # alternating series whose plain partial sums err by ~1/(k pi)
+    return accelerated_panel_tail(lambda r: np.sinc(r / math.pi), math.pi * np.arange(count + 1))
+
+
+def test_euler_sum_of_alternating_panel_series():
+    # the 61 partial sums the symbol engine uses reach roundoff, and the
+    # estimate covers the error without being vacuous
+    val, err = _dirichlet_panels(61)
+    assert abs(val - math.pi / 2) <= 1e-15
+    assert abs(val - math.pi / 2) <= err <= 1e-14
+
+
+def test_euler_sum_error_estimate_tracks_truncation():
+    # with too few partial sums the estimate is the truncation error, to
+    # within a small factor
+    val, err = _dirichlet_panels(12)
+    actual = abs(val - math.pi / 2)
+    assert 1e-8 < actual <= err <= 4.0 * actual
+
+
+def test_zero_panel_edges():
+    # a finite interval keeps its ends and the breakpoints inside it
+    edges = zero_panel_edges(1.0, 10.0, 2.0, "j0", breakpoints=(3.3, 12.0))
+    zeros = j0_zero(np.arange(1, 8)) / 2.0
+    expected = np.sort(np.concatenate([[1.0, 3.3, 10.0], zeros[(zeros > 1.0) & (zeros < 10.0)]]))
+    assert np.array_equal(edges, expected)
+    # a tail takes its start and the next 61 zeros of the weight
+    tail = zero_panel_edges(2.0, math.inf, 3.0, "cos")
+    assert tail.size == 62 and tail[0] == 2.0 and (np.diff(tail) > 0).all()
+    assert np.abs(np.cos(3.0 * tail[1:])).max() < 1e-13
 
 
 J0_ZEROS = [

@@ -29,6 +29,7 @@ from levyheat.symbol import (
     SymbolTable,
     _bounded_near,
     _near_steps_1d,
+    _symbol_value_err,
     build_symbol_table,
     log_grid,
     symbol_quadrature,
@@ -78,9 +79,15 @@ KERNEL_PATH_REFS = {
     # beta = 1/2, alpha = 3/2 in closed form:
     # 2 [xi^beta pi / (2 Gamma(1 + beta) sin(pi beta / 2)) - 1/beta + Re E_{1+beta}(-i xi)]
     #   + 2 [1/alpha - Re E_{1+alpha}(-i xi)]
-    "fractional_power_qawf_1d": (
+    "fractional_power_1d": (
         LevyKernel(1, FractionalPower(0.5), PowerTail(1.5)),
         [(0.3, 0.42925180082394037), (4.0, 7.4424934228260048), (50.0, 32.781667085102638)],
+    ),
+    # m near 1e-8 at small xi, where only a relative tolerance resolves the tail:
+    # 2 [c0 (1 - sin xi / xi) + c0 (1/alpha - Re E_{1+alpha}(-i xi))]
+    "bounded_power_2.3_1d": (
+        LevyKernel(1, Bounded(0.7), PowerTail(2.3)),
+        [(1e-4, 2.4527703494716819e-8), (1.155e-4, 3.2653445159528240e-8)],
     ),
 }
 
@@ -402,15 +409,39 @@ def test_bounded_compact_table_needs_no_quadrature(monkeypatch, dim):
 
 
 def test_lattice_and_criterion_8_tables_need_no_qawf(monkeypatch):
-    # QAWF: a cosine weight on an infinite interval
+    # QAWF would be a quad call on an infinite interval; every tail goes to
+    # closed forms or zero-to-zero panels, non-integer alpha included
     calls = _count_quad(monkeypatch)
-    qawf = lambda: [c for c in calls if c == (np.inf, "cos")]
     cfg = parse_config(Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg")
     build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(cfg.grid()))
     build_symbol_table(BORDER_PT2, log_grid(1e-3, 1e7, per_decade=32))
     osc = LevyKernel(1, Oscillating(1.0), PowerTail(2.0))
     build_symbol_table(osc, log_grid(1e-3, 1e6, per_decade=32))
-    assert qawf() == []
-    # the count sees QAWF where it remains: non-integer alpha
-    symbol_quadrature(LevyKernel(1, Bounded(1.0), PowerTail(1.5)), 0.5)
-    assert len(qawf()) == 1
+    for dim in (1, 2):
+        symbol_quadrature(LevyKernel(dim, Bounded(1.0), PowerTail(1.5)), 0.5)
+    assert calls and [c for c in calls if c[0] == np.inf] == []
+
+
+#: the pure power coefficient c, m(xi) = c xi^alpha, in mpmath
+_PURE_POWER_COEFF = {
+    1: lambda a: mpmath.pi / (mpmath.gamma(1 + a) * mpmath.sin(mpmath.pi * a / 2)),
+    2: lambda a: 2 * mpmath.pi * 2**-a * mpmath.gamma(1 - a / 2) / (a * mpmath.gamma(1 + a / 2)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9, 1.999])
+def test_pure_power_table_takes_the_closed_form_coefficient(monkeypatch, dim, alpha):
+    kernel = LevyKernel(dim, FractionalPower(alpha), PowerTail(alpha))
+    calls = _count_quad(monkeypatch)
+    tab = build_symbol_table(kernel, log_grid(1e-2, 1e2, 4))
+    assert calls == []
+    coeff = tab.closed_form.coefficient
+    with mpmath.workdps(30):
+        ref = _PURE_POWER_COEFF[dim](mpmath.mpf(alpha))
+    # the recorded quad_tol is a roundoff bound the coefficient meets
+    assert tab.quad_tol < 1e-14
+    assert abs(coeff - ref) <= tab.quad_tol * ref, (coeff, ref)
+    # and quadrature agrees within its own error estimate
+    value, err = _symbol_value_err(kernel, 1.0)
+    assert abs(coeff - value) <= err
