@@ -324,18 +324,16 @@ def criterion_6() -> CriterionResult:
     P = LinearPropagator.from_table(grid, _integrable_table())
     fails = 0
     worst = np.inf
-    for i in range(1000):
-        rng = np.random.default_rng(7000 + i)
-        f = random_nonnegative(grid, rng)
-        for rep in stroock_varopoulos_check(P, f, SV_EXPONENT_PAIRS):
-            fails += not rep.passed
-            if rep.reference > 0:
-                worst = min(worst, rep.margin / rep.reference)
+    # one field per seed, each batch transformed as one stack
+    for rep in stroock_varopoulos_check(
+        P, random_nonnegative(grid, range(7000, 8000)), SV_EXPONENT_PAIRS
+    ):
+        fails += int(np.count_nonzero(~rep.passed))
+        pos = rep.reference > 0
+        worst = min(worst, float(np.min(rep.margin[pos] / rep.reference[pos], initial=np.inf)))
     tri = sv_power_triple(2.0, 2.0)
-    for i in range(500):
-        rng = np.random.default_rng(9000 + i)
-        rep = generalized_sv_check(P, random_nonnegative(grid, rng), tri)
-        fails += not rep.passed
+    rep = generalized_sv_check(P, random_nonnegative(grid, range(9000, 9500)), tri)
+    fails += int(np.count_nonzero(~rep.passed))
     checks = 1000 * len(SV_EXPONENT_PAIRS) + 500
     return CriterionResult(
         6,

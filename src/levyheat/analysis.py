@@ -13,7 +13,7 @@ exponents, and a trend classifier for whether e^{-m t} is integrable
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfftn, rfftn
@@ -21,7 +21,7 @@ from scipy.fft import irfftn, rfftn
 from .errors import ContractError, DomainError, GridMismatchError
 from .evolve import LinearPropagator
 from .kernels import LevyKernel
-from .spectral import GridField, _parseval, lp_norm, mollified_box_field
+from .spectral import GridField, _parseval, _single, lp_norm, mollified_box_field
 from .symbol import SymbolTable
 
 #: relative slack granted to inequality margins (covers roundoff in the
@@ -44,13 +44,15 @@ def dirichlet_bilinear(P: LinearPropagator, f: GridField, g: GridField) -> float
 
     Read off the plain rfftn half lattice: the (-1)^kappa phase cancels in
     the product and the dx^N factors leave dx^N / n^N (``_parseval``).
+    Batches of fields (see ``GridField``) give one value per field.
     """
     if not isinstance(P, LinearPropagator):
         raise ContractError(f"expected a LinearPropagator, got {type(P)!r}")
     if not f.grid == g.grid == P.grid:
         raise GridMismatchError("fields and propagator live on different grids")
-    F = rfftn(f.values)
-    G = F if g is f else rfftn(g.values)
+    axes = P.grid.field_axes
+    F = rfftn(f.values, axes=axes)
+    G = F if g is f else rfftn(g.values, axes=axes)
     return _parseval(P.grid, P.half * (F.real * G.real + F.imag * G.imag))
 
 
@@ -64,7 +66,7 @@ def dirichlet_form_direct(kernel: LevyKernel, f: GridField) -> float:
     weights W(s):  E = dx^2N sum_s W(s) (C(0) - C(s)).  C comes from the
     FFT, so the sum never touches the multiplier or its quadrature.
     """
-    g = f.grid
+    g = _single(f).grid
     n = g.points_per_axis
     shift = np.arange(n)
     image = np.minimum(shift, n - shift) * g.spacing  # minimum-image distance per axis
@@ -84,7 +86,8 @@ def dirichlet_form_direct(kernel: LevyKernel, f: GridField) -> float:
 
 @dataclass(frozen=True)
 class MarginReport:
-    """One inequality trial: left - right with the pass verdict."""
+    """One inequality trial: left - right with the pass verdict; for a
+    batch of fields, arrays with one entry per field."""
 
     margin: float
     reference: float
@@ -93,7 +96,7 @@ class MarginReport:
 
 def _power_field(f: GridField, a: float) -> GridField:
     # 0.0**0.0 == 1.0 gives the convention f^0 = 1 (constants have zero form)
-    return GridField(f.grid, f.values**a)
+    return replace(f, values=f.values**a)
 
 
 def stroock_varopoulos_check(P, f: GridField, pairs) -> list[MarginReport]:
@@ -112,7 +115,7 @@ def stroock_varopoulos_check(P, f: GridField, pairs) -> list[MarginReport]:
         for a, b in pairs
     ]
     return [
-        MarginReport(margin=m, reference=energy, passed=bool(m >= -MARGIN_TOL * energy))
+        MarginReport(margin=m, reference=energy, passed=m >= -MARGIN_TOL * energy)
         for m in margins
     ]
 
@@ -155,13 +158,13 @@ def sv_power_triple(sigma: float, p: float) -> SVTriple:
 
 def generalized_sv_check(P, u: GridField, triple: SVTriple) -> MarginReport:
     """E(F(u), G(u)) >= E(H(u), H(u)) whenever F'G' >= (H')^2."""
-    fu = GridField(u.grid, np.asarray(triple.F(u.values), dtype=float))
-    gu = GridField(u.grid, np.asarray(triple.G(u.values), dtype=float))
-    hu = GridField(u.grid, np.asarray(triple.H(u.values), dtype=float))
+    fu = replace(u, values=np.asarray(triple.F(u.values), dtype=float))
+    gu = replace(u, values=np.asarray(triple.G(u.values), dtype=float))
+    hu = replace(u, values=np.asarray(triple.H(u.values), dtype=float))
     right = dirichlet_form_spectral(P, hu)
     left = dirichlet_bilinear(P, fu, gu)
     margin = left - right
-    return MarginReport(margin=margin, reference=right, passed=bool(margin >= -MARGIN_TOL * right))
+    return MarginReport(margin=margin, reference=right, passed=margin >= -MARGIN_TOL * right)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .errors import (
     StabilityError,
     UnresolvableMeasureError,
 )
-from .spectral import GridField, PeriodicGrid, _apply_multiplier, _parseval
+from .spectral import GridField, PeriodicGrid, _apply_multiplier, _parseval, _single
 from .symbol import SymbolTable, log_grid
 
 
@@ -130,7 +130,7 @@ class LinearFlow:
     """
 
     def __init__(self, P: LinearPropagator, u0: GridField):
-        if u0.grid != P.grid:
+        if _single(u0).grid != P.grid:
             raise GridMismatchError("field and propagator live on different grids")
         self.P = P
         self.spectrum = rfftn(u0.values)
@@ -280,7 +280,7 @@ def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, snapshots)
     the sup-norm by more than 1% in a single step aborts with a
     StabilityError.
     """
-    if u0.grid != P.grid:
+    if _single(u0).grid != P.grid:
         raise GridMismatchError("field and propagator live on different grids")
     snaps = sorted(float(s) for s in snapshots)
     if snaps and snaps[0] < 0:

@@ -227,8 +227,47 @@ class PowerTail:
         scale = match * omega**self.alpha
         return scale * value, scale * err
 
+    def cos_transform_head(self, omega, match):
+        """``int_1^(pi/omega) (1 - cos(omega r)) J(r) dr`` in one dimension,
+        for 0 < omega < pi, as (value, error bound): closed form for
+        alpha = 1 and 2, None for any other alpha (the symbol engine then
+        calls QUADPACK).
+
+        With u = omega r this is ``match omega^alpha K(omega)``, where
+
+            K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du = A(pi) - A(x)
+
+        with antiderivative ``A(u) = Si u - 2 sin^2(u/2) / u`` for alpha = 1
+        and ``Ci(u) / 2 - sin u / (2u) - sin^2(u/2) / u^2`` for alpha = 2.
+        K vanishes as omega -> pi, where A(pi) - A(x) cancels, so the bound
+        is a roundoff bound on the terms, not relative to K: it is small
+        against the multiplier, which the other parts keep of order
+        omega^alpha.
+        """
+        if self.alpha not in (1.0, 2.0):
+            return None
+        value, err = _power_cos_head(self.alpha, omega)
+        scale = match * omega**self.alpha
+        return scale * value, scale * err
+
     def exponent(self):
         return min(self.alpha, 2.0)
+
+
+def _power_cos_head(alpha, x):
+    """(K(x), error bound) for K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du,
+    alpha in {1, 2}, 0 < x < pi; see ``PowerTail.cos_transform_head``."""
+
+    def antiderivative(u):
+        si, ci = sici(u)
+        one_minus_cos = 2.0 * math.sin(0.5 * u) ** 2
+        if alpha == 1.0:
+            return [si, -one_minus_cos / u]
+        return [0.5 * ci, -0.5 * math.sin(u) / u, -0.5 * one_minus_cos / (u * u)]
+
+    terms = antiderivative(math.pi) + [-t for t in antiderivative(x)]
+    # as in _power_cos_tail: Si and Ci carry about one ulp of max(1, |value|)
+    return math.fsum(terms), 4.0 * _EPS * (sum(map(abs, terms)) + 1.0)
 
 
 #: the Si/Ci form of ``PowerTail.cos_transform_tail`` serves x below this

@@ -2,7 +2,10 @@
 
 The workhorses are the QUADPACK routines behind ``scipy.integrate.quad``
 on finite intervals: adaptive Gauss-Kronrod subdivision for general
-pieces and the cosine-weighted variant (QAWO).  Infinite oscillatory
+pieces and the cosine-weighted variant (QAWO).  ``scipy.integrate``
+(and the ``scipy.optimize``, ``scipy.linalg`` and ``scipy.sparse`` it
+loads) is imported at the first call that integrates, so a run whose
+multiplier is all closed forms never loads it.  Infinite oscillatory
 tails, under a cosine or a Bessel weight alike, go to a vectorized
 Gauss-Legendre panel scheme that integrates between consecutive zeros
 of the oscillating factor and sums the panel series by Euler's
@@ -19,7 +22,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 REL_TOL = 1e-10
 ABS_FLOOR = 1e-14
@@ -34,6 +36,8 @@ def adaptive_quad(fn, a, b, *, breakpoints=(), rtol=REL_TOL, abs_floor=ABS_FLOOR
     """
     if b <= a:
         return 0.0, 0.0
+    from scipy import integrate
+
     pts = sorted(p for p in breakpoints if a < p < b)
     limit = 100 + 2 * len(pts)
     with warnings.catch_warnings():
@@ -44,14 +48,16 @@ def adaptive_quad(fn, a, b, *, breakpoints=(), rtol=REL_TOL, abs_floor=ABS_FLOOR
     return val, err
 
 
-def cos_weighted_quad(fn, a, b, omega, *, rtol=REL_TOL, abs_floor=ABS_FLOOR):
+def cos_weighted_quad(fn, a, b, omega, *, rtol=REL_TOL):
     """``int_a^b fn(r) cos(omega r) dr`` on a finite interval (QAWO)."""
     if b <= a:
         return 0.0, 0.0
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
-            fn, a, b, weight="cos", wvar=omega, epsabs=abs_floor, epsrel=rtol, limit=200
+            fn, a, b, weight="cos", wvar=omega, epsabs=ABS_FLOOR, epsrel=rtol, limit=200
         )
     return val, err
 

@@ -35,13 +35,18 @@ Closed forms replace quadrature wherever they are exact:
   of a power tail with alpha = 1 or 2 (Si/Ci, or the continued fraction
   of E_{alpha+1}, see ``PowerTail.cos_transform_tail``) and of the
   exponential tail;
+* in one dimension, the piece ``int_1^(pi/xi) (1 - cos xi r) J(r) dr``
+  of a power tail with alpha = 1 or 2 (Si/Ci, see
+  ``PowerTail.cos_transform_head``), so that such a table calls no
+  quadrature at all;
 * the coefficient of a pure power kernel, ``m(xi) = c |xi|^alpha``.
 
 Each closed form reports a roundoff bound, so a table's achieved
 tolerance stays honest.
 
 Tables of multiplier values on a logarithmic grid feed the spectral
-propagators through monotone log-log interpolation, inside the
+propagators through monotone log-log interpolation (PCHIP, on numpy;
+bit-identical to scipy's ``PchipInterpolator``), inside the
 tabulated range only: a radius outside it raises DomainError, so a
 lattice wider than its table is reported, never extrapolated.  Pure
 power kernels carry a closed-form tag instead and bypass interpolation
@@ -55,7 +60,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import j0, j1, sici
 
 from .errors import DomainError, QuadratureError
@@ -203,16 +207,20 @@ def _symbol_1d(kernel, xi, rtol):
 
 
 def _tail_parts(kernel, xi, rtol):
-    """(value, err) parts of ``int_1^inf (1 - B(xi r)) J(r) r^(N-1) dr``: quadrature
-    up to big (pi/xi in 1-D, first J0 zero/xi in 2-D, at least 1), the tail's measure
-    beyond big, and minus ``int_big^inf B(xi r) J(r) r^(N-1) dr`` (closed form or panels).
-    Callers add them one by one; a pre-summed tail would move tables by an ulp."""
+    """(value, err) parts of ``int_1^inf (1 - B(xi r)) J(r) r^(N-1) dr``: the piece
+    up to big (pi/xi in 1-D, first J0 zero/xi in 2-D, at least 1; closed form or
+    quadrature), the tail's measure beyond big, and minus
+    ``int_big^inf B(xi r) J(r) r^(N-1) dr`` (closed form or panels).  Callers add
+    them one by one; a pre-summed tail would move tables by an ulp."""
     tail, match, dim = kernel.tail, kernel.matching_constant, kernel.dimension
     if isinstance(tail, CompactSupport):
         return []
     jt = lambda r: tail.j(r, dim, match)
+    head = None
     if dim == 1:
         big = max(1.0, math.pi / xi)
+        if big > 1.0 and isinstance(tail, PowerTail):
+            head = tail.cos_transform_head(xi, match)
         plain = lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jt(r)
         osc = lambda r: np.cos(xi * r) * jt(r)
     else:
@@ -223,7 +231,7 @@ def _tail_parts(kernel, xi, rtol):
     weight = "cos" if dim == 1 else "j0"
     v, e = closed or accelerated_panel_tail(osc, zero_panel_edges(big, math.inf, xi, weight))
     return [
-        adaptive_quad(plain, 1.0, big, rtol=rtol),
+        head or adaptive_quad(plain, 1.0, big, rtol=rtol),
         (tail.int_measure(big, dim, match), 0.0),
         (-v, e),
     ]
@@ -297,6 +305,73 @@ def symbol_quadrature(kernel: LevyKernel, xi):
 # ---------------------------------------------------------------------------
 
 
+def _end_slope(h0, h1, m0, m1):
+    # one-sided three-point slope, kept from overshooting (Moler's pchiptx)
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _monotone_cubic(x, y):
+    """The monotone piecewise cubic Hermite interpolant (PCHIP) of y on
+    increasing knots x, as a function of a 1-D array z in [x[0], x[-1]].
+
+    It repeats scipy's ``PchipInterpolator`` operation for operation, so
+    the values are bit-identical: Fritsch-Carlson slopes (the weighted
+    harmonic mean of the adjacent secants, zero at a local extremum or
+    flat secant), one-sided end slopes, a straight line through two knots,
+    and the power-basis cubic ``c3 + c2 s + c1 s^2 + c0 s^3`` in
+    s = z - x[i], summed in that order.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d = np.concatenate(
+            (
+                [_end_slope(h[0], h[1], m[0], m[1])],
+                np.where(flat, 0.0, inner),
+                [_end_slope(h[-1], h[-2], m[-1], m[-2])],
+            )
+        )
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    coeffs = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+    inner_knots = x[1:-1]
+
+    def cubic(z):
+        # interval i holds x[i] <= z < x[i+1]; the last one also holds x[-1]
+        i = np.searchsorted(inner_knots, z, "right")
+        c0, c1, c2, c3 = (c.take(i) for c in coeffs)
+        s = z - x.take(i)
+        value = c2 * s
+        value += c3
+        power = s * s
+        c1 *= power
+        value += c1
+        power *= s
+        c0 *= power
+        value += c0
+        return value
+
+    def interpolant(z):
+        # blocks of 2^14 points keep the temporaries in cache: at 2^19
+        # points this halves the time of one pass over all of z
+        out = np.empty_like(z)
+        for lo in range(0, z.size, 2**14):
+            out[lo : lo + 2**14] = cubic(z[lo : lo + 2**14])
+        return out
+
+    return interpolant
+
+
 #: roundoff bound of a pure power's coefficient (mpmath: under 6 ulps, both dimensions)
 PURE_POWER_RTOL = 16.0 * np.finfo(float).eps
 
@@ -338,9 +413,7 @@ class SymbolTable:
 
     @cached_property
     def _loglog(self):
-        return PchipInterpolator(
-            np.log(self.radial_grid), np.log(np.maximum(self.values, 1e-300)), extrapolate=False
-        )
+        return _monotone_cubic(np.log(self.radial_grid), np.log(np.maximum(self.values, 1e-300)))
 
     def evaluate(self, rho):
         """Interpolated (or closed-form) multiplier at radial frequency rho.

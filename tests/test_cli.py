@@ -1,7 +1,10 @@
 """Config parsing, validation wording, pipeline artifacts, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 import weakref
 from pathlib import Path
@@ -552,6 +555,47 @@ def test_reference_config_is_criterion_3(tmp_path):
     assert np.array_equal(t, run["times"])
     assert np.array_equal(l2, run["l2"])
     assert np.array_equal(linf, run["sups"])
+
+
+#: scipy modules a closed-form run has no use for (with scipy.linalg and
+#: scipy.sparse, which they load, about 0.35 s of a cold start)
+UNUSED_BY_CLOSED_FORMS = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+
+
+def _modules_loaded_by(code):
+    """The modules of UNUSED_BY_CLOSED_FORMS in sys.modules after ``code``
+    runs in a fresh interpreter that imports levyheat from this checkout."""
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = f"import sys\nprint(' '.join(m for m in {UNUSED_BY_CLOSED_FORMS!r} if m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code + "\n" + probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return result.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_leaves_quadpack_and_interpolation_unloaded():
+    assert _modules_loaded_by("import levyheat.cli") == []
+
+
+def test_reference_decay_fit_runs_without_quadpack_or_interpolation(tmp_path):
+    # the reference kernel (bounded + power tail alpha = 1) on a small grid:
+    # its table is all closed forms and its interpolation is numpy
+    text = (Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg").read_text()
+    text = text.replace("half_width = 262144", "half_width = 512")
+    text = text.replace("points = 1048576", "points = 2048")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(text)
+    argv = ["decay-fit", "--config", str(cfg), "--output", str(tmp_path / "out")]
+    code = f"import levyheat.cli\nassert levyheat.cli.main({argv!r}) == 0"
+    assert _modules_loaded_by(code) == []
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["tolerances"]["quad_tol_achieved"] <= 1e-13
 
 
 def test_schema_doc_lists_every_config_key():

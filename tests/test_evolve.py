@@ -286,6 +286,8 @@ def test_linear_flow_checks_its_arguments(cauchy_table):
     other = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=64)
     with pytest.raises(GridMismatchError):
         LinearFlow(P, GridField(other, np.zeros(other.shape)))
+    with pytest.raises(GridMismatchError):
+        LinearFlow(P, GridField(g, np.zeros((2,) + g.shape), batch=True))
 
 
 @pytest.mark.parametrize("t", [1.0, 2.0, 5.0])
@@ -491,6 +493,8 @@ def test_evolve_nonlinear_validation():
     with pytest.raises(ContractError):
         # sup norm above the law's validity bound M
         evolve_nonlinear(P, phi, box_field(g, width=2.0, height=0.9), [0.5])
+    with pytest.raises(GridMismatchError):
+        evolve_nonlinear(P, phi, GridField(g, np.stack([u0.values] * 2), batch=True), [0.5])
 
 
 def test_phi_functions_match_mpmath():

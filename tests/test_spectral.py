@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from levyheat import spectral
 from levyheat.errors import ContractError, DomainError, GridMismatchError
 from levyheat.spectral import (
     ERF_SATURATES,
@@ -52,6 +53,13 @@ def test_field_value_validation():
     g = PeriodicGrid(dimension=1, half_width=1.0, points_per_axis=16)
     with pytest.raises(GridMismatchError):
         GridField(g, np.zeros(8))
+    # a stack of fields is taken only when declared a batch
+    with pytest.raises(GridMismatchError):
+        GridField(g, np.zeros((16, 16)))
+    assert GridField(g, np.zeros((3, 16)), batch=True).values.shape == (3, 16)
+    for shape in [(16,), (3, 8), (3, 2, 16)]:
+        with pytest.raises(GridMismatchError):
+            GridField(g, np.zeros(shape), batch=True)
     bad = np.zeros(16)
     bad[3] = np.nan
     with pytest.raises(ContractError):
@@ -244,8 +252,25 @@ def test_random_band_limited_is_band_limited_and_seeded():
 
 def test_random_nonnegative_floor():
     g = PeriodicGrid(dimension=2, half_width=4.0, points_per_axis=32)
-    f = random_nonnegative(g, np.random.default_rng(9), floor=0.05)
-    assert f.values.min() == pytest.approx(0.05, abs=1e-15)
+    f = random_nonnegative(g, [9, 10])
+    assert f.batch and f.values.shape == (2, 32, 32)
+    assert np.min(f.values, axis=(1, 2)) == pytest.approx(0.05, abs=1e-15)
+
+
+def test_single_field_functions_refuse_a_batch(tmp_path):
+    g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=64)
+    batch = random_nonnegative(g, range(3))
+    calls = [
+        lambda: lp_norm(batch, 2),
+        lambda: lp_norm(batch, math.inf),
+        lambda: mass(batch),
+        lambda: field_norms(batch),
+        lambda: write_field_csv(batch, tmp_path / "batch.csv"),
+    ]
+    for call in calls:
+        with pytest.raises(GridMismatchError):
+            call()
+    assert not (tmp_path / "batch.csv").exists()
 
 
 def test_write_field_csv_roundtrips(tmp_path):
@@ -259,3 +284,21 @@ def test_write_field_csv_roundtrips(tmp_path):
     assert data.shape == (32, 2)
     assert np.array_equal(data[:, 0], g.axis)
     assert np.array_equal(data[:, 1], f.values), "17-digit output must round-trip"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_write_field_csv_writes_the_rows_of_any_block_size(tmp_path, monkeypatch, dim):
+    g = PeriodicGrid(dimension=dim, half_width=2.0, points_per_axis=32 if dim == 1 else 8)
+    f = random_band_limited(g, np.random.default_rng(3), band_fraction=0.5)
+    if dim == 1:
+        rows = [f"{x:.17g},{u:.17g}" for x, u in zip(g.axis, f.values)]
+    else:
+        rows = [
+            f"{x:.17g},{y:.17g},{f.values[i, j]:.17g}"
+            for i, x in enumerate(g.axis)
+            for j, y in enumerate(g.axis)
+        ]
+    expected = "\n".join(["x,u" if dim == 1 else "x,y,u"] + rows) + "\n"
+    monkeypatch.setattr(spectral, "CSV_BLOCK_ROWS", 5)  # 32 rows: six blocks, the last short
+    write_field_csv(f, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_text() == expected

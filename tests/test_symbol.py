@@ -28,6 +28,7 @@ from levyheat.symbol import (
     PurePower,
     SymbolTable,
     _bounded_near,
+    _monotone_cubic,
     _near_steps_1d,
     _symbol_value_err,
     build_symbol_table,
@@ -373,6 +374,22 @@ def test_power_tail_cosine_integral_matches_si_ci(alpha):
     assert value == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_power_tail_head_matches_mpmath(alpha):
+    # K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du from 1e-5 up to the last
+    # floats below pi, where K vanishes and the bound must still cover it
+    xs = [*np.geomspace(1e-5, 3.0, 41), *(math.pi * (1.0 - 10.0**-k) for k in range(1, 13))]
+    tail = PowerTail(alpha)
+    for x in xs:
+        with mpmath.workdps(40):
+            f = lambda u: (1 - mpmath.cos(u)) * u ** (-1 - alpha)
+            ref = mpmath.quad(f, [mpmath.mpf(x), mpmath.pi])
+        value, bound = tail.cos_transform_head(x, 1.0)
+        err = float(abs(value / x**alpha - ref))
+        assert 0.0 < bound and err <= bound / x**alpha, (x, err, bound)
+        assert bound / x**alpha <= 1e-14 * (2.0 + abs(math.log(x))), (x, bound)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_bounded_near_part_closed_form(dim):
     # int_0^1 (1 - cos xi r) dr = 1 - sin xi / xi and
@@ -409,17 +426,53 @@ def test_bounded_compact_table_needs_no_quadrature(monkeypatch, dim):
 
 
 def test_lattice_and_criterion_8_tables_need_no_qawf(monkeypatch):
-    # QAWF would be a quad call on an infinite interval; every tail goes to
-    # closed forms or zero-to-zero panels, non-integer alpha included
+    # the reference lattice table and both of criterion 8's tables are all
+    # closed forms: no quad call at all
     calls = _count_quad(monkeypatch)
     cfg = parse_config(Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg")
     build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(cfg.grid()))
     build_symbol_table(BORDER_PT2, log_grid(1e-3, 1e7, per_decade=32))
     osc = LevyKernel(1, Oscillating(1.0), PowerTail(2.0))
     build_symbol_table(osc, log_grid(1e-3, 1e6, per_decade=32))
+    assert calls == []
+    # QAWF would be a quad call on an infinite interval; every tail without
+    # a closed form goes to zero-to-zero panels, non-integer alpha included
     for dim in (1, 2):
         symbol_quadrature(LevyKernel(dim, Bounded(1.0), PowerTail(1.5)), 0.5)
     assert calls and [c for c in calls if c[0] == np.inf] == []
+
+
+def _bounded_power_multiplier(c0, alpha, xi):
+    """m(xi) of Bounded(c0) + PowerTail(alpha), alpha in {1, 2}, in one
+    dimension, in closed form at 40 digits."""
+    with mpmath.workdps(40):
+        X = mpmath.mpf(xi)
+        near = 1 - mpmath.sin(X) / X
+        if alpha == 1.0:
+            return 2 * c0 * (near + X * (mpmath.pi / 2 - mpmath.si(X)) + 1 - mpmath.cos(X))
+        rest = (1 - mpmath.cos(X)) / 2 + (X * mpmath.sin(X) - X**2 * mpmath.ci(X)) / 2
+        return 2 * c0 * (near + rest)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_bounded_power_table_is_closed_form_and_honest(monkeypatch, alpha):
+    # both sides of the split at pi, up to its last float below and the
+    # first float above; the piece on [1, pi / xi] vanishes as xi -> pi
+    xis = np.unique(
+        [
+            *log_grid(1e-5, 1e4, 16),
+            *(math.pi * (1.0 - 10.0**-k) for k in range(1, 13)),
+            math.nextafter(math.pi, 4.0),
+        ]
+    )
+    c0 = 0.7
+    calls = _count_quad(monkeypatch)
+    tab = build_symbol_table(LevyKernel(1, Bounded(c0), PowerTail(alpha)), xis)
+    assert calls == []
+    refs = [_bounded_power_multiplier(c0, alpha, xi) for xi in xis]
+    actual = max(float(abs(v - ref) / ref) for v, ref in zip(tab.values, refs))
+    assert actual <= 1e-14
+    assert actual <= tab.quad_tol <= 1e-13
 
 
 #: the pure power coefficient c, m(xi) = c xi^alpha, in mpmath
@@ -445,3 +498,38 @@ def test_pure_power_table_takes_the_closed_form_coefficient(monkeypatch, dim, al
     # and quadrature agrees within its own error estimate
     value, err = _symbol_value_err(kernel, 1.0)
     assert abs(coeff - value) <= err
+
+
+def _pchip_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (3, 8, 40):
+        x = np.sort(rng.uniform(-5.0, 5.0, n))
+        cases += [
+            (f"monotone-{n}", x, np.cumsum(rng.uniform(0.0, 1.0, n))),
+            (f"non-monotone-{n}", x, rng.normal(size=n)),
+            (f"flat-runs-{n}", x, np.round(rng.normal(size=n))),
+        ]
+    cases.append(("two-point", np.array([-1.0, 2.5]), np.array([0.3, -1.2])))
+    return cases
+
+
+@pytest.mark.parametrize("name,x,y", _pchip_cases(), ids=[c[0] for c in _pchip_cases()])
+def test_monotone_cubic_is_scipy_pchip_bit_for_bit(name, x, y):
+    from scipy.interpolate import PchipInterpolator
+
+    z = np.concatenate([x, np.linspace(x[0], x[-1], 1001)])
+    assert np.array_equal(_monotone_cubic(x, y)(z), PchipInterpolator(x, y)(z))
+
+
+def test_reference_table_interpolates_as_scipy_pchip():
+    # every radius of the reference lattice's rfftn half lattice
+    from scipy.interpolate import PchipInterpolator
+
+    cfg = parse_config(Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg")
+    grid = cfg.grid()
+    tab = build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(grid))
+    rho = grid.half_freq_radii()[1:]
+    x, y = np.log(tab.radial_grid), np.log(tab.values)
+    want = np.exp(PchipInterpolator(x, y)(np.log(rho)))
+    assert np.array_equal(tab.evaluate(rho), want)
