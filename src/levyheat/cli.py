@@ -563,13 +563,13 @@ def _flow(cfg, P, u0):
     return iter(fields), (dirichlet_form_spectral(P, u) for u in fields), fields.work()
 
 
-def _snapshot_pass(cfg, P, u0, command, art):
-    """Run the flow and analyse its snapshots in one pass (a linear run
-    holds one field at a time; the nonlinear stepper returns all of
-    them); writes norms.csv (and, for ``evolve``, each field as it
-    comes) and returns the decay series by p, the escape-guard ratio,
-    the last field and the stepper's work counters."""
-    fields, energies, work = _stage("evolve", _flow, cfg, P, u0)
+def _snapshot_pass(cfg, flow, command, art):
+    """Analyse the snapshots of ``flow`` (what ``_flow`` returns) in one
+    pass (a linear run holds one field at a time; the nonlinear stepper
+    returns all of them); writes norms.csv (and, for ``evolve``, each
+    field as it comes) and returns the decay series by p, the
+    escape-guard ratio, the last field and the stepper's work counters."""
+    fields, energies, work = flow
     fit_ps = cfg.decay.norms if command == "decay-fit" else ()
     rows = ["t,l1,l2,linf,energy"]
     series = {p: [] for p in fit_ps}
@@ -705,7 +705,9 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         elif command in ("evolve", "decay-fit"):
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
-            series, guard_ratio, last, work = _snapshot_pass(cfg, P, u0, command, art)
+            flow = _stage("evolve", _flow, cfg, P, u0)
+            del u0  # the linear flow reads only the datum's spectrum from here on
+            series, guard_ratio, last, work = _snapshot_pass(cfg, flow, command, art)
             guard = {
                 "max_boundary_ratio": guard_ratio,
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),

@@ -56,6 +56,23 @@ class FractionalPower:
         # int_a^1 ell(r)/r dr = int_a^1 r^(-1-beta) dr
         return (a**-self.beta - 1.0) / self.beta
 
+    def cos_transform_near(self, omega):
+        """``int_0^1 (1 - cos(omega r)) J(r) dr`` in one dimension, omega > 0,
+        as (value, error bound): closed form for beta = 1, None for any
+        other beta (the symbol engine then calls QUADPACK).
+
+        With u = omega r this is ``omega A(omega)``, with the alpha = 1
+        antiderivative ``A(u) = Si u - 2 sin^2(u/2) / u`` of
+        ``PowerTail.cos_transform_head`` (A(0) = 0).  A rises from u/2
+        near 0 to pi/2 and stays above a third of its terms' sum, and Si
+        and sin carry about one ulp of their value, so the bound is
+        relative to the terms (no Ci, hence no floor of one).
+        """
+        if self.beta != 1.0:
+            return None
+        terms = _one_minus_cos_antiderivative(1.0, omega)
+        return omega * math.fsum(terms), omega * 4.0 * _EPS * sum(map(abs, terms))
+
 
 @dataclass(frozen=True)
 class Borderline:
@@ -254,18 +271,21 @@ class PowerTail:
         return min(self.alpha, 2.0)
 
 
+def _one_minus_cos_antiderivative(alpha, u):
+    """The terms of A(u), an antiderivative of ``(1 - cos u) u^(-1-alpha)``
+    for alpha in {1, 2}; see ``PowerTail.cos_transform_head``."""
+    si, ci = sici(u)
+    one_minus_cos = 2.0 * math.sin(0.5 * u) ** 2
+    if alpha == 1.0:
+        return [si, -one_minus_cos / u]
+    return [0.5 * ci, -0.5 * math.sin(u) / u, -0.5 * one_minus_cos / (u * u)]
+
+
 def _power_cos_head(alpha, x):
     """(K(x), error bound) for K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du,
     alpha in {1, 2}, 0 < x < pi; see ``PowerTail.cos_transform_head``."""
-
-    def antiderivative(u):
-        si, ci = sici(u)
-        one_minus_cos = 2.0 * math.sin(0.5 * u) ** 2
-        if alpha == 1.0:
-            return [si, -one_minus_cos / u]
-        return [0.5 * ci, -0.5 * math.sin(u) / u, -0.5 * one_minus_cos / (u * u)]
-
-    terms = antiderivative(math.pi) + [-t for t in antiderivative(x)]
+    terms = _one_minus_cos_antiderivative(alpha, math.pi)
+    terms += [-t for t in _one_minus_cos_antiderivative(alpha, x)]
     # as in _power_cos_tail: Si and Ci carry about one ulp of max(1, |value|)
     return math.fsum(terms), 4.0 * _EPS * (sum(map(abs, terms)) + 1.0)
 

@@ -90,10 +90,13 @@ class PeriodicGrid:
     def half_freq_radii(self):
         """|xi| on the rfftn half lattice, FFT ordering: every axis but the
         last in full, the last axis's first n // 2 + 1 columns (the
-        nonnegative frequencies, Nyquist included)."""
-        last = self.freq_axis[: self.points_per_axis // 2 + 1]
+        nonnegative frequencies, Nyquist included).  In 1-D these are
+        computed alone, bit-identical to ``|freq_axis|`` there, so a 1-D
+        grid never caches its full frequency axis."""
+        n = self.points_per_axis
         if self.dimension == 1:
-            return np.abs(last)
+            return 2.0 * math.pi * (np.arange(n // 2 + 1) * (1.0 / (n * self.spacing)))
+        last = self.freq_axis[: n // 2 + 1]
         return np.hypot(self.freq_axis[:, None], last[None, :])
 
     @property

@@ -18,8 +18,8 @@ near/tail matching radius and evaluates the non-oscillatory parts by
 closed form or adaptive Gauss-Kronrod quadrature.  Every oscillatory
 tail without a closed form, in either dimension, is summed over
 zero-to-zero panels of its weight (cos in one dimension, J0 in two)
-by Euler's transform.  The 1-D near remainder on
-[pi/xi, 1] stays with QUADPACK's cosine-weighted rule (QAWO): there
+by Euler's transform.  The 1-D near remainder on [pi/xi, 1] without
+a closed form stays with QUADPACK's cosine-weighted rule (QAWO): there
 the panel count grows like xi / pi, and at xi = 1e6 the 3e5 panels of
 a FractionalPower near part cost some 300 times QAWO's time.
 
@@ -30,7 +30,9 @@ Closed forms replace quadrature wherever they are exact:
   xi <= 1);
 * in one dimension, the near part of a piecewise-constant profile
   (borderline, oscillating), a sum of differences of the cosine
-  integral Cin;
+  integral Cin, and of the fractional power with beta = 1,
+  ``xi Si(xi) - 2 sin^2(xi / 2)`` (see
+  ``FractionalPower.cos_transform_near``);
 * in one dimension, the oscillatory tail ``int_a^inf cos(xi r) J(r) dr``
   of a power tail with alpha = 1 or 2 (Si/Ci, or the continued fraction
   of E_{alpha+1}, see ``PowerTail.cos_transform_tail``) and of the
@@ -182,10 +184,13 @@ def _near_steps_1d(steps, xi):
 
 def _symbol_1d(kernel, xi, rtol):
     near = kernel.near
+    closed = near.cos_transform_near(xi) if isinstance(near, FractionalPower) else None
     if isinstance(near, Bounded):
         total, err = _bounded_near(near.c0, xi, 1)
     elif hasattr(near, "steps"):
         total, err = _near_steps_1d(near.steps, xi)
+    elif closed:
+        total, err = closed
     else:
         # near part on (0, 1]: direct up to half an oscillation, then
         # split the plain and cosine-weighted contributions

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -288,6 +289,16 @@ def test_linear_flow_checks_its_arguments(cauchy_table):
         LinearFlow(P, GridField(other, np.zeros(other.shape)))
     with pytest.raises(GridMismatchError):
         LinearFlow(P, GridField(g, np.zeros((2,) + g.shape), batch=True))
+
+
+def test_linear_flow_keeps_only_the_datums_spectrum():
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
+    u0 = box_field(g, width=2.0)
+    datum, values = weakref.ref(u0), weakref.ref(u0.values)
+    flow = LinearFlow(poisson_propagator(g), u0)
+    del u0
+    assert datum() is None and values() is None
+    assert next(flow.fields([0.0])).values.max() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("t", [1.0, 2.0, 5.0])

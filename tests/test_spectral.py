@@ -40,6 +40,17 @@ def test_grid_geometry():
     assert np.allclose(ratio, np.round(ratio), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 4, 1024, 2**20])
+@pytest.mark.parametrize("half_width", [8.0, 3.7])
+def test_1d_half_lattice_radii_are_the_nonnegative_fft_frequencies(n, half_width):
+    # computed alone, Nyquist included, and bit for bit; 3.7 makes a
+    # spacing that is no power of two; the full axis stays uncached
+    g = PeriodicGrid(dimension=1, half_width=half_width, points_per_axis=n)
+    want = np.abs(2.0 * math.pi * np.fft.fftfreq(n, g.spacing))[: n // 2 + 1]
+    assert np.array_equal(g.half_freq_radii(), want)
+    assert "freq_axis" not in vars(g)
+
+
 @pytest.mark.parametrize(
     "dim,L,n",
     [(3, 1.0, 64), (1, 0.0, 64), (1, 1.0, 48), (1, 1.0, 0), (2, -2.0, 32)],

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from levyheat import cli
+from levyheat import acceptance, cli
 from levyheat.cli import parse_config
 from levyheat.errors import DomainError
 from levyheat.evolve import LinearPropagator
@@ -83,6 +83,12 @@ KERNEL_PATH_REFS = {
     "fractional_power_1d": (
         LevyKernel(1, FractionalPower(0.5), PowerTail(1.5)),
         [(0.3, 0.42925180082394037), (4.0, 7.4424934228260048), (50.0, 32.781667085102638)],
+    ),
+    # beta = 1 near part and exponential tail, both in closed form:
+    # 2 [xi Si(xi) - 2 sin^2(xi / 2)] + 2 [1 - Re e^(i xi) / (1 - i xi)]
+    "fractional_power_1_exp_1d": (
+        LevyKernel(1, FractionalPower(1.0), ExponentialTail(1.0)),
+        [(0.3, 0.49953608870570556), (4.0, 12.479094768645424), (50.0, 157.08037684359166)],
     ),
     # m near 1e-8 at small xi, where only a relative tolerance resolves the tail:
     # 2 [c0 (1 - sin xi / xi) + c0 (1/alpha - Re E_{1+alpha}(-i xi))]
@@ -442,6 +448,30 @@ def test_lattice_and_criterion_8_tables_need_no_qawf(monkeypatch):
     assert calls and [c for c in calls if c[0] == np.inf] == []
 
 
+@pytest.mark.parametrize(
+    "xi", [*np.geomspace(1e-8, 1e7, 76), math.pi, math.nextafter(math.pi, 4.0)]
+)
+def test_unit_fractional_near_part_matches_mpmath(xi):
+    # int_0^1 (1 - cos xi r) r^-2 dr = xi Si(xi) - 2 sin^2(xi / 2)
+    value, bound = FractionalPower(1.0).cos_transform_near(xi)
+    with mpmath.workdps(50):
+        X = mpmath.mpf(xi)
+        ref = X * mpmath.si(X) - 2 * mpmath.sin(X / 2) ** 2
+        err = float(abs(value - ref))
+    assert err <= 1e-15 * float(ref), (xi, value, ref)
+    assert 0.0 < bound and err <= bound, (xi, err, bound)
+
+
+def test_criterion_1_symbol_calls_no_quadrature(monkeypatch):
+    # the Cauchy kernel at criterion 1's 81 frequencies: every part in closed form
+    calls = _count_quad(monkeypatch)
+    assert acceptance.criterion_1().passed
+    assert calls == []
+    # a beta other than 1 keeps QUADPACK's near route
+    symbol_quadrature(LevyKernel(1, FractionalPower(0.5), PowerTail(1.0)), 4.0)
+    assert calls
+
+
 def _bounded_power_multiplier(c0, alpha, xi):
     """m(xi) of Bounded(c0) + PowerTail(alpha), alpha in {1, 2}, in one
     dimension, in closed form at 40 digits."""
@@ -495,7 +525,8 @@ def test_pure_power_table_takes_the_closed_form_coefficient(monkeypatch, dim, al
     # the recorded quad_tol is a roundoff bound the coefficient meets
     assert tab.quad_tol < 1e-14
     assert abs(coeff - ref) <= tab.quad_tol * ref, (coeff, ref)
-    # and quadrature agrees within its own error estimate
+    # and the symbol engine agrees within its own error estimate (in 1-D
+    # at alpha = 1 that value is closed forms only, elsewhere quadrature)
     value, err = _symbol_value_err(kernel, 1.0)
     assert abs(coeff - value) <= err
 
