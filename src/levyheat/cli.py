@@ -2,11 +2,15 @@
 
 A config file is a flat INI-style description of one experiment: a
 kernel, a grid, a flow, an initial datum, and the analyses to run (see
-``docs/config-schema.txt`` for every key).  Configs are validated in
-full before any computation starts; a run is deterministic given the
-seed and byte-reproduces its artifacts, which always include a
-``manifest.json`` recording the config hash, the effective seed, the
-tolerances in force, and the periodic-domain escape-guard verdict.
+``docs/config-schema.txt`` for every key).  Each section is a frozen
+dataclass whose fields are its keys and which checks its own ranges;
+``ExperimentConfig`` holds them and checks what spans two sections.
+Configs are validated in full before any computation starts, and a key
+that the section's kind never reads is rejected, not ignored.  A run
+is deterministic given the seed and byte-reproduces its artifacts,
+which always include a ``manifest.json`` recording the config hash,
+the effective seed, the tolerances in force, and the periodic-domain
+escape-guard verdict.
 
 Subcommands::
 
@@ -32,7 +36,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +51,7 @@ from .analysis import (
     regularizing_diagnostic,
     theta_exponents,
 )
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, DomainError, PipelineError
 from .evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear
 from .kernels import (
     Borderline,
@@ -94,22 +98,8 @@ _TAIL = {
     "compact": (CompactSupport, None),
     "exponential": (ExponentialTail, "lam"),
 }
-
-_SECTION_KEYS = {
-    "experiment": {"name", "output", "seed"},
-    "kernel": {"dimension", "near", "near_param", "tail", "tail_param"},
-    "grid": {"half_width", "points"},
-    "flow": {"kind", "sigma", "mass_bound", "snapshots"},
-    "initial": {"kind", "width", "scale", "band"},
-    "decay": {"norms", "q", "window", "targets", "tolerance"},
-    "nash": {"d", "r"},
-    "regularity": {"times"},
-    "interpolation": {"r", "s"},
-}
-
-
-#: the only keys that take infinity: the sup norm, and no bound on the datum
-_INFINITE_KEYS = ("[decay].norms", "[flow].mass_bound")
+#: each datum's parameter key and its default; kind = delta takes none
+_DATUM_PARAM = {"box": ("width", 1.0), "gaussian": ("scale", 1.0), "random": ("band", 0.25)}
 
 
 def _fmt(x) -> str:
@@ -121,67 +111,306 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _read(kind, raw, key, infinite=False):
+    """The text ``raw`` of config key ``key`` read as ``kind``: "str",
+    "int", "float" or "tuple" (of floats).  NaN is never a config number,
+    and infinity only where ``infinite``."""
+    if kind == "str":
+        return raw
+    try:
+        vals = tuple(map(float, raw.split())) if kind == "tuple" else (float(raw),)
+    except ValueError:
+        if kind == "tuple":
+            raise ConfigError(f"{key}: expected space-separated numbers, got {raw!r}") from None
+        raise ConfigError(f"{key}: not a number: {raw!r}") from None
+    if not vals:
+        raise ConfigError(f"{key}: empty value")
+    for v in vals:
+        if math.isnan(v) or (math.isinf(v) and not infinite):
+            raise ConfigError(f"{key}: {v} is not allowed (got {raw!r})")
+    if kind == "tuple":
+        return vals
+    if kind == "int" and vals[0] != int(vals[0]):
+        raise ConfigError(f"{key}: expected an integer, got {vals[0]}")
+    return int(vals[0]) if kind == "int" else vals[0]
+
+
+class Section:
+    """A config section: a frozen dataclass named after it.
+
+    Its init fields are its keys: a field without a default is a
+    required key, and the first word of its annotation says how the
+    value is read (see ``_read``).  Each section polices its own ranges
+    in ``__post_init__``.  Every field that is set (not None) gives one
+    row of the canonical text, named by its ``metadata["key"]`` or else
+    its own name, unless it is declared ``compare=False``.
+    """
+
+    #: the keys that may be inf
+    INFINITE = ()
+
+    @classmethod
+    def parse(cls, mapping):
+        name = cls.__name__.lower()
+        keys = {f.name: f for f in fields(cls) if f.init}
+        unknown = set(mapping) - set(keys)
+        if unknown:
+            raise ConfigError(f"[{name}]: unknown keys {sorted(unknown)}; allowed: {sorted(keys)}")
+        values = {}
+        for key, f in keys.items():
+            if key in mapping:
+                kind = f.type.split()[0]
+                values[key] = _read(kind, mapping[key], f"[{name}].{key}", key in cls.INFINITE)
+            elif f.default is MISSING:
+                raise ConfigError(f"[{name}]: missing required key '{key}'")
+        return cls(**values)
+
+    def rows(self):
+        name = type(self).__name__.lower()
+        return [
+            (f"{name}.{f.metadata.get('key', f.name)}", _text(value))
+            for f in fields(self)
+            if f.compare and (value := getattr(self, f.name)) is not None
+        ]
+
+
+def _text(value) -> str:
+    """A value as the canonical text writes it."""
+    if isinstance(value, tuple):
+        return " ".join(map(_fmt, value))
+    return str(value) if isinstance(value, (str, int)) else _fmt(value)
+
+
 @dataclass(frozen=True)
-class DecaySpec:
+class Experiment(Section):
+    name: str
+    #: the artifact directory, left out of the hash (default runs/<name>)
+    output: str | None = field(default=None, compare=False)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.output is None:
+            object.__setattr__(self, "output", f"runs/{self.name}")
+
+
+@dataclass(frozen=True)
+class Kernel(Section):
+    dimension: int
+    near: str
+    tail: str
+    near_param: float | None = None
+    tail_param: float | None = None
+    levy: LevyKernel = field(init=False, compare=False)
+
+    def __post_init__(self):
+        profiles = []
+        for part, choices in (("near", _NEAR), ("tail", _TAIL)):
+            profile, param = getattr(self, part), getattr(self, f"{part}_param")
+            if profile not in choices:
+                raise ConfigError(
+                    f"[kernel].{part}: unknown profile {profile!r}; choices {sorted(choices)}"
+                )
+            cls, takes_param = choices[profile]
+            if not takes_param and param is not None:
+                raise ConfigError(f"[kernel].{part}_param: profile {profile!r} takes no parameter")
+            if takes_param and param is None:
+                raise ConfigError(f"[kernel]: missing required key '{part}_param'")
+            profiles.append((cls, param))
+        try:
+            near, tail = (cls() if param is None else cls(param) for cls, param in profiles)
+            levy = LevyKernel(dimension=self.dimension, near=near, tail=tail)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"[kernel]: {exc}") from None
+        object.__setattr__(self, "levy", levy)
+
+
+@dataclass(frozen=True)
+class Grid(Section):
+    # policed by PeriodicGrid, which needs the kernel's dimension
+    half_width: float
+    points: int
+
+
+@dataclass(frozen=True)
+class Flow(Section):
+    kind: str
+    snapshots: tuple
+    #: nonlinear only; a linear flow is sigma = 1
+    sigma: float | None = None
+    mass_bound: float = 1.0
+    phi: PhiLaw = field(init=False, compare=False)
+    INFINITE = ("mass_bound",)
+
+    def __post_init__(self):
+        if self.kind not in ("linear", "nonlinear"):
+            raise ConfigError(f"[flow].kind must be 'linear' or 'nonlinear', got {self.kind!r}")
+        if self.kind == "linear":
+            if self.sigma is not None:
+                raise ConfigError("[flow].sigma: only meaningful for kind = nonlinear")
+            object.__setattr__(self, "sigma", 1.0)
+        elif self.sigma is None:
+            raise ConfigError("[flow]: missing required key 'sigma'")
+        times = self.snapshots
+        if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+            raise ConfigError("[flow].snapshots must be nonnegative and strictly increasing")
+        try:
+            object.__setattr__(self, "phi", PhiLaw(self.sigma, M=self.mass_bound))
+        except DomainError as exc:
+            raise ConfigError(f"[flow]: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Initial(Section):
+    kind: str
+    width: float | None = field(default=None, compare=False)
+    scale: float | None = field(default=None, compare=False)
+    band: float | None = field(default=None, compare=False)
+    #: the kind's parameter (its default when absent), None for delta
+    param: float | None = field(init=False)
+
+    def __post_init__(self):
+        if self.kind not in (*_DATUM_PARAM, "delta"):
+            raise ConfigError(
+                f"[initial].kind: unknown datum {self.kind!r}; "
+                f"choices {sorted([*_DATUM_PARAM, 'delta'])}"
+            )
+        param = None
+        if self.kind != "delta":
+            key, default = _DATUM_PARAM[self.kind]
+            param = default if getattr(self, key) is None else getattr(self, key)
+            if key == "band" and not 0 < param <= 1:
+                raise ConfigError(f"[initial].band must lie in (0, 1], got {param}")
+            if not param > 0:
+                raise ConfigError(f"[initial].{key} must be positive, got {_fmt(param)}")
+        for kind, (key, _) in _DATUM_PARAM.items():
+            if kind != self.kind and getattr(self, key) is not None:
+                raise ConfigError(f"[initial].{key}: only meaningful for kind = {kind}")
+        object.__setattr__(self, "param", param)
+
+
+@dataclass(frozen=True)
+class Decay(Section):
     norms: tuple
-    q: float
-    window: tuple | None  # None = late window by max-r^2
-    targets: tuple | None
-    tolerance: float | None
+    q: float = 1.0
+    #: 'auto' (the late window by max r^2) or two times, as written
+    window: str = field(default="auto", compare=False)
+    targets: tuple | None = None
+    tolerance: float | None = None
+    #: the window's two times, None for auto
+    span: tuple | None = field(init=False, metadata={"key": "window"})
+    INFINITE = ("norms",)
+
+    def __post_init__(self):
+        if any(p < 1 for p in self.norms):
+            raise ConfigError("[decay].norms: fitted norms need p >= 1")
+        span = None if self.window == "auto" else _read("tuple", self.window, "[decay].window")
+        if span is not None and (len(span) != 2 or span[0] >= span[1]):
+            raise ConfigError("[decay].window: expected 'auto' or two increasing times")
+        object.__setattr__(self, "span", span)
+        if self.targets is None:
+            if self.tolerance is not None:
+                raise ConfigError("[decay].tolerance: only meaningful with targets")
+        elif len(self.targets) != len(self.norms):
+            raise ConfigError("[decay].targets must align with [decay].norms")
+        elif self.tolerance is None:
+            raise ConfigError("[decay]: missing required key 'tolerance'")
+        elif not self.tolerance > 0:
+            raise ConfigError("[decay].tolerance must be positive")
+        for p in self.norms:
+            if not self.q < p:
+                raise ConfigError(
+                    f"[decay]: the decay estimate needs q < p; got q = {_fmt(self.q)}, "
+                    f"p = {_fmt(p)}"
+                )
 
 
 @dataclass(frozen=True)
-class NashSpec:
+class Nash(Section):
     d: float
-    r: float
+    r: float = 1.0
+
+    def __post_init__(self):
+        if not self.d > 0:
+            raise ConfigError(f"[nash].d must be positive, got {self.d}")
+        if not 1.0 <= self.r < 2.0:
+            raise ConfigError(f"[nash].r must lie in [1, 2), got {self.r}")
 
 
 @dataclass(frozen=True)
-class RegularitySpec:
+class Regularity(Section):
     times: tuple
 
+    def __post_init__(self):
+        if any(t <= 0 for t in self.times):
+            raise ConfigError("[regularity].times must be positive")
+
 
 @dataclass(frozen=True)
-class InterpolationSpec:
+class Interpolation(Section):
     r: float
     s: float
+
+    def __post_init__(self):
+        if self.r == 1.0:
+            raise ConfigError(
+                "[interpolation].r: r = 1 is the open case -- the two-monomial "
+                "bound covers only 1 < r < s <= 2, and no constant is claimed "
+                "at the endpoint"
+            )
+        if not 1.0 < self.r < self.s <= 2.0:
+            raise ConfigError(
+                f"[interpolation]: exponents must satisfy 1 < r < s <= 2, "
+                f"got r = {_fmt(self.r)}, s = {_fmt(self.s)}"
+            )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
-    output: str
-    seed: int
-    dimension: int
-    near: str
-    near_param: float | None
-    tail: str
-    tail_param: float | None
-    half_width: float
-    points: int
-    flow: str
-    sigma: float
-    mass_bound: float
-    snapshots: tuple
-    datum: str
-    datum_param: float | None
-    decay: DecaySpec | None = None
-    nash: NashSpec | None = None
-    regularity: RegularitySpec | None = None
-    interpolation: InterpolationSpec | None = None
+    """One experiment, a field per section (None for an absent optional
+    one); ``__post_init__`` checks what spans two sections."""
 
-    def kernel(self) -> LevyKernel:
-        near_cls, near_arg = _NEAR[self.near]
-        tail_cls, tail_arg = _TAIL[self.tail]
-        near = near_cls(self.near_param) if near_arg else near_cls()
-        tail = tail_cls(self.tail_param) if tail_arg else tail_cls()
-        return LevyKernel(dimension=self.dimension, near=near, tail=tail)
+    experiment: Experiment
+    kernel: Kernel
+    grid: Grid
+    flow: Flow
+    initial: Initial
+    decay: Decay | None = None
+    nash: Nash | None = None
+    regularity: Regularity | None = None
+    interpolation: Interpolation | None = None
 
-    def grid(self) -> PeriodicGrid:
+    def __post_init__(self):
+        try:
+            self.lattice()
+        except DomainError as exc:
+            raise ConfigError(f"[grid]: {exc}") from None
+        decay, flow = self.decay, self.flow
+        if decay is not None:
+            span = decay.span
+            if flow.snapshots[0] == 0.0 and (span is None or span[0] <= 0.0 <= span[1]):
+                raise ConfigError(
+                    "[decay]: a power-law fit needs positive times, but the window "
+                    f"{decay.window!r} includes the snapshot at t = 0"
+                )
+            # admissible range of the decay estimate: sigma - 1 < q < p
+            if flow.kind == "nonlinear" and flow.sigma - 1.0 >= decay.q:
+                raise ConfigError(
+                    "[decay].q: the nonlinear decay estimate holds on the range "
+                    f"sigma - 1 < q < p; got sigma - 1 = {_fmt(flow.sigma - 1.0)} "
+                    f">= q = {_fmt(decay.q)}"
+                )
+        if self.interpolation is not None:
+            r, s = self.interpolation.r, self.interpolation.s
+            try:
+                theta_exponents(r, s, self.kernel.levy.tail.exponent(), self.kernel.dimension)
+            except ValueError as exc:
+                raise ConfigError(f"[interpolation]: {exc}") from None
+
+    def lattice(self) -> PeriodicGrid:
         return PeriodicGrid(
-            dimension=self.dimension,
-            half_width=self.half_width,
-            points_per_axis=self.points,
+            dimension=self.kernel.dimension,
+            half_width=self.grid.half_width,
+            points_per_axis=self.grid.points,
         )
 
     def canonical_text(self) -> str:
@@ -190,110 +419,16 @@ class ExperimentConfig:
         The output directory is deliberately excluded so that the same
         experiment re-run elsewhere hashes identically.
         """
-        rows = [
-            ("experiment.name", self.name),
-            ("experiment.seed", str(self.seed)),
-            ("kernel.dimension", str(self.dimension)),
-            ("kernel.near", self.near),
-            ("kernel.tail", self.tail),
-            ("grid.half_width", _fmt(self.half_width)),
-            ("grid.points", str(self.points)),
-            ("flow.kind", self.flow),
-            ("flow.sigma", _fmt(self.sigma)),
-            ("flow.mass_bound", _fmt(self.mass_bound)),
-            ("flow.snapshots", " ".join(_fmt(t) for t in self.snapshots)),
-            ("initial.kind", self.datum),
-        ]
-        if self.near_param is not None:
-            rows.append(("kernel.near_param", _fmt(self.near_param)))
-        if self.tail_param is not None:
-            rows.append(("kernel.tail_param", _fmt(self.tail_param)))
-        if self.datum_param is not None:
-            rows.append(("initial.param", _fmt(self.datum_param)))
-        if self.decay:
-            rows += [
-                ("decay.norms", " ".join(_fmt(p) for p in self.decay.norms)),
-                ("decay.q", _fmt(self.decay.q)),
-            ]
-            if self.decay.window:
-                rows.append(("decay.window", " ".join(_fmt(t) for t in self.decay.window)))
-            if self.decay.targets:
-                rows += [
-                    ("decay.targets", " ".join(_fmt(t) for t in self.decay.targets)),
-                    ("decay.tolerance", _fmt(self.decay.tolerance)),
-                ]
-        if self.nash:
-            rows += [("nash.d", _fmt(self.nash.d)), ("nash.r", _fmt(self.nash.r))]
-        if self.regularity:
-            rows.append(("regularity.times", " ".join(_fmt(t) for t in self.regularity.times)))
-        if self.interpolation:
-            rows += [
-                ("interpolation.r", _fmt(self.interpolation.r)),
-                ("interpolation.s", _fmt(self.interpolation.s)),
-            ]
+        sections = [getattr(self, f.name) for f in fields(self)]
+        rows = [row for section in sections if section is not None for row in section.rows()]
         return "\n".join(f"{k} = {v}" for k, v in sorted(rows)) + "\n"
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _floats(raw: str, *, key: str):
-    try:
-        vals = tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        raise ConfigError(f"{key}: expected space-separated numbers, got {raw!r}")
-    if not vals:
-        raise ConfigError(f"{key}: empty value")
-    _check_finite(vals, raw, key)
-    return vals
-
-
-def _check_finite(vals, raw, key):
-    """NaN is never a config number, and infinity only under ``_INFINITE_KEYS``."""
-    for v in vals:
-        if math.isnan(v) or (math.isinf(v) and key not in _INFINITE_KEYS):
-            raise ConfigError(f"{key}: {v} is not allowed (got {raw!r})")
-
-
-class _Section:
-    """One config section with typed access and unknown-key rejection."""
-
-    def __init__(self, name, mapping):
-        self.name = name
-        self.mapping = dict(mapping)
-        unknown = set(self.mapping) - _SECTION_KEYS[name]
-        if unknown:
-            raise ConfigError(
-                f"[{name}]: unknown keys {sorted(unknown)}; "
-                f"allowed: {sorted(_SECTION_KEYS[name])}"
-            )
-
-    def get(self, key, default=None):
-        return self.mapping.get(key, default)
-
-    def require(self, key):
-        if key not in self.mapping:
-            raise ConfigError(f"[{self.name}]: missing required key '{key}'")
-        return self.mapping[key]
-
-    def number(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}]: missing required key '{key}'")
-            return default
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}].{key}: not a number: {raw!r}")
-        _check_finite((val,), raw, f"[{self.name}].{key}")
-        return val
-
-    def integer(self, key, default=None):
-        val = self.number(key, default)
-        if val != int(val):
-            raise ConfigError(f"[{self.name}].{key}: expected an integer, got {val}")
-        return int(val)
+#: each section's class, named by the annotation of its ExperimentConfig field
+_SECTIONS = {f.name: globals()[f.type.split()[0]] for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -307,200 +442,15 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
 
-    unknown = set(cp.sections()) - set(_SECTION_KEYS)
+    unknown = set(cp.sections()) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
-    for required in ("experiment", "kernel", "grid", "flow", "initial"):
-        if required not in cp:
-            raise ConfigError(f"missing required section [{required}]")
-    sec = {name: _Section(name, cp[name]) for name in cp.sections()}
-
-    exp = sec["experiment"]
-    name = exp.require("name")
-    output = exp.get("output", f"runs/{name}")
-    seed = exp.integer("seed", 0)
-
-    kern = sec["kernel"]
-    dimension = kern.integer("dimension")
-    near = kern.require("near")
-    if near not in _NEAR:
-        raise ConfigError(f"[kernel].near: unknown profile {near!r}; choices {sorted(_NEAR)}")
-    tail = kern.require("tail")
-    if tail not in _TAIL:
-        raise ConfigError(f"[kernel].tail: unknown profile {tail!r}; choices {sorted(_TAIL)}")
-    near_param = kern.number("near_param") if _NEAR[near][1] else None
-    if _NEAR[near][1] is None and "near_param" in kern.mapping:
-        raise ConfigError(f"[kernel].near_param: profile {near!r} takes no parameter")
-    tail_param = kern.number("tail_param") if _TAIL[tail][1] else None
-    if _TAIL[tail][1] is None and "tail_param" in kern.mapping:
-        raise ConfigError(f"[kernel].tail_param: profile {tail!r} takes no parameter")
-
-    grd = sec["grid"]
-    half_width = grd.number("half_width")
-    points = grd.integer("points")
-
-    flow_sec = sec["flow"]
-    flow = flow_sec.require("kind")
-    if flow not in ("linear", "nonlinear"):
-        raise ConfigError(f"[flow].kind must be 'linear' or 'nonlinear', got {flow!r}")
-    if flow == "linear":
-        if "sigma" in flow_sec.mapping:
-            raise ConfigError("[flow].sigma: only meaningful for kind = nonlinear")
-        sigma = 1.0
-    else:
-        sigma = flow_sec.number("sigma")
-    mass_bound = flow_sec.number("mass_bound", 1.0)
-    snapshots = _floats(flow_sec.require("snapshots"), key="[flow].snapshots")
-    if any(t < 0 for t in snapshots) or any(
-        b <= a for a, b in zip(snapshots, snapshots[1:])
-    ):
-        raise ConfigError("[flow].snapshots must be nonnegative and strictly increasing")
-
-    init = sec["initial"]
-    datum = init.require("kind")
-    if datum in ("box", "gaussian"):
-        key = "width" if datum == "box" else "scale"
-        datum_param = init.number(key, 1.0)
-        if not datum_param > 0:
-            raise ConfigError(f"[initial].{key} must be positive, got {_fmt(datum_param)}")
-    elif datum == "delta":
-        datum_param = None
-    elif datum == "random":
-        datum_param = init.number("band", 0.25)
-        if not 0 < datum_param <= 1:
-            raise ConfigError(f"[initial].band must lie in (0, 1], got {datum_param}")
-    else:
-        raise ConfigError(
-            f"[initial].kind: unknown datum {datum!r}; "
-            "choices ['box', 'delta', 'gaussian', 'random']"
-        )
-
-    decay = None
-    if "decay" in sec:
-        d = sec["decay"]
-        norms = _floats(d.require("norms"), key="[decay].norms")
-        if any(p < 1 for p in norms):
-            raise ConfigError("[decay].norms: fitted norms need p >= 1")
-        q = d.number("q", 1.0)
-        window_raw = d.get("window", "auto")
-        window = None if window_raw == "auto" else _floats(window_raw, key="[decay].window")
-        if window is not None and (len(window) != 2 or window[0] >= window[1]):
-            raise ConfigError("[decay].window: expected 'auto' or two increasing times")
-        if snapshots[0] == 0.0 and (window is None or window[0] <= 0.0 <= window[1]):
-            raise ConfigError(
-                "[decay]: a power-law fit needs positive times, but the window "
-                f"{window_raw!r} includes the snapshot at t = 0"
-            )
-        targets = d.get("targets")
-        tolerance = None
-        if targets is not None:
-            targets = _floats(targets, key="[decay].targets")
-            if len(targets) != len(norms):
-                raise ConfigError("[decay].targets must align with [decay].norms")
-            tolerance = d.number("tolerance")
-            if not tolerance > 0:
-                raise ConfigError("[decay].tolerance must be positive")
-        # admissible range of the decay estimate: sigma - 1 < q < p
-        if flow == "nonlinear" and sigma - 1.0 >= q:
-            raise ConfigError(
-                f"[decay].q: the nonlinear decay estimate holds on the range "
-                f"sigma - 1 < q < p; got sigma - 1 = {_fmt(sigma - 1.0)} >= q = {_fmt(q)}"
-            )
-        for p in norms:
-            if not q < p:
-                raise ConfigError(
-                    f"[decay]: the decay estimate needs q < p; got q = {_fmt(q)}, "
-                    f"p = {_fmt(p)}"
-                )
-        decay = DecaySpec(norms, q, window, targets, tolerance)
-
-    nash = None
-    if "nash" in sec:
-        nsec = sec["nash"]
-        d_par = nsec.number("d")
-        r_par = nsec.number("r", 1.0)
-        if not d_par > 0:
-            raise ConfigError(f"[nash].d must be positive, got {d_par}")
-        if not 1.0 <= r_par < 2.0:
-            raise ConfigError(f"[nash].r must lie in [1, 2), got {r_par}")
-        nash = NashSpec(d_par, r_par)
-
-    regularity = None
-    if "regularity" in sec:
-        times = _floats(sec["regularity"].require("times"), key="[regularity].times")
-        if any(t <= 0 for t in times):
-            raise ConfigError("[regularity].times must be positive")
-        regularity = RegularitySpec(times)
-
-    interpolation = None
-    if "interpolation" in sec:
-        isec = sec["interpolation"]
-        r = isec.number("r")
-        s = isec.number("s")
-        if r == 1.0:
-            raise ConfigError(
-                "[interpolation].r: r = 1 is the open case -- the two-monomial "
-                "bound covers only 1 < r < s <= 2, and no constant is claimed "
-                "at the endpoint"
-            )
-        if not 1.0 < r < s <= 2.0:
-            raise ConfigError(
-                f"[interpolation]: exponents must satisfy 1 < r < s <= 2, "
-                f"got r = {_fmt(r)}, s = {_fmt(s)}"
-            )
-        interpolation = InterpolationSpec(r, s)
-
-    cfg = ExperimentConfig(
-        name=name,
-        output=output,
-        seed=seed,
-        dimension=dimension,
-        near=near,
-        near_param=near_param,
-        tail=tail,
-        tail_param=tail_param,
-        half_width=half_width,
-        points=points,
-        flow=flow,
-        sigma=sigma,
-        mass_bound=mass_bound,
-        snapshots=snapshots,
-        datum=datum,
-        datum_param=datum_param,
-        decay=decay,
-        nash=nash,
-        regularity=regularity,
-        interpolation=interpolation,
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in cp:
+            raise ConfigError(f"missing required section [{f.name}]")
+    return ExperimentConfig(
+        **{name: cls.parse(cp[name]) for name, cls in _SECTIONS.items() if name in cp}
     )
-    _validate_objects(cfg)
-    return cfg
-
-
-def _validate_objects(cfg: ExperimentConfig):
-    """Construct every referenced object once so bad parameter ranges
-    surface as ConfigError before any real computation."""
-    try:
-        cfg.kernel()
-    except Exception as exc:
-        raise ConfigError(f"[kernel]: {exc}")
-    try:
-        cfg.grid()
-    except Exception as exc:
-        raise ConfigError(f"[grid]: {exc}")
-    try:
-        PhiLaw(cfg.sigma, M=cfg.mass_bound)
-    except Exception as exc:
-        raise ConfigError(f"[flow]: {exc}")
-    if cfg.interpolation is not None:
-        try:
-            theta_exponents(
-                cfg.interpolation.r,
-                cfg.interpolation.s,
-                cfg.kernel().tail.exponent(),
-                cfg.dimension,
-            )
-        except Exception as exc:
-            raise ConfigError(f"[interpolation]: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +490,15 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
-    if cfg.datum == "box":
-        return box_field(grid, width=cfg.datum_param, height=1.0)
-    if cfg.datum == "gaussian":
-        return gaussian_field(grid, sigma=cfg.datum_param, height=1.0)
-    if cfg.datum == "delta":
+    kind, param = cfg.initial.kind, cfg.initial.param
+    if kind == "box":
+        return box_field(grid, width=param, height=1.0)
+    if kind == "gaussian":
+        return gaussian_field(grid, sigma=param, height=1.0)
+    if kind == "delta":
         return delta_surrogate(grid)
-    rng = np.random.default_rng(cfg.seed)
-    return random_band_limited(grid, rng, band_fraction=cfg.datum_param)
+    rng = np.random.default_rng(cfg.experiment.seed)
+    return random_band_limited(grid, rng, band_fraction=param)
 
 
 def _flow(cfg, P, u0):
@@ -555,12 +506,12 @@ def _flow(cfg, P, u0):
     and the stepper's work counters (None for the linear flow): the
     linear flow reads every energy off the datum's spectrum, the
     nonlinear flow's fields are measured one by one."""
-    if cfg.flow == "linear":
+    times = cfg.flow.snapshots
+    if cfg.flow.kind == "linear":
         flow = LinearFlow(P, u0)
-        return flow.fields(cfg.snapshots), iter(flow.energies(cfg.snapshots)), None
-    phi = PhiLaw(cfg.sigma, M=cfg.mass_bound)
-    fields = evolve_nonlinear(P, phi, u0, cfg.snapshots)
-    return iter(fields), (dirichlet_form_spectral(P, u) for u in fields), fields.work()
+        return flow.fields(times), iter(flow.energies(times)), None
+    stepped = evolve_nonlinear(P, cfg.flow.phi, u0, times)
+    return iter(stepped), (dirichlet_form_spectral(P, u) for u in stepped), stepped.work()
 
 
 def _snapshot_pass(cfg, flow, command, art):
@@ -574,7 +525,7 @@ def _snapshot_pass(cfg, flow, command, art):
     rows = ["t,l1,l2,linf,energy"]
     series = {p: [] for p in fit_ps}
     guard_ratio = 0.0
-    for i, t in enumerate(cfg.snapshots):
+    for i, t in enumerate(cfg.flow.snapshots):
         u = None  # release the previous field before the next is computed
         u = _stage("evolve", next, fields)
         norms = _stage("analysis", field_norms, u, fit_ps)
@@ -592,13 +543,13 @@ def _snapshot_pass(cfg, flow, command, art):
 
 
 def _decay_report(cfg, series):
-    lines = [f"name = {cfg.name}", f"q = {_fmt(cfg.decay.q)}"]
+    lines = [f"name = {cfg.experiment.name}", f"q = {_fmt(cfg.decay.q)}"]
     all_within = True
     for i, p in enumerate(cfg.decay.norms):
-        if cfg.decay.window is None:
+        if cfg.decay.span is None:
             fit = fit_late_decay(series[p])
         else:
-            fit = fit_decay_exponent(series[p], window=cfg.decay.window)
+            fit = fit_decay_exponent(series[p], window=cfg.decay.span)
         tag = f"norm_{p:g}"
         lines += [
             f"{tag}_exponent = {_fmt(fit.exponent)}",
@@ -625,7 +576,7 @@ def _nash_report(cfg, P):
         rows.append(f"{i},{_fmt(lam)},{_fmt(ratio)},{branch}")
     text = "\n".join(
         [
-            f"name = {cfg.name}",
+            f"name = {cfg.experiment.name}",
             f"d = {_fmt(cfg.nash.d)}",
             f"r = {_fmt(cfg.nash.r)}",
             f"samples = {len(rep.ratios)}",
@@ -639,7 +590,7 @@ def _nash_report(cfg, P):
 
 
 def _regularity_report(cfg, tab):
-    blocks = [f"name = {cfg.name}"]
+    blocks = [f"name = {cfg.experiment.name}"]
     for t in cfg.regularity.times:
         rep = regularizing_diagnostic(tab, t)
         blocks += [
@@ -652,12 +603,12 @@ def _regularity_report(cfg, tab):
 
 
 def _interpolation_report(cfg, P, u):
-    gamma = cfg.kernel().tail.exponent()
+    gamma = cfg.kernel.levy.tail.exponent()
     rep = interpolation_check(P, u, cfg.interpolation.r, cfg.interpolation.s, gamma)
     return (
         "\n".join(
             [
-                f"name = {cfg.name}",
+                f"name = {cfg.experiment.name}",
                 f"r = {_fmt(cfg.interpolation.r)}",
                 f"s = {_fmt(cfg.interpolation.s)}",
                 f"theta1 = {_fmt(rep.theta1)}",
@@ -673,9 +624,9 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
     """Execute one pipeline scope; returns the manifest dictionary.
 
     The command and the config section it needs are checked before any
-    computation.  Stages run in a fixed order (kernel, grid,
-    symbol-table, initial-datum, then evolve, analysis and write once
-    per snapshot).  Commands that run on
+    computation.  Stages run in a fixed order (grid, symbol-table,
+    initial-datum, then evolve, analysis and write once per snapshot;
+    the kernel was built with the config).  Commands that run on
     the grid tabulate the multiplier over exactly its lattice's radii;
     the others use the default range.  The first failure is re-raised
     as a PipelineError naming the stage, with everything already
@@ -686,14 +637,13 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
     section = _COMMAND_SECTION[command]
     if section is not None and getattr(cfg, section) is None:
         raise ConfigError(f"{command} needs a [{section}] section")
-    out_dir = Path(output_override or cfg.output)
+    out_dir = Path(output_override or cfg.experiment.output)
     art = _Artifacts(out_dir)
     guard = work = None
     try:
-        kernel = _stage("kernel", cfg.kernel)
-        grid = _stage("grid", cfg.grid) if command in _LATTICE_COMMANDS else None
+        grid = _stage("grid", cfg.lattice) if command in _LATTICE_COMMANDS else None
         radii = None if grid is None else LinearPropagator.table_grid(grid)
-        tab = _stage("symbol-table", build_symbol_table, kernel, radii)
+        tab = _stage("symbol-table", build_symbol_table, cfg.kernel.levy, radii)
 
         if command == "symbol":
             rows = ["xi,m"]
@@ -730,10 +680,10 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
             art.write_text("regularity.txt", text)
 
         manifest = {
-            "name": cfg.name,
+            "name": cfg.experiment.name,
             "command": command,
             "config_sha256": cfg.config_hash(),
-            "seed": cfg.seed,
+            "seed": cfg.experiment.seed,
             "tolerances": {
                 "table_rtol": TABLE_RTOL,
                 "escape_guard": acceptance.ESCAPE_GUARD,
@@ -807,7 +757,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
         manifest = run(cfg, args.command, output_override=args.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -815,7 +765,7 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 3
-    out_dir = args.output or cfg.output
+    out_dir = args.output or cfg.experiment.output
     for name in manifest["artifacts"] + ["manifest.json"]:
         print(f"wrote {Path(out_dir) / name}")
     return 0

@@ -54,7 +54,7 @@ from .errors import (
     StabilityError,
     UnresolvableMeasureError,
 )
-from .spectral import GridField, PeriodicGrid, _apply_multiplier, _parseval, _single
+from .spectral import GridField, PeriodicGrid, _parseval, _single
 from .symbol import SymbolTable, log_grid
 
 
@@ -106,13 +106,6 @@ class LinearPropagator:
         n = self.grid.points_per_axis
         idx = (n // 2,) + (0,) * (self.grid.dimension - 1)
         return float(self.half[idx])
-
-
-def apply_operator(P: LinearPropagator, f: GridField) -> GridField:
-    """The discrete nonlocal operator: multiplier m applied in frequency."""
-    if f.grid != P.grid:
-        raise GridMismatchError("field and propagator live on different grids")
-    return GridField(P.grid, _apply_multiplier(P.half, f.values))
 
 
 def _check_times(times):

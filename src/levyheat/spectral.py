@@ -257,16 +257,6 @@ def delta_surrogate(grid: PeriodicGrid) -> GridField:
     return GridField(grid, g.values / mass(g))
 
 
-def mode_field(grid: PeriodicGrid, k, amplitude=1.0) -> GridField:
-    """Single cosine mode cos(xi_k . x): an eigenfunction of every
-    radial multiplier on the lattice."""
-    ks = np.broadcast_to(np.asarray(k, dtype=float), (grid.dimension,))
-    phase = np.zeros(grid.shape)
-    for ax, ki in zip(grid.coordinates(), ks):
-        phase = phase + (math.pi / grid.half_width) * ki * ax
-    return GridField(grid, amplitude * np.cos(phase))
-
-
 #: |z| from which scipy's erf returns exactly +-1 (it does from z = 5.9216
 #: on); pinned by a test, so a scipy whose erf differs fails loudly
 ERF_SATURATES = 6.0

@@ -1,10 +1,14 @@
 """Full-lattice views for the oracle tests, which sum or transform over
 every FFT frequency, not only the rfftn half lattice that a propagator
-stores."""
+stores, and the oracles that only tests apply: the operator itself and
+its eigenfunctions."""
 
 import math
 
 import numpy as np
+
+from levyheat.errors import GridMismatchError
+from levyheat.spectral import GridField, PeriodicGrid, _apply_multiplier
 
 
 def full_lattice_radii(grid):
@@ -22,3 +26,20 @@ def full_multiplier(P):
     g = P.grid
     cols = np.rint(np.abs(g.freq_axis) * g.half_width / math.pi).astype(int)
     return P.half[..., cols]
+
+
+def apply_operator(P, f: GridField) -> GridField:
+    """The discrete nonlocal operator: multiplier m applied in frequency."""
+    if f.grid != P.grid:
+        raise GridMismatchError("field and propagator live on different grids")
+    return GridField(P.grid, _apply_multiplier(P.half, f.values))
+
+
+def mode_field(grid: PeriodicGrid, k, amplitude=1.0) -> GridField:
+    """Single cosine mode cos(xi_k . x): an eigenfunction of every
+    radial multiplier on the lattice."""
+    ks = np.broadcast_to(np.asarray(k, dtype=float), (grid.dimension,))
+    phase = np.zeros(grid.shape)
+    for ax, ki in zip(grid.coordinates(), ks):
+        phase = phase + (math.pi / grid.half_width) * ki * ax
+    return GridField(grid, amplitude * np.cos(phase))

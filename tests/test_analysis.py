@@ -20,13 +20,12 @@ from levyheat.spectral import (
     PeriodicGrid,
     box_field,
     lp_norm,
-    mode_field,
     mollified_box_field,
     random_band_limited,
     random_nonnegative,
 )
 from levyheat.symbol import build_symbol_table, log_grid
-from lattice import full_multiplier
+from lattice import full_multiplier, mode_field
 
 INTEGRABLE = LevyKernel(dimension=1, near=Bounded(c0=0.7), tail=CompactSupport())
 CAUCHY = LevyKernel(dimension=1, near=FractionalPower(beta=1.0), tail=PowerTail(alpha=1.0))

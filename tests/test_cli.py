@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +66,11 @@ def write_cfg(tmp_path, body=None, **extra_sections):
 def test_parse_fills_typed_fields(tmp_path):
     cfg = parse_config(write_cfg(tmp_path))
     assert isinstance(cfg, ExperimentConfig)
-    assert cfg.name == "unit-run"
-    assert cfg.seed == 11
-    assert cfg.near == "fractional" and cfg.near_param == 1.0
-    assert cfg.snapshots == (1.0, 1.5, 2.3, 3.4, 5.1, 7.7)
-    assert cfg.flow == "linear" and cfg.sigma == 1.0
+    assert cfg.experiment.name == "unit-run"
+    assert cfg.experiment.seed == 11
+    assert cfg.kernel.near == "fractional" and cfg.kernel.near_param == 1.0
+    assert cfg.flow.snapshots == (1.0, 1.5, 2.3, 3.4, 5.1, 7.7)
+    assert cfg.flow.kind == "linear" and cfg.flow.sigma == 1.0
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -170,9 +171,8 @@ def test_canonical_hash_ignores_output_directory(tmp_path):
 
 def test_canonical_hash_sees_the_seed(tmp_path):
     cfg = parse_config(write_cfg(tmp_path))
-    from dataclasses import replace
-
-    assert cfg.config_hash() != replace(cfg, seed=12).config_hash()
+    reseeded = replace(cfg, experiment=replace(cfg.experiment, seed=12))
+    assert cfg.config_hash() != reseeded.config_hash()
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +353,11 @@ def test_outputs_byte_reproducible(tmp_path):
     # the 2-D snapshot format: header x,y,u, then the n^2 nodes with x
     # outer, each value parsing back to the field exactly
     cfg = parse_config(path)
-    grid = cfg.grid()
+    grid = cfg.lattice()
     P = LinearPropagator.from_table(
-        grid, build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(grid))
+        grid, build_symbol_table(cfg.kernel.levy, LinearPropagator.table_grid(grid))
     )
-    fields = LinearFlow(P, cli._initial_field(cfg, grid)).fields(cfg.snapshots)
+    fields = LinearFlow(P, cli._initial_field(cfg, grid)).fields(cfg.flow.snapshots)
     x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
     for i, u in enumerate(fields):
         header, *rows = (root / "a" / f"field_{i:04d}.csv").read_text().splitlines()
@@ -366,7 +366,7 @@ def test_outputs_byte_reproducible(tmp_path):
         assert parsed.shape == (64, 3)
         assert np.array_equal(parsed[:, 0], x.ravel()) and np.array_equal(parsed[:, 1], y.ravel())
         assert np.array_equal(parsed[:, 2], u.values.ravel())
-    assert i == len(cfg.snapshots) - 1
+    assert i == len(cfg.flow.snapshots) - 1
 
 
 def test_pipeline_failure_names_stage_and_cleans_up(tmp_path):
@@ -393,8 +393,8 @@ def test_evolve_energy_column_is_the_form_of_each_field(tmp_path, flow):
     path = write_cfg(tmp_path, body=body)
     assert main(["evolve", "--config", str(path)]) == 0
     cfg = parse_config(path)
-    grid = cfg.grid()
-    tab = build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(grid))
+    grid = cfg.lattice()
+    tab = build_symbol_table(cfg.kernel.levy, LinearPropagator.table_grid(grid))
     P = LinearPropagator.from_table(grid, tab)
     out = tmp_path / "out"
     energies = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)[:, 4]
@@ -442,13 +442,13 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
     cfg = parse_config(write_cfg(tmp_path, decay=["norms = 2", "q = 1"]))
     for command in ("evolve", "decay-fit"):
         run(cfg, command)
-        assert requested == [True] * (len(cfg.snapshots) - 1), command
+        assert requested == [True] * (len(cfg.flow.snapshots) - 1), command
         requested.clear()
-    grid = cfg.grid()
+    grid = cfg.lattice()
     P = LinearPropagator(grid, grid.half_freq_radii())
     u0 = GridField(grid, np.cos(grid.axis))
-    acceptance._linear_bookkeeping(LinearFlow(P, u0), field_norms(u0), cfg.snapshots)
-    assert requested == [True] * len(cfg.snapshots)
+    acceptance._linear_bookkeeping(LinearFlow(P, u0), field_norms(u0), cfg.flow.snapshots)
+    assert requested == [True] * len(cfg.flow.snapshots)
 
 
 def test_linear_runs_let_go_of_the_datum(tmp_path, monkeypatch):
@@ -520,7 +520,7 @@ def test_infinity_stays_valid_for_norms_and_mass_bound(tmp_path):
     path.write_text(path.read_text().replace("kind = linear", "kind = linear\nmass_bound = inf"))
     cfg = parse_config(path)
     assert cfg.decay.norms == (2.0, np.inf)
-    assert cfg.mass_bound == np.inf
+    assert cfg.flow.mass_bound == np.inf
 
 
 @pytest.mark.parametrize(
@@ -559,6 +559,36 @@ def test_out_of_range_datum_or_order_fails_before_any_computation(
     path.write_text(path.read_text().replace(old, new))
     assert main(["evolve", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "new,message",
+    [
+        ("kind = box\nscale = 7", "[initial].scale: only meaningful for kind = gaussian"),
+        ("kind = box\nband = 0.5", "[initial].band: only meaningful for kind = random"),
+        ("kind = gaussian\nwidth = 2.0", "[initial].width: only meaningful for kind = box"),
+        ("kind = random\nscale = 2.0", "[initial].scale: only meaningful for kind = gaussian"),
+        ("kind = delta\nwidth = 2.0", "[initial].width: only meaningful for kind = box"),
+        ("kind = delta\nband = 0.5", "[initial].band: only meaningful for kind = random"),
+        (
+            "kind = box\nwidth = 2.0\n\n[decay]\nnorms = 2\ntolerance = 0.3",
+            "[decay].tolerance: only meaningful with targets",
+        ),
+    ],
+)
+def test_keys_the_kind_never_reads_fail_before_any_computation(
+    tmp_path, monkeypatch, capsys, new, message
+):
+    # such keys were once parsed, dropped and left out of the hash
+    def no_table(*args, **kwargs):
+        raise AssertionError("the symbol table was built before the config check")
+
+    monkeypatch.setattr(cli, "build_symbol_table", no_table)
+    path = write_cfg(tmp_path)
+    path.write_text(path.read_text().replace("kind = box\nwidth = 2.0", new))
+    assert main(["evolve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -630,11 +660,14 @@ def test_reference_decay_fit_runs_without_quadpack_or_interpolation(tmp_path):
 def test_schema_doc_lists_every_config_key():
     text = (Path(__file__).parents[1] / "docs" / "config-schema.txt").read_text()
     # a line opening with [section] starts that section's block, whose
-    # keys sit at two spaces' indent
+    # keys sit at two spaces' indent; the last block ends at the artifacts
+    text = text.split("\nArtifacts\n")[0]
     blocks = {block.split()[0]: block for block in re.split(r"^(?=\[)", text, flags=re.M)}
-    for section, keys in cli._SECTION_KEYS.items():
+    for section, cls in cli._SECTIONS.items():
+        keys = {f.name for f in fields(cls) if f.init}
         documented = set(re.findall(r"^  (\w+) ", blocks[f"[{section}]"], flags=re.M))
         assert keys <= documented, f"[{section}] undocumented: {sorted(keys - documented)}"
+        assert documented <= keys, f"[{section}] documents non-keys: {sorted(documented - keys)}"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -20,7 +20,6 @@ from levyheat.evolve import (
     LinearPropagator,
     PhiLaw,
     _phi_functions,
-    apply_operator,
     evolve_nonlinear,
     fundamental_solution,
 )
@@ -39,11 +38,10 @@ from levyheat.spectral import (
     delta_surrogate,
     lp_norm,
     mass,
-    mode_field,
     random_band_limited,
 )
 from levyheat.symbol import build_symbol_table, log_grid
-from lattice import full_lattice_radii, full_multiplier
+from lattice import apply_operator, full_lattice_radii, full_multiplier, mode_field
 
 
 def alternating_phase(grid):

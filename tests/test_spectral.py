@@ -16,12 +16,12 @@ from levyheat.spectral import (
     gaussian_field,
     lp_norm,
     mass,
-    mode_field,
     mollified_box_field,
     random_band_limited,
     random_nonnegative,
     write_field_csv,
 )
+from lattice import mode_field
 
 
 # ---------------------------------------------------------------------------

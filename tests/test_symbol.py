@@ -436,7 +436,7 @@ def test_lattice_and_criterion_8_tables_need_no_qawf(monkeypatch):
     # closed forms: no quad call at all
     calls = _count_quad(monkeypatch)
     cfg = parse_config(Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg")
-    build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(cfg.grid()))
+    build_symbol_table(cfg.kernel.levy, LinearPropagator.table_grid(cfg.lattice()))
     build_symbol_table(BORDER_PT2, log_grid(1e-3, 1e7, per_decade=32))
     osc = LevyKernel(1, Oscillating(1.0), PowerTail(2.0))
     build_symbol_table(osc, log_grid(1e-3, 1e6, per_decade=32))
@@ -558,8 +558,8 @@ def test_reference_table_interpolates_as_scipy_pchip():
     from scipy.interpolate import PchipInterpolator
 
     cfg = parse_config(Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg")
-    grid = cfg.grid()
-    tab = build_symbol_table(cfg.kernel(), LinearPropagator.table_grid(grid))
+    grid = cfg.lattice()
+    tab = build_symbol_table(cfg.kernel.levy, LinearPropagator.table_grid(grid))
     rho = grid.half_freq_radii()[1:]
     x, y = np.log(tab.radial_grid), np.log(tab.values)
     want = np.exp(PchipInterpolator(x, y)(np.log(rho)))
