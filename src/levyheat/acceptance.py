@@ -11,7 +11,10 @@ are memoized and shared between criteria.
 
 ``run_criterion`` runs one criterion, memoized per process; the
 ``verify`` CLI subcommand and ``tests/test_acceptance.py`` both call it
-for each number of ``CRITERION_NUMBERS``, in battery order.
+for each number of ``CRITERION_NUMBERS``.  The 2^20-point power-tail run
+(``_bounded_tail_run``) is about half the battery and only the criteria
+of ``TAIL_RUN_READERS`` read it, so ``verify`` computes it on a worker
+thread while the calling thread evaluates the other criteria.
 """
 
 from __future__ import annotations
@@ -524,6 +527,9 @@ _CRITERIA = (
 
 #: the criteria's numbers, in battery order
 CRITERION_NUMBERS = range(1, len(_CRITERIA) + 1)
+
+#: the criteria that read ``_bounded_tail_run``, and no other does
+TAIL_RUN_READERS = (3, 4, 5, 12)
 
 
 @functools.cache

@@ -36,6 +36,7 @@ import json
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -735,17 +736,30 @@ def _build_parser():
 
 def _verify() -> int:
     """The battery's table on stdout, then each criterion's wall seconds
-    on stderr; a criterion that first requests a shared memoized run
-    carries that run's cost."""
-    results, seconds = [], []
-    for number in acceptance.CRITERION_NUMBERS:
-        start = time.perf_counter()
-        results.append(acceptance.run_criterion(number))
-        seconds.append(time.perf_counter() - start)
-    print(acceptance.summary_table(results))
-    for result, spent in zip(results, seconds):
-        print(f"criterion {result.number}: {spent:.3f} s", file=sys.stderr)
-    return 0 if all(r.passed for r in results) else 1
+    on stderr, both in the order 1..12.
+
+    The power-tail run starts on one worker thread at battery start.
+    Meanwhile the calling thread evaluates every criterion outside
+    ``acceptance.TAIL_RUN_READERS``, then each reader after waiting for
+    the run: a failure of the run raises at criterion 3, whose seconds
+    are mostly that wait.  A criterion that first requests a shared
+    memoized run carries that run's cost."""
+    readers = acceptance.TAIL_RUN_READERS
+    order = [n for n in acceptance.CRITERION_NUMBERS if n not in readers] + list(readers)
+    results, seconds = {}, {}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tail_run = pool.submit(acceptance._bounded_tail_run)
+        for number in order:
+            start = time.perf_counter()
+            if number in readers:
+                tail_run.result()
+            results[number] = acceptance.run_criterion(number)
+            seconds[number] = time.perf_counter() - start
+    table = [results[n] for n in acceptance.CRITERION_NUMBERS]
+    print(acceptance.summary_table(table))
+    for result in table:
+        print(f"criterion {result.number}: {seconds[result.number]:.3f} s", file=sys.stderr)
+    return 0 if all(r.passed for r in table) else 1
 
 
 def main(argv=None) -> int:

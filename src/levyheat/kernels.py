@@ -344,7 +344,8 @@ class CompactSupport:
 
 @dataclass(frozen=True)
 class ExponentialTail:
-    """``J(z) = matching * exp(-lam |z|)`` beyond the unit ball."""
+    """``J(z) = matching * exp(-lam (|z| - 1))`` beyond the unit ball: the
+    matching constant is J at |z| = 1 itself, finite for every lam > 0."""
 
     lam: float
 
@@ -353,21 +354,21 @@ class ExponentialTail:
             raise DomainError(f"ExponentialTail needs lam > 0, got {self.lam}")
 
     def matching(self, ell1):
-        return ell1 * math.exp(self.lam)
+        return ell1
 
     def j(self, r, dim, match):
-        return match * np.exp(-self.lam * r)
+        return match * np.exp(-self.lam * (r - 1.0))
 
     def int_measure(self, a, dim, match):
         lam = self.lam
         if dim == 1:
-            return match * math.exp(-lam * a) / lam
-        return match * math.exp(-lam * a) * (a / lam + 1.0 / lam**2)
+            return match * math.exp(-lam * (a - 1.0)) / lam
+        return match * math.exp(-lam * (a - 1.0)) * (a / lam + 1.0 / lam**2)
 
     def cos_transform_tail(self, a, omega, match):
-        # Re int_a^inf e^(-(lam - i omega) r) dr, one dimension
+        # Re int_a^inf e^(-lam (r - 1) + i omega r) dr, one dimension
         c = complex(self.lam, -omega)
-        w = np.exp(-c * a) / c
+        w = np.exp(complex(-self.lam * (a - 1.0), omega * a)) / c
         return match * w.real, 4.0 * _EPS * match * abs(w)
 
     def exponent(self):

@@ -2,7 +2,8 @@
 
 Functions live on the torus [-L, L)^N sampled at n points per axis (n a
 power of two).  Every lattice transform in the package is the plain real
-FFT pair ``scipy.fft.rfftn``/``irfftn`` on the half lattice: a real, even
+FFT pair ``numpy.fft.rfftn``/``irfftn`` on the half lattice, with ``axes``
+passed wherever ``s`` is: a real, even
 multiplier m(xi) acts on a real field as ``irfftn(m * rfftn(u))``, with
 xi_kappa = (pi / L) kappa in FFT ordering, and a lattice integral of a
 product of two fields is read off their half-lattice spectra
@@ -28,7 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfftn, rfftn
+from numpy.fft import irfftn, rfftn
 from scipy.special import erf
 
 from .errors import ContractError, DomainError, GridMismatchError
@@ -69,9 +70,10 @@ class PeriodicGrid:
     def cell_volume(self):
         return self.spacing**self.dimension
 
-    @cached_property
+    @property
     def axis(self):
-        """Sample points along one axis."""
+        """Sample points along one axis, computed on each read (8 MiB at
+        2^20 points, so a grid holds none)."""
         n = self.points_per_axis
         return -self.half_width + self.spacing * np.arange(n)
 
@@ -83,9 +85,7 @@ class PeriodicGrid:
 
     def coordinates(self):
         """Node coordinates, one array per axis (broadcastable)."""
-        if self.dimension == 1:
-            return (self.axis,)
-        return (self.axis[:, None], self.axis[None, :])
+        return np.ix_(*(self.axis,) * self.dimension)
 
     def half_freq_radii(self):
         """|xi| on the rfftn half lattice, FFT ordering: every axis but the
@@ -285,8 +285,9 @@ def mollified_box_field(
     profile = np.zeros_like(y)
     profile[band] = erf((y[band] + half_width) / edge_width) - erf((y[band] - half_width) / edge_width)
     vals = np.full(grid.shape, float(scale) ** grid.dimension)
-    for ax in grid.coordinates():
-        vals = vals * 0.5 * profile.reshape(ax.shape)
+    # the one profile along each axis, broadcastable as in coordinates()
+    for along in np.ix_(*(profile,) * grid.dimension):
+        vals = vals * 0.5 * along
     return GridField(grid, vals)
 
 
@@ -331,15 +332,16 @@ def write_field_csv(f: GridField, path):
     in 1-D, one x row in 2-D (the axis formatted once per file)."""
     g = _single(f).grid
     with open(path, "w") as fh:
+        xs = g.axis
         if g.dimension == 1:
             fh.write("x,u\n")
             for lo in range(0, g.points_per_axis, CSV_BLOCK_ROWS):
                 block = slice(lo, lo + CSV_BLOCK_ROWS)
-                xu = np.column_stack((g.axis[block], f.values[block]))
+                xu = np.column_stack((xs[block], f.values[block]))
                 # one %-format per block: a third faster than a format per row
                 fh.write(("%.17g,%.17g\n" * len(xu)) % tuple(xu.ravel().tolist()))
         else:
             fh.write("x,y,u\n")
-            ax = [format(x, ".17g") for x in g.axis.tolist()]
+            ax = [format(x, ".17g") for x in xs.tolist()]
             for x, row in zip(ax, f.values):
                 fh.write("".join(f"{x},{y},{u:.17g}\n" for y, u in zip(ax, row.tolist())))

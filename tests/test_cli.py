@@ -1,10 +1,12 @@
 """Config parsing, validation wording, pipeline artifacts, determinism."""
 
+import functools
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 import types
 import weakref
 from dataclasses import fields, replace
@@ -611,13 +613,16 @@ def test_reference_config_is_criterion_3(tmp_path):
 
 #: scipy modules a closed-form run has no use for (with scipy.linalg and
 #: scipy.sparse, which they load, 0.24-0.34 s and ~24 MiB of RSS in a cold
-#: interpreter on a 2-core host)
-UNUSED_BY_CLOSED_FORMS = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+#: interpreter on a 2-core host), and scipy.fft, which no run uses: every
+#: lattice transform is numpy.fft's
+UNUSED_BY_CLOSED_FORMS = ("scipy.fft", "scipy.integrate", "scipy.interpolate", "scipy.optimize")
 
 
-def _modules_loaded_by(code):
-    """The modules of UNUSED_BY_CLOSED_FORMS in sys.modules after ``code``
-    runs in a fresh interpreter that imports levyheat from this checkout."""
+@functools.cache
+def _fresh_run(code):
+    """(stdout, the modules of UNUSED_BY_CLOSED_FORMS in sys.modules after
+    it) of ``code`` run in a fresh interpreter that imports levyheat from
+    this checkout."""
     src = Path(cli.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = f"import sys\nprint(' '.join(m for m in {UNUSED_BY_CLOSED_FORMS!r} if m in sys.modules))"
@@ -629,11 +634,47 @@ def _modules_loaded_by(code):
         check=True,
         timeout=120,
     )
-    return result.stdout.splitlines()[-1].split()
+    *out, loaded = result.stdout.splitlines()
+    return "\n".join(out), loaded.split()
+
+
+def _modules_loaded_by(code):
+    return _fresh_run(code)[1]
+
+
+COLD_VERIFY = "import levyheat.cli\nassert levyheat.cli.main(['verify']) == 0"
 
 
 def test_cli_import_leaves_quadpack_and_interpolation_unloaded():
     assert _modules_loaded_by("import levyheat.cli") == []
+
+
+def test_verify_leaves_scipy_fft_unloaded():
+    # the whole battery, its 2^20-point run included, transforms by numpy.fft
+    assert _modules_loaded_by(COLD_VERIFY) == []
+
+
+def test_cold_verify_prints_the_serial_table():
+    # the power-tail run overlaps the other criteria, and the table is
+    # still that of run_criterion(1..12) one after the other
+    serial = [acceptance.run_criterion(n) for n in acceptance.CRITERION_NUMBERS]
+    assert _fresh_run(COLD_VERIFY)[0] == acceptance.summary_table(serial)
+
+
+def test_tail_run_readers_are_exactly_the_criteria_that_read_the_run():
+    code = """from levyheat import acceptance
+def unavailable():
+    raise RuntimeError("no tail run")
+acceptance._bounded_tail_run = unavailable
+for n in acceptance.CRITERION_NUMBERS:
+    try:
+        print(n, acceptance.run_criterion(n).passed)
+    except RuntimeError:
+        print(n, "raised")
+"""
+    readers = acceptance.TAIL_RUN_READERS
+    want = [f"{n} {'raised' if n in readers else True}" for n in acceptance.CRITERION_NUMBERS]
+    assert _fresh_run(code)[0].splitlines() == want
 
 
 def test_criterion_1_runs_without_quadpack():
@@ -687,6 +728,34 @@ def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "12/12 criteria passed" in out
+
+
+def test_verify_raises_a_failed_tail_run_at_criterion_3(monkeypatch):
+    # the other criteria run first, in battery order, while the run is out
+    def unavailable():
+        raise RuntimeError("no tail run")
+
+    asked = []
+
+    def stub(number):
+        asked.append(number)
+        return acceptance.CriterionResult(number, f"stub {number}", True, "ok")
+
+    monkeypatch.setattr(acceptance, "_bounded_tail_run", unavailable)
+    monkeypatch.setattr(acceptance, "run_criterion", stub)
+    with pytest.raises(RuntimeError, match="no tail run"):
+        main(["verify"])
+    assert asked == [1, 2, 6, 7, 8, 9, 10, 11]
+
+
+def test_runs_other_than_verify_start_no_thread(tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError(f"a thread started outside verify: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    path = write_cfg(tmp_path, decay=["norms = 2", "window = auto"])
+    for command in ("symbol", "evolve", "decay-fit"):
+        assert main([command, "--config", str(path), "--output", str(tmp_path / command)]) == 0
 
 
 def test_verify_reports_seconds_per_criterion_on_stderr(monkeypatch, capsys):

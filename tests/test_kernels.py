@@ -67,8 +67,10 @@ def test_exponential_tail_continuity():
 
 def test_exponential_matching_constant():
     k = kernel(FractionalPower(1.0), ExponentialTail(1.5))
-    # ell(1) = 1 for the pure power profile, so the match is e^1.5
-    assert abs(k.matching_constant - math.exp(1.5)) < 1e-13
+    # the tail is written from |z| = 1, so the match is the pure power
+    # profile's ell(1) = 1 itself, with no e^lam factor to overflow
+    assert k.matching_constant == 1.0
+    assert kernel(FractionalPower(1.0), ExponentialTail(1000.0)).matching_constant == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import erf
 
 from levyheat import spectral
@@ -212,6 +213,29 @@ def test_erf_is_exactly_one_from_the_saturation_edge():
     z = np.concatenate([np.arange(ERF_SATURATES, 40.0, 1e-5), [40.0, 1e300, np.inf]])
     assert np.all(erf(z) == 1.0)
     assert np.all(erf(-z) == -1.0)
+
+
+#: (shape, axes) of the transforms levyheat makes: 1-D lattices up to
+#: 2^20 points, criterion 6's batches of 256-point fields, 2-D lattices
+TRANSFORM_SHAPES = [((2**k,), (0,)) for k in range(1, 21)] + [
+    ((1000, 256), (1,)),
+    ((500, 256), (1,)),
+    ((256, 256), (0, 1)),
+    ((512, 512), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("shape,axes", TRANSFORM_SHAPES, ids=[str(s) for s, _ in TRANSFORM_SHAPES])
+def test_numpy_fft_is_bit_identical_to_scipy_fft(shape, axes):
+    # levyheat transforms by numpy.fft, and scipy.fft wraps the same
+    # pocketfft; a numpy or scipy whose transforms differ must fail here,
+    # not move outputs silently
+    x = np.random.default_rng(len(shape) * 100 + shape[-1]).standard_normal(shape)
+    spectrum = np.fft.rfftn(x, axes=axes)
+    assert np.array_equal(spectrum, scipy.fft.rfftn(x, axes=axes))
+    s = [shape[a] for a in axes]
+    back = np.fft.irfftn(spectrum, s=s, axes=axes)
+    assert np.array_equal(back, scipy.fft.irfftn(spectrum, s=s, axes=axes))
 
 
 def _mollified_box_everywhere(grid, half_width, edge_width, scale):
