@@ -116,19 +116,20 @@ def _integrable_table():
     return build_symbol_table(_integrable_kernel())
 
 
-def _norm_bookkeeping(first, fields, energies=None):
-    """One pass over a run's snapshots, consumed one field at a time,
-    against the datum's ``FieldNorms`` ``first``.
+def _norm_bookkeeping(first, snapshots):
+    """One pass over a run's ``Snapshot`` stream, consumed one field at a
+    time, against the datum's ``FieldNorms`` ``first``.
 
     Returns the mass drift, the worst p-norm increase (p = 1, 2, inf)
-    between consecutive snapshots, the L2/L4/sup series and the worst
-    face-to-sup ratio; given the (t, E(u(t))) pairs of a linear run,
-    also the worst smoothing ratio E(u(t)) / (||u0||_2^2 / (2 e t)).
+    between consecutive snapshots, the L2/L4/sup series, the worst
+    face-to-sup ratio and the worst smoothing ratio
+    E(u(t)) / (||u0||_2^2 / (2 e t)).
     """
     prev = first.lp
-    drift, increase, guard = 0.0, -np.inf, 0.0
+    l2_sq = prev[2] ** 2
+    drift, increase, guard, energy_ratio = 0.0, -np.inf, 0.0, -np.inf
     l2, l4, sups = [], [], []
-    for u in fields:
+    for t, u, energy in snapshots:
         cur = field_norms(u)
         del u  # release this field before the next is computed
         drift = max(drift, abs(cur.mass - first.mass))
@@ -138,10 +139,7 @@ def _norm_bookkeeping(first, fields, energies=None):
         l4.append(prev[4])
         sups.append(prev[np.inf])
         guard = max(guard, cur.face_ratio)
-    energy_ratio = -np.inf
-    if energies is not None:
-        l2_sq = first.lp[2] ** 2
-        energy_ratio = max(e / (l2_sq / (2.0 * math.e * t)) for t, e in energies)
+        energy_ratio = max(energy_ratio, energy / (l2_sq / (2.0 * math.e * t)))
     return {
         "mass_drift": drift,
         "norm_increase": increase,
@@ -151,11 +149,6 @@ def _norm_bookkeeping(first, fields, energies=None):
         "guard_max": guard,
         "energy_ratio": energy_ratio,
     }
-
-
-def _linear_bookkeeping(flow, first, times):
-    """``_norm_bookkeeping`` of an exact linear flow, energies included."""
-    return _norm_bookkeeping(first, flow.fields(times), zip(times, flow.energies(times)))
 
 
 @functools.cache
@@ -182,7 +175,7 @@ def _poisson_run():
     ]
 
     u0 = delta_surrogate(grid)
-    book = _linear_bookkeeping(LinearFlow(P, u0), field_norms(u0), times)
+    book = _norm_bookkeeping(field_norms(u0), LinearFlow(P, u0).snapshots(times))
     return {"gaps": gaps, "sup_series": sup_series, **book}
 
 
@@ -202,7 +195,7 @@ def _bounded_tail_run():
     flow, first = LinearFlow(P, u0), field_norms(u0)
     del u0  # no snapshot reads the datum again: the flow keeps its spectrum
     times = np.geomspace(1.0, 30.0, 16)
-    book = _linear_bookkeeping(flow, first, times)
+    book = _norm_bookkeeping(first, flow.snapshots(times))
     return {"times": times, "sup0": first.lp[np.inf], **book}
 
 
@@ -213,8 +206,8 @@ def _porous_run():
     P = LinearPropagator.from_table(grid, _cauchy_table())
     u0 = box_field(grid, width=2.0, height=1.0)
     times = np.geomspace(1.0, 300.0, 20)
-    fields = evolve_nonlinear(P, PhiLaw(2.0, M=1.0), u0, times)
-    return {"times": times, **_norm_bookkeeping(field_norms(u0), fields)}
+    snapshots = evolve_nonlinear(P, PhiLaw(2.0, M=1.0), u0, times)
+    return {"times": times, **_norm_bookkeeping(field_norms(u0), snapshots)}
 
 
 @functools.cache
@@ -228,14 +221,12 @@ def _sigma1_crosscheck():
     u0 = box_field(grid, width=2.0, height=1.0)
     snaps = (0.25, 0.5, 1.0)
     stepped = evolve_nonlinear(P, PhiLaw(1.0, M=1.0), u0, snaps)
-    flow = LinearFlow(P, u0)
-    exact = list(flow.fields(snaps))
+    exact = list(LinearFlow(P, u0).snapshots(snaps))
     worst = max(
-        lp_norm(GridField(grid, us.values - ue.values), 2) / lp_norm(ue, 2)
-        for us, ue in zip(stepped, exact)
+        lp_norm(GridField(grid, s.field.values - e.field.values), 2) / lp_norm(e.field, 2)
+        for s, e in zip(stepped, exact)
     )
-    energies = zip(snaps, flow.energies(snaps))
-    return {"worst_rel_l2": worst, **_norm_bookkeeping(field_norms(u0), exact, energies)}
+    return {"worst_rel_l2": worst, **_norm_bookkeeping(field_norms(u0), exact)}
 
 
 # ---------------------------------------------------------------------------

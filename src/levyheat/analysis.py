@@ -173,7 +173,9 @@ def generalized_sv_check(P, u: GridField, triple: SVTriple) -> MarginReport:
 
 
 def _nash_terms(P, f: GridField, d: float, r_norm: float):
-    """The Nash quotient of f and ||g||_2 for g = f / ||f||_r."""
+    """The scale-invariant Nash quotient of f and ||g||_2: with
+    g = f / ||f||_r, the quotient is
+    E(g, g) / (||g||_2^2 min{1, ||g||_2^(2/d)})."""
     if not d > 0:
         raise DomainError(f"d must be positive, got {d}")
     if not 1.0 <= r_norm < 2.0:
@@ -185,15 +187,6 @@ def _nash_terms(P, f: GridField, d: float, r_norm: float):
     g2 = n2 / nr
     denom = g2**2 * min(1.0, g2 ** (2.0 / d))
     return dirichlet_form_spectral(P, g) / denom, g2
-
-
-def nash_ratio(P, f: GridField, d: float, r_norm: float) -> float:
-    """Scale-invariant Nash quotient.
-
-    Normalizes g = f / ||f||_r and returns
-    E(g, g) / (||g||_2^2 min{1, ||g||_2^(2/d)}).
-    """
-    return _nash_terms(P, f, d, r_norm)[0]
 
 
 @dataclass(frozen=True)
@@ -230,9 +223,10 @@ NASH_BOX_EDGE_WIDTH = 0.25
 
 
 def nash_dilation_sweep(P, d: float, *, r_norm=1.0) -> NashReport:
-    """nash_ratio along the mass-preserving dilation family
-    lambda^N f(lambda x) of a mollified box on the propagator's grid
-    (``NASH_SCALES``, ``NASH_BOX_HALF_WIDTH``, ``NASH_BOX_EDGE_WIDTH``).
+    """The Nash quotient (``_nash_terms``) along the mass-preserving
+    dilation family lambda^N f(lambda x) of a mollified box on the
+    propagator's grid (``NASH_SCALES``, ``NASH_BOX_HALF_WIDTH``,
+    ``NASH_BOX_EDGE_WIDTH``).
 
     With r = 1 the family keeps ||f||_1 fixed while ||f||_2 sweeps both
     sides of 1, exercising both branches of the min.

@@ -44,7 +44,6 @@ import numpy as np
 
 from . import acceptance
 from .analysis import (
-    dirichlet_form_spectral,
     fit_decay_exponent,
     fit_late_decay,
     interpolation_check,
@@ -53,7 +52,7 @@ from .analysis import (
     theta_exponents,
 )
 from .errors import ConfigError, DomainError, PipelineError
-from .evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear
+from .evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear, step_sizes
 from .kernels import (
     Borderline,
     Bounded,
@@ -503,34 +502,35 @@ def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
 
 
 def _flow(cfg, P, u0):
-    """Iterators over the snapshot fields and their Dirichlet energies,
-    and the stepper's work counters (None for the linear flow): the
-    linear flow reads every energy off the datum's spectrum, the
-    nonlinear flow's fields are measured one by one."""
+    """The run's stream of ``Snapshot`` records and the stepper's work
+    counters (None for the linear flow), which come from the same step
+    schedule the stepper runs."""
     times = cfg.flow.snapshots
     if cfg.flow.kind == "linear":
-        flow = LinearFlow(P, u0)
-        return flow.fields(times), iter(flow.energies(times)), None
-    stepped = evolve_nonlinear(P, cfg.flow.phi, u0, times)
-    return iter(stepped), (dirichlet_form_spectral(P, u) for u in stepped), stepped.work()
+        return LinearFlow(P, u0).snapshots(times), None
+    dts = [dt for steps in step_sizes(times) for dt in steps]
+    work = {
+        "evolve.steps": len(dts),
+        "evolve.dt_min": min(dts, default=None),
+        "evolve.dt_max": max(dts, default=None),
+    }
+    return evolve_nonlinear(P, cfg.flow.phi, u0, times), work
 
 
-def _snapshot_pass(cfg, flow, command, art):
-    """Analyse the snapshots of ``flow`` (what ``_flow`` returns) in one
-    pass (a linear run holds one field at a time; the nonlinear stepper
-    returns all of them); writes norms.csv (and, for ``evolve``, each
+def _snapshot_pass(cfg, snapshots, command, art):
+    """Analyse the ``Snapshot`` stream ``snapshots`` in one pass, holding
+    one field at a time; writes norms.csv (and, for ``evolve``, each
     field as it comes) and returns the decay series by p, the
-    escape-guard ratio, the last field and the stepper's work counters."""
-    fields, energies, work = flow
+    escape-guard ratio and the last field.  A failure of the flow
+    itself surfaces here, as stage ``evolve``."""
     fit_ps = cfg.decay.norms if command == "decay-fit" else ()
     rows = ["t,l1,l2,linf,energy"]
     series = {p: [] for p in fit_ps}
     guard_ratio = 0.0
-    for i, t in enumerate(cfg.flow.snapshots):
+    for i in range(len(cfg.flow.snapshots)):
         u = None  # release the previous field before the next is computed
-        u = _stage("evolve", next, fields)
+        t, u, energy = _stage("evolve", next, snapshots)
         norms = _stage("analysis", field_norms, u, fit_ps)
-        energy = _stage("analysis", next, energies)
         lp = norms.lp
         rows.append(",".join(_fmt(x) for x in (t, lp[1], lp[2], lp[np.inf], energy)))
         for p in fit_ps:
@@ -540,7 +540,7 @@ def _snapshot_pass(cfg, flow, command, art):
             fname = f"field_{i:04d}.csv"
             _stage("write", write_field_csv, u, art.target(fname))
     art.write_text("norms.csv", "\n".join(rows) + "\n")
-    return series, guard_ratio, u, work
+    return series, guard_ratio, u
 
 
 def _decay_report(cfg, series):
@@ -656,9 +656,9 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         elif command in ("evolve", "decay-fit"):
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
-            flow = _stage("evolve", _flow, cfg, P, u0)
-            del u0  # the linear flow reads only the datum's spectrum from here on
-            series, guard_ratio, last, work = _snapshot_pass(cfg, flow, command, art)
+            snapshots, work = _stage("evolve", _flow, cfg, P, u0)
+            del u0  # the flows keep only the datum's spectrum or a copy of it
+            series, guard_ratio, last = _snapshot_pass(cfg, snapshots, command, art)
             guard = {
                 "max_boundary_ratio": guard_ratio,
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),

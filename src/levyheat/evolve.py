@@ -35,13 +35,21 @@ keeps the residual bounded at any step size (linear stabilisation).
 Steps are therefore set by accuracy, dt = 0.05 max(t, 0.05), not by the
 lattice's largest frequency, and a run takes the same steps on any
 grid.  Snapshot times are landed on exactly by clipping the step, never
-by interpolation.
+by interpolation; the steps are a function of the snapshot times alone
+(``step_sizes``).
+
+Both flows give their snapshots in one shape, an iterator of
+``Snapshot(t, field, energy)`` records in the order of the times asked
+for.  Each field is computed only when it is requested, so a consumer
+that lets go of each field before it asks for the next holds one at a
+time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.fft import irfftn, rfftn
@@ -115,6 +123,15 @@ def _check_times(times):
     return times
 
 
+class Snapshot(NamedTuple):
+    """One snapshot of a flow: the time t, the field u(t) and its
+    Dirichlet energy E(u(t))."""
+
+    t: float
+    field: GridField
+    energy: float
+
+
 class LinearFlow:
     """The exact linear flow from one datum.
 
@@ -128,16 +145,11 @@ class LinearFlow:
         self.P = P
         self.spectrum = rfftn(u0.values)
 
-    def fields(self, times):
-        """Solutions at ``times`` (all >= 0), in order, each computed
-        only when it is requested; the times are checked at the call."""
-        times = _check_times(times)
-        P, U0 = self.P, self.spectrum
-        shape, axes = P.grid.shape, P.grid.field_axes
-        return (GridField(P.grid, irfftn(_decay(P, t) * U0, s=shape, axes=axes)) for t in times)
-
-    def energies(self, times) -> list:
-        """E(u(t)) for each t in ``times``, read off the datum's spectrum."""
+    def snapshots(self, times) -> Iterator[Snapshot]:
+        """A ``Snapshot`` for each of ``times`` (all >= 0), in the order
+        given.  The times are checked, and every energy is read off the
+        datum's spectrum, at the call; each field is computed only when
+        it is requested."""
         times = _check_times(times)
         P, U0 = self.P, self.spectrum
         w = P.half * (U0.real**2 + U0.imag**2)
@@ -146,7 +158,11 @@ class LinearFlow:
             d = _decay(P, 2.0 * t)
             d *= w
             energies.append(_parseval(P.grid, d))
-        return energies
+        shape, axes = P.grid.shape, P.grid.field_axes
+        return (
+            Snapshot(t, GridField(P.grid, irfftn(_decay(P, t) * U0, s=shape, axes=axes)), e)
+            for t, e in zip(times, energies)
+        )
 
 
 def _decay(P: LinearPropagator, t):
@@ -238,26 +254,32 @@ def _phi_functions(z):
     return em1, phi1, phi2
 
 
-class SteppedRun(list):
-    """The snapshot fields of a stepped run, in order, and the work the
-    stepper did: ``steps`` taken, the smallest and the largest step
-    (None when no step was taken)."""
+def step_sizes(times) -> list:
+    """The stepper's steps, one list per time of ``times`` (nonnegative,
+    never decreasing): the steps from the previous time (from 0 for the
+    first) by the rule dt = STEP_FRACTION * max(t, STEP_T0), the last
+    one clipped so that the time is landed on exactly."""
+    times = _check_times(times)
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise DomainError(f"times of a stepped run must not decrease, got {times}")
+    t, steps = 0.0, []
+    for target in times:
+        dts = []
+        while t < target - 1e-13 * max(target, 1.0):
+            dts.append(min(STEP_FRACTION * max(t, STEP_T0), target - t))
+            t += dts[-1]
+        t = target
+        steps.append(dts)
+    return steps
 
-    steps = 0
-    dt_min = None
-    dt_max = None
 
-    def work(self) -> dict:
-        """The step counters, named as the manifest's ``work`` key names them."""
-        return {
-            "evolve.steps": self.steps,
-            "evolve.dt_min": self.dt_min,
-            "evolve.dt_max": self.dt_max,
-        }
+def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, times) -> Iterator[Snapshot]:
+    """Integrate du/dt = -L_J Phi(u): a ``Snapshot`` for each of
+    ``times``, in order.
 
-
-def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, snapshots) -> SteppedRun:
-    """Integrate du/dt = -L_J Phi(u); return fields at snapshot times.
+    The arguments are checked at the call, the times against
+    ``step_sizes``, which fixes every step; the returned iterator steps
+    to each time only when its snapshot is requested.
 
     Linearly stabilised ETD-RK2 on the half lattice.  The stabiliser
     c = sup |Phi'| / 2 is frozen at the start of each snapshot interval
@@ -269,44 +291,36 @@ def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, snapshots)
         A    = e^z U + dt phi1(z) N(u),
         U'   = A + dt phi2(z) (N(F^-1 A) - N(u)).
 
-    Steps follow the accuracy rule dt = STEP_FRACTION * max(t, STEP_T0),
-    clipped so that each requested snapshot is hit exactly.  Growth of
-    the sup-norm by more than 1% in a single step aborts with a
-    StabilityError.
+    A snapshot's energy is the spectral form of its field, one more
+    forward transform.  Growth of the sup-norm by more than 1% in a
+    single step aborts with a StabilityError.
     """
     if _single(u0).grid != P.grid:
         raise GridMismatchError("field and propagator live on different grids")
-    snaps = sorted(float(s) for s in snapshots)
-    if snaps and snaps[0] < 0:
-        raise DomainError(f"snapshots must be nonnegative, got {snaps[0]}")
+    times = _check_times(times)
+    steps = step_sizes(times)
     sup0 = float(np.max(np.abs(u0.values)))
     if sup0 > phi.M * (1 + 1e-12):
         raise ContractError(
             f"initial sup-norm {sup0} exceeds the nonlinearity's validity bound M = {phi.M}"
         )
+    return _stepped(P, phi, u0.values.copy(), sup0, zip(times, steps))
 
+
+def _stepped(P, phi, u, sup, schedule):
+    """The snapshots of ``evolve_nonlinear`` from the datum's values
+    ``u`` and sup-norm ``sup``, along ``schedule``'s (time, steps)."""
     neg_m, shape, axes = -P.half, P.grid.shape, P.grid.field_axes
-    out = SteppedRun()
-    dts = []
-    pending = list(snaps)
-    t = 0.0
-    u = u0.values.copy()
     U = rfftn(u)
-    sup = sup0
-    while pending and math.isclose(pending[0], 0.0, abs_tol=1e-15):
-        out.append(GridField(P.grid, u))
-        pending.pop(0)
-
-    while pending:
-        target = pending[0]
+    t = 0.0
+    for target, dts in schedule:
         c = 0.5 * phi.derivative_bound(sup)
         lin = c * neg_m
 
         def residual(v):  # N(v)
             return rfftn(phi(v) - c * v) * neg_m
 
-        while t < target - 1e-13 * max(target, 1.0):
-            dt = min(STEP_FRACTION * max(t, STEP_T0), target - t)
+        for dt in dts:
             ez, phi1, phi2 = _phi_functions(lin * dt)
             N = residual(u)
             A = ez * U + dt * phi1 * N
@@ -323,10 +337,12 @@ def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, snapshots)
             u = u_next
             sup = sup_next
             t += dt
-            dts.append(dt)
         t = target
-        out.append(GridField(P.grid, u))
-        pending.pop(0)
-    if dts:
-        out.steps, out.dt_min, out.dt_max = len(dts), min(dts), max(dts)
-    return out
+        yield Snapshot(target, GridField(P.grid, u), _spectral_energy(P, u))
+
+
+def _spectral_energy(P: LinearPropagator, u):
+    """E(u) of the field values ``u`` as ``analysis.dirichlet_form_spectral``
+    computes it, from their own transform."""
+    F = rfftn(u, axes=P.grid.field_axes)
+    return _parseval(P.grid, P.half * (F.real * F.real + F.imag * F.imag))

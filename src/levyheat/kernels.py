@@ -84,9 +84,6 @@ class Borderline:
     def j(self, r, dim):
         return r**-dim
 
-    def ell(self, r):
-        return 1.0 + 0.0 * r
-
     def int_symbol_measure(self, a):
         return math.log(1.0 / a)
 

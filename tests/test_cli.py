@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyheat import acceptance, cli
+from levyheat import acceptance, cli, evolve
 from levyheat.analysis import dirichlet_form_spectral
 from levyheat.cli import ExperimentConfig, main, parse_config, run
 from levyheat.errors import ConfigError, PipelineError
-from levyheat.evolve import LinearFlow, LinearPropagator
+from levyheat.evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear
 from levyheat.spectral import GridField, PeriodicGrid, field_norms
 from levyheat.symbol import build_symbol_table
 from lattice import full_lattice_radii
@@ -359,9 +359,9 @@ def test_outputs_byte_reproducible(tmp_path):
     P = LinearPropagator.from_table(
         grid, build_symbol_table(cfg.kernel.levy, LinearPropagator.table_grid(grid))
     )
-    fields = LinearFlow(P, cli._initial_field(cfg, grid)).fields(cfg.flow.snapshots)
+    snapshots = LinearFlow(P, cli._initial_field(cfg, grid)).snapshots(cfg.flow.snapshots)
     x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
-    for i, u in enumerate(fields):
+    for i, (_, u, _) in enumerate(snapshots):
         header, *rows = (root / "a" / f"field_{i:04d}.csv").read_text().splitlines()
         assert header == "x,y,u"
         parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
@@ -409,15 +409,15 @@ def test_evolve_energy_column_is_the_form_of_each_field(tmp_path, flow):
 
 def test_snapshot_failure_is_stage_evolve_and_cleans_up(tmp_path, monkeypatch):
     # the third snapshot fails after two field files were written
-    real_fields = LinearFlow.fields
+    real_snapshots = LinearFlow.snapshots
 
-    def failing_fields(self, times):
-        fields = real_fields(self, times)
-        yield next(fields)
-        yield next(fields)
+    def failing_snapshots(self, times):
+        snapshots = real_snapshots(self, times)
+        yield next(snapshots)
+        yield next(snapshots)
         raise FloatingPointError("snapshot 2 overflowed")
 
-    monkeypatch.setattr(LinearFlow, "fields", failing_fields)
+    monkeypatch.setattr(LinearFlow, "snapshots", failing_snapshots)
     cfg = parse_config(write_cfg(tmp_path))
     with pytest.raises(PipelineError, match="overflowed") as err:
         run(cfg, "evolve")
@@ -425,37 +425,86 @@ def test_snapshot_failure_is_stage_evolve_and_cleans_up(tmp_path, monkeypatch):
     assert list((tmp_path / "out").glob("*")) == []
 
 
+def test_stability_error_mid_nonlinear_evolve_is_stage_evolve_and_cleans_up(
+    tmp_path, monkeypatch, capsys
+):
+    # stabilised over the first snapshot interval only: the unstabilised
+    # steps (c = 0) that follow blow up once some fields were written
+    real_bound, bounds = PhiLaw.derivative_bound, []
+
+    def first_bound_only(self, amplitude):
+        bounds.append(amplitude)
+        return real_bound(self, amplitude) if len(bounds) == 1 else 0.0
+
+    real_write, written = cli.write_field_csv, []
+
+    def recorded_write(u, path):
+        written.append(path.name)
+        real_write(u, path)
+
+    monkeypatch.setattr(PhiLaw, "derivative_bound", first_bound_only)
+    monkeypatch.setattr(cli, "write_field_csv", recorded_write)
+    path = write_cfg(tmp_path, body=BASE.replace("kind = linear", "kind = nonlinear\nsigma = 2"))
+    assert main(["evolve", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'evolve'" in err and "sup-norm grew" in err
+    assert 0 < len(written) < 6
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
-    # when the next snapshot is requested, the consumer must have let go
-    # of the previous one, so that only one field is alive at a time
-    real_fields = LinearFlow.fields
-    requested = []
+    # both flows make every record through evolve.Snapshot, and work
+    # toward the next one starts with a transform in evolve: by then
+    # neither the flow nor its consumer may still hold the field of the
+    # record before, so that only one field is alive at a time
+    real_snapshot = evolve.Snapshot
+    previous, released = [], []
 
-    def checked_fields(self, times):
-        for u in real_fields(self, times):
-            previous = weakref.ref(u)
-            # hand the field over without keeping a reference here
-            held = [u]
-            del u
-            yield held.pop()
-            requested.append(previous() is None)
+    def checked_snapshot(t, field, energy):
+        previous.append(weakref.ref(field))
+        return real_snapshot(t, field, energy)
 
-    monkeypatch.setattr(LinearFlow, "fields", checked_fields)
-    cfg = parse_config(write_cfg(tmp_path, decay=["norms = 2", "q = 1"]))
-    for command in ("evolve", "decay-fit"):
-        run(cfg, command)
-        assert requested == [True] * (len(cfg.flow.snapshots) - 1), command
-        requested.clear()
+    def checked(transform):
+        def first_checks(*args, **kwargs):
+            if previous:
+                released.append(previous.pop()() is None)
+            return transform(*args, **kwargs)
+
+        return first_checks
+
+    def one_at_a_time(count):
+        ok = released == [True] * (count - 1)
+        previous.clear()
+        released.clear()
+        return ok
+
+    monkeypatch.setattr(evolve, "Snapshot", checked_snapshot)
+    monkeypatch.setattr(evolve, "rfftn", checked(evolve.rfftn))
+    monkeypatch.setattr(evolve, "irfftn", checked(evolve.irfftn))
+    linear = write_cfg(tmp_path, decay=["norms = 2", "q = 1"])
+    nonlinear = linear.with_name("nonlinear.cfg")
+    text = linear.read_text().replace("kind = linear", "kind = nonlinear\nsigma = 2")
+    nonlinear.write_text(text.replace("q = 1", "q = 1.5"))
+    for path in (linear, nonlinear):
+        cfg = parse_config(path)
+        for command in ("evolve", "decay-fit"):
+            run(cfg, command)
+            assert one_at_a_time(len(cfg.flow.snapshots)), (cfg.flow.kind, command)
     grid = cfg.lattice()
     P = LinearPropagator(grid, grid.half_freq_radii())
     u0 = GridField(grid, np.cos(grid.axis))
-    acceptance._linear_bookkeeping(LinearFlow(P, u0), field_norms(u0), cfg.flow.snapshots)
-    assert requested == [True] * len(cfg.flow.snapshots)
+    times = cfg.flow.snapshots
+    for snapshots in (
+        LinearFlow(P, u0).snapshots(times),
+        evolve_nonlinear(P, PhiLaw(2.0), u0, times),
+    ):
+        acceptance._norm_bookkeeping(field_norms(u0), snapshots)
+        assert one_at_a_time(len(times))
 
 
 def test_linear_runs_let_go_of_the_datum(tmp_path, monkeypatch):
     # by the first snapshot the datum is gone: the flow holds its spectrum
-    real_initial, real_fields = cli._initial_field, LinearFlow.fields
+    real_initial, real_snapshots = cli._initial_field, LinearFlow.snapshots
     data, alive = [], []
 
     def recorded_initial(cfg, grid):
@@ -463,12 +512,12 @@ def test_linear_runs_let_go_of_the_datum(tmp_path, monkeypatch):
         data.append(weakref.ref(u0.values))
         return u0
 
-    def checked_fields(self, times):
+    def checked_snapshots(self, times):
         alive.append(data[-1]() is not None)
-        yield from real_fields(self, times)
+        yield from real_snapshots(self, times)
 
     monkeypatch.setattr(cli, "_initial_field", recorded_initial)
-    monkeypatch.setattr(LinearFlow, "fields", checked_fields)
+    monkeypatch.setattr(LinearFlow, "snapshots", checked_snapshots)
     cfg = parse_config(write_cfg(tmp_path, decay=["norms = 2", "q = 1"]))
     for command in ("evolve", "decay-fit"):
         run(cfg, command)
@@ -768,6 +817,7 @@ def test_verify_reports_seconds_per_criterion_on_stderr(monkeypatch, capsys):
         return acceptance.CriterionResult(number, f"stub {number}", number != 5, "ok")
 
     monkeypatch.setattr(acceptance, "run_criterion", stub)
+    monkeypatch.setattr(acceptance, "_bounded_tail_run", dict)
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
     assert main(["verify"]) == 1
     captured = capsys.readouterr()

@@ -80,8 +80,11 @@ def test_exponential_matching_constant():
 
 def test_ell_constant_for_borderline():
     k = kernel(Borderline(), PowerTail(1.0), dim=2)
+    # one step: ell = 1 on all of (0, 1]
+    edges, values = k.near.steps
+    assert edges.tolist() == [0.0, 1.0] and values.tolist() == [1.0]
     r = np.geomspace(1e-6, 1.0, 50)
-    assert np.allclose(k.near.ell(r), 1.0)
+    assert np.allclose(k.near.j(r, 2) * r**2, 1.0)
 
 
 def test_ell_oscillating_band_value():

@@ -327,9 +327,10 @@ def test_step_profile_near_part_at_high_frequency(near):
     xi = 1e6
     edges, _ = near.steps
     panel_edges = np.union1d(edges, np.arange(int(xi / math.pi) + 1) * math.pi / xi)
+    # in 1-D the measure ell(r) / r dr is J(r) dr
     ref = float(
         gauss_panel_sums(
-            lambda r: 2.0 * (1.0 - np.cos(xi * r)) * near.ell(r) / r, panel_edges
+            lambda r: 2.0 * (1.0 - np.cos(xi * r)) * near.j(r, 1), panel_edges
         ).sum()
     )
     closed, bound = _near_steps_1d(near.steps, xi)
