@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import hashlib
 import json
 import math
@@ -762,7 +763,41 @@ def _verify() -> int:
     return 0 if all(r.passed for r in table) else 1
 
 
+#: glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory():
+    """Have the C allocator keep freed memory in the process for reuse.
+
+    With glibc's dynamic thresholds, once the first 8 MiB array is
+    freed the mmap threshold becomes 8 MiB and the trim threshold
+    16 MiB.  Each 2^20-point transform then frees 16 MiB at the top of
+    the heap (pocketfft's 8 MiB scratch, and the 8 MiB field a consumer
+    drops before the next snapshot); glibc returns it to the kernel,
+    and the next transform faults it back in zero-filled: 4064 page
+    faults per transform at 2^20 points, 992 at 2^18, none at 2^14,
+    and ~20% of the reference ``decay-fit``'s wall time.
+
+    Both thresholds are set, since setting either one alone turns the
+    dynamic thresholds off and makes every 8 MiB array an mmap: the
+    mmap threshold to 32 MiB, glibc's 64-bit ceiling and above every
+    array a run allocates, and the trim threshold above any run's
+    working set.  Only ``main`` calls this, so importing the package
+    changes nothing; where the C library has no ``mallopt`` it does
+    nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
 
     if args.command == "verify":

@@ -118,8 +118,9 @@ class LinearPropagator:
 
 def _check_times(times):
     times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise DomainError(f"times must be nonnegative, got {min(times)}")
+    for t in times:
+        if not 0 <= t < math.inf:
+            raise DomainError(f"times must be finite and nonnegative, got {t}")
     return times
 
 
@@ -146,7 +147,7 @@ class LinearFlow:
         self.spectrum = rfftn(u0.values)
 
     def snapshots(self, times) -> Iterator[Snapshot]:
-        """A ``Snapshot`` for each of ``times`` (all >= 0), in the order
+        """A ``Snapshot`` for each of ``times`` (finite, >= 0), in the order
         given.  The times are checked, and every energy is read off the
         datum's spectrum, at the call; each field is computed only when
         it is requested."""
@@ -255,10 +256,11 @@ def _phi_functions(z):
 
 
 def step_sizes(times) -> list:
-    """The stepper's steps, one list per time of ``times`` (nonnegative,
-    never decreasing): the steps from the previous time (from 0 for the
-    first) by the rule dt = STEP_FRACTION * max(t, STEP_T0), the last
-    one clipped so that the time is landed on exactly."""
+    """The stepper's steps, one list per time of ``times`` (finite,
+    nonnegative, never decreasing): the steps from the previous time
+    (from 0 for the first) by the rule dt = STEP_FRACTION * max(t,
+    STEP_T0), the last one clipped so that the time is landed on
+    exactly."""
     times = _check_times(times)
     if any(b < a for a, b in zip(times, times[1:])):
         raise DomainError(f"times of a stepped run must not decrease, got {times}")

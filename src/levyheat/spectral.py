@@ -15,6 +15,12 @@ general power only for other p; ``field_norms`` gives every scalar a
 snapshot is checked by (mass, the L^1/L^2/L^4/sup norms, the face
 ratio) with one scratch array.
 
+The command line (``cli.main``) has the C allocator keep freed memory
+in the process: a 2^20-point transform frees 16 MiB at the top of the
+heap (its scratch and the previous snapshot's field), which glibc would
+otherwise hand back to the kernel and fault in again, zero-filled, at
+the next transform.
+
 Decay experiments on the torus stand in for the whole space; the caller
 is responsible for choosing L large enough that nothing of size matters
 reaches the boundary (the pipeline's domain-escape guard enforces

@@ -1,5 +1,6 @@
 """Config parsing, validation wording, pipeline artifacts, determinism."""
 
+import ctypes
 import functools
 import json
 import os
@@ -745,6 +746,44 @@ def test_reference_decay_fit_runs_without_quadpack_or_interpolation(tmp_path):
     assert _modules_loaded_by(code) == []
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["tolerances"]["quad_tol_achieved"] <= 1e-13
+
+
+@pytest.mark.skipif(
+    sys.platform == "win32" or not hasattr(ctypes.CDLL(None), "mallopt"),
+    reason="the C library has no mallopt",
+)
+def test_a_repeated_run_reuses_the_memory_it_freed(tmp_path):
+    # the reference run at 2^18 points: each transform frees 4 MiB at
+    # the top of the heap, which the C allocator would hand back to the
+    # kernel and fault in again (~9000 page faults a run)
+    text = (Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg").read_text()
+    text = text.replace("half_width = 262144", "half_width = 65536")
+    text = text.replace("points = 1048576", "points = 262144")
+    text = re.sub(r"snapshots = .*", "snapshots = 1 2 4 8 16 30", text)
+    cfg = tmp_path / "2to18.cfg"
+    cfg.write_text(text)
+    argv = ["decay-fit", "--config", str(cfg), "--output", str(tmp_path / "out")]
+    code = f"""import contextlib, io, resource
+import levyheat.cli
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert levyheat.cli.main({argv!r}) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)"""
+    faults = int(_fresh_run(code)[0])
+    assert faults < 1000, f"{faults} page faults in the second run"
+
+
+@pytest.mark.parametrize("lookup", ["no library", "no mallopt"])
+def test_main_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch, lookup):
+    def cdll(name):
+        if lookup == "no library":
+            raise OSError("no C library")
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main(["evolve", "--config", str(write_cfg(tmp_path))]) == 0
 
 
 def test_schema_doc_lists_every_config_key():

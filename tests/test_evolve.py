@@ -294,6 +294,15 @@ def test_linear_flow_checks_its_arguments(cauchy_table):
         LinearFlow(P, GridField(g, np.zeros((2,) + g.shape), batch=True))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_linear_flow_rejects_non_finite_times(bad):
+    # at the call, not as a non-finite field when the snapshot is read
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
+    flow = LinearFlow(poisson_propagator(g), box_field(g, width=2.0))
+    with pytest.raises(DomainError, match="finite"):
+        flow.snapshots([0.5, bad])
+
+
 def test_linear_flow_keeps_only_the_datums_spectrum():
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
     u0 = box_field(g, width=2.0)
@@ -510,6 +519,24 @@ def test_evolve_nonlinear_validation():
         evolve_nonlinear(P, phi, box_field(g, width=2.0, height=0.9), [0.5])
     with pytest.raises(GridMismatchError):
         evolve_nonlinear(P, phi, GridField(g, np.stack([u0.values] * 2), batch=True), [0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_sizes_rejects_non_finite_times(bad):
+    # NaN compares false and inf - inf is NaN: either would take no step
+    with pytest.raises(DomainError, match="finite"):
+        step_sizes([0.5, bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolve_nonlinear_rejects_non_finite_times(bad):
+    # else [0.5, nan] labels u(0.5) t = nan, and [inf] labels the datum t = inf
+    g = PeriodicGrid(dimension=1, half_width=16.0, points_per_axis=256)
+    u0 = box_field(g, width=2.0, height=0.4)
+    with pytest.raises(DomainError, match="finite"):
+        evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0), u0, [0.5, bad])
+    with pytest.raises(DomainError, match="finite"):
+        evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0), u0, [bad])
 
 
 def test_no_transform_runs_before_the_first_snapshot_is_requested(monkeypatch):
