@@ -442,23 +442,23 @@ def criterion_10() -> CriterionResult:
     ]
     worst = 0.0
     count = 0
+    # each (sigma, alpha) block is 10 x 10 x 5 (q, p2, p3) tuples, broadcast
+    dp2 = np.linspace(0.3, 2.1, 10)[:, None]
+    dp3 = np.linspace(0.4, 2.4, 5)
     for sigma in (1.0, 1.5, 2.0, 2.5):
-        q0 = max(1.0, sigma - 1.0)
+        q = (max(1.0, sigma - 1.0) + np.linspace(0.0, 1.5, 10))[:, None, None]
+        p2 = q + dp2
+        p3 = p2 + dp3
         for alpha in (0.6, 1.0, 1.4, 1.7, 2.0):
-            for q in q0 + np.linspace(0.0, 1.5, 10):
-                for dp2 in np.linspace(0.3, 2.1, 10):
-                    for dp3 in np.linspace(0.4, 2.4, 5):
-                        p2 = q + dp2
-                        p3 = p2 + dp3
-                        r12, e12 = rho_eps(q, p2, 1, alpha, sigma)
-                        r23, e23 = rho_eps(p2, p3, 1, alpha, sigma)
-                        r13, e13 = rho_eps(q, p3, 1, alpha, sigma)
-                        worst = max(
-                            worst,
-                            abs(r12 * e23 + r23 - r13),
-                            abs(e12 * e23 - e13),
-                        )
-                        count += 1
+            r12, e12 = rho_eps(q, p2, 1, alpha, sigma)
+            r23, e23 = rho_eps(p2, p3, 1, alpha, sigma)
+            r13, e13 = rho_eps(q, p3, 1, alpha, sigma)
+            worst = max(
+                worst,
+                float(np.max(np.abs(r12 * e23 + r23 - r13))),
+                float(np.max(np.abs(e12 * e23 - e13))),
+            )
+            count += p3.size
     ok = all(checks) and worst <= 1e-12
     return CriterionResult(
         10,

@@ -307,6 +307,9 @@ def rho_eps(q, p, N, alpha, sigma):
     sigma = 1 reduces to the linear pair (N/alpha (1/q - 1/p), 1).
     The range is q >= 1, q >= sigma - 1, q < p; the boundary
     q = sigma - 1 is admitted because the formulas stay finite there.
+    q and p may be arrays that broadcast together, giving one pair per
+    element, each equal to the scalar call's; any element out of range
+    (NaN included) raises.
     """
     if not sigma >= 1:
         raise DomainError(f"sigma must be >= 1, got {sigma}")
@@ -314,7 +317,11 @@ def rho_eps(q, p, N, alpha, sigma):
         raise DomainError(f"alpha must be positive, got {alpha}")
     if N not in (1, 2):
         raise DomainError(f"N must be 1 or 2, got {N}")
-    if q < 1 or q < sigma - 1.0 or not q < p:
+    bad = np.logical_not((q >= 1) & (q >= sigma - 1.0) & (q < p))
+    if np.any(bad):
+        # report the first offending element
+        q, p, bad = np.broadcast_arrays(q, p, bad)
+        q, p = q[bad][0], p[bad][0]
         raise DomainError(
             f"need 1 <= q, sigma - 1 <= q, q < p; got q={q}, p={p}, sigma={sigma}"
         )

@@ -101,11 +101,20 @@ class LinearPropagator:
     @staticmethod
     def table_grid(grid: PeriodicGrid):
         """Table radii spanning exactly the lattice's nonzero |xi|, the 2-D
-        corner included, for ``from_table``.  A lone radius (1-D, n = 2)
+        corner included, for ``from_table``.  The ends come from the
+        grid's geometry in ``half_freq_radii``'s floating-point order --
+        the first harmonic 2 pi / (n dx) and the Nyquist radius, with
+        ``np.hypot`` of two Nyquist radii for the 2-D corner -- so no
+        radii array is built (2^19 points on the reference lattice,
+        which ``from_table`` builds again).  A lone radius (1-D, n = 2)
         is tabulated with one more point an octave above it, since
         interpolation needs two."""
-        radii = grid.half_freq_radii()
-        lo, hi = radii[radii > 0].min(), radii.max()
+        n = grid.points_per_axis
+        step = 1.0 / (n * grid.spacing)
+        lo = 2.0 * math.pi * step
+        hi = 2.0 * math.pi * ((n // 2) * step)
+        if grid.dimension == 2:
+            hi = float(np.hypot(hi, hi))
         return log_grid(lo, max(hi, 2.0 * lo))
 
     @property
@@ -185,8 +194,8 @@ def fundamental_solution(P: LinearPropagator, t) -> GridField:
     the continuum measure keeps a singular part and no grid resolves
     it.
     """
-    if not t > 0:
-        raise DomainError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"time must be positive and finite, got {t}")
     edge = math.exp(-P.edge_value * float(t))
     if edge > RESOLVABLE_EDGE:
         raise UnresolvableMeasureError(

@@ -54,6 +54,8 @@ class PeriodicGrid:
             raise DomainError(f"dimension must be 1 or 2, got {self.dimension}")
         if not self.half_width > 0:
             raise DomainError(f"half_width must be positive, got {self.half_width}")
+        if self.half_width == math.inf:
+            raise DomainError(f"half_width must be finite, got {self.half_width}")
         n = self.points_per_axis
         if n < 2 or n & (n - 1):
             raise DomainError(f"points_per_axis must be a power of two >= 2, got {n}")
@@ -182,7 +184,7 @@ def lp_norm(f: GridField, p) -> float:
     if p == math.inf or p == "inf":
         return float(np.max(np.abs(f.values)))
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     v = f.values
     if p == 1.0:
@@ -277,20 +279,29 @@ def mollified_box_field(
     lambda^N f(lambda x), the family driving the Nash-ratio sweeps.
 
     Both erf terms are exactly +-1 and cancel to +0.0 wherever
-    |lambda x| >= |h| + ERF_SATURATES |w|, so erf is evaluated only on
-    the sorted axis's band inside that reach (plus a cell on each side)
-    and the rest of the profile is filled with zeros: bit-identical to
-    evaluating erf at every sample.
+    |lambda x| >= |h| + ERF_SATURATES |w|.  The band of nodes
+    x_j = -L + dx j inside that reach is worked out from L, dx and
+    lambda (padded by two cells against rounding), lambda x_j and erf
+    are formed only there, the rest of the profile is +0.0, and the
+    product starts from the scalar lambda^N: bit-identical to evaluating
+    erf at every sample.  One profile serves every axis.
     """
-    if not scale > 0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    y = scale * grid.axis
-    reach = abs(half_width) + ERF_SATURATES * abs(edge_width)
-    lo, hi = np.searchsorted(y, (-reach, reach))
-    band = slice(max(lo - 1, 0), hi + 1)
-    profile = np.zeros_like(y)
-    profile[band] = erf((y[band] + half_width) / edge_width) - erf((y[band] - half_width) / edge_width)
-    vals = np.full(grid.shape, float(scale) ** grid.dimension)
+    if not 0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale}")
+    if not 0 < abs(edge_width) < math.inf:
+        raise DomainError(f"edge_width must be nonzero and finite, got {edge_width}")
+    if not abs(half_width) < math.inf:
+        raise DomainError(f"half_width must be finite, got {half_width}")
+    n, L, dx = grid.points_per_axis, grid.half_width, grid.spacing
+    reach = (abs(half_width) + ERF_SATURATES * abs(edge_width)) / scale
+    # j in [lo, hi) covers |x_j| < reach with two cells to spare on each
+    # side; the ends are clipped to the lattice before int(), since reach
+    # overflows to inf for a tiny lambda
+    lo, hi = (int(min(max(j, 0.0), n)) for j in ((L - reach) / dx - 2.0, (L + reach) / dx + 3.0))
+    y = scale * (-L + dx * np.arange(lo, hi))
+    profile = np.zeros(n)
+    profile[lo:hi] = erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width)
+    vals = float(scale) ** grid.dimension
     # the one profile along each axis, broadcastable as in coordinates()
     for along in np.ix_(*(profile,) * grid.dimension):
         vals = vals * 0.5 * along

@@ -128,6 +128,29 @@ def test_rho_eps_rejects_bad_ranges(q, p, N, alpha, sigma):
         an.rho_eps(q, p, N, alpha, sigma)
 
 
+@pytest.mark.parametrize("N,alpha,sigma", [(1, 1.0, 1.0), (1, 0.6, 2.5), (2, 1.7, 1.5)])
+def test_rho_eps_on_arrays_is_the_scalar_call_elementwise(N, alpha, sigma):
+    rng = np.random.default_rng(int(10 * alpha + sigma))
+    q = (max(1.0, sigma - 1.0) + rng.uniform(0.0, 2.0, 7))[:, None]
+    p = q + rng.uniform(0.1, 3.0, 5)
+    rho, eps = an.rho_eps(q, p, N, alpha, sigma)
+    assert rho.shape == eps.shape == (7, 5)
+    qs = np.broadcast_to(q, p.shape)
+    pairs = [an.rho_eps(float(a), float(b), N, alpha, sigma) for a, b in zip(qs.flat, p.flat)]
+    assert rho.tobytes() == np.array([r for r, _ in pairs]).reshape(7, 5).tobytes()
+    assert eps.tobytes() == np.array([e for _, e in pairs]).reshape(7, 5).tobytes()
+    # one element out of range, or NaN, rejects the whole call
+    for i, bad in ((0, 0.5), (12, math.nan), (34, p.flat[34])):
+        q_bad = qs.copy()
+        q_bad.flat[i] = bad
+        with pytest.raises(DomainError, match="need 1 <= q"):
+            an.rho_eps(q_bad, p, N, alpha, sigma)
+    p_bad = p.copy()
+    p_bad.flat[20] = math.nan
+    with pytest.raises(DomainError, match="need 1 <= q"):
+        an.rho_eps(q, p_bad, N, alpha, sigma)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet forms
 # ---------------------------------------------------------------------------

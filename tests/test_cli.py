@@ -226,7 +226,7 @@ def test_nonlinear_manifest_records_the_stepper_work(tmp_path):
     assert "work" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
 
 
-@pytest.mark.parametrize("dim,n", [(1, 2), (1, 2048), (2, 32)])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 2048), (2, 32), (1, 2**20), (2, 2), (2, 512)])
 def test_table_spans_the_lattice_radii(dim, n):
     grid = PeriodicGrid(dimension=dim, half_width=64.0, points_per_axis=n)
     radii = full_lattice_radii(grid)

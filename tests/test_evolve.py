@@ -441,8 +441,9 @@ def test_borderline_measure_resolvable_at_large_time():
 def test_fundamental_solution_requires_positive_time():
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
     P = poisson_propagator(g)
-    with pytest.raises(DomainError):
-        fundamental_solution(P, 0.0)
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="time must be positive and finite"):
+            fundamental_solution(P, t)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import scipy.fft
 from scipy.special import erf
 
 from levyheat import spectral
+from levyheat.analysis import NASH_BOX_EDGE_WIDTH, NASH_BOX_HALF_WIDTH, NASH_SCALES
 from levyheat.errors import ContractError, DomainError, GridMismatchError
 from levyheat.spectral import (
     ERF_SATURATES,
@@ -54,7 +55,8 @@ def test_1d_half_lattice_radii_are_the_nonnegative_fft_frequencies(n, half_width
 
 @pytest.mark.parametrize(
     "dim,L,n",
-    [(3, 1.0, 64), (1, 0.0, 64), (1, 1.0, 48), (1, 1.0, 0), (2, -2.0, 32)],
+    [(3, 1.0, 64), (1, 0.0, 64), (1, 1.0, 48), (1, 1.0, 0), (2, -2.0, 32), (1, math.inf, 64),
+     (2, math.nan, 32)],
 )
 def test_grid_rejects_bad_parameters(dim, L, n):
     with pytest.raises(DomainError):
@@ -110,6 +112,14 @@ def test_norm_homogeneity_and_domain():
     assert lp_norm(g2, 1.5) == pytest.approx(2 * lp_norm(f, 1.5), rel=1e-13)
     with pytest.raises(DomainError):
         lp_norm(f, 0.5)
+
+
+def test_nan_p_is_rejected():
+    f = GridField(PeriodicGrid(dimension=1, half_width=2.0, points_per_axis=64), np.ones(64))
+    with pytest.raises(DomainError, match="p must be"):
+        lp_norm(f, math.nan)
+    with pytest.raises(DomainError, match="p must be"):
+        field_norms(f, extra=(math.nan,))
 
 
 def test_norms_nondecreasing_in_p_on_indicator():
@@ -247,28 +257,50 @@ def _mollified_box_everywhere(grid, half_width, edge_width, scale):
     return vals
 
 
-@pytest.mark.parametrize("dim,n", [(1, 4096), (2, 64)])
+def _assert_mollified_box_is_bit_identical(g, half_width, edge_width, scales):
+    for lam in scales:
+        got = mollified_box_field(g, half_width=half_width, edge_width=edge_width, scale=lam)
+        want = _mollified_box_everywhere(g, half_width, edge_width, lam)
+        # tobytes tells +0.0 from -0.0
+        assert got.values.tobytes() == want.tobytes(), f"lambda = {lam}"
+
+
+# n = 2 and 4: the padded band reaches both lattice ends
+@pytest.mark.parametrize("dim,n", [(1, 4096), (2, 64), (1, 2), (1, 4), (2, 2), (2, 4)])
 @pytest.mark.parametrize(
     "half_width,edge_width,scales",
     [
-        (1.0, 0.25, 2.0 ** np.arange(-6.0, 6.5, 0.5)),  # the sweep's family
+        (1.0, 0.25, NASH_SCALES),  # the sweep's family
         (3.0, 0.1, (0.37, 1.0, 2.0)),  # a plateau: h > 6 w
         (1.0, 0.25, (1e-3,)),  # support wider than the domain
+        (-1.0, 0.25, NASH_SCALES),  # negative widths flip the profile's sign
+        (1.0, -0.25, NASH_SCALES),
+        (-3.0, -0.1, (0.37, 1.0, 2.0, 1e-3)),
     ],
 )
 def test_mollified_box_is_bit_identical_to_erf_everywhere(dim, n, half_width, edge_width, scales):
     g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
-    for lam in scales:
-        got = mollified_box_field(g, half_width=half_width, edge_width=edge_width, scale=lam)
-        want = _mollified_box_everywhere(g, half_width, edge_width, lam)
-        assert got.values.tobytes() == want.tobytes(), f"lambda = {lam}"
+    _assert_mollified_box_is_bit_identical(g, half_width, edge_width, scales)
+
+
+@pytest.mark.parametrize("exponent", [17, 18])
+def test_mollified_box_is_bit_identical_to_erf_on_the_nash_criterion_grids(exponent):
+    # criterion 7 sweeps the family on L = 256 at 2^17 and 2^18 points
+    g = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=2**exponent)
+    _assert_mollified_box_is_bit_identical(
+        g, NASH_BOX_HALF_WIDTH, NASH_BOX_EDGE_WIDTH, NASH_SCALES
+    )
 
 
 def test_mollified_box_needs_a_positive_scale():
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
-    for lam in (0.0, -1.0, np.nan):
-        with pytest.raises(DomainError):
-            mollified_box_field(g, scale=lam)
+    bad = [{"scale": lam} for lam in (0.0, -1.0, np.nan, np.inf)]
+    bad += [{"edge_width": w} for w in (0.0, -0.0, np.nan, np.inf, -np.inf)]
+    bad += [{"half_width": h} for h in (np.nan, np.inf, -np.inf)]
+    for kwargs in bad:
+        (name,) = kwargs
+        with pytest.raises(DomainError, match=name):
+            mollified_box_field(g, **kwargs)
 
 
 def test_random_band_limited_is_band_limited_and_seeded():
