@@ -477,8 +477,8 @@ def regularizing_diagnostic(tab: SymbolTable, t, cutoffs=None) -> RegularityRepo
     regime; UNDECIDED when neither trend criterion fires within the
     cutoff range.
     """
-    if not t > 0:
-        raise DomainError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"time must be positive and finite, got {t}")
     if cutoffs is None:
         hi = tab.radial_grid[-1] if tab.closed_form is None else 1e8
         lo = max(1.0, tab.radial_grid[0] * 10 if tab.closed_form is None else 1.0)

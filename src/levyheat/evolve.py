@@ -95,8 +95,11 @@ class LinearPropagator:
     def from_table(cls, grid: PeriodicGrid, tab: SymbolTable):
         """Evaluate a symbol table at the grid's exact frequencies on the
         rfftn half lattice; raises DomainError if the lattice reaches
-        outside the table."""
-        return cls(grid, tab.evaluate(grid.half_freq_radii()))
+        outside the table.  The table overwrites the radii array, which
+        this call owns, with m in place, so the result is the only
+        lattice-sized array it makes; bit-identical to
+        ``tab.evaluate(grid.half_freq_radii())``."""
+        return cls(grid, tab._evaluate_in_place(grid.half_freq_radii()))
 
     @staticmethod
     def table_grid(grid: PeriodicGrid):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +59,13 @@ class PeriodicGrid:
         n = self.points_per_axis
         if n < 2 or n & (n - 1):
             raise DomainError(f"points_per_axis must be a power of two >= 2, got {n}")
+        # 2 L / n overflows for L near the largest float and underflows to
+        # 0 for a subnormal L; the datum constructors divide by it
+        if not 0.0 < self.spacing < math.inf:
+            raise DomainError(
+                "spacing 2 half_width / points_per_axis must be positive and finite, "
+                f"got {self.spacing} from half_width {self.half_width} and {n} points"
+            )
 
     @property
     def spacing(self):
@@ -99,11 +106,16 @@ class PeriodicGrid:
         """|xi| on the rfftn half lattice, FFT ordering: every axis but the
         last in full, the last axis's first n // 2 + 1 columns (the
         nonnegative frequencies, Nyquist included).  In 1-D these are
-        computed alone, bit-identical to ``|freq_axis|`` there, so a 1-D
-        grid never caches its full frequency axis."""
+        computed alone, in one array scaled in place, bit-identical to
+        ``|freq_axis|`` there, so a 1-D grid never caches its full
+        frequency axis.  The caller owns the result: ``from_table``
+        overwrites it with m."""
         n = self.points_per_axis
         if self.dimension == 1:
-            return 2.0 * math.pi * (np.arange(n // 2 + 1) * (1.0 / (n * self.spacing)))
+            radii = np.arange(n // 2 + 1, dtype=float)
+            radii *= 1.0 / (n * self.spacing)
+            radii *= 2.0 * math.pi
+            return radii
         last = self.freq_axis[: n // 2 + 1]
         return np.hypot(self.freq_axis[:, None], last[None, :])
 
@@ -237,17 +249,49 @@ def field_norms(f: GridField, extra=()) -> FieldNorms:
 # ---------------------------------------------------------------------------
 
 
+def _band(grid: PeriodicGrid, lo_x, hi_x):
+    """(slice, x): the node indices j, and the nodes x_j = -L + dx j
+    there, that cover every node with lo_x <= x_j < hi_x and two cells
+    more on each side against rounding.  The ends are clipped to the
+    lattice before int(), since lo_x or hi_x may lie far outside it or
+    be infinite."""
+    n, L, dx = grid.points_per_axis, grid.half_width, grid.spacing
+    lo, hi = (int(min(max(j, 0.0), n)) for j in ((L + lo_x) / dx - 2.0, (L + hi_x) / dx + 3.0))
+    return slice(lo, hi), -L + dx * np.arange(lo, hi)
+
+
 def box_field(grid: PeriodicGrid, width=1.0, height=1.0, center=0.0) -> GridField:
     """Indicator of a (hyper)cube [c - w/2, c + w/2), scaled by height.
 
     The half-open convention keeps discrete norms of lattice-aligned
-    boxes exact.
+    boxes exact.  Each axis gets a 0/1 profile: ``x >= c - w/2`` and
+    ``x < c + w/2`` are evaluated only on the band of nodes
+    x_j = -L + dx j that the box's edges can reach, worked out from L,
+    dx and the box (padded by two cells against rounding), and the
+    profile is 0 elsewhere.  The field is the height times the product
+    of the profiles, the height folded into the first, so the only
+    lattice-sized array is the field itself: bit-identical, signed zeros
+    included, to the height times the box's indicator mask.
     """
+    for name, value in (("width", width), ("height", height)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax, c in zip(grid.coordinates(), centers):
-        mask &= (ax >= c - 0.5 * width) & (ax < c + 0.5 * width)
-    return GridField(grid, height * mask.astype(float))
+    if not np.isfinite(centers).all():
+        raise DomainError(f"center must be finite, got {center}")
+    # Python floats: an edge beyond the largest float overflows to inf
+    # without a numpy warning, and _band clips it
+    width, height = float(width), float(height)
+    profiles = []
+    for c in centers.tolist():
+        lo_edge, hi_edge = c - 0.5 * width, c + 0.5 * width
+        band, x = _band(grid, lo_edge, hi_edge)
+        profile = np.zeros(grid.points_per_axis)
+        profile[band] = (x >= lo_edge) & (x < hi_edge)
+        profiles.append(profile)
+    profiles[0] *= height
+    # the outer product of the profiles; in 1-D, the first profile itself
+    return GridField(grid, reduce(np.multiply, np.ix_(*profiles)))
 
 
 def gaussian_field(grid: PeriodicGrid, sigma=1.0, height=1.0, center=0.0) -> GridField:
@@ -292,16 +336,15 @@ def mollified_box_field(
         raise DomainError(f"edge_width must be nonzero and finite, got {edge_width}")
     if not abs(half_width) < math.inf:
         raise DomainError(f"half_width must be finite, got {half_width}")
-    n, L, dx = grid.points_per_axis, grid.half_width, grid.spacing
+    # Python floats: reach overflows to inf for a tiny lambda without a
+    # numpy warning, and _band clips it
+    half_width, edge_width, scale = float(half_width), float(edge_width), float(scale)
     reach = (abs(half_width) + ERF_SATURATES * abs(edge_width)) / scale
-    # j in [lo, hi) covers |x_j| < reach with two cells to spare on each
-    # side; the ends are clipped to the lattice before int(), since reach
-    # overflows to inf for a tiny lambda
-    lo, hi = (int(min(max(j, 0.0), n)) for j in ((L - reach) / dx - 2.0, (L + reach) / dx + 3.0))
-    y = scale * (-L + dx * np.arange(lo, hi))
-    profile = np.zeros(n)
-    profile[lo:hi] = erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width)
-    vals = float(scale) ** grid.dimension
+    band, x = _band(grid, -reach, reach)
+    y = scale * x
+    profile = np.zeros(grid.points_per_axis)
+    profile[band] = erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width)
+    vals = scale**grid.dimension
     # the one profile along each axis, broadcastable as in coordinates()
     for along in np.ix_(*(profile,) * grid.dimension):
         vals = vals * 0.5 * along

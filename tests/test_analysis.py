@@ -608,5 +608,8 @@ def test_oscillating_kernel_no_regularizing_at_small_time():
 def test_diagnostic_validation(borderline_table):
     with pytest.raises(DomainError):
         an.regularizing_diagnostic(borderline_table, 0.0)
+    for t in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError, match="time must be positive and finite"):
+            an.regularizing_diagnostic(borderline_table, t)
     with pytest.raises(DomainError):
         an.regularizing_diagnostic(borderline_table, 1.0, cutoffs=[1.0, 1e9])

@@ -189,6 +189,18 @@ MESSAGES = [
     # grid
     ([("points = 2048", "points = 1000")], "", "[grid]: points_per_axis must be a power of two >= 2, got 1000"),
     ([("half_width = 64", "half_width = -1")], "", "[grid]: half_width must be positive, got -1.0"),
+    (
+        [("half_width = 64", "half_width = 1e308")],
+        "",
+        "[grid]: spacing 2 half_width / points_per_axis must be positive and finite, "
+        "got inf from half_width 1e+308 and 2048 points",
+    ),
+    (
+        [("half_width = 64", "half_width = 5e-324")],
+        "",
+        "[grid]: spacing 2 half_width / points_per_axis must be positive and finite, "
+        "got 0.0 from half_width 5e-324 and 2048 points",
+    ),
     # flow
     ([("kind = linear", "kind = porous")], "", "[flow].kind must be 'linear' or 'nonlinear', got 'porous'"),
     ([("kind = linear", "kind = linear\nsigma = 1")], "", "[flow].sigma: only meaningful for kind = nonlinear"),

@@ -152,7 +152,7 @@ def test_one_etd_step_matches_continuum_pair_2d():
     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4096), (2, 2), (2, 64)])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4096), (2, 2), (2, 64), (1, 2**20), (2, 512)])
 def test_from_table_equals_evaluating_the_full_lattice(dim, n):
     # the propagator stores the half lattice only, which determines m on
     # the full lattice; it must be exactly the table at those radii
@@ -162,6 +162,33 @@ def test_from_table_equals_evaluating_the_full_lattice(dim, n):
     P = LinearPropagator.from_table(g, tab)
     assert P.half.shape == g.shape[:-1] + (n // 2 + 1,)
     assert np.array_equal(P.half, tab.evaluate(g.half_freq_radii()))
+    # the full lattice lays its radii out in other blocks of evaluation
+    assert np.array_equal(full_multiplier(P), tab.evaluate(full_lattice_radii(g)))
+
+
+def _traced_peak_above_result(build):
+    """Traced peak while ``build()`` makes an array, less that array's bytes."""
+    tracemalloc.start()
+    try:
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - result.nbytes
+
+
+def test_reference_binding_and_datum_make_no_lattice_sized_temporary():
+    # the reference decay-fit's lattice, kernel and box: each array is built
+    # at its final size, so the peak stays within a few blocks of the
+    # result (each temporary of the old whole-lattice code was 4 or 8 MiB)
+    g = PeriodicGrid(dimension=1, half_width=262144.0, points_per_axis=2**20)
+    kern = LevyKernel(dimension=1, near=Bounded(1.0), tail=PowerTail(alpha=1.0))
+    tab = build_symbol_table(kern, LinearPropagator.table_grid(g))
+    mib = 2.0**20
+    binding = _traced_peak_above_result(lambda: LinearPropagator.from_table(g, tab).half)
+    assert binding <= 2.0 * mib, f"from_table peaks {binding / mib:.2f} MiB above its result"
+    datum = _traced_peak_above_result(lambda: box_field(g, width=4.0).values)
+    assert datum <= 1.5 * mib, f"box_field peaks {datum / mib:.2f} MiB above its result"
 
 
 def test_from_table_reports_a_lattice_wider_than_its_table():

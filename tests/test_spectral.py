@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,7 +57,7 @@ def test_1d_half_lattice_radii_are_the_nonnegative_fft_frequencies(n, half_width
 @pytest.mark.parametrize(
     "dim,L,n",
     [(3, 1.0, 64), (1, 0.0, 64), (1, 1.0, 48), (1, 1.0, 0), (2, -2.0, 32), (1, math.inf, 64),
-     (2, math.nan, 32)],
+     (2, math.nan, 32), (1, 1e308, 64), (2, 5e-324, 64)],
 )
 def test_grid_rejects_bad_parameters(dim, L, n):
     with pytest.raises(DomainError):
@@ -246,6 +247,52 @@ def test_numpy_fft_is_bit_identical_to_scipy_fft(shape, axes):
     s = [shape[a] for a in axes]
     back = np.fft.irfftn(spectrum, s=s, axes=axes)
     assert np.array_equal(back, scipy.fft.irfftn(spectrum, s=s, axes=axes))
+
+
+def _box_mask(grid, width, height, center):
+    # the box as an indicator mask over the whole lattice
+    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
+    mask = np.ones(grid.shape, dtype=bool)
+    for ax, c in zip(grid.coordinates(), centers):
+        mask &= (ax >= c - 0.5 * width) & (ax < c + 0.5 * width)
+    return height * mask.astype(float)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4), (1, 64), (1, 2**16), (2, 2), (2, 4), (2, 64)])
+def test_box_is_bit_identical_to_its_indicator_mask(dim, n):
+    L = 8.0
+    g = PeriodicGrid(dimension=dim, half_width=L, points_per_axis=n)
+    widths = (0.0, 0.3 * g.spacing, 4.0, 2 * L, 3 * L, -1.0)
+    centers = (0.0, 0.123, L, -L)
+    for width, c, height in itertools.product(widths, centers, (1.0, -2.5, 0.0)):
+        center = c if dim == 1 else (c, -0.37 * c)
+        got = box_field(g, width=width, height=height, center=center).values
+        want = _box_mask(g, width, height, center)
+        # tobytes tells +0.0 from -0.0
+        assert got.tobytes() == want.tobytes(), (width, center, height)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_box_and_mollified_box_take_numpy_scalars_that_overflow():
+    # edges beyond the largest float lie outside the lattice, with no
+    # numpy overflow warning (an error in this suite)
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
+    huge = np.float64(1.7e308)
+    assert not box_field(g, width=huge, center=huge).values.any()
+    assert box_field(g, width=huge, center=np.float64(0.0)).values.all()
+    tiny = mollified_box_field(g, scale=np.float64(1e-310))
+    assert tiny.values.tobytes() == mollified_box_field(g, scale=1e-310).values.tobytes()
+
+
+def test_box_rejects_non_finite_arguments():
+    g = PeriodicGrid(dimension=2, half_width=8.0, points_per_axis=16)
+    bad = [{"width": w} for w in (np.nan, np.inf, -np.inf)]
+    bad += [{"height": h} for h in (np.nan, np.inf)]
+    bad += [{"center": c} for c in (np.nan, (0.0, np.inf), (-np.inf, 1.0))]
+    for kwargs in bad:
+        (name,) = kwargs
+        with pytest.raises(DomainError, match=name):
+            box_field(g, **kwargs)
 
 
 def _mollified_box_everywhere(grid, half_width, edge_width, scale):

@@ -230,6 +230,28 @@ def test_table_nodes_exact_and_scalar():
     assert tab.evaluate(0.0) == 0.0
 
 
+@pytest.mark.parametrize("closed_form", [False, True])
+def test_evaluate_takes_any_memory_layout(closed_form):
+    # evaluate overwrites its own copy of |rho| block by block, whatever
+    # the layout of rho; three rows span several blocks
+    tab = build_symbol_table(PURE1) if closed_form else build_symbol_table(
+        BORDER_PT2, log_grid(0.1, 10.0, 16)
+    )
+    rho = np.geomspace(0.1, 10.0, 3 * 2**14).reshape(3, 2**14)
+    rho[0, :5] = 0.0
+    rho[1, 7] = -2.0
+    want = tab.evaluate(rho.ravel()).reshape(rho.shape)
+    assert want[0, 0] == 0.0 and want[1, 7] == tab.evaluate(2.0)
+    views = [
+        (np.asfortranarray(rho), want),
+        (rho.T, want.T),
+        (rho[:, ::3], want[:, ::3]),
+        (rho[::-1], want[::-1]),
+    ]
+    for view, expected in views:
+        assert np.array_equal(tab.evaluate(view), expected)
+
+
 def test_table_rejects_bad_data():
     g = np.array([1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
