@@ -38,7 +38,6 @@ from .analysis import (
     regularizing_diagnostic,
     rho_eps,
     stroock_varopoulos_check,
-    sv_power_triple,
     theta_exponents,
 )
 from .errors import DomainError
@@ -332,8 +331,7 @@ def criterion_6() -> CriterionResult:
         fails += int(np.count_nonzero(~rep.passed))
         pos = rep.reference > 0
         worst = min(worst, float(np.min(rep.margin[pos] / rep.reference[pos], initial=np.inf)))
-    tri = sv_power_triple(2.0, 2.0)
-    rep = generalized_sv_check(P, random_nonnegative(grid, range(9000, 9500)), tri)
+    rep = generalized_sv_check(P, random_nonnegative(grid, range(9000, 9500)), 2.0, 2.0)
     fails += int(np.count_nonzero(~rep.passed))
     checks = 1000 * len(SV_EXPONENT_PAIRS) + 500
     return CriterionResult(

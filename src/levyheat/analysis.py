@@ -120,47 +120,23 @@ def stroock_varopoulos_check(P, f: GridField, pairs) -> list[MarginReport]:
     ]
 
 
-@dataclass(frozen=True)
-class SVTriple:
-    """Maps (F, G, H) with the certificate F'G' >= (H')^2.
-
-    The catalog triple for exponents (sigma, p) is
+def generalized_sv_check(P, u: GridField, sigma: float, p: float) -> MarginReport:
+    """E(F(u), G(u)) >= E(H(u), H(u)) for the catalog triple of exponents
+    sigma >= 1, p > 1,
 
         F(z) = |z|^(sigma-1) z,   G(z) = |z|^(p-2) z,
         H(z) = c |z|^((p+sigma-1)/2 - 1) z,
         c = 2 sqrt(sigma (p-1)) / (p + sigma - 1),
 
-    for which the certificate holds with equality in the power count.
-    """
-
-    F: object
-    G: object
-    H: object
-
-
-def sv_power_triple(sigma: float, p: float) -> SVTriple:
+    which satisfies F'G' >= (H')^2 with equality in the power count."""
     if not (sigma >= 1 and p > 1):
         raise DomainError(f"catalog triple needs sigma >= 1, p > 1, got ({sigma}, {p})")
     c = 2.0 * math.sqrt(sigma * (p - 1.0)) / (p + sigma - 1.0)
     h_pow = 0.5 * (p + sigma - 1.0)
-
-    def F(z):
-        return np.abs(z) ** (sigma - 1.0) * z
-
-    def G(z):
-        return np.abs(z) ** (p - 2.0) * z
-
-    def H(z):
-        return c * np.abs(z) ** (h_pow - 1.0) * z
-
-    return SVTriple(F=F, G=G, H=H)
-
-
-def generalized_sv_check(P, u: GridField, triple: SVTriple) -> MarginReport:
-    """E(F(u), G(u)) >= E(H(u), H(u)) whenever F'G' >= (H')^2."""
-    fu = replace(u, values=np.asarray(triple.F(u.values), dtype=float))
-    gu = replace(u, values=np.asarray(triple.G(u.values), dtype=float))
-    hu = replace(u, values=np.asarray(triple.H(u.values), dtype=float))
+    z = u.values
+    fu = replace(u, values=np.abs(z) ** (sigma - 1.0) * z)
+    gu = replace(u, values=np.abs(z) ** (p - 2.0) * z)
+    hu = replace(u, values=c * np.abs(z) ** (h_pow - 1.0) * z)
     right = dirichlet_form_spectral(P, hu)
     left = dirichlet_bilinear(P, fu, gu)
     margin = left - right
@@ -253,9 +229,6 @@ class InterpolationReport:
     required_constant: float
     theta1: float
     theta2: float
-    norm_s_sq: float
-    monomial1: float
-    monomial2: float
 
 
 def theta_exponents(r, s, gamma, N):
@@ -289,9 +262,6 @@ def interpolation_check(P, z: GridField, r, s, gamma) -> InterpolationReport:
         required_constant=float(ns**2 / (m1 + m2)),
         theta1=theta1,
         theta2=theta2,
-        norm_s_sq=float(ns**2),
-        monomial1=float(m1),
-        monomial2=float(m2),
     )
 
 
@@ -352,6 +322,10 @@ class DecayFit:
             raise DomainError(f"r_squared cannot exceed 1, got {self.r_squared}")
 
 
+#: fewest points a power-law fit is made from
+FIT_MIN_POINTS = 5
+
+
 def fit_decay_exponent(series, window=None) -> DecayFit:
     """Least squares on (log t, log norm); exponent = -slope.
 
@@ -368,8 +342,8 @@ def fit_decay_exponent(series, window=None) -> DecayFit:
         lo, hi = window
         keep = (t >= lo) & (t <= hi)
         t, y = t[keep], y[keep]
-    if t.size < 5:
-        raise DomainError(f"need at least 5 points in the window, got {t.size}")
+    if t.size < FIT_MIN_POINTS:
+        raise DomainError(f"need at least {FIT_MIN_POINTS} points in the window, got {t.size}")
     if (t <= 0).any():
         raise DomainError("times must be positive to fit a power law")
     if (y <= 0).any():
@@ -387,18 +361,19 @@ def fit_decay_exponent(series, window=None) -> DecayFit:
     )
 
 
-def fit_late_decay(series, min_points=5) -> DecayFit:
-    """Best suffix-window fit: maximize r^2 over late-time windows.
+def fit_late_decay(series) -> DecayFit:
+    """Best suffix-window fit: maximize r^2 over the late-time windows of
+    at least FIT_MIN_POINTS points.
 
     The theory's decay onset time depends on the data through an
     unspecified constant, so the window is selected empirically.
     """
     arr = np.asarray(list(series), dtype=float)
     n = arr.shape[0]
-    if n < min_points:
-        raise DomainError(f"need at least {min_points} points, got {n}")
+    if n < FIT_MIN_POINTS:
+        raise DomainError(f"need at least {FIT_MIN_POINTS} points, got {n}")
     best = None
-    for start in range(0, n - min_points + 1):
+    for start in range(0, n - FIT_MIN_POINTS + 1):
         fit = fit_decay_exponent(arr[start:])
         if best is None or fit.r_squared > best.r_squared:
             best = fit
@@ -469,26 +444,21 @@ def _classify(partials, increments):
     return UNDECIDED
 
 
-def regularizing_diagnostic(tab: SymbolTable, t, cutoffs=None) -> RegularityReport:
+def regularizing_diagnostic(tab: SymbolTable, t) -> RegularityReport:
     """Does e^{-m t} have finite integral (and finite |xi|^k moments)?
 
-    CONVERGENT means the discrete evolution measure at time t has a
-    bounded, continuous density; DIVERGENT is the no-regularizing-effect
-    regime; UNDECIDED when neither trend criterion fires within the
-    cutoff range.
+    The radial cutoffs are the decades from max(1, 10 rho_0) up to the
+    table's top radius (up to 1e8 for a closed form).  CONVERGENT means
+    the discrete evolution measure at time t has a bounded, continuous
+    density; DIVERGENT is the no-regularizing-effect regime; UNDECIDED
+    when neither trend criterion fires within the cutoff range.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"time must be positive and finite, got {t}")
-    if cutoffs is None:
-        hi = tab.radial_grid[-1] if tab.closed_form is None else 1e8
-        lo = max(1.0, tab.radial_grid[0] * 10 if tab.closed_form is None else 1.0)
-        decades = int(math.floor(math.log10(hi / lo)))
-        cutoffs = lo * 10.0 ** np.arange(0, decades + 1)
-    cutoffs = np.asarray(sorted(cutoffs), dtype=float)
-    if tab.closed_form is None and (
-        cutoffs[-1] > tab.radial_grid[-1] * (1 + 1e-12) or cutoffs[0] < tab.radial_grid[0]
-    ):
-        raise DomainError("cutoffs outside the tabulated range")
+    hi = tab.radial_grid[-1] if tab.closed_form is None else 1e8
+    lo = max(1.0, tab.radial_grid[0] * 10 if tab.closed_form is None else 1.0)
+    decades = int(math.floor(math.log10(hi / lo)))
+    cutoffs = lo * 10.0 ** np.arange(0, decades + 1)
     partials, increments = _weighted_partials(tab, float(t), cutoffs, 0)
     cls = _classify(partials, increments)
     ck = None
@@ -503,16 +473,20 @@ def regularizing_diagnostic(tab: SymbolTable, t, cutoffs=None) -> RegularityRepo
     return RegularityReport(classification=cls, ck_order=ck)
 
 
-def log_symbol_slope(tab: SymbolTable, decades=2.0) -> float:
+#: the top decades of a table that ``log_symbol_slope`` fits over
+SLOPE_FIT_DECADES = 2.0
+
+
+def log_symbol_slope(tab: SymbolTable) -> float:
     """Growth rate omega = lim m(rho)/log(rho), fitted over the top
-    ``decades`` decades of the table (finite and positive exactly for
-    logarithmically growing multipliers)."""
+    SLOPE_FIT_DECADES decades of the table (finite and positive exactly
+    for logarithmically growing multipliers)."""
     rho, m = tab.radial_grid, tab.values
     if rho.size < 8:
         raise DomainError("table too small to fit a slope")
     hi = rho[-1]
-    keep = rho >= hi / 10.0**decades
+    keep = rho >= hi / 10.0**SLOPE_FIT_DECADES
     if keep.sum() < 4:
-        raise DomainError("not enough points in the requested decades")
+        raise DomainError(f"not enough points in the top {SLOPE_FIT_DECADES:g} decades")
     slope, _ = np.polyfit(np.log(rho[keep]), m[keep], 1)
     return float(slope)

@@ -568,7 +568,7 @@ def _decay_report(cfg, series):
                 f"{tag}_within_tolerance = {'yes' if within else 'NO'}",
             ]
     lines.append(f"all_within_tolerance = {'yes' if all_within else 'NO'}")
-    return "\n".join(lines) + "\n", all_within
+    return "\n".join(lines) + "\n"
 
 
 def _nash_report(cfg, P):
@@ -665,7 +665,7 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),
             }
             if command == "decay-fit":
-                text, _ = _stage("analysis", _decay_report, cfg, series)
+                text = _stage("analysis", _decay_report, cfg, series)
                 art.write_text("decay_fit.txt", text)
             if cfg.interpolation is not None:
                 text = _stage("analysis", _interpolation_report, cfg, P, last)

@@ -36,7 +36,10 @@ Steps are therefore set by accuracy, dt = 0.05 max(t, 0.05), not by the
 lattice's largest frequency, and a run takes the same steps on any
 grid.  Snapshot times are landed on exactly by clipping the step, never
 by interpolation; the steps are a function of the snapshot times alone
-(``step_sizes``).
+(``step_sizes``).  The stepper carries the solution's spectrum U from
+step to step, and a snapshot's energy is read off it,
+E(u) = (dx^N / n^N) sum' m(xi) |U(xi)|^2, so neither flow transforms a
+snapshot to get its energy.
 
 Both flows give their snapshots in one shape, an iterator of
 ``Snapshot(t, field, energy)`` records in the order of the times asked
@@ -305,8 +308,8 @@ def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, times) -> 
         A    = e^z U + dt phi1(z) N(u),
         U'   = A + dt phi2(z) (N(F^-1 A) - N(u)).
 
-    A snapshot's energy is the spectral form of its field, one more
-    forward transform.  Growth of the sup-norm by more than 1% in a
+    A snapshot's energy is read off the carried spectrum U, with no
+    transform of its field.  Growth of the sup-norm by more than 1% in a
     single step aborts with a StabilityError.
     """
     if _single(u0).grid != P.grid:
@@ -352,11 +355,5 @@ def _stepped(P, phi, u, sup, schedule):
             sup = sup_next
             t += dt
         t = target
-        yield Snapshot(target, GridField(P.grid, u), _spectral_energy(P, u))
-
-
-def _spectral_energy(P: LinearPropagator, u):
-    """E(u) of the field values ``u`` as ``analysis.dirichlet_form_spectral``
-    computes it, from their own transform."""
-    F = rfftn(u, axes=P.grid.field_axes)
-    return _parseval(P.grid, P.half * (F.real * F.real + F.imag * F.imag))
+        energy = _parseval(P.grid, P.half * (U.real * U.real + U.imag * U.imag))
+        yield Snapshot(target, GridField(P.grid, u), energy)

@@ -87,20 +87,19 @@ class PeriodicGrid:
 
     @property
     def axis(self):
-        """Sample points along one axis, computed on each read (8 MiB at
-        2^20 points, so a grid holds none)."""
-        n = self.points_per_axis
-        return -self.half_width + self.spacing * np.arange(n)
+        """Sample points -L + dx j along one axis, computed on each read (8
+        MiB at 2^20 points, so a grid holds none) in one array scaled in
+        place; the caller owns it."""
+        x = np.arange(self.points_per_axis, dtype=float)
+        x *= self.spacing
+        x += -self.half_width
+        return x
 
     @cached_property
     def freq_axis(self):
         """Radian frequencies along one axis, FFT ordering."""
         n = self.points_per_axis
         return 2.0 * math.pi * np.fft.fftfreq(n, d=self.spacing)
-
-    def coordinates(self):
-        """Node coordinates, one array per axis (broadcastable)."""
-        return np.ix_(*(self.axis,) * self.dimension)
 
     def half_freq_radii(self):
         """|xi| on the rfftn half lattice, FFT ordering: every axis but the
@@ -184,7 +183,7 @@ def _root(f: GridField, power_sum, p) -> float:
 
 
 def lp_norm(f: GridField, p) -> float:
-    """Discrete L^p norm (dx^N sum |u|^p)^(1/p); max |u| for p = inf.
+    """Discrete L^p norm (dx^N sum |u|^p)^(1/p); max |u| for p = math.inf.
 
     p = 1, 2 and 4 sum the exact products |u|, u*u and (u*u)^2; any
     other p raises only the nonzero |u| to a general power.  A zero
@@ -193,11 +192,11 @@ def lp_norm(f: GridField, p) -> float:
     exact zeros of a compactly supported field.
     """
     _single(f)
-    if p == math.inf or p == "inf":
+    if p == math.inf:
         return float(np.max(np.abs(f.values)))
+    if not 1.0 <= float(p) < math.inf:
+        raise DomainError(f"p must be >= 1 or math.inf, got {p!r}")
     p = float(p)
-    if not p >= 1.0:
-        raise DomainError(f"p must be >= 1 or inf, got {p}")
     v = f.values
     if p == 1.0:
         return _root(f, np.sum(np.abs(v)), p)
@@ -295,18 +294,45 @@ def box_field(grid: PeriodicGrid, width=1.0, height=1.0, center=0.0) -> GridFiel
 
 
 def gaussian_field(grid: PeriodicGrid, sigma=1.0, height=1.0, center=0.0) -> GridField:
-    """``height * exp(-|x - c|^2 / (2 sigma^2))``."""
+    """``height * exp(-|x - c|^2 / (2 sigma^2))``.
+
+    Each axis's (x - c)^2 is formed in place on that axis's nodes, and
+    their outer sum is the only lattice-sized array: it is scaled,
+    exponentiated and multiplied by the height in place, bit-identical
+    to summing the squares over the whole lattice.
+    """
+    try:
+        var = float(sigma) ** 2
+    except OverflowError:  # |sigma| beyond the square root of the largest float
+        var = math.inf
+    if not 0.0 < var < math.inf:
+        raise DomainError(f"sigma^2 must be positive and finite, got sigma = {sigma}")
+    if not math.isfinite(height):
+        raise DomainError(f"height must be finite, got {height}")
     centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
-    sq = np.zeros(grid.shape)
-    for ax, c in zip(grid.coordinates(), centers):
-        sq = sq + (ax - c) ** 2
-    return GridField(grid, height * np.exp(-0.5 * sq / sigma**2))
+    if not np.isfinite(centers).all():
+        raise DomainError(f"center must be finite, got {center}")
+    squares = []
+    for c in centers:
+        x = grid.axis
+        x -= c
+        x *= x
+        squares.append(x)
+    # the outer sum of the squares; in 1-D, the first square itself
+    sq = reduce(np.add, np.ix_(*squares))
+    sq *= -0.5
+    sq /= var
+    np.exp(sq, out=sq)
+    sq *= height
+    return GridField(grid, sq)
 
 
 def delta_surrogate(grid: PeriodicGrid) -> GridField:
     """Narrow Gaussian (width 3 dx) with discrete mass exactly one."""
     g = gaussian_field(grid, sigma=3.0 * grid.spacing)
-    return GridField(grid, g.values / mass(g))
+    vals = g.values
+    vals /= mass(g)  # in place: the field is this call's own
+    return g
 
 
 #: |z| from which scipy's erf returns exactly +-1 (it does from z = 5.9216
@@ -345,7 +371,7 @@ def mollified_box_field(
     profile = np.zeros(grid.points_per_axis)
     profile[band] = erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width)
     vals = scale**grid.dimension
-    # the one profile along each axis, broadcastable as in coordinates()
+    # the one profile along each axis, as np.ix_'s broadcastable views
     for along in np.ix_(*(profile,) * grid.dimension):
         vals = vals * 0.5 * along
     return GridField(grid, vals)

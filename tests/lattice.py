@@ -40,6 +40,6 @@ def mode_field(grid: PeriodicGrid, k, amplitude=1.0) -> GridField:
     radial multiplier on the lattice."""
     ks = np.broadcast_to(np.asarray(k, dtype=float), (grid.dimension,))
     phase = np.zeros(grid.shape)
-    for ax, ki in zip(grid.coordinates(), ks):
+    for ax, ki in zip(np.ix_(*(grid.axis,) * grid.dimension), ks):
         phase = phase + (math.pi / grid.half_width) * ki * ax
     return GridField(grid, amplitude * np.cos(phase))

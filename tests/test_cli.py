@@ -389,7 +389,8 @@ def test_pipeline_failure_names_stage_and_cleans_up(tmp_path):
 @pytest.mark.parametrize("flow", ["linear", "nonlinear"])
 def test_evolve_energy_column_is_the_form_of_each_field(tmp_path, flow):
     # linear runs read the energies off the datum's spectrum, nonlinear
-    # runs measure each field; both must be E(u) of the written snapshot
+    # runs off the spectrum the stepper carries; both must be E(u) of the
+    # written snapshot
     body = BASE.replace("snapshots = 1 1.5 2.3 3.4 5.1 7.7", "snapshots = 0 0.1 0.25 0.5")
     if flow == "nonlinear":
         body = body.replace("kind = linear", "kind = nonlinear\nsigma = 2")

@@ -38,6 +38,7 @@ from levyheat.spectral import (
     PeriodicGrid,
     box_field,
     delta_surrogate,
+    gaussian_field,
     lp_norm,
     mass,
     random_band_limited,
@@ -189,6 +190,16 @@ def test_reference_binding_and_datum_make_no_lattice_sized_temporary():
     assert binding <= 2.0 * mib, f"from_table peaks {binding / mib:.2f} MiB above its result"
     datum = _traced_peak_above_result(lambda: box_field(g, width=4.0).values)
     assert datum <= 1.5 * mib, f"box_field peaks {datum / mib:.2f} MiB above its result"
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2**20), (2, 1024)])
+def test_gaussian_datum_makes_no_lattice_sized_temporary(dim, n):
+    # each axis's square is formed in place and their outer sum is the
+    # only lattice-sized array (the whole-lattice code made four more)
+    g = PeriodicGrid(dimension=dim, half_width=512.0, points_per_axis=n)
+    mib = 2.0**20
+    datum = _traced_peak_above_result(lambda: gaussian_field(g, sigma=3.0, center=0.5).values)
+    assert datum <= 1.5 * mib, f"gaussian_field peaks {datum / mib:.2f} MiB above its result"
 
 
 def test_from_table_reports_a_lattice_wider_than_its_table():
@@ -438,7 +449,7 @@ def test_fundamental_solution_2d_is_heat_kernel():
     P = LinearPropagator(g, g.half_freq_radii() ** 2)
     t = 0.5
     mu = fundamental_solution(P, t)
-    x, y = g.coordinates()
+    x, y = np.ix_(*(g.axis,) * g.dimension)
     exact = np.exp(-(x**2 + y**2) / (4 * t)) / (4 * math.pi * t)
     assert np.unravel_index(np.argmax(mu.values), g.shape) == (32, 32)
     assert np.max(np.abs(mu.values - exact)) <= 1e-12 * exact.max()
@@ -652,6 +663,39 @@ def test_step_count_is_the_same_on_every_grid(monkeypatch):
         list(evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0, M=1.0), u0, snaps))
     steps = sum(len(dts) for dts in step_sizes(snaps))
     assert taken == [steps, steps] and steps > 0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+def test_a_stepped_run_transforms_four_times_a_step_and_once_for_the_datum(monkeypatch, dim, n):
+    # a snapshot's energy is read off the carried spectrum, so no snapshot
+    # costs a transform, not even one that takes no step
+    calls = []
+    for name in ("rfftn", "irfftn"):
+
+        def counted(*args, _real=getattr(evolve, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, name, counted)
+    g = PeriodicGrid(dimension=dim, half_width=16.0, points_per_axis=n)
+    u0 = box_field(g, width=2.0, height=0.5)
+    snaps = [0.0, 0.37, 1.0, 1.0, 2.5]
+    list(evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0), u0, snaps))
+    steps = sum(len(dts) for dts in step_sizes(snaps))
+    assert steps > 0
+    assert calls.count("rfftn") == 2 * steps + 1
+    assert calls.count("irfftn") == 2 * steps
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_stepped_energies_match_the_form_of_each_field(dim, n):
+    # the energy read off the carried spectrum against the spectral form
+    # of the field transformed back from it, t = 0 included
+    g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
+    P = poisson_propagator(g)
+    u0 = GridField(g, 0.5 * random_band_limited(g, np.random.default_rng(29), 0.5).values)
+    for t, u, e in evolve_nonlinear(P, PhiLaw(sigma=1.5), u0, [0.0, 0.2, 1.0, 3.0]):
+        assert e == pytest.approx(dirichlet_form_spectral(P, u), rel=1e-12), t
 
 
 def test_fields_match_a_step_refined_reference(monkeypatch):

@@ -115,6 +115,13 @@ def test_norm_homogeneity_and_domain():
         lp_norm(f, 0.5)
 
 
+def test_string_p_is_rejected():
+    # p is a number; the norm of p = inf is asked for with math.inf
+    f = GridField(PeriodicGrid(dimension=1, half_width=2.0, points_per_axis=64), np.ones(64))
+    with pytest.raises(DomainError, match="p must be"):
+        lp_norm(f, "inf")
+
+
 def test_nan_p_is_rejected():
     f = GridField(PeriodicGrid(dimension=1, half_width=2.0, points_per_axis=64), np.ones(64))
     with pytest.raises(DomainError, match="p must be"):
@@ -253,7 +260,7 @@ def _box_mask(grid, width, height, center):
     # the box as an indicator mask over the whole lattice
     centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
     mask = np.ones(grid.shape, dtype=bool)
-    for ax, c in zip(grid.coordinates(), centers):
+    for ax, c in zip(np.ix_(*(grid.axis,) * grid.dimension), centers):
         mask &= (ax >= c - 0.5 * width) & (ax < c + 0.5 * width)
     return height * mask.astype(float)
 
@@ -295,10 +302,45 @@ def test_box_rejects_non_finite_arguments():
             box_field(g, **kwargs)
 
 
+def _gaussian_everywhere(grid, sigma, height, center):
+    # the squares summed over the whole lattice
+    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
+    sq = np.zeros(grid.shape)
+    for ax, c in zip(np.ix_(*(grid.axis,) * grid.dimension), centers):
+        sq = sq + (ax - c) ** 2
+    return height * np.exp(-0.5 * sq / sigma**2)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 64), (1, 2**16), (2, 4), (2, 64)])
+def test_gaussian_is_bit_identical_to_its_whole_lattice_formula(dim, n):
+    g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
+    for sigma, c, height in itertools.product((1.0, -0.7, 0.01, 3), (0.0, 0.123, -8.0), (1.0, -2.5)):
+        center = c if dim == 1 else (c, -0.37 * c)
+        got = gaussian_field(g, sigma=sigma, height=height, center=center).values
+        want = _gaussian_everywhere(g, sigma, height, center)
+        assert got.tobytes() == want.tobytes(), (sigma, center, height)
+    want = _gaussian_everywhere(g, 3.0 * g.spacing, 1.0, 0.0)
+    want = want / (g.cell_volume * np.sum(want))
+    assert delta_surrogate(g).values.tobytes() == want.tobytes()
+
+
+def test_gaussian_rejects_bad_arguments():
+    # sigma^2 = 0 (sigma 0 or 1e-200) or inf once divided a lattice array
+    # with a numpy warning; a NaN failed as a ContractError naming nothing
+    g = PeriodicGrid(dimension=2, half_width=8.0, points_per_axis=16)
+    bad = [{"sigma": s} for s in (0.0, -0.0, 1e-200, 1e300, np.float64(1e300), np.nan, np.inf)]
+    bad += [{"height": h} for h in (np.nan, np.inf, -np.inf)]
+    bad += [{"center": c} for c in (np.nan, (0.0, np.inf), (-np.inf, 1.0))]
+    for kwargs in bad:
+        (name,) = kwargs
+        with pytest.raises(DomainError, match=name):
+            gaussian_field(g, **kwargs)
+
+
 def _mollified_box_everywhere(grid, half_width, edge_width, scale):
     # the profile with erf evaluated at every sample
     vals = np.full(grid.shape, float(scale) ** grid.dimension)
-    for ax in grid.coordinates():
+    for ax in np.ix_(*(grid.axis,) * grid.dimension):
         y = scale * ax
         vals = vals * 0.5 * (erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width))
     return vals
