@@ -155,6 +155,116 @@ def test_every_catalog_kernel_has_a_finite_positive_even_symbol():
             assert symbol_quadrature(k, -xi) == m
 
 
+#: frequencies on both sides of pi and of the first J0 zero, out to where the
+#: remainders beyond them run as QAWO (1-D) and J0 panels (2-D)
+_PINNED_XI = (0.3, 3.0, 30.0, 1e3)
+
+#: m(xi) of every catalog kernel at _PINNED_XI, as this package computed it
+#: before its per-dimension engines were merged into one; the merge must
+#: not move a single bit
+_PINNED_SYMBOL = {
+    "FractionalPower-PowerTail-1d": (
+        0.4442337416899872, 7.401067409764958, 52.7238219646853, 889.7044537222956,
+    ),
+    "FractionalPower-PowerTail-2d": (
+        0.7951144242287297, 14.504132579129154, 111.37850989399618, 1898.1305933121994,
+    ),
+    "FractionalPower-CompactSupport-1d": (
+        0.07478945147142155, 5.738194573388116, 51.45657626149618, 888.3694694562023,
+    ),
+    "FractionalPower-CompactSupport-2d": (
+        0.11756160154917598, 9.642009701389183, 107.21219590732414, 1893.9417739439943,
+    ),
+    "FractionalPower-ExponentialTail-1d": (
+        0.4845501356416892, 8.020865077544125, 53.39043819230046, 890.3711220888725,
+    ),
+    "FractionalPower-ExponentialTail-2d": (
+        2.1449951974251467, 23.09392884199799, 119.7542990733344, 1906.5081741114736,
+    ),
+    "Borderline-PowerTail-1d": (
+        0.41427587731208293, 4.775269171500128, 9.290136630880632, 16.303273522838428,
+    ),
+    "Borderline-PowerTail-2d": (
+        0.7480401844658557, 10.24145116508608, 24.831815246565192, 46.863077249609084,
+    ),
+    "Borderline-CompactSupport-1d": (
+        0.04483158709351723, 3.112396335123284, 8.022890927691519, 14.968289256745157,
+    ),
+    "Borderline-CompactSupport-2d": (
+        0.07048736178630204, 5.379328287346106, 20.665501259893173, 42.67425788140392,
+    ),
+    "Borderline-ExponentialTail-1d": (
+        0.4545922712637848, 5.395066839279294, 9.956752858495795, 16.969941889415438,
+    ),
+    "Borderline-ExponentialTail-2d": (
+        2.0979209576622724, 18.83124742795491, 33.207604425903426, 55.24065804888349,
+    ),
+    "LogPerturbed-PowerTail-1d": (
+        0.4072150564557181, 4.206333269630109, 6.308432422545596, 9.004780556937442,
+    ),
+    "LogPerturbed-PowerTail-2d": (
+        0.7369428145471941, 9.297164953760115, 17.65029783681477, 26.702811333077186,
+    ),
+    "LogPerturbed-CompactSupport-1d": (
+        0.03777076623715243, 2.543460433253266, 5.041186719356483, 7.6697962908441735,
+    ),
+    "LogPerturbed-CompactSupport-2d": (
+        0.05938999186764042, 4.435042076020143, 13.483983850142751, 22.51399196487202,
+    ),
+    "LogPerturbed-ExponentialTail-1d": (
+        0.44753145040742004, 4.826130937409276, 6.97504865016076, 9.671448923514452,
+    ),
+    "LogPerturbed-ExponentialTail-2d": (
+        2.086823587743611, 17.88696121662895, 26.026087016153, 35.08039213235159,
+    ),
+    "Bounded-PowerTail-1d": (
+        0.279516705400078, 2.498154981702519, 2.3331801346900454, 2.333331354908543,
+    ),
+    "Bounded-PowerTail-2d": (
+        0.4989344166225262, 5.105514476419353, 5.132944463259644, 5.131267619054539,
+    ),
+    "Bounded-CompactSupport-1d": (
+        0.020905702247081985, 1.3341439962387285, 1.4461081424576667, 1.3988423686432552,
+    ),
+    "Bounded-CompactSupport-2d": (
+        0.02464744074683874, 1.702028462001374, 2.216524672589232, 2.1990940613109236,
+    ),
+    "Bounded-ExponentialTail-1d": (
+        0.3077381811662692, 2.932013349147935, 2.79981149402066, 2.7999992115124503,
+    ),
+    "Bounded-ExponentialTail-2d": (
+        1.443850957860018, 11.118371860427537, 10.995996888796402, 10.995574178546626,
+    ),
+    "Oscillating-PowerTail-1d": (
+        0.41955118263559465, 5.288348338134114, 16.637386222120465, 36.21528258226951,
+    ),
+    "Oscillating-PowerTail-2d": (
+        0.75632719599796, 11.05308685049165, 42.903711541308155, 97.8607768613875,
+    ),
+    "Oscillating-CompactSupport-1d": (
+        0.05010689241702897, 3.62547550175727, 15.370140518931354, 34.88029831617624,
+    ),
+    "Oscillating-CompactSupport-2d": (
+        0.07877437331840624, 6.190963972751678, 38.73739755463613, 93.67195749318236,
+    ),
+    "Oscillating-ExponentialTail-1d": (
+        0.4598675765872966, 5.90814600591328, 17.30400244973563, 36.881950948846516,
+    ),
+    "Oscillating-ExponentialTail-2d": (
+        2.1062079691943767, 19.642883113360483, 51.279500720646375, 106.23835766066195,
+    ),
+}
+
+
+def test_catalog_symbol_values_are_pinned():
+    kernels = list(_catalog_kernels())
+    assert len(kernels) == len(_PINNED_SYMBOL) == 30
+    for k in kernels:
+        key = f"{type(k.near).__name__}-{type(k.tail).__name__}-{k.dimension}d"
+        got = tuple(float(symbol_quadrature(k, xi)) for xi in _PINNED_XI)
+        assert got == _PINNED_SYMBOL[key], key
+
+
 def test_bounded_compact_closed_form_1d():
     c0 = 0.7
     k = LevyKernel(1, Bounded(c0), CompactSupport())
