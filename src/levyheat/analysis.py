@@ -457,6 +457,10 @@ def regularizing_diagnostic(tab: SymbolTable, t) -> RegularityReport:
         raise DomainError(f"time must be positive and finite, got {t}")
     hi = tab.radial_grid[-1] if tab.closed_form is None else 1e8
     lo = max(1.0, tab.radial_grid[0] * 10 if tab.closed_form is None else 1.0)
+    if hi < lo:
+        raise DomainError(
+            f"the table's range [{tab.radial_grid[0]:g}, {hi:g}] must reach the first cutoff {lo:g}"
+        )
     decades = int(math.floor(math.log10(hi / lo)))
     cutoffs = lo * 10.0 ** np.arange(0, decades + 1)
     partials, increments = _weighted_partials(tab, float(t), cutoffs, 0)

@@ -321,7 +321,8 @@ def gaussian_field(grid: PeriodicGrid, sigma=1.0, height=1.0, center=0.0) -> Gri
     # the outer sum of the squares; in 1-D, the first square itself
     sq = reduce(np.add, np.ix_(*squares))
     sq *= -0.5
-    sq /= var
+    with np.errstate(over="ignore"):  # -inf off the centre for a tiny sigma: exp gives 0
+        sq /= var
     np.exp(sq, out=sq)
     sq *= height
     return GridField(grid, sq)

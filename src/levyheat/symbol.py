@@ -1,58 +1,45 @@
 """The Fourier multiplier of a jump kernel, by radial quadrature.
 
-For a radial Levy kernel the multiplier
+For a radial Levy kernel on R^N (N = 1, 2) the multiplier
+``m(xi) = int (1 - cos(z . xi)) J(z) dz`` is one half-line integral,
 
-    m(xi) = int (1 - cos(z . xi)) J(z) dz
+    m(xi) = c_N int_0^inf (1 - B(xi r)) J(r) r^(N-1) dr,
 
-reduces to a half-line integral: in one dimension
+with the radial weight B = cos, c_1 = 2 in one dimension and B = J0,
+c_2 = 2 pi in two.  The weight is defined once (``_RADIAL_WEIGHT``), and
+one engine serves both dimensions: the near part on (0, 1] and the tail
+beyond 1 each split at B's first zero.  Before it the integrand is
+smooth and goes to QUADPACK's adaptive Gauss-Kronrod rule, with
+breakpoints at the step profiles' edges; after it comes the profile's
+measure minus ``int B(xi r) J(r) r^(N-1) dr``, summed over zero-to-zero
+Gauss panels of B (by Euler's transform on the infinite tail), except
+the 1-D near piece [pi/xi, 1], which QUADPACK's cosine-weighted rule
+(QAWO) takes: there the panel count grows like xi / pi, and at xi = 1e6
+the 3e5 panels of a FractionalPower near part cost some 300 times
+QAWO's time.
 
-    m(xi) = 2 int_0^inf (1 - cos(r xi)) J(r) dr,
-
-in two dimensions
-
-    m(xi) = 2 pi int_0^inf (1 - B0(r xi)) J(r) r dr
-
-with B0 the order-zero Bessel function.  The engine splits the radial
-line at the origin singularity, at the step profiles' edges and at the
-near/tail matching radius and evaluates the non-oscillatory parts by
-closed form or adaptive Gauss-Kronrod quadrature.  Every oscillatory
-tail without a closed form, in either dimension, is summed over
-zero-to-zero panels of its weight (cos in one dimension, J0 in two)
-by Euler's transform.  The 1-D near remainder on [pi/xi, 1] without
-a closed form stays with QUADPACK's cosine-weighted rule (QAWO): there
-the panel count grows like xi / pi, and at xi = 1e6 the 3e5 panels of
-a FractionalPower near part cost some 300 times QAWO's time.
-
-Closed forms replace quadrature wherever they are exact:
+Closed forms replace quadrature wherever they are exact, each with a
+roundoff bound, so a table's achieved tolerance stays honest:
 
 * the near part of the Bounded profile, ``c0 (1 - sin xi / xi)`` in one
   dimension and ``c0 (1/2 - J1(xi) / xi)`` in two (Taylor series for
   xi <= 1);
 * in one dimension, the near part of a piecewise-constant profile
   (borderline, oscillating), a sum of differences of the cosine
-  integral Cin, and of the fractional power with beta = 1,
-  ``xi Si(xi) - 2 sin^2(xi / 2)`` (see
+  integral Cin, and of the fractional power with beta = 1 (see
   ``FractionalPower.cos_transform_near``);
-* in one dimension, the oscillatory tail ``int_a^inf cos(xi r) J(r) dr``
-  of a power tail with alpha = 1 or 2 (Si/Ci, or the continued fraction
-  of E_{alpha+1}, see ``PowerTail.cos_transform_tail``) and of the
-  exponential tail;
-* in one dimension, the piece ``int_1^(pi/xi) (1 - cos xi r) J(r) dr``
-  of a power tail with alpha = 1 or 2 (Si/Ci, see
-  ``PowerTail.cos_transform_head``), so that such a table calls no
-  quadrature at all;
+* in one dimension, the tail beyond max(1, pi/xi) of a power tail with
+  alpha = 1 or 2 and of the exponential tail, and the power tail's piece
+  on [1, pi/xi] (see ``PowerTail.cos_transform_tail`` and
+  ``cos_transform_head``), so that such a table calls no quadrature;
 * the coefficient of a pure power kernel, ``m(xi) = c |xi|^alpha``.
-
-Each closed form reports a roundoff bound, so a table's achieved
-tolerance stays honest.
 
 Tables of multiplier values on a logarithmic grid feed the spectral
 propagators through monotone log-log interpolation (PCHIP, on numpy;
-bit-identical to scipy's ``PchipInterpolator``), inside the
-tabulated range only: a radius outside it raises DomainError, so a
-lattice wider than its table is reported, never extrapolated.  Pure
-power kernels carry a closed-form tag instead and bypass interpolation
-entirely.
+bit-identical to scipy's ``PchipInterpolator``), inside the tabulated
+range only: a radius outside it raises DomainError, so a lattice wider
+than its table is reported, never extrapolated.  Pure power kernels
+carry a closed-form tag instead and bypass interpolation entirely.
 """
 
 from __future__ import annotations
@@ -60,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import j0, j1, sici
@@ -73,9 +61,6 @@ from .quadrature import (
     gauss_panel_sums,
     zero_panel_edges,
 )
-
-_FIRST_J0_ZERO = 2.404825557695773
-_EULER = 0.5772156649015329
 
 
 def log_grid(lo=1e-3, hi=1e4, per_decade=64):
@@ -95,12 +80,11 @@ def _one_minus_j0(x):
     """``1 - J0(x)`` at a float x without cancellation: the Taylor series
     for ``|x| <= 1``, the plain difference beyond.  Quadrature calls this
     once per node."""
-    return _one_minus_j0_series(0.25 * x * x) if abs(x) <= 1.0 else 1.0 - j0(x)
-
-
-def _one_minus_j0_series(u):
+    if abs(x) > 1.0:
+        return 1.0 - j0(x)
     # sum_{k>=1} (-1)^(k+1) u^k / (k!)^2 at u = x^2/4 in Horner form; ten
     # terms reach roundoff for u <= 1/4
+    u = 0.25 * x * x
     s = 1.0
     for k in range(10, 1, -1):
         s = 1.0 - u / (k * k) * s
@@ -140,13 +124,51 @@ def _cin(x):
         s = 1.0 - u * k / (2.0 * (k + 1) ** 2 * (2 * k + 1)) * s
     out = 0.25 * u * s
     big = x > 1.0
-    out[big] = _EULER + np.log(x[big]) - sici(x[big])[1]
+    out[big] = np.euler_gamma + np.log(x[big]) - sici(x[big])[1]
     return out
 
 
 # ---------------------------------------------------------------------------
 # quadrature engine
 # ---------------------------------------------------------------------------
+
+
+class _RadialWeight(NamedTuple):
+    """The radial weight B of ``m(xi) = c_N int_0^inf (1 - B(xi r)) J(r) r^(N-1) dr``
+    in dimension N, and the integrands it makes of a profile f at frequency xi."""
+
+    dim: int
+    panel: str  # B's name in ``zero_panel_edges``
+    zero: float  # B's first positive zero
+    scale: float  # c_N
+    plain: Callable  # (xi, f) -> (1 - B(xi r)) f(r) r^(N-1) at a float r, without cancellation
+    osc: Callable  # (xi, f) -> B(xi r) f(r) r^(N-1) on an array r
+
+
+_RADIAL_WEIGHT = {
+    1: _RadialWeight(
+        1,
+        "cos",
+        math.pi,
+        2.0,
+        lambda xi, f: lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * f(r),
+        lambda xi, f: lambda r: np.cos(xi * r) * f(r),
+    ),
+    2: _RadialWeight(
+        2,
+        "j0",
+        2.404825557695773,
+        2.0 * math.pi,
+        lambda xi, f: lambda r: _one_minus_j0(xi * r) * f(r) * r,
+        lambda xi, f: lambda r: j0(xi * r) * f(r) * r,
+    ),
+}
+
+#: relative quadrature tolerance of every multiplier value
+TABLE_RTOL = 1e-8
+#: relative tolerance each quadrature of a value is driven to: the summed
+#: QUADPACK estimates are conservative, so a tenth of TABLE_RTOL
+PART_RTOL = TABLE_RTOL / 10.0
 
 
 def _near_steps_1d(steps, xi):
@@ -182,111 +204,80 @@ def _near_steps_1d(steps, xi):
     return value, err
 
 
-def _symbol_1d(kernel, xi, rtol):
-    near = kernel.near
-    closed = near.cos_transform_near(xi) if isinstance(near, FractionalPower) else None
+def _near_part(near, xi, w):
+    """(value, err) of ``int_0^1 (1 - B(xi r)) J(r) r^(N-1) dr``.
+
+    A closed form where one is exact: the Bounded profile, and in one
+    dimension the step profiles and the fractional power with beta = 1.
+    Otherwise QUADPACK up to B's first zero a (or 1), and beyond it the
+    profile's measure on [a, 1] minus ``int_a^1 B(xi r) J(r) r^(N-1) dr``:
+    QAWO in one dimension, Gauss panels between the zeros of J0 in two.
+    """
+    dim = w.dim
     if isinstance(near, Bounded):
-        total, err = _bounded_near(near.c0, xi, 1)
-    elif hasattr(near, "steps"):
-        total, err = _near_steps_1d(near.steps, xi)
-    elif closed:
-        total, err = closed
-    else:
-        # near part on (0, 1]: direct up to half an oscillation, then
-        # split the plain and cosine-weighted contributions
-        jn = lambda r: near.j(r, 1)
-        a = min(1.0, math.pi / xi)
-        total, err = adaptive_quad(
-            lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jn(r), 0.0, a, rtol=rtol
-        )
-        if a < 1.0:
-            total += near.int_symbol_measure(a)
-            v, e = cos_weighted_quad(jn, a, 1.0, xi, rtol=rtol)
-            total -= v
-            err += e
-
-    for v, e in _tail_parts(kernel, xi, rtol):
-        total += v
+        return _bounded_near(near.c0, xi, dim)
+    steps = getattr(near, "steps", None)
+    if dim == 1 and steps is not None:
+        return _near_steps_1d(steps, xi)
+    if dim == 1 and isinstance(near, FractionalPower) and (closed := near.cos_transform_near(xi)):
+        return closed
+    bp = () if steps is None else steps[0][1:-1]
+    j = lambda r: near.j(r, dim)
+    a = min(1.0, w.zero / xi)
+    total, err = adaptive_quad(w.plain(xi, j), 0.0, a, breakpoints=bp, rtol=PART_RTOL)
+    if a < 1.0:
+        total += near.int_symbol_measure(a)
+        if dim == 1:
+            v, e = cos_weighted_quad(j, a, 1.0, xi, rtol=PART_RTOL)
+        else:
+            terms = gauss_panel_sums(w.osc(xi, j), zero_panel_edges(a, 1.0, xi, w.panel, bp))
+            v, e = float(terms.sum()), 1e-15 * float(np.abs(terms).sum())
+        total -= v
         err += e
-    return 2.0 * total, 2.0 * err
+    return total, err
 
 
-def _tail_parts(kernel, xi, rtol):
+def _tail_parts(kernel, xi, w):
     """(value, err) parts of ``int_1^inf (1 - B(xi r)) J(r) r^(N-1) dr``: the piece
-    up to big (pi/xi in 1-D, first J0 zero/xi in 2-D, at least 1; closed form or
-    quadrature), the tail's measure beyond big, and minus
-    ``int_big^inf B(xi r) J(r) r^(N-1) dr`` (closed form or panels).  Callers add
+    up to big (B's first zero, at least 1; closed form or quadrature), the tail's
+    measure beyond big, and minus ``int_big^inf B(xi r) J(r) r^(N-1) dr`` (closed
+    form or panels).  Closed forms exist in one dimension only.  Callers add
     them one by one; a pre-summed tail would move tables by an ulp."""
-    tail, match, dim = kernel.tail, kernel.matching_constant, kernel.dimension
+    tail, match, dim = kernel.tail, kernel.matching_constant, w.dim
     if isinstance(tail, CompactSupport):
         return []
     jt = lambda r: tail.j(r, dim, match)
-    head = None
-    if dim == 1:
-        big = max(1.0, math.pi / xi)
-        if big > 1.0 and isinstance(tail, PowerTail):
-            head = tail.cos_transform_head(xi, match)
-        plain = lambda r: 2.0 * math.sin(0.5 * xi * r) ** 2 * jt(r)
-        osc = lambda r: np.cos(xi * r) * jt(r)
-    else:
-        big = max(1.0, _FIRST_J0_ZERO / xi)
-        plain = lambda r: _one_minus_j0(xi * r) * jt(r) * r
-        osc = lambda r: j0(xi * r) * jt(r) * r
+    big = max(1.0, w.zero / xi)
+    power_head = dim == 1 and big > 1.0 and isinstance(tail, PowerTail)
+    head = tail.cos_transform_head(xi, match) if power_head else None
     closed = tail.cos_transform_tail(big, xi, match) if dim == 1 else None
-    weight = "cos" if dim == 1 else "j0"
-    v, e = closed or accelerated_panel_tail(osc, zero_panel_edges(big, math.inf, xi, weight))
+    v, e = closed or accelerated_panel_tail(
+        w.osc(xi, jt), zero_panel_edges(big, math.inf, xi, w.panel)
+    )
     return [
-        head or adaptive_quad(plain, 1.0, big, rtol=rtol),
+        head or adaptive_quad(w.plain(xi, jt), 1.0, big, rtol=PART_RTOL),
         (tail.int_measure(big, dim, match), 0.0),
         (-v, e),
     ]
 
 
-def _symbol_2d(kernel, xi, rtol):
-    near = kernel.near
-    dim = 2
-    bp = near.steps[0][1:-1] if hasattr(near, "steps") else ()
+def _symbol_value_err(kernel, xi):
+    """(value, error estimate) at a frequency xi > 0: c_N times the near part
+    plus the tail parts, added in that order, each driven at PART_RTOL.
 
-    a = min(1.0, _FIRST_J0_ZERO / xi)
-    if isinstance(near, Bounded):
-        total, err = _bounded_near(near.c0, xi, dim)
-    else:
-        total, err = adaptive_quad(
-            lambda r: _one_minus_j0(xi * r) * near.j(r, dim) * r,
-            0.0,
-            a,
-            breakpoints=bp,
-            rtol=rtol,
-        )
-        if a < 1.0:
-            total += near.int_symbol_measure(a)
-            panel_edges = zero_panel_edges(a, 1.0, xi, "j0", bp)
-            osc = lambda r: j0(xi * r) * near.j(r, dim) * r
-            terms = gauss_panel_sums(osc, panel_edges)
-            total -= float(terms.sum())
-            err += 1e-15 * float(np.abs(terms).sum())
-
-    for v, e in _tail_parts(kernel, xi, rtol):
+    Raises DomainError unless xi and B's first-zero radius are finite, and
+    QuadratureError carrying the achieved relative tolerance if the
+    estimate is materially worse than ``TABLE_RTOL`` (with a small
+    absolute floor for vanishing values near xi = 0).
+    """
+    w = _RADIAL_WEIGHT[kernel.dimension]
+    if not (0.0 < xi < math.inf and w.zero / xi < math.inf):
+        raise DomainError(f"multiplier needs xi > 0 with xi and {w.zero:.6g}/xi finite, got {xi!r}")
+    total, err = _near_part(kernel.near, xi, w)
+    for v, e in _tail_parts(kernel, xi, w):
         total += v
         err += e
-    return 2.0 * math.pi * total, 2.0 * math.pi * err
-
-
-#: relative quadrature tolerance of every multiplier value
-TABLE_RTOL = 1e-8
-
-
-def _symbol_value_err(kernel, xi):
-    """(value, error estimate) at scalar xi > 0.
-
-    Components are driven at TABLE_RTOL / 10 because the summed QUADPACK
-    error estimates are conservative; the returned estimate stays
-    honest.  Raises QuadratureError carrying the achieved relative
-    tolerance if the estimate is materially worse than ``TABLE_RTOL``
-    (with a small absolute floor for vanishing values near xi = 0).
-    """
-    engine = _symbol_1d if kernel.dimension == 1 else _symbol_2d
-    val, err = engine(kernel, xi, TABLE_RTOL / 10.0)
+    val, err = w.scale * total, w.scale * err
     if err > max(20.0 * TABLE_RTOL * abs(val), 1e-12):
         achieved = err / max(abs(val), 1e-300)
         raise QuadratureError(

@@ -617,3 +617,12 @@ def test_diagnostic_validation(borderline_table):
     for t in (math.inf, math.nan, -1.0):
         with pytest.raises(DomainError, match="time must be positive and finite"):
             an.regularizing_diagnostic(borderline_table, t)
+
+
+def test_diagnostic_rejects_a_table_short_of_its_first_cutoff():
+    # the cutoffs are the decades from max(1, 10 rho_0) up to the table's
+    # top radius; a table ending below 1 left none and raised an IndexError
+    kernel = LevyKernel(1, Bounded(0.7), PowerTail(1.5))
+    tab = build_symbol_table(kernel, log_grid(1e-3, 0.5, 16))
+    with pytest.raises(DomainError, match=r"range \[0.001, 0.5\] must reach the first cutoff 1"):
+        an.regularizing_diagnostic(tab, 1.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,21 @@ def test_gaussian_rejects_bad_arguments():
         (name,) = kwargs
         with pytest.raises(DomainError, match=name):
             gaussian_field(g, **kwargs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("sigma", [1e-155, 1.5e-154], ids=["subnormal_var", "normal_var"])
+def test_gaussian_of_a_vanishing_width_is_its_limit(dim, sigma):
+    # sigma^2 is positive and finite, but x^2 / (2 sigma^2) overflows off
+    # the centre node, which raised numpy's overflow RuntimeWarning; the
+    # limit height at the centre and 0 elsewhere comes without one
+    g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = gaussian_field(g, sigma=sigma, height=2.0).values
+    centre = (g.points_per_axis // 2,) * dim
+    assert g.axis[centre[0]] == 0.0 and vals[centre] == 2.0
+    assert np.count_nonzero(vals) == 1
 
 
 def _mollified_box_everywhere(grid, half_width, edge_width, scale):

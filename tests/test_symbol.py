@@ -7,9 +7,9 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from levyheat import acceptance, cli
+from levyheat import acceptance, cli, symbol
 from levyheat.cli import parse_config
-from levyheat.errors import DomainError
+from levyheat.errors import DomainError, QuadratureError
 from levyheat.evolve import LinearPropagator
 from levyheat.kernels import (
     SICI_MAX_X,
@@ -263,6 +263,48 @@ def test_catalog_symbol_values_are_pinned():
         key = f"{type(k.near).__name__}-{type(k.tail).__name__}-{k.dimension}d"
         got = tuple(float(symbol_quadrature(k, xi)) for xi in _PINNED_XI)
         assert got == _PINNED_SYMBOL[key], key
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, 5e-324])
+def test_a_frequency_without_a_finite_first_zero_radius_is_a_domain_error(xi):
+    # NaN returned NaN or raised a numpy warning; +-inf and 5e-324 (whose
+    # pi / xi is inf) raised a bare ValueError, OverflowError or
+    # ZeroDivisionError, or a numpy warning, depending on the kernel
+    for k in _catalog_kernels():
+        with pytest.raises(DomainError, match="multiplier needs xi > 0"):
+            symbol_quadrature(k, xi)
+        with pytest.raises(DomainError, match="multiplier needs xi > 0"):
+            build_symbol_table(k, [xi])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_a_table_radius_that_is_not_positive_is_a_domain_error(dim, radius):
+    # the engine raised a bare ZeroDivisionError or a math domain ValueError
+    k = LevyKernel(dim, LogPerturbed(0.5), PowerTail(1.5))
+    with pytest.raises(DomainError, match="multiplier needs xi > 0"):
+        build_symbol_table(k, [radius, 1.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_error_estimate_above_the_table_tolerance_raises(dim, monkeypatch):
+    # xi = 1 lies below both first zeros, so the near part is one QUADPACK
+    # call on [0, 1] and the compact tail adds nothing: the estimate is c_N
+    # times the one QUADPACK reports, here inflated
+    k = LevyKernel(dim, LogPerturbed(0.5), CompactSupport())
+    m = symbol_quadrature(k, 1.0)
+    calls = []
+
+    def inflated(fn, a, b, **kwargs):
+        calls.append((a, b))
+        return adaptive_quad(fn, a, b, **kwargs)[0], 1e-3
+
+    monkeypatch.setattr(symbol, "adaptive_quad", inflated)
+    with pytest.raises(QuadratureError, match="achieved only") as info:
+        symbol_quadrature(k, 1.0)
+    assert calls == [(0.0, 1.0)]
+    scale = 2.0 if dim == 1 else 2.0 * math.pi
+    assert info.value.achieved_tol == scale * 1e-3 / m
 
 
 def test_bounded_compact_closed_form_1d():
