@@ -53,7 +53,14 @@ from .analysis import (
     theta_exponents,
 )
 from .errors import ConfigError, DomainError, PipelineError
-from .evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear, step_sizes
+from .evolve import (
+    LinearFlow,
+    LinearPropagator,
+    PhiLaw,
+    evolve_nonlinear,
+    step_sizes,
+    transform_points,
+)
 from .kernels import (
     Borderline,
     Bounded,
@@ -503,18 +510,25 @@ def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
 
 
 def _flow(cfg, P, u0):
-    """The run's stream of ``Snapshot`` records and the stepper's work
-    counters (None for the linear flow), which come from the same step
-    schedule the stepper runs."""
+    """The run's stream of ``Snapshot`` records and its work counters:
+    the transforms the flow takes -- one for the datum, then one per
+    snapshot of the linear flow or four per step of the stepper -- and
+    the points of each, and the stepper's steps, which come from the
+    same step schedule the stepper runs."""
     times = cfg.flow.snapshots
+    work = {"spectral.fft_points": transform_points(u0)}
     if cfg.flow.kind == "linear":
-        return LinearFlow(P, u0).snapshots(times), None
+        work["spectral.fft_calls"] = 1 + len(times)
+        return LinearFlow(P, u0).snapshots(times), work
     dts = [dt for steps in step_sizes(times) for dt in steps]
-    work = {
-        "evolve.steps": len(dts),
-        "evolve.dt_min": min(dts, default=None),
-        "evolve.dt_max": max(dts, default=None),
-    }
+    work.update(
+        {
+            "spectral.fft_calls": 1 + 4 * len(dts),
+            "evolve.steps": len(dts),
+            "evolve.dt_min": min(dts, default=None),
+            "evolve.dt_max": max(dts, default=None),
+        }
+    )
     return evolve_nonlinear(P, cfg.flow.phi, u0, times), work
 
 

@@ -5,8 +5,7 @@ The linear flow is diagonal in the transform variables,
     u_hat(xi, t) = e^{-m(xi) t} u0_hat(xi),
 
 so propagation is exact in time; the only discretization is the grid
-itself.  Every multiplier acts through the real FFT pair on the half
-lattice, and a run of snapshot times transforms its datum once
+itself.  A run of snapshot times transforms its datum once
 (``LinearFlow``): that one spectrum yields every field, and the
 Dirichlet energies of the fields in closed form,
 
@@ -14,10 +13,28 @@ Dirichlet energies of the fields in closed form,
 
 with no transform of a snapshot (sum' is the half-lattice sum with
 mirror weight 2, as in ``analysis.dirichlet_bilinear``).  Each decay
-factor e^{-m t} is one half-lattice array, exponentiated in place.  A
-propagator stores m on the half lattice only, since m is even, and
-binding a table to a grid (``from_table``) evaluates it there, at the
-lattice's exact radii.
+factor e^{-m t} is one array, exponentiated in place, and the energies
+of a run share one.  A propagator
+stores m on the rfftn half lattice only, since m is even, and binding a
+table to a grid (``from_table``) evaluates it there, at the lattice's
+exact radii.
+
+Both flows pick their transform pair from the datum alone
+(``_Lattice``).  The kernel is symmetric, so m is even and Phi odd, and
+both semigroups commute with the reflection x -> -x: a datum that
+equals its mirror image on every field axis -- symmetric about index
+(n - 1) / 2, as is every box centred at 0 with its edges on nodes --
+stays so, and its flow lives on the first 2^N-th of the lattice.
+There the DCT-II pair of ``scipy.fft`` diagonalises m (symmetric
+convolution, Martucci 1994), with m the first n / 2 entries of each
+axis of the stored half lattice, and a field is mirrored to the whole
+lattice only when a snapshot is made.  The DCT coefficients X of the
+first 2^N-th give |U|^2 = X^2 at the frequencies 0 .. n/2 - 1 of each
+axis, and U is 0 at Nyquist, so sum' becomes the sum with weight
+prod (2 - delta_{kappa,0}).  Every other datum (the delta surrogate,
+which is symmetric about n / 2, a Gaussian, a random field, a box with
+an edge off the nodes) runs on the real FFT pair of ``numpy.fft`` over
+the whole lattice.
 
 The fundamental solution is the inverse transform of e^{-m(xi) t} and
 exists on a grid only when that factor has decayed below roundoff scale
@@ -67,6 +84,23 @@ from .errors import (
 )
 from .spectral import GridField, PeriodicGrid, _parseval, _single
 from .symbol import SymbolTable, log_grid
+
+
+def dctn(x, axes):
+    """The DCT-II of ``x`` over ``axes`` (``scipy.fft.dctn``, type 2).
+    ``scipy.fft`` is imported at the first call, so a run on no
+    mirror-symmetric datum never loads it."""
+    from scipy import fft
+
+    return fft.dctn(x, type=2, axes=axes)
+
+
+def idctn(x, axes, overwrite_x=False):
+    """The inverse of ``dctn`` over ``axes`` (``scipy.fft.idctn``, type 2);
+    ``overwrite_x`` lets it transform ``x`` in place."""
+    from scipy import fft
+
+    return fft.idctn(x, type=2, axes=axes, overwrite_x=overwrite_x)
 
 
 @dataclass(frozen=True)
@@ -139,6 +173,106 @@ def _check_times(times):
     return times
 
 
+def _mirrored(values, grid: PeriodicGrid):
+    """Whether ``values`` equal their mirror image on every field axis,
+    exactly: the one selector of a flow's transform pair."""
+    return all(np.array_equal(values, np.flip(values, ax)) for ax in grid.field_axes)
+
+
+def transform_points(u0: GridField) -> int:
+    """Points of each transform a flow from ``u0`` takes: n^N / 2^N when
+    ``u0`` equals its mirror image on every field axis, n^N otherwise."""
+    n, N = u0.grid.points_per_axis, u0.grid.dimension
+    return (n // 2 if _mirrored(u0.values, u0.grid) else n) ** N
+
+
+class _Lattice:
+    """The part of the lattice a flow runs on and its transform pair,
+    chosen from the datum's values alone (see the module docstring):
+    the first 2^N-th under the DCT-II pair when the datum equals its
+    mirror image, else the whole lattice under the real FFT pair.
+    ``m`` is the multiplier on the spectrum's lattice, a view of the
+    propagator's."""
+
+    def __init__(self, P: LinearPropagator, values):
+        self.grid = P.grid
+        self.mirrored = _mirrored(values, P.grid)
+        self.m = self.part(P.half)
+
+    def part(self, a):
+        """The entries of ``a`` (a field or the stored multiplier) that
+        the flow runs on, as a view."""
+        if not self.mirrored:
+            return a
+        return a[(slice(0, self.grid.points_per_axis // 2),) * self.grid.dimension]
+
+    def forward(self, v):
+        if self.mirrored:
+            return dctn(v, axes=self.grid.field_axes)
+        return rfftn(v)
+
+    def inverse(self, V):
+        g = self.grid
+        if self.mirrored:
+            return idctn(V, axes=g.field_axes)
+        return irfftn(V, s=g.shape, axes=g.field_axes)
+
+    def weight(self, V):
+        """m |V|^2, the energy density of the spectrum ``V``."""
+        if self.mirrored:
+            return self.m * (V * V)
+        return self.m * (V.real * V.real + V.imag * V.imag)
+
+    def parseval(self, w):
+        """(dx^N / n^N) times the full-lattice sum of ``w``, an even real
+        quantity known on the spectrum's lattice."""
+        g = self.grid
+        if not self.mirrored:
+            return _parseval(g, w)
+        # reduce one axis at a time: every frequency but 0 stands for
+        # itself and its mirror, and the Nyquist ones carry nothing
+        for _ in g.field_axes:
+            w = 2.0 * w.sum(axis=0) - w[0]
+        return float(w) * g.cell_volume / g.points_per_axis**g.dimension
+
+    def field(self, v):
+        """The ``GridField`` whose values on the flow's lattice are ``v``."""
+        if not self.mirrored:
+            return GridField(self.grid, v)
+        full = np.empty(self.grid.shape)
+        self.part(full)[...] = v
+        return self._mirror(full)
+
+    def decayed(self, U, t):
+        """The ``GridField`` whose spectrum is e^{-m t} ``U``.  On the first
+        2^N-th the decay, the product and the inverse transform are
+        formed in that part of the field's own array, so the field is
+        the only array made."""
+        g = self.grid
+        if not self.mirrored:
+            return GridField(g, irfftn(_decay(self.m, t) * U, s=g.shape, axes=g.field_axes))
+        full = np.empty(g.shape)
+        part = self.part(full)
+        _decay(self.m, t, out=part)
+        part *= U
+        # scipy transforms the part in place, and assigning an array to
+        # itself copies nothing
+        part[...] = idctn(part, g.field_axes, overwrite_x=True)
+        return self._mirror(full)
+
+    def _mirror(self, full):
+        """``full``, whose first n / 2 entries of every axis are set, as a
+        ``GridField`` equal to its own mirror image."""
+        g = self.grid
+        half = g.points_per_axis // 2
+        # flip the known block into the last n / 2 entries of the last
+        # axis, then of each axis before it
+        for k in reversed(range(g.dimension)):
+            head = (slice(0, half),) * k
+            full[head + (slice(half, None),)] = np.flip(full[head + (slice(0, half),)], axis=k)
+        return GridField(g, full)
+
+
 class Snapshot(NamedTuple):
     """One snapshot of a flow: the time t, the field u(t) and its
     Dirichlet energy E(u(t))."""
@@ -158,8 +292,8 @@ class LinearFlow:
     def __init__(self, P: LinearPropagator, u0: GridField):
         if _single(u0).grid != P.grid:
             raise GridMismatchError("field and propagator live on different grids")
-        self.P = P
-        self.spectrum = rfftn(u0.values)
+        self.lattice = _Lattice(P, u0.values)
+        self.spectrum = self.lattice.forward(self.lattice.part(u0.values))
 
     def snapshots(self, times) -> Iterator[Snapshot]:
         """A ``Snapshot`` for each of ``times`` (finite, >= 0), in the order
@@ -167,23 +301,20 @@ class LinearFlow:
         datum's spectrum, at the call; each field is computed only when
         it is requested."""
         times = _check_times(times)
-        P, U0 = self.P, self.spectrum
-        w = P.half * (U0.real**2 + U0.imag**2)
-        energies = []
+        lat, U0 = self.lattice, self.spectrum
+        w = lat.weight(U0)
+        energies, d = [], np.empty_like(w)
         for t in times:
-            d = _decay(P, 2.0 * t)
+            _decay(lat.m, 2.0 * t, out=d)
             d *= w
-            energies.append(_parseval(P.grid, d))
-        shape, axes = P.grid.shape, P.grid.field_axes
-        return (
-            Snapshot(t, GridField(P.grid, irfftn(_decay(P, t) * U0, s=shape, axes=axes)), e)
-            for t, e in zip(times, energies)
-        )
+            energies.append(lat.parseval(d))
+        return (Snapshot(t, lat.decayed(U0, t), e) for t, e in zip(times, energies))
 
 
-def _decay(P: LinearPropagator, t):
-    """e^{-m t} on the half lattice, built in one array."""
-    d = P.half * -t
+def _decay(m, t, out=None):
+    """e^{-m t} for the multiplier values ``m``, built in one array
+    (``out`` if given)."""
+    d = np.multiply(m, -t, out=out)
     return np.exp(d, out=d)
 
 
@@ -211,7 +342,7 @@ def fundamental_solution(P: LinearPropagator, t) -> GridField:
         )
     # irfftn centres the kernel on index 0; fftshift moves it to the node
     # x = 0 (index n / 2) on every axis
-    kernel = irfftn(_decay(P, float(t)), s=P.grid.shape, axes=P.grid.field_axes)
+    kernel = irfftn(_decay(P.half, float(t)), s=P.grid.shape, axes=P.grid.field_axes)
     return GridField(P.grid, np.fft.fftshift(kernel) / P.grid.cell_volume)
 
 
@@ -298,11 +429,11 @@ def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, times) -> 
     ``step_sizes``, which fixes every step; the returned iterator steps
     to each time only when its snapshot is requested.
 
-    Linearly stabilised ETD-RK2 on the half lattice.  The stabiliser
-    c = sup |Phi'| / 2 is frozen at the start of each snapshot interval
-    (the sup-norm never increases, so it stays valid); the spectrum U of
-    the solution is carried across steps, and one step costs two real
-    transforms each way:
+    Linearly stabilised ETD-RK2 on the flow's lattice (``_Lattice``).
+    The stabiliser c = sup |Phi'| / 2 is frozen at the start of each
+    snapshot interval (the sup-norm never increases, so it stays
+    valid); the spectrum U of the solution is carried across steps, and
+    one step costs two transforms each way:
 
         N(v) = -m F[Phi(v) - c v],   z = -c m dt,
         A    = e^z U + dt phi1(z) N(u),
@@ -321,29 +452,31 @@ def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, times) -> 
         raise ContractError(
             f"initial sup-norm {sup0} exceeds the nonlinearity's validity bound M = {phi.M}"
         )
-    return _stepped(P, phi, u0.values.copy(), sup0, zip(times, steps))
+    lat = _Lattice(P, u0.values)
+    return _stepped(lat, phi, lat.part(u0.values).copy(), sup0, zip(times, steps))
 
 
-def _stepped(P, phi, u, sup, schedule):
-    """The snapshots of ``evolve_nonlinear`` from the datum's values
-    ``u`` and sup-norm ``sup``, along ``schedule``'s (time, steps)."""
-    neg_m, shape, axes = -P.half, P.grid.shape, P.grid.field_axes
-    U = rfftn(u)
+def _stepped(lat, phi, u, sup, schedule):
+    """The snapshots of ``evolve_nonlinear`` on the lattice ``lat`` from
+    the datum's values ``u`` there and sup-norm ``sup``, along
+    ``schedule``'s (time, steps)."""
+    neg_m = -lat.m
+    U = lat.forward(u)
     t = 0.0
     for target, dts in schedule:
         c = 0.5 * phi.derivative_bound(sup)
         lin = c * neg_m
 
         def residual(v):  # N(v)
-            return rfftn(phi(v) - c * v) * neg_m
+            return lat.forward(phi(v) - c * v) * neg_m
 
         for dt in dts:
             ez, phi1, phi2 = _phi_functions(lin * dt)
             N = residual(u)
             A = ez * U + dt * phi1 * N
-            N_a = residual(irfftn(A, s=shape, axes=axes))
+            N_a = residual(lat.inverse(A))
             U = A + dt * phi2 * (N_a - N)
-            u_next = irfftn(U, s=shape, axes=axes)
+            u_next = lat.inverse(U)
             sup_next = float(np.max(np.abs(u_next)))
             if sup_next > sup * 1.01 + 1e-300:
                 raise StabilityError(
@@ -355,5 +488,4 @@ def _stepped(P, phi, u, sup, schedule):
             sup = sup_next
             t += dt
         t = target
-        energy = _parseval(P.grid, P.half * (U.real * U.real + U.imag * U.imag))
-        yield Snapshot(target, GridField(P.grid, u), energy)
+        yield Snapshot(target, lat.field(u), lat.parseval(lat.weight(U)))

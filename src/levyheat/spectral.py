@@ -1,13 +1,15 @@
 """Periodic grids, the real-FFT transform pair, and field constructors.
 
 Functions live on the torus [-L, L)^N sampled at n points per axis (n a
-power of two).  Every lattice transform in the package is the plain real
-FFT pair ``numpy.fft.rfftn``/``irfftn`` on the half lattice, with ``axes``
+power of two).  The package's lattice transform is the plain real FFT
+pair ``numpy.fft.rfftn``/``irfftn`` on the half lattice, with ``axes``
 passed wherever ``s`` is: a real, even
 multiplier m(xi) acts on a real field as ``irfftn(m * rfftn(u))``, with
 xi_kappa = (pi / L) kappa in FFT ordering, and a lattice integral of a
 product of two fields is read off their half-lattice spectra
-(Parseval).
+(Parseval).  The one exception is a flow from a datum that equals its
+own mirror image, which ``evolve`` runs on the first 2^N-th of the
+lattice under ``scipy.fft``'s DCT-II pair.
 
 Norms use exact products where the power is an integer the package
 measures -- |u| for p = 1, u*u for p = 2, (u*u)^2 for p = 4 -- and a

@@ -1,12 +1,13 @@
 """Full-lattice views for the oracle tests, which sum or transform over
 every FFT frequency, not only the rfftn half lattice that a propagator
-stores, and the oracles that only tests apply: the operator itself and
-its eigenfunctions."""
+stores, the oracles that only tests apply: the operator itself and its
+eigenfunctions, and the names through which the flows transform."""
 
 import math
 
 import numpy as np
 
+from levyheat import evolve
 from levyheat.errors import GridMismatchError
 from levyheat.spectral import GridField, PeriodicGrid, _apply_multiplier
 
@@ -43,3 +44,23 @@ def mode_field(grid: PeriodicGrid, k, amplitude=1.0) -> GridField:
     for ax, ki in zip(np.ix_(*(grid.axis,) * grid.dimension), ks):
         phase = phase + (math.pi / grid.half_width) * ki * ax
     return GridField(grid, amplitude * np.cos(phase))
+
+
+#: the module-level names in ``evolve`` of both transform pairs, forward
+#: and inverse: the real FFT pair on the whole lattice and the DCT-II
+#: pair on the first 2^N-th of it
+EVOLVE_TRANSFORMS = ("rfftn", "irfftn", "dctn", "idctn")
+
+
+def count_transforms(monkeypatch):
+    """Hook every name of EVOLVE_TRANSFORMS; returns the list to which
+    each call then appends its name."""
+    calls = []
+    for name in EVOLVE_TRANSFORMS:
+
+        def counted(*args, _real=getattr(evolve, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, name, counted)
+    return calls

@@ -23,7 +23,7 @@ from levyheat.errors import ConfigError, PipelineError
 from levyheat.evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear
 from levyheat.spectral import GridField, PeriodicGrid, field_norms
 from levyheat.symbol import build_symbol_table
-from lattice import full_lattice_radii
+from lattice import EVOLVE_TRANSFORMS, count_transforms, full_lattice_radii
 
 BASE = """\
 [experiment]
@@ -210,7 +210,13 @@ def test_nonlinear_manifest_records_the_stepper_work(tmp_path):
     path = write_cfg(tmp_path, body=body.replace("points = 2048", "points = 256"))
     assert main(["evolve", "--config", str(path)]) == 0
     work = json.loads((tmp_path / "out" / "manifest.json").read_text())["work"]
-    assert set(work) == {"evolve.steps", "evolve.dt_min", "evolve.dt_max"}
+    assert set(work) == {
+        "evolve.steps",
+        "evolve.dt_min",
+        "evolve.dt_max",
+        "spectral.fft_calls",
+        "spectral.fft_points",
+    }
     # the rule dt = 0.05 max(t, 0.05), clipped to each snapshot
     t, dts = 0.0, []
     for target in (1, 1.5, 2.3, 3.4, 5.1, 7.7):
@@ -221,9 +227,35 @@ def test_nonlinear_manifest_records_the_stepper_work(tmp_path):
     assert work["evolve.steps"] == len(dts) == 127
     assert work["evolve.dt_min"] == pytest.approx(min(dts), rel=1e-12)
     assert work["evolve.dt_max"] == pytest.approx(max(dts), rel=1e-12)
-    # a linear run takes no steps and records no work
+    # the box [-1, 1) has its edges on nodes: the flow runs on half the
+    # lattice, four transforms a step and one for the datum
+    assert work["spectral.fft_calls"] == 4 * 127 + 1
+    assert work["spectral.fft_points"] == 128
+    # a linear run takes no steps, one transform for the datum and one
+    # for each of its 6 snapshots
     assert main(["evolve", "--config", str(write_cfg(tmp_path))]) == 0
-    assert "work" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
+    work = json.loads((tmp_path / "out" / "manifest.json").read_text())["work"]
+    assert work == {"spectral.fft_calls": 7, "spectral.fft_points": 1024}
+
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("initial", ["box", "random"])
+def test_manifest_counts_the_transforms_the_flow_takes(tmp_path, monkeypatch, kind, initial):
+    # the box [-1, 1) has its edges on nodes and runs on the DCT-II pair
+    # over half the lattice; the random field on the real FFT pair
+    calls = count_transforms(monkeypatch)
+    body = BASE.replace("points = 2048", "points = 256")
+    body = body.replace("snapshots = 1 1.5", "snapshots = 0.2 0.3")
+    if kind == "nonlinear":
+        body = body.replace("kind = linear", "kind = nonlinear\nsigma = 2")
+    if initial == "random":
+        body = body.replace("kind = box\nwidth = 2.0", "kind = random\nband = 0.25")
+    assert main(["evolve", "--config", str(write_cfg(tmp_path, body=body))]) == 0
+    work = json.loads((tmp_path / "out" / "manifest.json").read_text())["work"]
+    assert work["spectral.fft_calls"] == len(calls)
+    pair, points = ({"dctn", "idctn"}, 128) if initial == "box" else ({"rfftn", "irfftn"}, 256)
+    assert set(calls) == pair
+    assert work["spectral.fft_points"] == points
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 2048), (2, 32), (1, 2**20), (2, 2), (2, 512)])
@@ -481,8 +513,8 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
         return ok
 
     monkeypatch.setattr(evolve, "Snapshot", checked_snapshot)
-    monkeypatch.setattr(evolve, "rfftn", checked(evolve.rfftn))
-    monkeypatch.setattr(evolve, "irfftn", checked(evolve.irfftn))
+    for name in EVOLVE_TRANSFORMS:
+        monkeypatch.setattr(evolve, name, checked(getattr(evolve, name)))
     linear = write_cfg(tmp_path, decay=["norms = 2", "q = 1"])
     nonlinear = linear.with_name("nonlinear.cfg")
     text = linear.read_text().replace("kind = linear", "kind = nonlinear\nsigma = 2")
@@ -662,10 +694,12 @@ def test_reference_config_is_criterion_3(tmp_path):
     assert np.array_equal(linf, run["sups"])
 
 
-#: scipy modules a closed-form run has no use for (with scipy.linalg and
-#: scipy.sparse, which they load, 0.24-0.34 s and ~24 MiB of RSS in a cold
-#: interpreter on a 2-core host), and scipy.fft, which no run uses: every
-#: lattice transform is numpy.fft's
+#: scipy modules that importing the command line loads none of: scipy.fft,
+#: which only a flow on a mirror-symmetric datum loads (its DCT-II pair;
+#: every other lattice transform is numpy.fft's), and the modules a
+#: closed-form run has no use for (with scipy.linalg and scipy.sparse,
+#: which they load, 0.24-0.34 s and ~24 MiB of RSS in a cold interpreter
+#: on a 2-core host)
 UNUSED_BY_CLOSED_FORMS = ("scipy.fft", "scipy.integrate", "scipy.interpolate", "scipy.optimize")
 
 
@@ -700,9 +734,10 @@ def test_cli_import_leaves_quadpack_and_interpolation_unloaded():
     assert _modules_loaded_by("import levyheat.cli") == []
 
 
-def test_verify_leaves_scipy_fft_unloaded():
-    # the whole battery, its 2^20-point run included, transforms by numpy.fft
-    assert _modules_loaded_by(COLD_VERIFY) == []
+def test_verify_loads_scipy_fft_alone():
+    # the tail, porous and sigma = 1 runs start from boxes with their
+    # edges on nodes and transform by scipy.fft's DCT-II pair
+    assert _modules_loaded_by(COLD_VERIFY) == ["scipy.fft"]
 
 
 def test_cold_verify_prints_the_serial_table():
@@ -734,19 +769,39 @@ def test_criterion_1_runs_without_quadpack():
     assert _modules_loaded_by(code) == []
 
 
-def test_reference_decay_fit_runs_without_quadpack_or_interpolation(tmp_path):
-    # the reference kernel (bounded + power tail alpha = 1) on a small grid:
-    # its table is all closed forms and its interpolation is numpy
+def _small_reference_run(tmp_path, initial=None):
+    """The modules of UNUSED_BY_CLOSED_FORMS that a cold decay-fit of the
+    reference config on a 2048-point grid loads, with the [initial]
+    section's body replaced by ``initial`` if given, and its manifest."""
     text = (Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg").read_text()
     text = text.replace("half_width = 262144", "half_width = 512")
     text = text.replace("points = 1048576", "points = 2048")
+    if initial is not None:
+        text = text.replace("kind = box\nwidth = 4.0", initial)
     cfg = tmp_path / "small.cfg"
     cfg.write_text(text)
     argv = ["decay-fit", "--config", str(cfg), "--output", str(tmp_path / "out")]
     code = f"import levyheat.cli\nassert levyheat.cli.main({argv!r}) == 0"
-    assert _modules_loaded_by(code) == []
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    loaded = _modules_loaded_by(code)
+    return loaded, json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+
+def test_reference_decay_fit_runs_without_quadpack_or_interpolation(tmp_path):
+    # the reference kernel (bounded + power tail alpha = 1) on a small grid:
+    # its table is all closed forms and its interpolation is numpy; its
+    # box datum has its edges on nodes and flows by scipy.fft's DCT-II
+    loaded, manifest = _small_reference_run(tmp_path)
+    assert loaded == ["scipy.fft"]
     assert manifest["tolerances"]["quad_tol_achieved"] <= 1e-13
+    assert manifest["work"]["spectral.fft_points"] == 1024
+
+
+def test_a_flow_on_a_datum_without_mirror_symmetry_leaves_scipy_fft_unloaded(tmp_path):
+    # the delta surrogate is symmetric about the node x = 0, not about
+    # index (n - 1) / 2: it flows on numpy.fft's real pair
+    loaded, manifest = _small_reference_run(tmp_path, initial="kind = delta")
+    assert loaded == []
+    assert manifest["work"]["spectral.fft_points"] == 2048
 
 
 @pytest.mark.skipif(

@@ -24,6 +24,7 @@ from levyheat.evolve import (
     evolve_nonlinear,
     fundamental_solution,
     step_sizes,
+    transform_points,
 )
 from levyheat.kernels import (
     Borderline,
@@ -44,7 +45,13 @@ from levyheat.spectral import (
     random_band_limited,
 )
 from levyheat.symbol import build_symbol_table, log_grid
-from lattice import apply_operator, full_lattice_radii, full_multiplier, mode_field
+from lattice import (
+    apply_operator,
+    count_transforms,
+    full_lattice_radii,
+    full_multiplier,
+    mode_field,
+)
 
 
 def alternating_phase(grid):
@@ -62,6 +69,31 @@ def poisson_propagator(grid):
     """Multiplier m(xi) = |xi|: the alpha=1 flow normalized so the
     fundamental solution is the Poisson kernel t/(pi (t^2 + x^2))."""
     return LinearPropagator(grid, grid.half_freq_radii())
+
+
+def datum(kind, g, rng_seed):
+    """A datum of each kind the flows' selector tells apart: a centred
+    ``box`` of width 2 with its edges on nodes (mirror-symmetric, so it
+    flows on the first 2^N-th of the lattice), the same box widened by
+    half a cell so that its edges fall between nodes (symmetric about
+    x = 0, index n / 2, like ``delta``), and a ``random`` field."""
+    if kind == "box":
+        return box_field(g, width=2.0)
+    if kind == "offbox":
+        return box_field(g, width=2.0 + 0.5 * g.spacing)
+    if kind == "delta":
+        return delta_surrogate(g)
+    return random_band_limited(g, np.random.default_rng(rng_seed), 0.5)
+
+
+def datum_cases(sizes, bare, *others):
+    """(dim, n, kind) cases: the kind ``bare`` under the id "dim-n", each
+    of ``others`` under "dim-n-kind"."""
+    return [
+        pytest.param(dim, n, kind, id=f"{dim}-{n}" + ("" if kind == bare else f"-{kind}"))
+        for kind in (bare, *others)
+        for dim, n in sizes
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -281,13 +313,20 @@ def test_propagate_yields_lazily_and_matches_single_times(cauchy_table):
         assert energy == alone_energy
 
 
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
-def test_flow_fields_are_separate_and_match_the_plain_decay(dim, n):
-    # each snapshot is irfftn(e^{-m t} U0) to the bit, and producing the
-    # next one leaves the one already held untouched
+@pytest.mark.parametrize(
+    "dim,n,kind", datum_cases([(1, 256), (2, 64)], "random", "box", "offbox", "delta")
+)
+def test_flow_fields_are_separate_and_match_the_plain_decay(dim, n, kind):
+    # each snapshot is irfftn(e^{-m t} rfftn(u0)): to the bit on the real
+    # FFT pair, to roundoff on the first 2^N-th of the lattice, which
+    # only the box with its edges on nodes takes; producing the next one
+    # leaves the one already held untouched
     g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
     P = poisson_propagator(g)
-    flow = LinearFlow(P, random_band_limited(g, np.random.default_rng(5), 0.5))
+    u0 = datum(kind, g, 5)
+    mirrored = kind == "box"
+    assert transform_points(u0) == (n // 2 if mirrored else n) ** dim
+    flow = LinearFlow(P, u0)
     times = [0.0, 0.2, 1.5]
     snapshots = flow.snapshots(times)
     first = next(snapshots).field
@@ -295,18 +334,22 @@ def test_flow_fields_are_separate_and_match_the_plain_decay(dim, n):
     rest = [s.field for s in snapshots]
     assert np.array_equal(first.values, kept)
     for t, u in zip(times, [first, *rest]):
-        plain = irfftn(np.exp(-P.half * t) * flow.spectrum, s=g.shape)
-        assert np.array_equal(u.values, plain), t
+        plain = irfftn(np.exp(-P.half * t) * np.fft.rfftn(u0.values), s=g.shape)
+        if mirrored:
+            assert np.max(np.abs(u.values - plain)) <= 1e-14 * np.max(np.abs(plain)), t
+        else:
+            assert np.array_equal(u.values, plain), t
     assert not any(np.shares_memory(first.values, u.values) for u in rest)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
-def test_linear_energies_match_the_form_of_each_field(dim, n):
+@pytest.mark.parametrize("dim,n,kind", datum_cases([(1, 256), (2, 64)], "random", "box"))
+def test_linear_energies_match_the_form_of_each_field(dim, n, kind):
     # the closed form read off the datum's spectrum against the spectral
-    # form of the propagated fields, t = 0 included
+    # form of the propagated fields, t = 0 included; on the box the 2-D
+    # sum weighs the kappa = 0 row and column once and the rest twice
     g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
     P = poisson_propagator(g)
-    u0 = random_band_limited(g, np.random.default_rng(23), 0.5)
+    u0 = datum(kind, g, 23)
     times = [0.0, 0.05, 0.3, 1.0, 4.0]
     flow = LinearFlow(P, u0)
     snapshots = list(flow.snapshots(times))
@@ -583,14 +626,7 @@ def test_no_transform_runs_before_the_first_snapshot_is_requested(monkeypatch):
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0, height=0.5)
     flow = LinearFlow(P, u0)  # the datum's one transform
-    calls = []
-    for name in ("rfftn", "irfftn"):
-
-        def counted(*args, _real=getattr(evolve, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(evolve, name, counted)
+    calls = count_transforms(monkeypatch)
     times = [0.5, 1.0]
     streams = [flow.snapshots(times), evolve_nonlinear(P, PhiLaw(sigma=2.0), u0, times)]
     assert calls == []
@@ -665,35 +701,33 @@ def test_step_count_is_the_same_on_every_grid(monkeypatch):
     assert taken == [steps, steps] and steps > 0
 
 
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
-def test_a_stepped_run_transforms_four_times_a_step_and_once_for_the_datum(monkeypatch, dim, n):
+@pytest.mark.parametrize("dim,n,kind", datum_cases([(1, 256), (2, 32)], "box", "random"))
+def test_a_stepped_run_transforms_four_times_a_step_and_once_for_the_datum(
+    monkeypatch, dim, n, kind
+):
     # a snapshot's energy is read off the carried spectrum, so no snapshot
-    # costs a transform, not even one that takes no step
-    calls = []
-    for name in ("rfftn", "irfftn"):
-
-        def counted(*args, _real=getattr(evolve, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(evolve, name, counted)
+    # costs a transform, not even one that takes no step; the box runs
+    # on the DCT-II pair alone, the random field on the real FFT pair
+    calls = count_transforms(monkeypatch)
     g = PeriodicGrid(dimension=dim, half_width=16.0, points_per_axis=n)
-    u0 = box_field(g, width=2.0, height=0.5)
+    u0 = GridField(g, 0.5 * datum(kind, g, 31).values)
     snaps = [0.0, 0.37, 1.0, 1.0, 2.5]
     list(evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0), u0, snaps))
     steps = sum(len(dts) for dts in step_sizes(snaps))
     assert steps > 0
-    assert calls.count("rfftn") == 2 * steps + 1
-    assert calls.count("irfftn") == 2 * steps
+    forward, inverse = ("dctn", "idctn") if kind == "box" else ("rfftn", "irfftn")
+    assert set(calls) == {forward, inverse}
+    assert calls.count(forward) == 2 * steps + 1
+    assert calls.count(inverse) == 2 * steps
 
 
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
-def test_stepped_energies_match_the_form_of_each_field(dim, n):
+@pytest.mark.parametrize("dim,n,kind", datum_cases([(1, 256), (2, 64)], "random", "box"))
+def test_stepped_energies_match_the_form_of_each_field(dim, n, kind):
     # the energy read off the carried spectrum against the spectral form
     # of the field transformed back from it, t = 0 included
     g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
     P = poisson_propagator(g)
-    u0 = GridField(g, 0.5 * random_band_limited(g, np.random.default_rng(29), 0.5).values)
+    u0 = GridField(g, 0.5 * datum(kind, g, 29).values)
     for t, u, e in evolve_nonlinear(P, PhiLaw(sigma=1.5), u0, [0.0, 0.2, 1.0, 3.0]):
         assert e == pytest.approx(dirichlet_form_spectral(P, u), rel=1e-12), t
 
