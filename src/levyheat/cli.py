@@ -53,14 +53,7 @@ from .analysis import (
     theta_exponents,
 )
 from .errors import ConfigError, DomainError, PipelineError
-from .evolve import (
-    LinearFlow,
-    LinearPropagator,
-    PhiLaw,
-    evolve_nonlinear,
-    step_sizes,
-    transform_points,
-)
+from .evolve import LinearFlow, LinearPropagator, NonlinearFlow, PhiLaw
 from .kernels import (
     Borderline,
     Bounded,
@@ -500,9 +493,9 @@ def _stage(name, fn, *args, **kwargs):
 def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
     kind, param = cfg.initial.kind, cfg.initial.param
     if kind == "box":
-        return box_field(grid, width=param, height=1.0)
+        return box_field(grid, width=param)
     if kind == "gaussian":
-        return gaussian_field(grid, sigma=param, height=1.0)
+        return gaussian_field(grid, sigma=param)
     if kind == "delta":
         return delta_surrogate(grid)
     rng = np.random.default_rng(cfg.experiment.seed)
@@ -510,26 +503,10 @@ def _initial_field(cfg: ExperimentConfig, grid: PeriodicGrid):
 
 
 def _flow(cfg, P, u0):
-    """The run's stream of ``Snapshot`` records and its work counters:
-    the transforms the flow takes -- one for the datum, then one per
-    snapshot of the linear flow or four per step of the stepper -- and
-    the points of each, and the stepper's steps, which come from the
-    same step schedule the stepper runs."""
-    times = cfg.flow.snapshots
-    work = {"spectral.fft_points": transform_points(u0)}
+    """The run's flow from the datum ``u0``, which counts its own work."""
     if cfg.flow.kind == "linear":
-        work["spectral.fft_calls"] = 1 + len(times)
-        return LinearFlow(P, u0).snapshots(times), work
-    dts = [dt for steps in step_sizes(times) for dt in steps]
-    work.update(
-        {
-            "spectral.fft_calls": 1 + 4 * len(dts),
-            "evolve.steps": len(dts),
-            "evolve.dt_min": min(dts, default=None),
-            "evolve.dt_max": max(dts, default=None),
-        }
-    )
-    return evolve_nonlinear(P, cfg.flow.phi, u0, times), work
+        return LinearFlow(P, u0)
+    return NonlinearFlow(P, cfg.flow.phi, u0)
 
 
 def _snapshot_pass(cfg, snapshots, command, art):
@@ -671,9 +648,11 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
         elif command in ("evolve", "decay-fit"):
             P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
-            snapshots, work = _stage("evolve", _flow, cfg, P, u0)
+            flow = _stage("evolve", _flow, cfg, P, u0)
             del u0  # the flows keep only the datum's spectrum or a copy of it
+            snapshots = _stage("evolve", flow.snapshots, cfg.flow.snapshots)
             series, guard_ratio, last = _snapshot_pass(cfg, snapshots, command, art)
+            work = flow.work
             guard = {
                 "max_boundary_ratio": guard_ratio,
                 "passed": bool(guard_ratio <= acceptance.ESCAPE_GUARD),

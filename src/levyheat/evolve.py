@@ -58,11 +58,14 @@ step to step, and a snapshot's energy is read off it,
 E(u) = (dx^N / n^N) sum' m(xi) |U(xi)|^2, so neither flow transforms a
 snapshot to get its energy.
 
-Both flows give their snapshots in one shape, an iterator of
-``Snapshot(t, field, energy)`` records in the order of the times asked
-for.  Each field is computed only when it is requested, so a consumer
-that lets go of each field before it asks for the next holds one at a
-time.
+Both flows are objects built from the datum, which they check at
+construction: ``LinearFlow(P, u0)`` and ``NonlinearFlow(P, phi, u0)``.
+Both give their snapshots in one shape, ``snapshots(times)``, an
+iterator of ``Snapshot(t, field, energy)`` records in the order of the
+times asked for.  Each field is computed only when it is requested, so
+a consumer that lets go of each field before it asks for the next
+holds one at a time.  Both count their own work in ``work``: the
+transforms made so far and the points of each, and the stepper's steps.
 """
 
 from __future__ import annotations
@@ -179,25 +182,23 @@ def _mirrored(values, grid: PeriodicGrid):
     return all(np.array_equal(values, np.flip(values, ax)) for ax in grid.field_axes)
 
 
-def transform_points(u0: GridField) -> int:
-    """Points of each transform a flow from ``u0`` takes: n^N / 2^N when
-    ``u0`` equals its mirror image on every field axis, n^N otherwise."""
-    n, N = u0.grid.points_per_axis, u0.grid.dimension
-    return (n // 2 if _mirrored(u0.values, u0.grid) else n) ** N
-
-
 class _Lattice:
-    """The part of the lattice a flow runs on and its transform pair,
-    chosen from the datum's values alone (see the module docstring):
-    the first 2^N-th under the DCT-II pair when the datum equals its
-    mirror image, else the whole lattice under the real FFT pair.
-    ``m`` is the multiplier on the spectrum's lattice, a view of the
-    propagator's."""
+    """The part of the lattice a flow from the datum ``u0`` runs on and
+    its transform pair, chosen from the datum's values alone (see the
+    module docstring): the first 2^N-th under the DCT-II pair when the
+    datum equals its mirror image, else the whole lattice under the
+    real FFT pair.  ``m`` is the multiplier on the spectrum's lattice, a
+    view of the propagator's, and ``work`` counts the transforms made
+    and the points of each: n^N / 2^N on the first 2^N-th, else n^N."""
 
-    def __init__(self, P: LinearPropagator, values):
-        self.grid = P.grid
-        self.mirrored = _mirrored(values, P.grid)
+    def __init__(self, P: LinearPropagator, u0: GridField):
+        if _single(u0).grid != P.grid:
+            raise GridMismatchError("field and propagator live on different grids")
+        g = self.grid = P.grid
+        self.mirrored = _mirrored(u0.values, g)
         self.m = self.part(P.half)
+        n = g.points_per_axis // 2 if self.mirrored else g.points_per_axis
+        self.work = {"spectral.fft_calls": 0, "spectral.fft_points": n**g.dimension}
 
     def part(self, a):
         """The entries of ``a`` (a field or the stored multiplier) that
@@ -207,14 +208,18 @@ class _Lattice:
         return a[(slice(0, self.grid.points_per_axis // 2),) * self.grid.dimension]
 
     def forward(self, v):
+        self.work["spectral.fft_calls"] += 1
         if self.mirrored:
             return dctn(v, axes=self.grid.field_axes)
         return rfftn(v)
 
-    def inverse(self, V):
+    def inverse(self, V, overwrite=False):
+        """The field whose spectrum is ``V``; ``overwrite`` lets the DCT-II
+        pair transform ``V`` in place."""
+        self.work["spectral.fft_calls"] += 1
         g = self.grid
         if self.mirrored:
-            return idctn(V, axes=g.field_axes)
+            return idctn(V, axes=g.field_axes, overwrite_x=overwrite)
         return irfftn(V, s=g.shape, axes=g.field_axes)
 
     def weight(self, V):
@@ -250,14 +255,14 @@ class _Lattice:
         the only array made."""
         g = self.grid
         if not self.mirrored:
-            return GridField(g, irfftn(_decay(self.m, t) * U, s=g.shape, axes=g.field_axes))
+            return GridField(g, self.inverse(_decay(self.m, t) * U))
         full = np.empty(g.shape)
         part = self.part(full)
         _decay(self.m, t, out=part)
         part *= U
         # scipy transforms the part in place, and assigning an array to
         # itself copies nothing
-        part[...] = idctn(part, g.field_axes, overwrite_x=True)
+        part[...] = self.inverse(part, overwrite=True)
         return self._mirror(full)
 
     def _mirror(self, full):
@@ -290,10 +295,14 @@ class LinearFlow:
     """
 
     def __init__(self, P: LinearPropagator, u0: GridField):
-        if _single(u0).grid != P.grid:
-            raise GridMismatchError("field and propagator live on different grids")
-        self.lattice = _Lattice(P, u0.values)
+        self.lattice = _Lattice(P, u0)
         self.spectrum = self.lattice.forward(self.lattice.part(u0.values))
+
+    @property
+    def work(self):
+        """The transforms made so far, the datum's included, and the
+        points of each."""
+        return dict(self.lattice.work)
 
     def snapshots(self, times) -> Iterator[Snapshot]:
         """A ``Snapshot`` for each of ``times`` (finite, >= 0), in the order
@@ -421,19 +430,19 @@ def step_sizes(times) -> list:
     return steps
 
 
-def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, times) -> Iterator[Snapshot]:
-    """Integrate du/dt = -L_J Phi(u): a ``Snapshot`` for each of
-    ``times``, in order.
+class NonlinearFlow:
+    """The porous flow du/dt = -L_J Phi(u) from one datum.
 
-    The arguments are checked at the call, the times against
-    ``step_sizes``, which fixes every step; the returned iterator steps
-    to each time only when its snapshot is requested.
+    The datum is checked at construction, its sup-norm against the
+    law's bound M, and the flow keeps a copy of its values on the
+    flow's lattice (``_Lattice``) until ``snapshots`` hands it to the
+    one stream the flow gives.
 
-    Linearly stabilised ETD-RK2 on the flow's lattice (``_Lattice``).
-    The stabiliser c = sup |Phi'| / 2 is frozen at the start of each
-    snapshot interval (the sup-norm never increases, so it stays
-    valid); the spectrum U of the solution is carried across steps, and
-    one step costs two transforms each way:
+    Linearly stabilised ETD-RK2 on that lattice.  The stabiliser
+    c = sup |Phi'| / 2 is frozen at the start of each snapshot interval
+    (the sup-norm never increases, so it stays valid); the spectrum U
+    of the solution is carried across steps, and one step costs two
+    transforms each way:
 
         N(v) = -m F[Phi(v) - c v],   z = -c m dt,
         A    = e^z U + dt phi1(z) N(u),
@@ -443,49 +452,73 @@ def evolve_nonlinear(P: LinearPropagator, phi: PhiLaw, u0: GridField, times) -> 
     transform of its field.  Growth of the sup-norm by more than 1% in a
     single step aborts with a StabilityError.
     """
-    if _single(u0).grid != P.grid:
-        raise GridMismatchError("field and propagator live on different grids")
-    times = _check_times(times)
-    steps = step_sizes(times)
-    sup0 = float(np.max(np.abs(u0.values)))
-    if sup0 > phi.M * (1 + 1e-12):
-        raise ContractError(
-            f"initial sup-norm {sup0} exceeds the nonlinearity's validity bound M = {phi.M}"
-        )
-    lat = _Lattice(P, u0.values)
-    return _stepped(lat, phi, lat.part(u0.values).copy(), sup0, zip(times, steps))
 
+    def __init__(self, P: LinearPropagator, phi: PhiLaw, u0: GridField):
+        self.lattice = _Lattice(P, u0)
+        self.sup = float(np.max(np.abs(u0.values)))
+        if self.sup > phi.M * (1 + 1e-12):
+            raise ContractError(
+                f"initial sup-norm {self.sup} exceeds the nonlinearity's validity bound M = {phi.M}"
+            )
+        self.phi = phi
+        self.datum = self.lattice.part(u0.values).copy()
+        self.steps = []
 
-def _stepped(lat, phi, u, sup, schedule):
-    """The snapshots of ``evolve_nonlinear`` on the lattice ``lat`` from
-    the datum's values ``u`` there and sup-norm ``sup``, along
-    ``schedule``'s (time, steps)."""
-    neg_m = -lat.m
-    U = lat.forward(u)
-    t = 0.0
-    for target, dts in schedule:
-        c = 0.5 * phi.derivative_bound(sup)
-        lin = c * neg_m
+    @property
+    def work(self):
+        """The transforms made so far and the points of each, and the
+        steps taken so far: their count, the smallest and the largest
+        (None before the first)."""
+        dts = self.steps
+        return {
+            **self.lattice.work,
+            "evolve.steps": len(dts),
+            "evolve.dt_min": min(dts, default=None),
+            "evolve.dt_max": max(dts, default=None),
+        }
 
-        def residual(v):  # N(v)
-            return lat.forward(phi(v) - c * v) * neg_m
+    def snapshots(self, times) -> Iterator[Snapshot]:
+        """A ``Snapshot`` for each of ``times``, in order.  The times are
+        checked against ``step_sizes``, which fixes every step, at the
+        call; the stream steps to each time only when its snapshot is
+        requested.  The stream steps the flow's copy of the datum in
+        place of a copy of its own, so a flow gives one stream."""
+        times = _check_times(times)
+        steps = step_sizes(times)
+        if self.datum is None:
+            raise ContractError("a NonlinearFlow gives its snapshots once")
+        u, self.datum = self.datum, None
+        return self._stepped(u, times, steps)
 
-        for dt in dts:
-            ez, phi1, phi2 = _phi_functions(lin * dt)
-            N = residual(u)
-            A = ez * U + dt * phi1 * N
-            N_a = residual(lat.inverse(A))
-            U = A + dt * phi2 * (N_a - N)
-            u_next = lat.inverse(U)
-            sup_next = float(np.max(np.abs(u_next)))
-            if sup_next > sup * 1.01 + 1e-300:
-                raise StabilityError(
-                    f"sup-norm grew {sup:.6e} -> {sup_next:.6e} in one step at "
-                    f"t = {t:.6e}",
-                    dt=dt,
-                )
-            u = u_next
-            sup = sup_next
-            t += dt
-        t = target
-        yield Snapshot(target, lat.field(u), lat.parseval(lat.weight(U)))
+    def _stepped(self, u, times, steps):
+        lat, phi, sup = self.lattice, self.phi, self.sup
+        neg_m = -lat.m
+        U = lat.forward(u)
+        t = 0.0
+        for target, dts in zip(times, steps):
+            c = 0.5 * phi.derivative_bound(sup)
+            lin = c * neg_m
+
+            def residual(v):  # N(v)
+                return lat.forward(phi(v) - c * v) * neg_m
+
+            for dt in dts:
+                ez, phi1, phi2 = _phi_functions(lin * dt)
+                N = residual(u)
+                A = ez * U + dt * phi1 * N
+                N_a = residual(lat.inverse(A))
+                U = A + dt * phi2 * (N_a - N)
+                u_next = lat.inverse(U)
+                sup_next = float(np.max(np.abs(u_next)))
+                if sup_next > sup * 1.01 + 1e-300:
+                    raise StabilityError(
+                        f"sup-norm grew {sup:.6e} -> {sup_next:.6e} in one step at "
+                        f"t = {t:.6e}",
+                        dt=dt,
+                    )
+                u = u_next
+                sup = sup_next
+                t += dt
+                self.steps.append(dt)
+            t = target
+            yield Snapshot(target, lat.field(u), lat.parseval(lat.weight(U)))

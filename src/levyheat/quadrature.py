@@ -23,12 +23,14 @@ import warnings
 
 import numpy as np
 
-REL_TOL = 1e-10
+#: the relative tolerance and the absolute floor of both QUADPACK wrappers
+PART_RTOL = 1e-9
 ABS_FLOOR = 1e-14
 
 
-def adaptive_quad(fn, a, b, *, breakpoints=(), rtol=REL_TOL, abs_floor=ABS_FLOOR):
-    """Adaptive quadrature on a finite interval with explicit breakpoints.
+def adaptive_quad(fn, a, b, *, breakpoints=()):
+    """Adaptive quadrature on a finite interval with explicit breakpoints,
+    to ``PART_RTOL``.
 
     Breakpoints outside the open interval are dropped.  Singular
     endpoints are fine: QUADPACK's extrapolation handles integrable
@@ -43,13 +45,14 @@ def adaptive_quad(fn, a, b, *, breakpoints=(), rtol=REL_TOL, abs_floor=ABS_FLOOR
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
-            fn, a, b, points=pts or None, epsabs=abs_floor, epsrel=rtol, limit=limit
+            fn, a, b, points=pts or None, epsabs=ABS_FLOOR, epsrel=PART_RTOL, limit=limit
         )
     return val, err
 
 
-def cos_weighted_quad(fn, a, b, omega, *, rtol=REL_TOL):
-    """``int_a^b fn(r) cos(omega r) dr`` on a finite interval (QAWO)."""
+def cos_weighted_quad(fn, a, b, omega):
+    """``int_a^b fn(r) cos(omega r) dr`` on a finite interval (QAWO), to
+    ``PART_RTOL``."""
     if b <= a:
         return 0.0, 0.0
     from scipy import integrate
@@ -57,7 +60,7 @@ def cos_weighted_quad(fn, a, b, omega, *, rtol=REL_TOL):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
-            fn, a, b, weight="cos", wvar=omega, epsabs=ABS_FLOOR, epsrel=rtol, limit=200
+            fn, a, b, weight="cos", wvar=omega, epsabs=ABS_FLOOR, epsrel=PART_RTOL, limit=200
         )
     return val, err
 

@@ -261,47 +261,37 @@ def _band(grid: PeriodicGrid, lo_x, hi_x):
     return slice(lo, hi), -L + dx * np.arange(lo, hi)
 
 
-def box_field(grid: PeriodicGrid, width=1.0, height=1.0, center=0.0) -> GridField:
-    """Indicator of a (hyper)cube [c - w/2, c + w/2), scaled by height.
+def box_field(grid: PeriodicGrid, width=1.0) -> GridField:
+    """Indicator of the centred (hyper)cube [-w/2, w/2).
 
     The half-open convention keeps discrete norms of lattice-aligned
-    boxes exact.  Each axis gets a 0/1 profile: ``x >= c - w/2`` and
-    ``x < c + w/2`` are evaluated only on the band of nodes
-    x_j = -L + dx j that the box's edges can reach, worked out from L,
-    dx and the box (padded by two cells against rounding), and the
-    profile is 0 elsewhere.  The field is the height times the product
-    of the profiles, the height folded into the first, so the only
-    lattice-sized array is the field itself: bit-identical, signed zeros
-    included, to the height times the box's indicator mask.
+    boxes exact.  One 0/1 profile serves every axis: ``x >= -w/2`` and
+    ``x < w/2`` are evaluated only on the band of nodes x_j = -L + dx j
+    that the box's edges can reach, worked out from L, dx and the box
+    (padded by two cells against rounding), and the profile is 0
+    elsewhere.  The field is the outer product of the profile with
+    itself, so the only lattice-sized array is the field itself:
+    bit-identical, signed zeros included, to the box's indicator mask.
     """
-    for name, value in (("width", width), ("height", height)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
-    if not np.isfinite(centers).all():
-        raise DomainError(f"center must be finite, got {center}")
-    # Python floats: an edge beyond the largest float overflows to inf
+    if not math.isfinite(width):
+        raise DomainError(f"width must be finite, got {width}")
+    # a Python float: the node index of a far edge overflows to inf
     # without a numpy warning, and _band clips it
-    width, height = float(width), float(height)
-    profiles = []
-    for c in centers.tolist():
-        lo_edge, hi_edge = c - 0.5 * width, c + 0.5 * width
-        band, x = _band(grid, lo_edge, hi_edge)
-        profile = np.zeros(grid.points_per_axis)
-        profile[band] = (x >= lo_edge) & (x < hi_edge)
-        profiles.append(profile)
-    profiles[0] *= height
-    # the outer product of the profiles; in 1-D, the first profile itself
-    return GridField(grid, reduce(np.multiply, np.ix_(*profiles)))
+    hi_edge = 0.5 * float(width)
+    band, x = _band(grid, -hi_edge, hi_edge)
+    profile = np.zeros(grid.points_per_axis)
+    profile[band] = (x >= -hi_edge) & (x < hi_edge)
+    # the outer product of the profile; in 1-D, the profile itself
+    return GridField(grid, reduce(np.multiply, np.ix_(*(profile,) * grid.dimension)))
 
 
-def gaussian_field(grid: PeriodicGrid, sigma=1.0, height=1.0, center=0.0) -> GridField:
-    """``height * exp(-|x - c|^2 / (2 sigma^2))``.
+def gaussian_field(grid: PeriodicGrid, sigma=1.0) -> GridField:
+    """``exp(-|x|^2 / (2 sigma^2))``.
 
-    Each axis's (x - c)^2 is formed in place on that axis's nodes, and
-    their outer sum is the only lattice-sized array: it is scaled,
-    exponentiated and multiplied by the height in place, bit-identical
-    to summing the squares over the whole lattice.
+    The square x^2 of the nodes is formed in place once and serves
+    every axis, and the outer sum of the squares is the only
+    lattice-sized array: it is scaled and exponentiated in place,
+    bit-identical to summing the squares over the whole lattice.
     """
     try:
         var = float(sigma) ** 2
@@ -309,24 +299,14 @@ def gaussian_field(grid: PeriodicGrid, sigma=1.0, height=1.0, center=0.0) -> Gri
         var = math.inf
     if not 0.0 < var < math.inf:
         raise DomainError(f"sigma^2 must be positive and finite, got sigma = {sigma}")
-    if not math.isfinite(height):
-        raise DomainError(f"height must be finite, got {height}")
-    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
-    if not np.isfinite(centers).all():
-        raise DomainError(f"center must be finite, got {center}")
-    squares = []
-    for c in centers:
-        x = grid.axis
-        x -= c
-        x *= x
-        squares.append(x)
-    # the outer sum of the squares; in 1-D, the first square itself
-    sq = reduce(np.add, np.ix_(*squares))
+    x = grid.axis
+    x *= x
+    # the outer sum of the squares; in 1-D, the square itself
+    sq = reduce(np.add, np.ix_(*(x,) * grid.dimension))
     sq *= -0.5
     with np.errstate(over="ignore"):  # -inf off the centre for a tiny sigma: exp gives 0
         sq /= var
     np.exp(sq, out=sq)
-    sq *= height
     return GridField(grid, sq)
 
 

@@ -55,6 +55,7 @@ from scipy.special import j0, j1, sici
 from .errors import DomainError, QuadratureError
 from .kernels import Bounded, CompactSupport, FractionalPower, LevyKernel, PowerTail
 from .quadrature import (
+    PART_RTOL,
     accelerated_panel_tail,
     adaptive_quad,
     cos_weighted_quad,
@@ -164,11 +165,10 @@ _RADIAL_WEIGHT = {
     ),
 }
 
-#: relative quadrature tolerance of every multiplier value
-TABLE_RTOL = 1e-8
-#: relative tolerance each quadrature of a value is driven to: the summed
-#: QUADPACK estimates are conservative, so a tenth of TABLE_RTOL
-PART_RTOL = TABLE_RTOL / 10.0
+#: relative quadrature tolerance of every multiplier value: ten times
+#: the PART_RTOL each quadrature of a value is driven to, since the
+#: summed QUADPACK estimates are conservative
+TABLE_RTOL = 10.0 * PART_RTOL
 
 
 def _near_steps_1d(steps, xi):
@@ -224,11 +224,11 @@ def _near_part(near, xi, w):
     bp = () if steps is None else steps[0][1:-1]
     j = lambda r: near.j(r, dim)
     a = min(1.0, w.zero / xi)
-    total, err = adaptive_quad(w.plain(xi, j), 0.0, a, breakpoints=bp, rtol=PART_RTOL)
+    total, err = adaptive_quad(w.plain(xi, j), 0.0, a, breakpoints=bp)
     if a < 1.0:
         total += near.int_symbol_measure(a)
         if dim == 1:
-            v, e = cos_weighted_quad(j, a, 1.0, xi, rtol=PART_RTOL)
+            v, e = cos_weighted_quad(j, a, 1.0, xi)
         else:
             terms = gauss_panel_sums(w.osc(xi, j), zero_panel_edges(a, 1.0, xi, w.panel, bp))
             v, e = float(terms.sum()), 1e-15 * float(np.abs(terms).sum())
@@ -255,7 +255,7 @@ def _tail_parts(kernel, xi, w):
         w.osc(xi, jt), zero_panel_edges(big, math.inf, xi, w.panel)
     )
     return [
-        head or adaptive_quad(w.plain(xi, jt), 1.0, big, rtol=PART_RTOL),
+        head or adaptive_quad(w.plain(xi, jt), 1.0, big),
         (tail.int_measure(big, dim, match), 0.0),
         (-v, e),
     ]

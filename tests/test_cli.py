@@ -20,7 +20,7 @@ from levyheat import acceptance, cli, evolve
 from levyheat.analysis import dirichlet_form_spectral
 from levyheat.cli import ExperimentConfig, main, parse_config, run
 from levyheat.errors import ConfigError, PipelineError
-from levyheat.evolve import LinearFlow, LinearPropagator, PhiLaw, evolve_nonlinear
+from levyheat.evolve import LinearFlow, LinearPropagator, NonlinearFlow, PhiLaw
 from levyheat.spectral import GridField, PeriodicGrid, field_norms
 from levyheat.symbol import build_symbol_table
 from lattice import EVOLVE_TRANSFORMS, count_transforms, full_lattice_radii
@@ -242,8 +242,18 @@ def test_nonlinear_manifest_records_the_stepper_work(tmp_path):
 @pytest.mark.parametrize("initial", ["box", "random"])
 def test_manifest_counts_the_transforms_the_flow_takes(tmp_path, monkeypatch, kind, initial):
     # the box [-1, 1) has its edges on nodes and runs on the DCT-II pair
-    # over half the lattice; the random field on the real FFT pair
+    # over half the lattice; the random field on the real FFT pair.  The
+    # flow picks its pair once, and the stepper its steps once, whose
+    # counts the manifest reads off the flow
     calls = count_transforms(monkeypatch)
+    decided = []
+    for name in ("_mirrored", "step_sizes"):
+
+        def recorded(*args, _real=getattr(evolve, name), _name=name):
+            decided.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(evolve, name, recorded)
     body = BASE.replace("points = 2048", "points = 256")
     body = body.replace("snapshots = 1 1.5", "snapshots = 0.2 0.3")
     if kind == "nonlinear":
@@ -256,6 +266,7 @@ def test_manifest_counts_the_transforms_the_flow_takes(tmp_path, monkeypatch, ki
     pair, points = ({"dctn", "idctn"}, 128) if initial == "box" else ({"rfftn", "irfftn"}, 256)
     assert set(calls) == pair
     assert work["spectral.fft_points"] == points
+    assert sorted(decided) == ["_mirrored"] + ["step_sizes"] * (kind == "nonlinear")
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 2048), (2, 32), (1, 2**20), (2, 2), (2, 512)])
@@ -530,7 +541,7 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
     times = cfg.flow.snapshots
     for snapshots in (
         LinearFlow(P, u0).snapshots(times),
-        evolve_nonlinear(P, PhiLaw(2.0), u0, times),
+        NonlinearFlow(P, PhiLaw(2.0), u0).snapshots(times),
     ):
         acceptance._norm_bookkeeping(field_norms(u0), snapshots)
         assert one_at_a_time(len(times))

@@ -19,12 +19,11 @@ from levyheat.evolve import (
     PHI_SERIES_EDGE,
     LinearFlow,
     LinearPropagator,
+    NonlinearFlow,
     PhiLaw,
     _phi_functions,
-    evolve_nonlinear,
     fundamental_solution,
     step_sizes,
-    transform_points,
 )
 from levyheat.kernels import (
     Borderline,
@@ -84,6 +83,11 @@ def datum(kind, g, rng_seed):
     if kind == "delta":
         return delta_surrogate(g)
     return random_band_limited(g, np.random.default_rng(rng_seed), 0.5)
+
+
+def scaled_box(g, width, height):
+    """The box of ``width`` scaled to sup-norm ``height``."""
+    return GridField(g, height * box_field(g, width=width).values)
 
 
 def datum_cases(sizes, bare, *others):
@@ -168,7 +172,7 @@ def test_one_etd_step_matches_continuum_pair_2d():
     u0 = random_band_limited(g, np.random.default_rng(6), 0.5)
     dt = 0.002  # below the first step of the accuracy rule: one step
     assert step_sizes([dt]) == [[dt]]
-    ((_, got, _),) = evolve_nonlinear(P, phi, u0, [dt])
+    ((_, got, _),) = NonlinearFlow(P, phi, u0).snapshots([dt])
 
     u = u0.values
     c = 0.5 * phi.derivative_bound(np.max(np.abs(u)))
@@ -230,7 +234,7 @@ def test_gaussian_datum_makes_no_lattice_sized_temporary(dim, n):
     # only lattice-sized array (the whole-lattice code made four more)
     g = PeriodicGrid(dimension=dim, half_width=512.0, points_per_axis=n)
     mib = 2.0**20
-    datum = _traced_peak_above_result(lambda: gaussian_field(g, sigma=3.0, center=0.5).values)
+    datum = _traced_peak_above_result(lambda: gaussian_field(g, sigma=3.0).values)
     assert datum <= 1.5 * mib, f"gaussian_field peaks {datum / mib:.2f} MiB above its result"
 
 
@@ -325,8 +329,8 @@ def test_flow_fields_are_separate_and_match_the_plain_decay(dim, n, kind):
     P = poisson_propagator(g)
     u0 = datum(kind, g, 5)
     mirrored = kind == "box"
-    assert transform_points(u0) == (n // 2 if mirrored else n) ** dim
     flow = LinearFlow(P, u0)
+    assert flow.work["spectral.fft_points"] == (n // 2 if mirrored else n) ** dim
     times = [0.0, 0.2, 1.5]
     snapshots = flow.snapshots(times)
     first = next(snapshots).field
@@ -548,9 +552,9 @@ def test_phi_law_values_and_bounds():
 def test_sigma_one_matches_exact_linear_flow():
     g = PeriodicGrid(dimension=1, half_width=32.0, points_per_axis=1024)
     P = poisson_propagator(g)
-    u0 = box_field(g, width=2.0, height=0.8)
+    u0 = scaled_box(g, 2.0, 0.8)
     snaps = [0.25, 0.5, 1.0]
-    got = evolve_nonlinear(P, PhiLaw(sigma=1.0, M=1.0), u0, snaps)
+    got = NonlinearFlow(P, PhiLaw(sigma=1.0, M=1.0), u0).snapshots(snaps)
     for (t, u, _), (_, exact, _) in zip(got, LinearFlow(P, u0).snapshots(snaps)):
         rel = lp_norm(GridField(g, u.values - exact.values), 2) / lp_norm(exact, 2)
         assert rel < 1e-4, f"sigma=1 defect {rel:.3e} at t={t}"
@@ -559,18 +563,18 @@ def test_sigma_one_matches_exact_linear_flow():
 def test_nonlinear_mass_conservation():
     g = PeriodicGrid(dimension=1, half_width=32.0, points_per_axis=1024)
     P = poisson_propagator(g)
-    u0 = box_field(g, width=2.0, height=0.9)
+    u0 = scaled_box(g, 2.0, 0.9)
     snaps = [0.2, 1.0, 2.0]
-    for t, u, _ in evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, snaps):
+    for t, u, _ in NonlinearFlow(P, PhiLaw(sigma=2.0, M=1.0), u0).snapshots(snaps):
         assert mass(u) == pytest.approx(mass(u0), abs=1e-10), f"mass drift at t={t}"
 
 
 def test_nonlinear_sup_norm_decreases():
     g = PeriodicGrid(dimension=1, half_width=32.0, points_per_axis=1024)
     P = poisson_propagator(g)
-    u0 = box_field(g, width=2.0, height=0.9)
+    u0 = scaled_box(g, 2.0, 0.9)
     snaps = [0.0, 0.5, 1.0, 2.0]
-    snapshots = evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, snaps)
+    snapshots = NonlinearFlow(P, PhiLaw(sigma=2.0, M=1.0), u0).snapshots(snaps)
     sups = [lp_norm(u, math.inf) for _, u, _ in snapshots]
     assert all(a >= b - 1e-12 for a, b in zip(sups, sups[1:])), sups
 
@@ -578,29 +582,36 @@ def test_nonlinear_sup_norm_decreases():
 def test_snapshots_include_t0_and_land_exactly():
     g = PeriodicGrid(dimension=1, half_width=16.0, points_per_axis=256)
     P = poisson_propagator(g)
-    u0 = box_field(g, width=2.0, height=0.5)
+    u0 = scaled_box(g, 2.0, 0.5)
     snaps = [0.0, 0.37, 1.0]
-    snapshots = list(evolve_nonlinear(P, PhiLaw(sigma=2.0, M=1.0), u0, snaps))
+    snapshots = list(NonlinearFlow(P, PhiLaw(sigma=2.0, M=1.0), u0).snapshots(snaps))
     assert [s.t for s in snapshots] == snaps
     assert np.array_equal(snapshots[0].field.values, u0.values)
+    # the one stream steps the flow's copy of the datum: a second is refused
+    flow = NonlinearFlow(P, PhiLaw(sigma=2.0, M=1.0), u0)
+    flow.snapshots(snaps)
+    with pytest.raises(ContractError, match="once"):
+        flow.snapshots(snaps)
 
 
 def test_evolve_nonlinear_validation():
     g = PeriodicGrid(dimension=1, half_width=16.0, points_per_axis=256)
     P = poisson_propagator(g)
     phi = PhiLaw(sigma=2.0, M=0.5)
-    u0 = box_field(g, width=2.0, height=0.4)
+    u0 = scaled_box(g, 2.0, 0.4)
+    flow = NonlinearFlow(P, phi, u0)
     with pytest.raises(DomainError):
-        evolve_nonlinear(P, phi, u0, [-0.5])
+        flow.snapshots([-0.5])
     with pytest.raises(DomainError):
-        evolve_nonlinear(P, phi, u0, [0.5, -1.0])
+        flow.snapshots([0.5, -1.0])
     with pytest.raises(DomainError, match="must not decrease"):
-        evolve_nonlinear(P, phi, u0, [1.0, 0.5])
+        flow.snapshots([1.0, 0.5])
+    # the datum is checked at construction
     with pytest.raises(ContractError):
         # sup norm above the law's validity bound M
-        evolve_nonlinear(P, phi, box_field(g, width=2.0, height=0.9), [0.5])
+        NonlinearFlow(P, phi, scaled_box(g, 2.0, 0.9))
     with pytest.raises(GridMismatchError):
-        evolve_nonlinear(P, phi, GridField(g, np.stack([u0.values] * 2), batch=True), [0.5])
+        NonlinearFlow(P, phi, GridField(g, np.stack([u0.values] * 2), batch=True))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -614,26 +625,34 @@ def test_step_sizes_rejects_non_finite_times(bad):
 def test_evolve_nonlinear_rejects_non_finite_times(bad):
     # else [0.5, nan] labels u(0.5) t = nan, and [inf] labels the datum t = inf
     g = PeriodicGrid(dimension=1, half_width=16.0, points_per_axis=256)
-    u0 = box_field(g, width=2.0, height=0.4)
+    flow = NonlinearFlow(poisson_propagator(g), PhiLaw(sigma=2.0), scaled_box(g, 2.0, 0.4))
     with pytest.raises(DomainError, match="finite"):
-        evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0), u0, [0.5, bad])
+        flow.snapshots([0.5, bad])
     with pytest.raises(DomainError, match="finite"):
-        evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0), u0, [bad])
+        flow.snapshots([bad])
 
 
 def test_no_transform_runs_before_the_first_snapshot_is_requested(monkeypatch):
+    # the linear flow transforms its datum at construction, the stepper
+    # when the first snapshot is read; each counts what it made so far
     g = PeriodicGrid(dimension=1, half_width=16.0, points_per_axis=256)
     P = poisson_propagator(g)
-    u0 = box_field(g, width=2.0, height=0.5)
-    flow = LinearFlow(P, u0)  # the datum's one transform
+    u0 = scaled_box(g, 2.0, 0.5)
     calls = count_transforms(monkeypatch)
     times = [0.5, 1.0]
-    streams = [flow.snapshots(times), evolve_nonlinear(P, PhiLaw(sigma=2.0), u0, times)]
-    assert calls == []
-    for stream in streams:
-        next(stream)
-        assert calls, "the first snapshot takes a transform"
+    for make, made in (
+        (lambda: LinearFlow(P, u0), 1),
+        (lambda: NonlinearFlow(P, PhiLaw(sigma=2.0), u0), 0),
+    ):
         calls.clear()
+        flow = make()
+        assert len(calls) == made, "transforms made at construction"
+        stream = flow.snapshots(times)
+        assert len(calls) == made == flow.work["spectral.fft_calls"]
+        for _ in times:
+            next(stream)
+            assert flow.work["spectral.fft_calls"] == len(calls) > made
+            made = len(calls)
 
 
 def test_stepped_run_read_one_snapshot_at_a_time_holds_one_field():
@@ -641,13 +660,13 @@ def test_stepped_run_read_one_snapshot_at_a_time_holds_one_field():
     # grow with the number of snapshots over the same span
     g = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**14)
     P = poisson_propagator(g)
-    u0 = box_field(g, width=2.0, height=1.0)
+    u0 = box_field(g, width=2.0)
     peaks = []
     for count in (2, 20):
         times = np.geomspace(1.0, 10.0, count)
         tracemalloc.start()
         try:
-            for _, u, _ in evolve_nonlinear(P, PhiLaw(sigma=2.0), u0, times):
+            for _, u, _ in NonlinearFlow(P, PhiLaw(sigma=2.0), u0).snapshots(times):
                 del u
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -694,9 +713,9 @@ def test_step_count_is_the_same_on_every_grid(monkeypatch):
     monkeypatch.setattr(evolve, "_phi_functions", recorded)
     for n in (256, 4096):
         g = PeriodicGrid(dimension=1, half_width=32.0, points_per_axis=n)
-        u0 = box_field(g, width=2.0, height=0.9)
+        u0 = scaled_box(g, 2.0, 0.9)
         taken.append(0)
-        list(evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0, M=1.0), u0, snaps))
+        list(NonlinearFlow(poisson_propagator(g), PhiLaw(sigma=2.0, M=1.0), u0).snapshots(snaps))
     steps = sum(len(dts) for dts in step_sizes(snaps))
     assert taken == [steps, steps] and steps > 0
 
@@ -712,9 +731,11 @@ def test_a_stepped_run_transforms_four_times_a_step_and_once_for_the_datum(
     g = PeriodicGrid(dimension=dim, half_width=16.0, points_per_axis=n)
     u0 = GridField(g, 0.5 * datum(kind, g, 31).values)
     snaps = [0.0, 0.37, 1.0, 1.0, 2.5]
-    list(evolve_nonlinear(poisson_propagator(g), PhiLaw(sigma=2.0), u0, snaps))
+    flow = NonlinearFlow(poisson_propagator(g), PhiLaw(sigma=2.0), u0)
+    for _ in flow.snapshots(snaps):
+        assert flow.work["spectral.fft_calls"] == len(calls)
     steps = sum(len(dts) for dts in step_sizes(snaps))
-    assert steps > 0
+    assert flow.work["evolve.steps"] == steps > 0
     forward, inverse = ("dctn", "idctn") if kind == "box" else ("rfftn", "irfftn")
     assert set(calls) == {forward, inverse}
     assert calls.count(forward) == 2 * steps + 1
@@ -728,7 +749,7 @@ def test_stepped_energies_match_the_form_of_each_field(dim, n, kind):
     g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
     P = poisson_propagator(g)
     u0 = GridField(g, 0.5 * datum(kind, g, 29).values)
-    for t, u, e in evolve_nonlinear(P, PhiLaw(sigma=1.5), u0, [0.0, 0.2, 1.0, 3.0]):
+    for t, u, e in NonlinearFlow(P, PhiLaw(sigma=1.5), u0).snapshots([0.0, 0.2, 1.0, 3.0]):
         assert e == pytest.approx(dirichlet_form_spectral(P, u), rel=1e-12), t
 
 
@@ -738,12 +759,12 @@ def test_fields_match_a_step_refined_reference(monkeypatch):
     # ~1/100 of the stepper's (ETD-RK2 is second order)
     g = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=1024)
     P = LinearPropagator(g, math.pi * g.half_freq_radii())
-    u0 = box_field(g, width=2.0, height=1.0)
+    u0 = box_field(g, width=2.0)
     snaps = np.geomspace(1.0, 30.0, 8)
     phi = PhiLaw(sigma=2.0, M=1.0)
-    got, steps = evolve_nonlinear(P, phi, u0, snaps), step_sizes(snaps)
+    got, steps = NonlinearFlow(P, phi, u0).snapshots(snaps), step_sizes(snaps)
     monkeypatch.setattr(evolve, "STEP_FRACTION", evolve.STEP_FRACTION / 10)
-    ref, ref_steps = evolve_nonlinear(P, phi, u0, snaps), step_sizes(snaps)
+    ref, ref_steps = NonlinearFlow(P, phi, u0).snapshots(snaps), step_sizes(snaps)
     assert sum(map(len, ref_steps)) > 9 * sum(map(len, steps))
     worst = max(
         lp_norm(GridField(g, u.field.values - r.field.values), 2) / lp_norm(r.field, 2)
@@ -758,11 +779,11 @@ def test_under_stabilised_run_raises_stability_error(monkeypatch):
     # amplifies the top modes; the stabiliser c = Phi' / 2 keeps them down
     g = PeriodicGrid(dimension=1, half_width=1.0, points_per_axis=1024)
     P = poisson_propagator(g)
-    u0 = box_field(g, width=0.5, height=0.9)
+    u0 = scaled_box(g, 0.5, 0.9)
     phi = PhiLaw(sigma=2.0, M=1.0)
-    ((_, u, _),) = evolve_nonlinear(P, phi, u0, [0.1])
+    ((_, u, _),) = NonlinearFlow(P, phi, u0).snapshots([0.1])
     assert lp_norm(u, math.inf) <= 0.9
     monkeypatch.setattr(PhiLaw, "derivative_bound", lambda self, amplitude: 0.0)
     with pytest.raises(StabilityError) as err:
-        list(evolve_nonlinear(P, phi, u0, [0.1]))
+        list(NonlinearFlow(P, phi, u0).snapshots([0.1]))
     assert err.value.dt == pytest.approx(evolve.STEP_FRACTION * evolve.STEP_T0)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -141,7 +140,7 @@ def test_norms_nondecreasing_in_p_on_indicator():
 
 def test_mass():
     g = PeriodicGrid(dimension=2, half_width=2.0, points_per_axis=32)
-    f = box_field(g, width=1.0, height=3.0)
+    f = GridField(g, 3.0 * box_field(g, width=1.0).values)
     assert mass(f) == pytest.approx(3.0, abs=1e-13)
     assert mass(GridField(g, np.zeros(g.shape))) == 0.0
     h = gaussian_field(g, sigma=0.3)
@@ -172,7 +171,8 @@ def test_general_p_norm_is_exactly_the_power_sum(p):
     # on a box with exact zeros and on a dense signed field
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=1024)
     rng = np.random.default_rng(23)
-    for f in (box_field(g, width=3.0, height=1.7), GridField(g, rng.standard_normal(g.shape))):
+    box = GridField(g, 1.7 * box_field(g, width=3.0).values)
+    for f in (box, GridField(g, rng.standard_normal(g.shape))):
         want = (g.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p)
         assert lp_norm(f, p) == want
 
@@ -257,70 +257,59 @@ def test_numpy_fft_is_bit_identical_to_scipy_fft(shape, axes):
     assert np.array_equal(back, scipy.fft.irfftn(spectrum, s=s, axes=axes))
 
 
-def _box_mask(grid, width, height, center):
-    # the box as an indicator mask over the whole lattice
-    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
+def _box_mask(grid, width):
+    # the centred box as an indicator mask over the whole lattice
     mask = np.ones(grid.shape, dtype=bool)
-    for ax, c in zip(np.ix_(*(grid.axis,) * grid.dimension), centers):
-        mask &= (ax >= c - 0.5 * width) & (ax < c + 0.5 * width)
-    return height * mask.astype(float)
+    for ax in np.ix_(*(grid.axis,) * grid.dimension):
+        mask &= (ax >= -0.5 * width) & (ax < 0.5 * width)
+    return mask.astype(float)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 4), (1, 64), (1, 2**16), (2, 2), (2, 4), (2, 64)])
 def test_box_is_bit_identical_to_its_indicator_mask(dim, n):
     L = 8.0
     g = PeriodicGrid(dimension=dim, half_width=L, points_per_axis=n)
-    widths = (0.0, 0.3 * g.spacing, 4.0, 2 * L, 3 * L, -1.0)
-    centers = (0.0, 0.123, L, -L)
-    for width, c, height in itertools.product(widths, centers, (1.0, -2.5, 0.0)):
-        center = c if dim == 1 else (c, -0.37 * c)
-        got = box_field(g, width=width, height=height, center=center).values
-        want = _box_mask(g, width, height, center)
+    for width in (0.0, 0.3 * g.spacing, 4.0, 2 * L, 3 * L, -1.0, 1e300):
+        got = box_field(g, width=width).values
+        want = _box_mask(g, width)
         # tobytes tells +0.0 from -0.0
-        assert got.tobytes() == want.tobytes(), (width, center, height)
+        assert got.tobytes() == want.tobytes(), width
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_box_and_mollified_box_take_numpy_scalars_that_overflow():
-    # edges beyond the largest float lie outside the lattice, with no
+    # edges whose node index overflows lie outside the lattice, with no
     # numpy overflow warning (an error in this suite)
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
     huge = np.float64(1.7e308)
-    assert not box_field(g, width=huge, center=huge).values.any()
-    assert box_field(g, width=huge, center=np.float64(0.0)).values.all()
+    assert not box_field(g, width=-huge).values.any()
+    assert box_field(g, width=huge).values.all()
     tiny = mollified_box_field(g, scale=np.float64(1e-310))
     assert tiny.values.tobytes() == mollified_box_field(g, scale=1e-310).values.tobytes()
 
 
 def test_box_rejects_non_finite_arguments():
     g = PeriodicGrid(dimension=2, half_width=8.0, points_per_axis=16)
-    bad = [{"width": w} for w in (np.nan, np.inf, -np.inf)]
-    bad += [{"height": h} for h in (np.nan, np.inf)]
-    bad += [{"center": c} for c in (np.nan, (0.0, np.inf), (-np.inf, 1.0))]
-    for kwargs in bad:
-        (name,) = kwargs
-        with pytest.raises(DomainError, match=name):
-            box_field(g, **kwargs)
+    for w in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="width"):
+            box_field(g, width=w)
 
 
-def _gaussian_everywhere(grid, sigma, height, center):
+def _gaussian_everywhere(grid, sigma):
     # the squares summed over the whole lattice
-    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
     sq = np.zeros(grid.shape)
-    for ax, c in zip(np.ix_(*(grid.axis,) * grid.dimension), centers):
-        sq = sq + (ax - c) ** 2
-    return height * np.exp(-0.5 * sq / sigma**2)
+    for ax in np.ix_(*(grid.axis,) * grid.dimension):
+        sq = sq + ax**2
+    return np.exp(-0.5 * sq / sigma**2)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 64), (1, 2**16), (2, 4), (2, 64)])
 def test_gaussian_is_bit_identical_to_its_whole_lattice_formula(dim, n):
     g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
-    for sigma, c, height in itertools.product((1.0, -0.7, 0.01, 3), (0.0, 0.123, -8.0), (1.0, -2.5)):
-        center = c if dim == 1 else (c, -0.37 * c)
-        got = gaussian_field(g, sigma=sigma, height=height, center=center).values
-        want = _gaussian_everywhere(g, sigma, height, center)
-        assert got.tobytes() == want.tobytes(), (sigma, center, height)
-    want = _gaussian_everywhere(g, 3.0 * g.spacing, 1.0, 0.0)
+    for sigma in (1.0, -0.7, 0.01, 3):
+        got = gaussian_field(g, sigma=sigma).values
+        assert got.tobytes() == _gaussian_everywhere(g, sigma).tobytes(), sigma
+    want = _gaussian_everywhere(g, 3.0 * g.spacing)
     want = want / (g.cell_volume * np.sum(want))
     assert delta_surrogate(g).values.tobytes() == want.tobytes()
 
@@ -329,13 +318,9 @@ def test_gaussian_rejects_bad_arguments():
     # sigma^2 = 0 (sigma 0 or 1e-200) or inf once divided a lattice array
     # with a numpy warning; a NaN failed as a ContractError naming nothing
     g = PeriodicGrid(dimension=2, half_width=8.0, points_per_axis=16)
-    bad = [{"sigma": s} for s in (0.0, -0.0, 1e-200, 1e300, np.float64(1e300), np.nan, np.inf)]
-    bad += [{"height": h} for h in (np.nan, np.inf, -np.inf)]
-    bad += [{"center": c} for c in (np.nan, (0.0, np.inf), (-np.inf, 1.0))]
-    for kwargs in bad:
-        (name,) = kwargs
-        with pytest.raises(DomainError, match=name):
-            gaussian_field(g, **kwargs)
+    for sigma in (0.0, -0.0, 1e-200, 1e300, np.float64(1e300), np.nan, np.inf):
+        with pytest.raises(DomainError, match="sigma"):
+            gaussian_field(g, sigma=sigma)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -343,13 +328,13 @@ def test_gaussian_rejects_bad_arguments():
 def test_gaussian_of_a_vanishing_width_is_its_limit(dim, sigma):
     # sigma^2 is positive and finite, but x^2 / (2 sigma^2) overflows off
     # the centre node, which raised numpy's overflow RuntimeWarning; the
-    # limit height at the centre and 0 elsewhere comes without one
+    # limit 1 at the centre and 0 elsewhere comes without one
     g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = gaussian_field(g, sigma=sigma, height=2.0).values
+        vals = gaussian_field(g, sigma=sigma).values
     centre = (g.points_per_axis // 2,) * dim
-    assert g.axis[centre[0]] == 0.0 and vals[centre] == 2.0
+    assert g.axis[centre[0]] == 0.0 and vals[centre] == 1.0
     assert np.count_nonzero(vals) == 1
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -433,20 +434,27 @@ def test_table_raises_outside_its_range(values):
     assert np.isfinite(tab.evaluate([1.0, 1.5, 3.0, 4.0])).all()
 
 
+def _quadpack(fn, a, b, breakpoints):
+    # QUADPACK to a relative 1e-12 with no absolute floor, where
+    # adaptive_quad stops at 1e-9 or 1e-14: its floor alone moves the
+    # near part at xi = 1e-3 (about 5e-7) by 7e-10 relative; the
+    # breakpoints inside (a, b), sorted, and the subdivision limit as
+    # adaptive_quad's
+    pts = sorted(p for p in breakpoints if a < p < b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        val, _ = scipy.integrate.quad(
+            fn, a, b, points=pts or None, epsabs=0.0, epsrel=1e-12, limit=100 + 2 * len(pts)
+        )
+    return val
+
+
 def _direct_near_part(near, xi, edges):
     # 2 int_0^1 (1 - cos xi r) J(r) dr with breakpoints at the band edges
     # and at every half period
     half_periods = np.arange(1, int(xi / math.pi) + 1) * math.pi / xi
     pts = np.union1d(edges[1:-1], half_periods[half_periods < 1.0])
-    val, _ = adaptive_quad(
-        lambda r: 2.0 * (1.0 - math.cos(xi * r)) * near.j(r, 1),
-        0.0,
-        1.0,
-        breakpoints=pts,
-        rtol=1e-12,
-        abs_floor=0.0,
-    )
-    return val
+    return _quadpack(lambda r: 2.0 * (1.0 - math.cos(xi * r)) * near.j(r, 1), 0.0, 1.0, pts)
 
 
 @pytest.mark.parametrize("near", [Borderline(), Oscillating(1.0)], ids=["borderline", "osc"])
@@ -468,15 +476,8 @@ def _direct_steps_part(steps, xi):
     half_periods = np.arange(1, int(xi / math.pi) + 1) * math.pi / xi
     total = 0.0
     for lo, hi, v in zip(edges[:-1], edges[1:], values):
-        val, _ = adaptive_quad(
-            lambda r: 4.0 * math.sin(0.5 * xi * r) ** 2 / r,
-            lo,
-            hi,
-            breakpoints=half_periods,
-            rtol=1e-12,
-            abs_floor=0.0,
-        )
-        total += v * val
+        piece = _quadpack(lambda r: 4.0 * math.sin(0.5 * xi * r) ** 2 / r, lo, hi, half_periods)
+        total += v * piece
     return total
 
 
