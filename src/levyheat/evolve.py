@@ -241,9 +241,10 @@ class _Lattice:
         return float(w) * g.cell_volume / g.points_per_axis**g.dimension
 
     def field(self, v):
-        """The ``GridField`` whose values on the flow's lattice are ``v``."""
+        """The ``GridField`` whose values on the flow's lattice are ``v``,
+        in an array of its own."""
         if not self.mirrored:
-            return GridField(self.grid, v)
+            return GridField(self.grid, v.copy())
         full = np.empty(self.grid.shape)
         self.part(full)[...] = v
         return self._mirror(full)

@@ -7,11 +7,13 @@ is the profile function
 
     ell(r) = r^N J(r).
 
-A near profile answers ``j``, which the direct form and the multiplier
-quadrature evaluate; the singular ones (all but bounded) also give
+This module describes J and its measures only; the closed forms of the
+multiplier, and when each applies, live in ``levyheat.symbol``.  A near
+profile answers ``j``; the singular ones (all but bounded) also give
 ``int_symbol_measure(a) = int_a^1 ell(r)/r dr`` in closed form, and the
 piecewise-constant ones (borderline, oscillating) store ell itself as
-``steps``.
+``steps``.  A tail profile answers ``matching``, ``j`` and ``exponent``,
+and the power and exponential ones ``int_measure(a) = int_a^inf J r^(N-1) dr``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import sici
-
 from .errors import DomainError
 
 #: deepest oscillation band kept in the Oscillating profile; below
@@ -55,23 +55,6 @@ class FractionalPower:
     def int_symbol_measure(self, a):
         # int_a^1 ell(r)/r dr = int_a^1 r^(-1-beta) dr
         return (a**-self.beta - 1.0) / self.beta
-
-    def cos_transform_near(self, omega):
-        """``int_0^1 (1 - cos(omega r)) J(r) dr`` in one dimension, omega > 0,
-        as (value, error bound): closed form for beta = 1, None for any
-        other beta (the symbol engine then calls QUADPACK).
-
-        With u = omega r this is ``omega A(omega)``, with the alpha = 1
-        antiderivative ``A(u) = Si u - 2 sin^2(u/2) / u`` of
-        ``PowerTail.cos_transform_head`` (A(0) = 0).  A rises from u/2
-        near 0 to pi/2 and stays above a third of its terms' sum, and Si
-        and sin carry about one ulp of their value, so the bound is
-        relative to the terms (no Ci, hence no floor of one).
-        """
-        if self.beta != 1.0:
-            return None
-        terms = _one_minus_cos_antiderivative(1.0, omega)
-        return omega * math.fsum(terms), omega * 4.0 * _EPS * sum(map(abs, terms))
 
 
 @dataclass(frozen=True)
@@ -220,109 +203,8 @@ class PowerTail:
         # int_a^inf J r^(dim-1) dr; the r powers cancel to r^(-1-alpha)
         return match * a**-self.alpha / self.alpha
 
-    def cos_transform_tail(self, a, omega, match):
-        """``int_a^inf cos(omega r) J(r) dr`` in one dimension as (value,
-        error bound): closed form for alpha = 1 and 2, None for any other
-        alpha (the symbol engine then sums zero-to-zero panels).
-
-        With x = omega a this is ``match omega^alpha I(x)``, where
-
-            I(x) = int_x^inf cos(u) u^(-1-alpha) du = Re x^-alpha E_{alpha+1}(-ix),
-
-        i.e. ``cos x / x - (pi/2 - Si x)`` for alpha = 1 and
-        ``cos x / (2x^2) - sin x / (2x) + Ci(x) / 2`` for alpha = 2.  That
-        Si/Ci form loses about x- to x^2-fold to cancellation, so it is
-        used only below ``SICI_MAX_X``; above it the continued fraction
-        of E_{alpha+1} gives I with no cancellation.
-        """
-        if self.alpha not in (1.0, 2.0):
-            return None
-        value, err = _power_cos_tail(self.alpha, omega * a)
-        scale = match * omega**self.alpha
-        return scale * value, scale * err
-
-    def cos_transform_head(self, omega, match):
-        """``int_1^(pi/omega) (1 - cos(omega r)) J(r) dr`` in one dimension,
-        for 0 < omega < pi, as (value, error bound): closed form for
-        alpha = 1 and 2, None for any other alpha (the symbol engine then
-        calls QUADPACK).
-
-        With u = omega r this is ``match omega^alpha K(omega)``, where
-
-            K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du = A(pi) - A(x)
-
-        with antiderivative ``A(u) = Si u - 2 sin^2(u/2) / u`` for alpha = 1
-        and ``Ci(u) / 2 - sin u / (2u) - sin^2(u/2) / u^2`` for alpha = 2.
-        K vanishes as omega -> pi, where A(pi) - A(x) cancels, so the bound
-        is a roundoff bound on the terms, not relative to K: it is small
-        against the multiplier, which the other parts keep of order
-        omega^alpha.
-        """
-        if self.alpha not in (1.0, 2.0):
-            return None
-        value, err = _power_cos_head(self.alpha, omega)
-        scale = match * omega**self.alpha
-        return scale * value, scale * err
-
     def exponent(self):
         return min(self.alpha, 2.0)
-
-
-def _one_minus_cos_antiderivative(alpha, u):
-    """The terms of A(u), an antiderivative of ``(1 - cos u) u^(-1-alpha)``
-    for alpha in {1, 2}; see ``PowerTail.cos_transform_head``."""
-    si, ci = sici(u)
-    one_minus_cos = 2.0 * math.sin(0.5 * u) ** 2
-    if alpha == 1.0:
-        return [si, -one_minus_cos / u]
-    return [0.5 * ci, -0.5 * math.sin(u) / u, -0.5 * one_minus_cos / (u * u)]
-
-
-def _power_cos_head(alpha, x):
-    """(K(x), error bound) for K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du,
-    alpha in {1, 2}, 0 < x < pi; see ``PowerTail.cos_transform_head``."""
-    terms = _one_minus_cos_antiderivative(alpha, math.pi)
-    terms += [-t for t in _one_minus_cos_antiderivative(alpha, x)]
-    # as in _power_cos_tail: Si and Ci carry about one ulp of max(1, |value|)
-    return math.fsum(terms), 4.0 * _EPS * (sum(map(abs, terms)) + 1.0)
-
-
-#: the Si/Ci form of ``PowerTail.cos_transform_tail`` serves x below this
-#: (error under 2e-14 of the integral's envelope); the continued fraction
-#: serves the rest in at most ~40 terms
-SICI_MAX_X = 8.0
-
-_EPS = np.finfo(float).eps
-
-
-def _power_cos_tail(alpha, x):
-    """(I(x), error bound) for I(x) = int_x^inf cos(u) u^(-1-alpha) du,
-    alpha in {1, 2}, x > 0; see ``PowerTail.cos_transform_tail``."""
-    if x < SICI_MAX_X:
-        si, ci = sici(x)
-        c, s = math.cos(x), math.sin(x)
-        if alpha == 1.0:
-            terms = (c / x, si - 0.5 * math.pi)
-        else:
-            terms = (0.5 * c / (x * x), -0.5 * s / x, 0.5 * ci)
-        # Si and Ci carry about one ulp of max(1, |value|)
-        return math.fsum(terms), 4.0 * _EPS * (sum(map(abs, terms)) + 1.0)
-    # h = e^z E_n(z) at z = -ix, n = alpha + 1, by the modified Lentz
-    # algorithm, so that int_x^inf e^(iu) u^-n du = x^-alpha e^(ix) h
-    n = alpha + 1.0
-    b = complex(n, -x)
-    c, d = 1e300, 1.0 / b  # c starts at 1/tiny, as Lentz's method requires
-    h, delta, i = d, 0.0, 0
-    while abs(delta - 1.0) > _EPS:
-        i += 1
-        an = -i * (n - 1.0 + i)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-    w = x**-alpha * complex(math.cos(x), math.sin(x)) * h
-    return w.real, (2 * i + 8) * _EPS * abs(w)
 
 
 @dataclass(frozen=True)
@@ -361,12 +243,6 @@ class ExponentialTail:
         if dim == 1:
             return match * math.exp(-lam * (a - 1.0)) / lam
         return match * math.exp(-lam * (a - 1.0)) * (a / lam + 1.0 / lam**2)
-
-    def cos_transform_tail(self, a, omega, match):
-        # Re int_a^inf e^(-lam (r - 1) + i omega r) dr, one dimension
-        c = complex(self.lam, -omega)
-        w = np.exp(complex(-self.lam * (a - 1.0), omega * a)) / c
-        return match * w.real, 4.0 * _EPS * match * abs(w)
 
     def exponent(self):
         return 2.0

@@ -1,15 +1,15 @@
-"""Quadrature helpers used by the kernel and multiplier modules.
+"""Quadrature helpers of the multiplier engine.
 
-The workhorses are the QUADPACK routines behind ``scipy.integrate.quad``
-on finite intervals: adaptive Gauss-Kronrod subdivision for general
-pieces and the cosine-weighted variant (QAWO).  ``scipy.integrate``
-(and the ``scipy.optimize``, ``scipy.linalg`` and ``scipy.sparse`` it
-loads) is imported at the first call that integrates, so a run whose
-multiplier is all closed forms never loads it.  Infinite oscillatory
-tails, under a cosine or a Bessel weight alike, go to a vectorized
-Gauss-Legendre panel scheme that integrates between consecutive zeros
-of the oscillating factor and sums the panel series by Euler's
-transform.
+One QUADPACK body, ``adaptive_quad``, integrates every finite piece
+``scipy.integrate.quad`` takes: by adaptive Gauss-Kronrod subdivision,
+or with ``omega`` by the cosine-weighted rule (QAWO).
+``scipy.integrate`` (and the ``scipy.optimize``, ``scipy.linalg`` and
+``scipy.sparse`` it loads) is imported at the first call that
+integrates, so a run whose multiplier is all closed forms never loads
+it.  Infinite oscillatory tails, under a cosine or a Bessel weight
+alike, go to a vectorized Gauss-Legendre panel scheme that integrates
+between consecutive zeros of the oscillating factor and sums the panel
+series by Euler's transform.
 
 All routines return ``(value, error_estimate)`` so callers can propagate
 an honest achieved tolerance.
@@ -23,46 +23,35 @@ import warnings
 
 import numpy as np
 
-#: the relative tolerance and the absolute floor of both QUADPACK wrappers
+#: the relative tolerance and the absolute floor of every QUADPACK call
 PART_RTOL = 1e-9
 ABS_FLOOR = 1e-14
 
 
-def adaptive_quad(fn, a, b, *, breakpoints=()):
-    """Adaptive quadrature on a finite interval with explicit breakpoints,
-    to ``PART_RTOL``.
+def adaptive_quad(fn, a, b, *, breakpoints=(), omega=None):
+    """QUADPACK on a finite interval, to ``PART_RTOL``: ``int_a^b fn``
+    with explicit breakpoints, or with ``omega`` ``int_a^b fn(r) cos(omega r) dr``
+    by the cosine-weighted rule (QAWO), which takes no breakpoints.
 
-    Breakpoints outside the open interval are dropped.  Singular
-    endpoints are fine: QUADPACK's extrapolation handles integrable
-    endpoint singularities.
+    Breakpoints outside the open interval are dropped; one inside it
+    with ``omega`` is a ValueError.  Singular endpoints are fine:
+    QUADPACK's extrapolation handles integrable endpoint singularities.
+    An empty or reversed interval gives (0, 0).
     """
     if b <= a:
         return 0.0, 0.0
     from scipy import integrate
 
     pts = sorted(p for p in breakpoints if a < p < b)
-    limit = 100 + 2 * len(pts)
+    if omega is None:
+        rule = {"points": pts or None, "limit": 100 + 2 * len(pts)}
+    elif pts:
+        raise ValueError(f"the cosine-weighted rule takes no breakpoints, got {pts}")
+    else:
+        rule = {"weight": "cos", "wvar": omega, "limit": 200}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            fn, a, b, points=pts or None, epsabs=ABS_FLOOR, epsrel=PART_RTOL, limit=limit
-        )
-    return val, err
-
-
-def cos_weighted_quad(fn, a, b, omega):
-    """``int_a^b fn(r) cos(omega r) dr`` on a finite interval (QAWO), to
-    ``PART_RTOL``."""
-    if b <= a:
-        return 0.0, 0.0
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            fn, a, b, weight="cos", wvar=omega, epsabs=ABS_FLOOR, epsrel=PART_RTOL, limit=200
-        )
-    return val, err
+        return integrate.quad(fn, a, b, epsabs=ABS_FLOOR, epsrel=PART_RTOL, **rule)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

@@ -11,28 +11,32 @@ one engine serves both dimensions: the near part on (0, 1] and the tail
 beyond 1 each split at B's first zero.  Before it the integrand is
 smooth and goes to QUADPACK's adaptive Gauss-Kronrod rule, with
 breakpoints at the step profiles' edges; after it comes the profile's
-measure minus ``int B(xi r) J(r) r^(N-1) dr``, summed over zero-to-zero
-Gauss panels of B (by Euler's transform on the infinite tail), except
-the 1-D near piece [pi/xi, 1], which QUADPACK's cosine-weighted rule
-(QAWO) takes: there the panel count grows like xi / pi, and at xi = 1e6
-the 3e5 panels of a FractionalPower near part cost some 300 times
-QAWO's time.
+measure minus the remainder ``int B(xi r) J(r) r^(N-1) dr``, which one
+function (``_remainder``) computes for both pieces: over zero-to-zero
+Gauss panels of B (summed by Euler's transform on the infinite tail),
+except the 1-D near piece [pi/xi, 1], which QUADPACK's cosine-weighted
+rule (QAWO) takes: there the panel count grows like xi / pi, and at
+xi = 1e6 the 3e5 panels of a FractionalPower near part cost some 300
+times QAWO's time.
 
 Closed forms replace quadrature wherever they are exact, each with a
-roundoff bound, so a table's achieved tolerance stays honest:
+roundoff bound, so a table's achieved tolerance stays honest.  Every
+closed form of m is a function of this module, and ``_near_parts`` and
+``_tail_parts`` hold the whole condition under which each applies:
 
 * the near part of the Bounded profile, ``c0 (1 - sin xi / xi)`` in one
-  dimension and ``c0 (1/2 - J1(xi) / xi)`` in two (Taylor series for
-  xi <= 1);
+  dimension and ``c0 (1/2 - J1(xi) / xi)`` in two (``_bounded_near``;
+  Taylor series for xi <= 1);
 * in one dimension, the near part of a piecewise-constant profile
   (borderline, oscillating), a sum of differences of the cosine
-  integral Cin, and of the fractional power with beta = 1 (see
-  ``FractionalPower.cos_transform_near``);
-* in one dimension, the tail beyond max(1, pi/xi) of a power tail with
-  alpha = 1 or 2 and of the exponential tail, and the power tail's piece
-  on [1, pi/xi] (see ``PowerTail.cos_transform_tail`` and
-  ``cos_transform_head``), so that such a table calls no quadrature;
-* the coefficient of a pure power kernel, ``m(xi) = c |xi|^alpha``.
+  integral Cin (``_near_steps_1d``), and of the fractional power with
+  beta = 1 (``_unit_power_near``);
+* in one dimension, the remainder beyond max(1, pi/xi) of a power tail
+  with alpha = 1 or 2 (``_power_tail``) and of the exponential tail
+  (``_exp_tail``), and for xi < pi the power tail's piece on [1, pi/xi]
+  (``_power_head``), so that such a table calls no quadrature;
+* the coefficient of a pure power kernel, ``m(xi) = c |xi|^alpha``
+  (``build_symbol_table``).
 
 Tables of multiplier values on a logarithmic grid feed the spectral
 propagators through monotone log-log interpolation (PCHIP, on numpy;
@@ -53,15 +57,23 @@ import numpy as np
 from scipy.special import j0, j1, sici
 
 from .errors import DomainError, QuadratureError
-from .kernels import Bounded, CompactSupport, FractionalPower, LevyKernel, PowerTail
+from .kernels import (
+    Bounded,
+    CompactSupport,
+    ExponentialTail,
+    FractionalPower,
+    LevyKernel,
+    PowerTail,
+)
 from .quadrature import (
     PART_RTOL,
     accelerated_panel_tail,
     adaptive_quad,
-    cos_weighted_quad,
     gauss_panel_sums,
     zero_panel_edges,
 )
+
+_EPS = np.finfo(float).eps
 
 
 def log_grid(lo=1e-3, hi=1e4, per_decade=64):
@@ -73,7 +85,7 @@ def log_grid(lo=1e-3, hi=1e4, per_decade=64):
 
 
 # ---------------------------------------------------------------------------
-# special functions
+# special functions and the closed forms of the multiplier's parts
 # ---------------------------------------------------------------------------
 
 
@@ -98,7 +110,6 @@ def _bounded_near(c0, xi, dim):
     ``c0 (1/2 - J1(xi) / xi)`` in two, each by its Taylor series for
     ``xi <= 1``, where the difference would cancel.  Returns (value,
     roundoff bound)."""
-    eps = np.finfo(float).eps
     if xi <= 1.0:
         # t_1 (1 + r_1 (1 + r_2 (...))) with first term t_1 and term ratios r_k
         #   1 - sin x / x:    t_1 = x^2 / 6,   r_k = -x^2 / ((2k + 2)(2k + 3))
@@ -110,9 +121,9 @@ def _bounded_near(c0, xi, dim):
             denom = (2 * k + 2) * (2 * k + 3) if dim == 1 else 4 * (k + 1) * (k + 2)
             s = 1.0 - x2 / denom * s
         value = c0 * x2 / (6.0 if dim == 1 else 16.0) * s
-        return value, 4.0 * eps * value
+        return value, 4.0 * _EPS * value
     head, second = (1.0, math.sin(xi) / xi) if dim == 1 else (0.5, j1(xi) / xi)
-    return c0 * (head - second), 4.0 * eps * c0 * (head + abs(second))
+    return c0 * (head - second), 4.0 * _EPS * c0 * (head + abs(second))
 
 
 def _cin(x):
@@ -127,6 +138,110 @@ def _cin(x):
     big = x > 1.0
     out[big] = np.euler_gamma + np.log(x[big]) - sici(x[big])[1]
     return out
+
+
+def _one_minus_cos_antiderivative(alpha, u):
+    """The terms of A(u), an antiderivative of ``(1 - cos u) u^(-1-alpha)``
+    for alpha in {1, 2}: ``Si u - 2 sin^2(u/2) / u`` for alpha = 1 and
+    ``Ci(u) / 2 - sin u / (2u) - sin^2(u/2) / u^2`` for alpha = 2."""
+    si, ci = sici(u)
+    one_minus_cos = 2.0 * math.sin(0.5 * u) ** 2
+    if alpha == 1.0:
+        return [si, -one_minus_cos / u]
+    return [0.5 * ci, -0.5 * math.sin(u) / u, -0.5 * one_minus_cos / (u * u)]
+
+
+def _unit_power_near(xi):
+    """``int_0^1 (1 - cos(xi r)) r^-2 dr``, the 1-D near part of the
+    fractional power with beta = 1, xi > 0, as (value, error bound).
+
+    With u = xi r this is ``xi A(xi)``, with the alpha = 1 antiderivative
+    A of ``_one_minus_cos_antiderivative`` (A(0) = 0).  A rises from u/2
+    near 0 to pi/2 and stays above a third of its terms' sum, and Si and
+    sin carry about one ulp of their value, so the bound is relative to
+    the terms (no Ci, hence no floor of one).
+    """
+    terms = _one_minus_cos_antiderivative(1.0, xi)
+    return xi * math.fsum(terms), xi * 4.0 * _EPS * sum(map(abs, terms))
+
+
+def _power_head(alpha, xi, match):
+    """``int_1^(pi/xi) (1 - cos(xi r)) J(r) dr`` of the power tail
+    ``J = match r^(-1-alpha)`` in one dimension, alpha in {1, 2} and
+    0 < xi < pi, as (value, error bound).
+
+    With u = xi r this is ``match xi^alpha K(xi)``, where
+
+        K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du = A(pi) - A(x)
+
+    with the antiderivative A of ``_one_minus_cos_antiderivative``.  K
+    vanishes as xi -> pi, where A(pi) - A(x) cancels, so the bound is a
+    roundoff bound on the terms, not relative to K: it is small against
+    the multiplier, which the other parts keep of order xi^alpha.
+    """
+    terms = _one_minus_cos_antiderivative(alpha, math.pi)
+    terms += [-t for t in _one_minus_cos_antiderivative(alpha, xi)]
+    scale = match * xi**alpha
+    # as in _power_tail: Si and Ci carry about one ulp of max(1, |value|)
+    return scale * math.fsum(terms), scale * (4.0 * _EPS * (sum(map(abs, terms)) + 1.0))
+
+
+#: the Si/Ci form of ``_power_tail`` serves x below this (error under 2e-14
+#: of the integral's envelope); the continued fraction serves the rest in
+#: at most ~40 terms
+SICI_MAX_X = 8.0
+
+
+def _power_tail(alpha, a, xi, match):
+    """``int_a^inf cos(xi r) J(r) dr`` of the power tail
+    ``J = match r^(-1-alpha)`` in one dimension, alpha in {1, 2} and
+    xi a > 0, as (value, error bound).
+
+    With x = xi a this is ``match xi^alpha I(x)``, where
+
+        I(x) = int_x^inf cos(u) u^(-1-alpha) du = Re x^-alpha E_{alpha+1}(-ix),
+
+    i.e. ``cos x / x - (pi/2 - Si x)`` for alpha = 1 and
+    ``cos x / (2x^2) - sin x / (2x) + Ci(x) / 2`` for alpha = 2.  That
+    Si/Ci form loses about x- to x^2-fold to cancellation, so it is used
+    only below ``SICI_MAX_X``; above it the continued fraction of
+    E_{alpha+1} gives I with no cancellation.
+    """
+    x, scale = xi * a, match * xi**alpha
+    if x < SICI_MAX_X:
+        si, ci = sici(x)
+        c, s = math.cos(x), math.sin(x)
+        if alpha == 1.0:
+            terms = (c / x, si - 0.5 * math.pi)
+        else:
+            terms = (0.5 * c / (x * x), -0.5 * s / x, 0.5 * ci)
+        # Si and Ci carry about one ulp of max(1, |value|)
+        return scale * math.fsum(terms), scale * (4.0 * _EPS * (sum(map(abs, terms)) + 1.0))
+    # h = e^z E_n(z) at z = -ix, n = alpha + 1, by the modified Lentz
+    # algorithm, so that int_x^inf e^(iu) u^-n du = x^-alpha e^(ix) h
+    n = alpha + 1.0
+    b = complex(n, -x)
+    c, d = 1e300, 1.0 / b  # c starts at 1/tiny, as Lentz's method requires
+    h, delta, i = d, 0.0, 0
+    while abs(delta - 1.0) > _EPS:
+        i += 1
+        an = -i * (n - 1.0 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+    w = x**-alpha * complex(math.cos(x), math.sin(x)) * h
+    return scale * w.real, scale * ((2 * i + 8) * _EPS * abs(w))
+
+
+def _exp_tail(lam, a, xi, match):
+    """``int_a^inf cos(xi r) J(r) dr`` of the exponential tail
+    ``J = match e^(-lam (r - 1))`` in one dimension, as (value, error
+    bound): the real part of ``int_a^inf e^(-lam (r - 1) + i xi r) dr``."""
+    c = complex(lam, -xi)
+    w = np.exp(complex(-lam * (a - 1.0), xi * a)) / c
+    return match * w.real, 4.0 * _EPS * match * abs(w)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +301,7 @@ def _near_steps_1d(steps, xi):
     cin = _cin(xi * edges)
     wide_v, cin_lo, cin_hi = values[~thin], cin[:-1][~thin], cin[1:][~thin]
     value = float(wide_v @ (cin_hi - cin_lo))
-    err = np.finfo(float).eps * float(wide_v @ (cin_hi + cin_lo))
+    err = _EPS * float(wide_v @ (cin_hi + cin_lo))
 
     count = np.ceil(xi * (hi - lo)[thin] / math.pi).astype(int)
     step = np.repeat(np.flatnonzero(thin), count)
@@ -198,72 +313,87 @@ def _near_steps_1d(steps, xi):
         sums = gauss_panel_sums(
             lambda r: 2.0 * np.sin(0.5 * xi * r) ** 2 / r, np.ravel([a, a + width], order="F")
         )[::2]
-        terms = values[step] * sums
-        value += float(terms.sum())
-        err += 1e-15 * float(np.abs(terms).sum())
+        v, e = _panel_total(values[step] * sums)
+        value += v
+        err += e
     return value, err
 
 
-def _near_part(near, xi, w):
-    """(value, err) of ``int_0^1 (1 - B(xi r)) J(r) r^(N-1) dr``.
+def _panel_total(terms):
+    """(sum, roundoff bound) of Gauss panel integrals, each exact to roundoff
+    on a panel no wider than half an oscillation."""
+    return float(terms.sum()), 1e-15 * float(np.abs(terms).sum())
 
-    A closed form where one is exact: the Bounded profile, and in one
+
+def _remainder(f, a, b, xi, w, breakpoints=()):
+    """(value, err) of the remainder ``int_a^b B(xi r) f(r) r^(N-1) dr``
+    from a at or beyond B's first zero.  An infinite b takes zero-to-zero
+    Gauss panels of B summed by Euler's transform; a finite b takes
+    QUADPACK's cosine-weighted rule (QAWO) in one dimension and Gauss
+    panels between the zeros of J0 and the breakpoints in two."""
+    if w.dim == 1 and b < math.inf:
+        return adaptive_quad(f, a, b, breakpoints=breakpoints, omega=xi)
+    edges = zero_panel_edges(a, b, xi, w.panel, breakpoints)
+    if b == math.inf:
+        return accelerated_panel_tail(w.osc(xi, f), edges)
+    return _panel_total(gauss_panel_sums(w.osc(xi, f), edges))
+
+
+def _near_parts(near, xi, w):
+    """(value, err) parts of ``int_0^1 (1 - B(xi r)) J(r) r^(N-1) dr``.
+
+    One closed form where one is exact: the Bounded profile, and in one
     dimension the step profiles and the fractional power with beta = 1.
     Otherwise QUADPACK up to B's first zero a (or 1), and beyond it the
-    profile's measure on [a, 1] minus ``int_a^1 B(xi r) J(r) r^(N-1) dr``:
-    QAWO in one dimension, Gauss panels between the zeros of J0 in two.
+    profile's measure on [a, 1] and minus the remainder on [a, 1].
     """
     dim = w.dim
     if isinstance(near, Bounded):
-        return _bounded_near(near.c0, xi, dim)
+        return [_bounded_near(near.c0, xi, dim)]
     steps = getattr(near, "steps", None)
     if dim == 1 and steps is not None:
-        return _near_steps_1d(steps, xi)
-    if dim == 1 and isinstance(near, FractionalPower) and (closed := near.cos_transform_near(xi)):
-        return closed
+        return [_near_steps_1d(steps, xi)]
+    if dim == 1 and isinstance(near, FractionalPower) and near.beta == 1.0:
+        return [_unit_power_near(xi)]
     bp = () if steps is None else steps[0][1:-1]
     j = lambda r: near.j(r, dim)
     a = min(1.0, w.zero / xi)
-    total, err = adaptive_quad(w.plain(xi, j), 0.0, a, breakpoints=bp)
+    parts = [adaptive_quad(w.plain(xi, j), 0.0, a, breakpoints=bp)]
     if a < 1.0:
-        total += near.int_symbol_measure(a)
-        if dim == 1:
-            v, e = cos_weighted_quad(j, a, 1.0, xi)
-        else:
-            terms = gauss_panel_sums(w.osc(xi, j), zero_panel_edges(a, 1.0, xi, w.panel, bp))
-            v, e = float(terms.sum()), 1e-15 * float(np.abs(terms).sum())
-        total -= v
-        err += e
-    return total, err
+        v, e = _remainder(j, a, 1.0, xi, w, bp)
+        parts += [(near.int_symbol_measure(a), 0.0), (-v, e)]
+    return parts
 
 
 def _tail_parts(kernel, xi, w):
     """(value, err) parts of ``int_1^inf (1 - B(xi r)) J(r) r^(N-1) dr``: the piece
-    up to big (B's first zero, at least 1; closed form or quadrature), the tail's
-    measure beyond big, and minus ``int_big^inf B(xi r) J(r) r^(N-1) dr`` (closed
-    form or panels).  Closed forms exist in one dimension only.  Callers add
-    them one by one; a pre-summed tail would move tables by an ulp."""
+    up to big (B's first zero, at least 1), the tail's measure beyond big, and
+    minus the remainder beyond big.  In one dimension the power tail with
+    alpha = 1 or 2 takes both the piece (when xi < pi, so that big > 1) and the
+    remainder in closed form, and the exponential tail the remainder."""
     tail, match, dim = kernel.tail, kernel.matching_constant, w.dim
     if isinstance(tail, CompactSupport):
         return []
     jt = lambda r: tail.j(r, dim, match)
     big = max(1.0, w.zero / xi)
-    power_head = dim == 1 and big > 1.0 and isinstance(tail, PowerTail)
-    head = tail.cos_transform_head(xi, match) if power_head else None
-    closed = tail.cos_transform_tail(big, xi, match) if dim == 1 else None
-    v, e = closed or accelerated_panel_tail(
-        w.osc(xi, jt), zero_panel_edges(big, math.inf, xi, w.panel)
-    )
-    return [
-        head or adaptive_quad(w.plain(xi, jt), 1.0, big),
-        (tail.int_measure(big, dim, match), 0.0),
-        (-v, e),
-    ]
+    exact_power = dim == 1 and isinstance(tail, PowerTail) and tail.alpha in (1.0, 2.0)
+    if exact_power and big > 1.0:
+        head = _power_head(tail.alpha, xi, match)
+    else:
+        head = adaptive_quad(w.plain(xi, jt), 1.0, big)
+    if exact_power:
+        v, e = _power_tail(tail.alpha, big, xi, match)
+    elif dim == 1 and isinstance(tail, ExponentialTail):
+        v, e = _exp_tail(tail.lam, big, xi, match)
+    else:
+        v, e = _remainder(jt, big, math.inf, xi, w)
+    return [head, (tail.int_measure(big, dim, match), 0.0), (-v, e)]
 
 
 def _symbol_value_err(kernel, xi):
-    """(value, error estimate) at a frequency xi > 0: c_N times the near part
-    plus the tail parts, added in that order, each driven at PART_RTOL.
+    """(value, error estimate) at a frequency xi > 0: c_N times the sum of
+    the near parts and the tail parts, added one by one in that order (a
+    pre-summed piece would move tables by an ulp), each driven at PART_RTOL.
 
     Raises DomainError unless xi and B's first-zero radius are finite, and
     QuadratureError carrying the achieved relative tolerance if the
@@ -273,8 +403,8 @@ def _symbol_value_err(kernel, xi):
     w = _RADIAL_WEIGHT[kernel.dimension]
     if not (0.0 < xi < math.inf and w.zero / xi < math.inf):
         raise DomainError(f"multiplier needs xi > 0 with xi and {w.zero:.6g}/xi finite, got {xi!r}")
-    total, err = _near_part(kernel.near, xi, w)
-    for v, e in _tail_parts(kernel, xi, w):
+    total = err = 0.0
+    for v, e in _near_parts(kernel.near, xi, w) + _tail_parts(kernel, xi, w):
         total += v
         err += e
     val, err = w.scale * total, w.scale * err

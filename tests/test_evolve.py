@@ -594,6 +594,24 @@ def test_snapshots_include_t0_and_land_exactly():
         flow.snapshots(snaps)
 
 
+@pytest.mark.parametrize("kind", ["random", "box"])
+def test_nonlinear_snapshots_own_their_arrays(kind):
+    # each snapshot is an array of its own, on the whole lattice as on the
+    # first 2^N-th: two at one time share nothing, and writing into the
+    # t = 0 field moves none of the run after it
+    g = PeriodicGrid(dimension=1, half_width=16.0, points_per_axis=256)
+    P = poisson_propagator(g)
+    u = datum(kind, g, 3).values
+    u0 = GridField(g, 0.5 * u / np.max(np.abs(u)))
+    phi = PhiLaw(sigma=2.0, M=1.0)
+    a, b = (s.field.values for s in NonlinearFlow(P, phi, u0).snapshots([0.5, 0.5]))
+    assert np.array_equal(a, b) and not np.shares_memory(a, b)
+    want = [s.field.values for s in NonlinearFlow(P, phi, u0).snapshots([0.0, 0.5])]
+    snapshots = NonlinearFlow(P, phi, u0).snapshots([0.0, 0.5])
+    next(snapshots).field.values[...] *= 0.5
+    assert np.array_equal(next(snapshots).field.values, want[1])
+
+
 def test_evolve_nonlinear_validation():
     g = PeriodicGrid(dimension=1, half_width=16.0, points_per_axis=256)
     P = poisson_propagator(g)

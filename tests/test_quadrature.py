@@ -6,7 +6,6 @@ import pytest
 from levyheat.quadrature import (
     accelerated_panel_tail,
     adaptive_quad,
-    cos_weighted_quad,
     gauss_panel_sums,
     j0_zero,
     zero_panel_edges,
@@ -38,14 +37,19 @@ def test_breakpoints_outside_interval_ignored():
 
 
 def test_degenerate_interval():
-    assert adaptive_quad(lambda r: r, 1.0, 1.0) == (0.0, 0.0)
-    assert adaptive_quad(lambda r: r, 2.0, 1.0) == (0.0, 0.0)
+    # the adaptive and the cosine-weighted rule share the empty-interval guard
+    for omega in (None, 5.0):
+        assert adaptive_quad(lambda r: r, 1.0, 1.0, omega=omega) == (0.0, 0.0)
+        assert adaptive_quad(lambda r: r, 2.0, 1.0, omega=omega) == (0.0, 0.0)
 
 
 def test_cos_weighted_finite():
     # int_0^pi r cos(5 r) dr = (cos(5 pi) - 1)/25 = -2/25
-    val, err = cos_weighted_quad(lambda r: r, 0.0, math.pi, 5.0)
+    val, err = adaptive_quad(lambda r: r, 0.0, math.pi, omega=5.0)
     assert abs(val - (-0.08)) < 1e-12, f"QAWO value {val}"
+    # QAWO takes no breakpoints: one inside the interval is refused, not dropped
+    with pytest.raises(ValueError, match="no breakpoints"):
+        adaptive_quad(lambda r: r, 0.0, math.pi, breakpoints=[1.0], omega=5.0)
 
 
 def test_gauss_panels_sum_to_integral():

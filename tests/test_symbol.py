@@ -13,7 +13,6 @@ from levyheat.cli import parse_config
 from levyheat.errors import DomainError, QuadratureError
 from levyheat.evolve import LinearPropagator
 from levyheat.kernels import (
-    SICI_MAX_X,
     Borderline,
     Bounded,
     CompactSupport,
@@ -26,12 +25,16 @@ from levyheat.kernels import (
 )
 from levyheat.quadrature import adaptive_quad, gauss_panel_sums
 from levyheat.symbol import (
+    SICI_MAX_X,
     PurePower,
     SymbolTable,
     _bounded_near,
     _monotone_cubic,
     _near_steps_1d,
+    _power_head,
+    _power_tail,
     _symbol_value_err,
+    _unit_power_near,
     build_symbol_table,
     log_grid,
     symbol_quadrature,
@@ -257,6 +260,30 @@ _PINNED_SYMBOL = {
 }
 
 
+#: m(xi) at _PINNED_XI of the 1-D kernels whose parts are the closed forms
+#: the catalog parameters miss: the beta = 1 near part, the alpha = 1 and 2
+#: power-tail head (xi < pi) and tail (Si/Ci at 0.3 and 3, the continued
+#: fraction at 30 and 1e3), and the exponential tail; recorded before those
+#: forms moved from the kernel profiles into the symbol engine
+_PINNED_CLOSED_FORMS = {
+    (FractionalPower(1.0), PowerTail(1.0)): (
+        0.9424777960769379, 9.42477796076938, 94.2477796076938, 3141.5926535897934,
+    ),
+    (FractionalPower(1.0), PowerTail(2.0)): (
+        0.28152054137563837, 8.448614621503959, 93.24787068278683, 3140.5926524551533,
+    ),
+    (FractionalPower(1.0), ExponentialTail(1.0)): (
+        0.49953608870570554, 9.394600678951926, 94.2477572324005, 3141.592654722794,
+    ),
+    (Bounded(1.0), PowerTail(1.0)): (
+        0.8825676804659028, 4.218767780600216, 3.9997530810370865, 3.9999977405883325,
+    ),
+    (Bounded(0.7), PowerTail(2.0)): (
+        0.15512729803522227, 2.269823108934357, 2.099890909291081, 2.0999976241639575,
+    ),
+}
+
+
 def test_catalog_symbol_values_are_pinned():
     kernels = list(_catalog_kernels())
     assert len(kernels) == len(_PINNED_SYMBOL) == 30
@@ -264,6 +291,10 @@ def test_catalog_symbol_values_are_pinned():
         key = f"{type(k.near).__name__}-{type(k.tail).__name__}-{k.dimension}d"
         got = tuple(float(symbol_quadrature(k, xi)) for xi in _PINNED_XI)
         assert got == _PINNED_SYMBOL[key], key
+    for (near, tail), pinned in _PINNED_CLOSED_FORMS.items():
+        k = LevyKernel(1, near, tail)
+        got = tuple(float(symbol_quadrature(k, xi)) for xi in _PINNED_XI)
+        assert got == pinned, (near, tail)
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, 5e-324])
@@ -543,15 +574,14 @@ def test_power_tail_cosine_integral_matches_si_ci(alpha):
     # oscillation, so the scale of the error is the envelope there.
     below = math.nextafter(SICI_MAX_X, 0.0)
     xs = [*np.geomspace(math.pi, 1e7, 61), below, SICI_MAX_X, 2 * SICI_MAX_X, 100.0]
-    tail = PowerTail(alpha)
     for x in xs:
         ref, envelope = _si_ci_tail(alpha, x)
-        value, bound = tail.cos_transform_tail(1.0, x, 1.0)
+        value, bound = _power_tail(alpha, 1.0, x, 1.0)
         err = float(abs(value / x**alpha - ref))
         assert err <= 1e-13 * envelope, (x, err / envelope)
         assert 0.0 < bound and err <= bound / x**alpha, (x, err, bound)
     # the split point scales omega out: omega^alpha I(omega a)
-    value, _ = tail.cos_transform_tail(math.pi / 1e-3, 1e-3, 0.5)
+    value, _ = _power_tail(alpha, math.pi / 1e-3, 1e-3, 0.5)
     want = 0.5 * 1e-3**alpha * float(_si_ci_tail(alpha, math.pi)[0])
     assert value == pytest.approx(want, rel=1e-14)
 
@@ -561,12 +591,11 @@ def test_power_tail_head_matches_mpmath(alpha):
     # K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du from 1e-5 up to the last
     # floats below pi, where K vanishes and the bound must still cover it
     xs = [*np.geomspace(1e-5, 3.0, 41), *(math.pi * (1.0 - 10.0**-k) for k in range(1, 13))]
-    tail = PowerTail(alpha)
     for x in xs:
         with mpmath.workdps(40):
             f = lambda u: (1 - mpmath.cos(u)) * u ** (-1 - alpha)
             ref = mpmath.quad(f, [mpmath.mpf(x), mpmath.pi])
-        value, bound = tail.cos_transform_head(x, 1.0)
+        value, bound = _power_head(alpha, x, 1.0)
         err = float(abs(value / x**alpha - ref))
         assert 0.0 < bound and err <= bound / x**alpha, (x, err, bound)
         assert bound / x**alpha <= 1e-14 * (2.0 + abs(math.log(x))), (x, bound)
@@ -629,7 +658,7 @@ def test_lattice_and_criterion_8_tables_need_no_qawf(monkeypatch):
 )
 def test_unit_fractional_near_part_matches_mpmath(xi):
     # int_0^1 (1 - cos xi r) r^-2 dr = xi Si(xi) - 2 sin^2(xi / 2)
-    value, bound = FractionalPower(1.0).cos_transform_near(xi)
+    value, bound = _unit_power_near(xi)
     with mpmath.workdps(50):
         X = mpmath.mpf(xi)
         ref = X * mpmath.si(X) - 2 * mpmath.sin(X / 2) ** 2
