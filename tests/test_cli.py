@@ -2,6 +2,7 @@
 
 import ctypes
 import functools
+import hashlib
 import json
 import os
 import re
@@ -413,6 +414,187 @@ def test_outputs_byte_reproducible(tmp_path):
         assert np.array_equal(parsed[:, 0], x.ravel()) and np.array_equal(parsed[:, 1], y.ravel())
         assert np.array_equal(parsed[:, 2], u.values.ravel())
     assert i == len(cfg.flow.snapshots) - 1
+
+
+#: small configs with every section, so that each command writes every
+#: artifact it can: a 1-D linear flow whose table is interpolated, and a
+#: 2-D nonlinear flow from a random datum
+PIN_CONFIGS = {
+    "1d": """\
+[experiment]
+name = pin-1d
+seed = 3
+
+[kernel]
+dimension = 1
+near = bounded
+near_param = 0.7
+tail = power
+tail_param = 1.5
+
+[grid]
+half_width = 64
+points = 512
+
+[flow]
+kind = linear
+snapshots = 0.5 1 2 4 8
+
+[initial]
+kind = box
+width = 2.0
+
+[decay]
+norms = 2 4
+targets = 0.33 0.5
+tolerance = 0.5
+
+[nash]
+d = 1.5
+
+[regularity]
+times = 0.5 2
+
+[interpolation]
+r = 1.5
+s = 2
+""",
+    "2d": """\
+[experiment]
+name = pin-2d
+seed = 5
+
+[kernel]
+dimension = 2
+near = logperturbed
+near_param = 0.5
+tail = exponential
+tail_param = 1
+
+[grid]
+half_width = 16
+points = 32
+
+[flow]
+kind = nonlinear
+sigma = 2
+snapshots = 0.5 1 1.5 2 3 4
+
+[initial]
+kind = random
+band = 0.5
+
+[decay]
+norms = 2 4
+q = 1.5
+window = 0.5 4
+
+[nash]
+d = 2
+
+[regularity]
+times = 1
+
+[interpolation]
+r = 1.5
+s = 2
+""",
+}
+
+
+def _artifact_digests(tmp_path, command):
+    digests = {}
+    for name, body in PIN_CONFIGS.items():
+        root = tmp_path / name
+        root.mkdir()
+        path = write_cfg(root, body=body)
+        assert main([command, "--config", str(path), "--output", str(root / "run")]) == 0
+        digests[name] = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((root / "run").iterdir())
+        }
+    return digests
+
+
+#: sha256 of every artifact of each command on each of PIN_CONFIGS
+PINNED_DIGESTS = {
+    "decay-fit": {
+        "1d": {
+            "decay_fit.txt": "1552f94214b3ec0071663fe2f6b790c2af6492cca2bba58d5e19515ac438d9b0",
+            "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
+            "manifest.json": "3eca055c41d6aa53eef4e0373d5b600aaf0619c4f11a58e1acb3c572eb60d464",
+            "norms.csv": "735484ee3ab0c5423070c4d2ad5414d8ed6bec58ff2e2522f1ddcdde75db51d5",
+        },
+        "2d": {
+            "decay_fit.txt": "59634c9cce526169c7ce4e7b4f8af5a25aa4802cfafd6fbcf4839e79d78d3f9f",
+            "interpolation.txt": "ac494d6a7e3e78124092c12926f21954cddc949862c7e734ca2450fde36e1981",
+            "manifest.json": "3e7a2dfaeeebb9bbbdcbc7c7c69dee42d1a111c127499f606e96296d55e9ec21",
+            "norms.csv": "3409ea7eab8b03ec7c2a0e8fdf4964c7585d7201e945335e1eb063844d60e6e2",
+        },
+    },
+    "evolve": {
+        "1d": {
+            "field_0000.csv": "6c7a5096967d285f8f00a384d246456eae802eb4a7ab55660b70af06a938a8e1",
+            "field_0001.csv": "3853ecb36d19f045752e80c8dce836ff33eed29c5045aab72b94e6a0e9a68593",
+            "field_0002.csv": "7f07730a9b73c011ddac9bc0c00d4cee02a493ed2d66cbc1244df673ff76fa6b",
+            "field_0003.csv": "22a295f3358359688b0f78447487577c16a8d01d65b3e64b3643e0dc1e828e39",
+            "field_0004.csv": "d8a16dc56c89c292901f368fe28a868af6375facd159b0a22ab8dd36d7a26751",
+            "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
+            "manifest.json": "41ac34b44c0f152d9cfe6881ab3fd0bc9278b07c1e449a3c5df61b594fdbdb28",
+            "norms.csv": "735484ee3ab0c5423070c4d2ad5414d8ed6bec58ff2e2522f1ddcdde75db51d5",
+        },
+        "2d": {
+            "field_0000.csv": "183228e19485efc869d327e80a845669eda1900c57509bfdbd929bb53fb9d819",
+            "field_0001.csv": "46efc63872a06cd18002689629b9bb49dda731ef366b8dc83d69f2573681c8d8",
+            "field_0002.csv": "95524239929b74cf91d40be650a7b240c6011cc576a0fe563690fa73405d8728",
+            "field_0003.csv": "d5cd1ea4fda4db6d1673b67ccb9d637980a9d80f5cff824bd095885024560b45",
+            "field_0004.csv": "ee59e99eb49cf6bc5b13987352515db38ecb9174ad91bf2fb6ad7ea7d5ee1f3b",
+            "field_0005.csv": "d3e43e757822e3e9ba6ce6b2bd235a7c52610c64d3cbefde7198a45a7510c357",
+            "interpolation.txt": "ac494d6a7e3e78124092c12926f21954cddc949862c7e734ca2450fde36e1981",
+            "manifest.json": "e69933bc9ab7cd47163e262c96934379948cf2020e5c5e7b2bce79c103fb5281",
+            "norms.csv": "3409ea7eab8b03ec7c2a0e8fdf4964c7585d7201e945335e1eb063844d60e6e2",
+        },
+    },
+    "nash-check": {
+        "1d": {
+            "manifest.json": "bdf91682e269c81f09b7a9d57a0dedb6d648272acf35b530a3d3102896794d56",
+            "nash.txt": "81d517689c14e9589b4a719f34d65968364d8cc158c18bff22444adea29fc2d8",
+            "nash_rows.csv": "d98ce9fab5ac4c425303b74a5bc0bef7b02986c0d64e5c1c449b3ad6415a2c0d",
+        },
+        "2d": {
+            "manifest.json": "e67ef313f13ce4ce95bc44a6baa4c2261c010f55f0f4337d9184313c25ed273c",
+            "nash.txt": "a6051c83a334709f549e91ec85abf365aad0cc0d95a9d9da5d5d4c5b6fc3f20a",
+            "nash_rows.csv": "8dbaad907470306e7dc5072145ba362dddf842a12f8dec94d3e1c14f7daccec4",
+        },
+    },
+    "regularity": {
+        "1d": {
+            "manifest.json": "90c327f6f7a39a82a8cc76b8d670f9e418ffc82f7607dc5fa472e9e38547b057",
+            "regularity.txt": "65525c5bbde835f929f2afa3c14e045946cc704b5d197e7d56ad23eed4d83678",
+        },
+        "2d": {
+            "manifest.json": "d1597dc798ea4f3f482aa0779065078ef05b29f74574a129a47a06ec5845e64d",
+            "regularity.txt": "b3528c48cfc497c9b8d7de77b1b1f4f70a6837bed0a30551bb7bfecb879d5281",
+        },
+    },
+    "symbol": {
+        "1d": {
+            "manifest.json": "05b712f2adcca18f1cd7d53af0b9fbe8997d3d9e81430b20899c099df63817ce",
+            "table.csv": "4d25a123e6c25846112c905809fa85cff8ad75c536d95c5a72d4a6cd12401b8a",
+        },
+        "2d": {
+            "manifest.json": "22c022aae6f030177f8ade6efe4d2da509cc23eff537215686658ee3649ca16a",
+            "table.csv": "78d45dfdca18709b4356a3a95f6fb8bdee3ec23855c4baf3bc4c71c52fefa2f0",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))
+def test_text_artifacts_are_pinned(tmp_path, command):
+    # every byte each command writes, so that a change to how a value is
+    # rendered, or to the lattice it is computed on, cannot pass unseen
+    assert _artifact_digests(tmp_path, command) == PINNED_DIGESTS[command]
 
 
 def test_pipeline_failure_names_stage_and_cleans_up(tmp_path):

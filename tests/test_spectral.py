@@ -54,6 +54,17 @@ def test_1d_half_lattice_radii_are_the_nonnegative_fft_frequencies(n, half_width
     assert "freq_axis" not in vars(g)
 
 
+@pytest.mark.parametrize("n", [2**k for k in range(1, 11)])
+@pytest.mark.parametrize("half_width", [8.0, 3.7])
+def test_2d_half_lattice_radii_are_the_fft_frequencies(n, half_width):
+    # bit for bit: np.hypot of the two axes' radian FFT frequencies, the
+    # last axis cut to its first n // 2 + 1 columns (Nyquist included)
+    g = PeriodicGrid(dimension=2, half_width=half_width, points_per_axis=n)
+    f = 2.0 * math.pi * np.fft.fftfreq(n, g.spacing)
+    want = np.hypot(f[:, None], f[None, : n // 2 + 1])
+    assert np.array_equal(g.half_freq_radii(), want)
+
+
 @pytest.mark.parametrize(
     "dim,L,n",
     [(3, 1.0, 64), (1, 0.0, 64), (1, 1.0, 48), (1, 1.0, 0), (2, -2.0, 32), (1, math.inf, 64),
