@@ -22,9 +22,13 @@ Subcommands::
     levyheat verify                      full acceptance battery (seconds
                                          per criterion on stderr)
 
+``run`` and the parser read the commands from one table, ``_COMMANDS``.
+``_text`` renders every value of every text artifact, each number with
+17 significant digits, as ``key = value`` lines (``_kv``) or CSV rows
+(``_csv``).  ``verify`` prints what ``acceptance.run_battery`` returns.
+
 Any module error aborts the run with the failing stage named and all
-partial outputs removed.  ``--seed`` overrides the configured seed;
-every number is printed with 17 significant digits.
+partial outputs removed.  ``--seed`` overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import hashlib
 import json
 import math
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -75,16 +77,14 @@ from .spectral import (
     write_field_csv,
 )
 from .symbol import TABLE_RTOL, build_symbol_table
-
-#: commands that bind the multiplier to the configured grid's lattice
-_LATTICE_COMMANDS = ("evolve", "decay-fit", "nash-check")
-#: every command, with the config section it cannot run without
-_COMMAND_SECTION = {
-    "symbol": None,
-    "evolve": None,
-    "decay-fit": "decay",
-    "nash-check": "nash",
-    "regularity": "regularity",
+#: every command that runs a config: (the config section it cannot run
+#: without, whether it binds the multiplier to the grid's lattice, help)
+_COMMANDS = {
+    "symbol": (None, False, "tabulate the Fourier multiplier of the configured kernel"),
+    "evolve": (None, True, "run the flow and write snapshot fields plus a norms file"),
+    "decay-fit": ("decay", True, "run the flow and fit norm decay exponents"),
+    "nash-check": ("nash", True, "dilation sweep of the Nash-profile lower bound"),
+    "regularity": ("regularity", False, "smoothing trichotomy diagnostic at the configured times"),
 }
 
 _NEAR = {
@@ -169,17 +169,31 @@ class Section:
     def rows(self):
         name = type(self).__name__.lower()
         return [
-            (f"{name}.{f.metadata.get('key', f.name)}", _text(value))
+            (f"{name}.{f.metadata.get('key', f.name)}", value)
             for f in fields(self)
             if f.compare and (value := getattr(self, f.name)) is not None
         ]
 
 
 def _text(value) -> str:
-    """A value as the canonical text writes it."""
+    """A value as every text artifact writes it: a string or an integer
+    as is, a number with 17 significant digits, a tuple of numbers
+    space-separated."""
     if isinstance(value, tuple):
         return " ".join(map(_fmt, value))
     return str(value) if isinstance(value, (str, int)) else _fmt(value)
+
+
+def _kv(*blocks) -> str:
+    """``key = value`` lines, one per (key, value) pair of each block of
+    pairs, with a blank line between blocks."""
+    return "\n".join("".join(f"{k} = {_text(v)}\n" for k, v in pairs) for pairs in blocks)
+
+
+def _csv(header, rows) -> str:
+    """A CSV table: the ``header`` line, then one line per row of values."""
+    lines = [header, *(",".join(map(_text, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -190,6 +204,8 @@ class Experiment(Section):
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"[experiment].seed must be a non-negative integer, got {self.seed}")
         if self.output is None:
             object.__setattr__(self, "output", f"runs/{self.name}")
 
@@ -422,7 +438,7 @@ class ExperimentConfig:
         """
         sections = [getattr(self, f.name) for f in fields(self)]
         rows = [row for section in sections if section is not None for row in section.rows()]
-        return "\n".join(f"{k} = {v}" for k, v in sorted(rows)) + "\n"
+        return _kv(sorted(rows))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
@@ -516,7 +532,7 @@ def _snapshot_pass(cfg, snapshots, command, art):
     escape-guard ratio and the last field.  A failure of the flow
     itself surfaces here, as stage ``evolve``."""
     fit_ps = cfg.decay.norms if command == "decay-fit" else ()
-    rows = ["t,l1,l2,linf,energy"]
+    rows = []
     series = {p: [] for p in fit_ps}
     guard_ratio = 0.0
     for i in range(len(cfg.flow.snapshots)):
@@ -524,19 +540,19 @@ def _snapshot_pass(cfg, snapshots, command, art):
         t, u, energy = _stage("evolve", next, snapshots)
         norms = _stage("analysis", field_norms, u, fit_ps)
         lp = norms.lp
-        rows.append(",".join(_fmt(x) for x in (t, lp[1], lp[2], lp[np.inf], energy)))
+        rows.append((t, lp[1], lp[2], lp[np.inf], energy))
         for p in fit_ps:
             series[p].append((t, lp[p]))
         guard_ratio = max(guard_ratio, norms.face_ratio)
         if command == "evolve":
             fname = f"field_{i:04d}.csv"
             _stage("write", write_field_csv, u, art.target(fname))
-    art.write_text("norms.csv", "\n".join(rows) + "\n")
+    art.write_text("norms.csv", _csv("t,l1,l2,linf,energy", rows))
     return series, guard_ratio, u
 
 
 def _decay_report(cfg, series):
-    lines = [f"name = {cfg.experiment.name}", f"q = {_fmt(cfg.decay.q)}"]
+    pairs = [("name", cfg.experiment.name), ("q", cfg.decay.q)]
     all_within = True
     for i, p in enumerate(cfg.decay.norms):
         if cfg.decay.span is None:
@@ -544,72 +560,65 @@ def _decay_report(cfg, series):
         else:
             fit = fit_decay_exponent(series[p], window=cfg.decay.span)
         tag = f"norm_{p:g}"
-        lines += [
-            f"{tag}_exponent = {_fmt(fit.exponent)}",
-            f"{tag}_prefactor = {_fmt(fit.prefactor)}",
-            f"{tag}_r_squared = {_fmt(fit.r_squared)}",
-            f"{tag}_window = {_fmt(fit.window[0])} {_fmt(fit.window[1])}",
+        pairs += [
+            (f"{tag}_exponent", fit.exponent),
+            (f"{tag}_prefactor", fit.prefactor),
+            (f"{tag}_r_squared", fit.r_squared),
+            (f"{tag}_window", fit.window),
         ]
         if cfg.decay.targets is not None:
             target = cfg.decay.targets[i]
             within = abs(fit.exponent - target) <= cfg.decay.tolerance * target
             all_within &= within
-            lines += [
-                f"{tag}_target = {_fmt(target)}",
-                f"{tag}_within_tolerance = {'yes' if within else 'NO'}",
+            pairs += [
+                (f"{tag}_target", target),
+                (f"{tag}_within_tolerance", "yes" if within else "NO"),
             ]
-    lines.append(f"all_within_tolerance = {'yes' if all_within else 'NO'}")
-    return "\n".join(lines) + "\n"
+    pairs.append(("all_within_tolerance", "yes" if all_within else "NO"))
+    return _kv(pairs)
 
 
 def _nash_report(cfg, P):
     rep = nash_dilation_sweep(P, cfg.nash.d, r_norm=cfg.nash.r)
-    rows = ["sample_id,scale,ratio,branch"]
-    for i, (lam, ratio, branch) in enumerate(zip(rep.scales, rep.ratios, rep.branches)):
-        rows.append(f"{i},{_fmt(lam)},{_fmt(ratio)},{branch}")
-    text = "\n".join(
+    text = _kv(
         [
-            f"name = {cfg.experiment.name}",
-            f"d = {_fmt(cfg.nash.d)}",
-            f"r = {_fmt(cfg.nash.r)}",
-            f"samples = {len(rep.ratios)}",
-            f"branch_poincare = {rep.branch_poincare}",
-            f"branch_nash = {rep.branch_nash}",
-            f"min_ratio = {_fmt(rep.min_ratio)}",
-            f"passed = {'yes' if rep.passed else 'NO'}",
+            ("name", cfg.experiment.name),
+            ("d", cfg.nash.d),
+            ("r", cfg.nash.r),
+            ("samples", len(rep.ratios)),
+            ("branch_poincare", rep.branch_poincare),
+            ("branch_nash", rep.branch_nash),
+            ("min_ratio", rep.min_ratio),
+            ("passed", "yes" if rep.passed else "NO"),
         ]
     )
-    return text + "\n", "\n".join(rows) + "\n"
+    rows = zip(range(len(rep.ratios)), rep.scales, rep.ratios, rep.branches)
+    return text, _csv("sample_id,scale,ratio,branch", rows)
 
 
 def _regularity_report(cfg, tab):
-    blocks = [f"name = {cfg.experiment.name}"]
+    blocks = [[("name", cfg.experiment.name)]]
     for t in cfg.regularity.times:
         rep = regularizing_diagnostic(tab, t)
-        blocks += [
-            "",
-            f"time = {_fmt(t)}",
-            f"classification = {rep.classification}",
-            f"ck_order = {'none' if rep.ck_order is None else rep.ck_order}",
-        ]
-    return "\n".join(blocks) + "\n"
+        ck_order = "none" if rep.ck_order is None else rep.ck_order
+        blocks.append(
+            [("time", t), ("classification", rep.classification), ("ck_order", ck_order)]
+        )
+    return _kv(*blocks)
 
 
 def _interpolation_report(cfg, P, u):
-    gamma = cfg.kernel.levy.tail.exponent()
-    rep = interpolation_check(P, u, cfg.interpolation.r, cfg.interpolation.s, gamma)
-    return (
-        "\n".join(
-            [
-                f"name = {cfg.experiment.name}",
-                f"r = {_fmt(cfg.interpolation.r)}",
-                f"s = {_fmt(cfg.interpolation.s)}",
-                f"theta1 = {_fmt(rep.theta1)}",
-                f"theta2 = {_fmt(rep.theta2)}",
-                f"required_constant = {_fmt(rep.required_constant)}",
-            ]
-        )
-        + "\n"
+    r, s = cfg.interpolation.r, cfg.interpolation.s
+    rep = interpolation_check(P, u, r, s, cfg.kernel.levy.tail.exponent())
+    return _kv(
+        [
+            ("name", cfg.experiment.name),
+            ("r", r),
+            ("s", s),
+            ("theta1", rep.theta1),
+            ("theta2", rep.theta2),
+            ("required_constant", rep.required_constant),
+        ]
     )
 
 
@@ -625,28 +634,25 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
     as a PipelineError naming the stage, with everything already
     written removed.
     """
-    if command not in _COMMAND_SECTION:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    section = _COMMAND_SECTION[command]
+    section, on_lattice, _ = _COMMANDS[command]
     if section is not None and getattr(cfg, section) is None:
         raise ConfigError(f"{command} needs a [{section}] section")
     out_dir = Path(output_override or cfg.experiment.output)
     art = _Artifacts(out_dir)
     guard = work = None
     try:
-        grid = _stage("grid", cfg.lattice) if command in _LATTICE_COMMANDS else None
+        grid = _stage("grid", cfg.lattice) if on_lattice else None
         radii = None if grid is None else LinearPropagator.table_grid(grid)
         tab = _stage("symbol-table", build_symbol_table, cfg.kernel.levy, radii)
+        if grid is not None:
+            P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
 
         if command == "symbol":
-            rows = ["xi,m"]
-            rows += [
-                f"{_fmt(x)},{_fmt(v)}" for x, v in zip(tab.radial_grid, tab.values)
-            ]
-            art.write_text("table.csv", "\n".join(rows) + "\n")
+            art.write_text("table.csv", _csv("xi,m", zip(tab.radial_grid, tab.values)))
 
         elif command in ("evolve", "decay-fit"):
-            P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             u0 = _stage("initial-datum", _initial_field, cfg, grid)
             flow = _stage("evolve", _flow, cfg, P, u0)
             del u0  # the flows keep only the datum's spectrum or a copy of it
@@ -665,7 +671,6 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
                 art.write_text("interpolation.txt", text)
 
         elif command == "nash-check":
-            P = _stage("symbol-table", LinearPropagator.from_table, grid, tab)
             text, rows = _stage("analysis", _nash_report, cfg, P)
             art.write_text("nash.txt", text)
             art.write_text("nash_rows.csv", rows)
@@ -704,55 +709,29 @@ def run(cfg: ExperimentConfig, command: str, output_override=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_args(sub):
-    sub.add_argument("--config", required=True, help="experiment config file")
-    sub.add_argument("--output", default=None, help="override the output directory")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="levyheat",
         description="nonlocal heat-flow experiments from declarative configs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("symbol", "tabulate the Fourier multiplier of the configured kernel"),
-        ("evolve", "run the flow and write snapshot fields plus a norms file"),
-        ("decay-fit", "run the flow and fit norm decay exponents"),
-        ("nash-check", "dilation sweep of the Nash-profile lower bound"),
-        ("regularity", "smoothing trichotomy diagnostic at the configured times"),
-    ):
-        _add_config_args(subs.add_parser(name, help=blurb))
+    for name, (_, _, blurb) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=blurb)
+        sub.add_argument("--config", required=True, help="experiment config file")
+        sub.add_argument("--output", default=None, help="override the output directory")
+        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     subs.add_parser("verify", help="run the full acceptance battery")
     return parser
 
 
 def _verify() -> int:
     """The battery's table on stdout, then each criterion's wall seconds
-    on stderr, both in the order 1..12.
-
-    The power-tail run starts on one worker thread at battery start.
-    Meanwhile the calling thread evaluates every criterion outside
-    ``acceptance.TAIL_RUN_READERS``, then each reader after waiting for
-    the run: a failure of the run raises at criterion 3, whose seconds
-    are mostly that wait.  A criterion that first requests a shared
-    memoized run carries that run's cost."""
-    readers = acceptance.TAIL_RUN_READERS
-    order = [n for n in acceptance.CRITERION_NUMBERS if n not in readers] + list(readers)
-    results, seconds = {}, {}
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        tail_run = pool.submit(acceptance._bounded_tail_run)
-        for number in order:
-            start = time.perf_counter()
-            if number in readers:
-                tail_run.result()
-            results[number] = acceptance.run_criterion(number)
-            seconds[number] = time.perf_counter() - start
-    table = [results[n] for n in acceptance.CRITERION_NUMBERS]
+    on stderr, both in the order 1..12 (``acceptance.run_battery``)."""
+    battery = acceptance.run_battery()
+    table = [result for result, _ in battery]
     print(acceptance.summary_table(table))
-    for result in table:
-        print(f"criterion {result.number}: {seconds[result.number]:.3f} s", file=sys.stderr)
+    for result, seconds in battery:
+        print(f"criterion {result.number}: {seconds:.3f} s", file=sys.stderr)
     return 0 if all(r.passed for r in table) else 1
 
 

@@ -144,18 +144,14 @@ class LinearPropagator:
     @staticmethod
     def table_grid(grid: PeriodicGrid):
         """Table radii spanning exactly the lattice's nonzero |xi|, the 2-D
-        corner included, for ``from_table``.  The ends come from the
-        grid's geometry in ``half_freq_radii``'s floating-point order --
-        the first harmonic 2 pi / (n dx) and the Nyquist radius, with
-        ``np.hypot`` of two Nyquist radii for the 2-D corner -- so no
-        radii array is built (2^19 points on the reference lattice,
-        which ``from_table`` builds again).  A lone radius (1-D, n = 2)
-        is tabulated with one more point an octave above it, since
-        interpolation needs two."""
-        n = grid.points_per_axis
-        step = 1.0 / (n * grid.spacing)
-        lo = 2.0 * math.pi * step
-        hi = 2.0 * math.pi * ((n // 2) * step)
+        corner included, for ``from_table``.  The ends are ``grid.radius``
+        of the first harmonic and of the Nyquist one, with ``np.hypot`` of
+        two Nyquist radii for the 2-D corner -- the values
+        ``half_freq_radii`` holds, with no radii array built (2^19 points
+        on the reference lattice, which ``from_table`` builds again).  A
+        lone radius (1-D, n = 2) is tabulated with one more point an
+        octave above it, since interpolation needs two."""
+        lo, hi = grid.radius(1.0), grid.radius(grid.points_per_axis // 2)
         if grid.dimension == 2:
             hi = float(np.hypot(hi, hi))
         return log_grid(lo, max(hi, 2.0 * lo))

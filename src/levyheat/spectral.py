@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -97,28 +97,27 @@ class PeriodicGrid:
         x += -self.half_width
         return x
 
-    @cached_property
-    def freq_axis(self):
-        """Radian frequencies along one axis, FFT ordering."""
-        n = self.points_per_axis
-        return 2.0 * math.pi * np.fft.fftfreq(n, d=self.spacing)
+    def radius(self, k):
+        """|xi| of harmonic ``k`` along one axis, 2 pi (k (1 / (n dx))) in
+        that floating-point order: the one formula of a lattice radius,
+        bit-identical to ``2 pi fftfreq(n, dx)``.  ``k`` is a number, or a
+        float array that is scaled in place and returned."""
+        k *= 1.0 / (self.points_per_axis * self.spacing)
+        k *= 2.0 * math.pi
+        return k
 
     def half_freq_radii(self):
         """|xi| on the rfftn half lattice, FFT ordering: every axis but the
         last in full, the last axis's first n // 2 + 1 columns (the
-        nonnegative frequencies, Nyquist included).  In 1-D these are
-        computed alone, in one array scaled in place, bit-identical to
-        ``|freq_axis|`` there, so a 1-D grid never caches its full
-        frequency axis.  The caller owns the result: ``from_table``
-        overwrites it with m."""
+        nonnegative frequencies, Nyquist included).  Each is a ``radius``,
+        and in 2-D ``np.hypot`` of two: a full axis holds the radii of
+        harmonics 0..n/2, then n/2 - 1 down to 1.  The caller owns the
+        result: ``from_table`` overwrites it with m."""
         n = self.points_per_axis
+        radii = self.radius(np.arange(n // 2 + 1, dtype=float))
         if self.dimension == 1:
-            radii = np.arange(n // 2 + 1, dtype=float)
-            radii *= 1.0 / (n * self.spacing)
-            radii *= 2.0 * math.pi
             return radii
-        last = self.freq_axis[: n // 2 + 1]
-        return np.hypot(self.freq_axis[:, None], last[None, :])
+        return np.hypot(np.concatenate((radii, radii[-2:0:-1]))[:, None], radii)
 
     @property
     def max_frequency(self):

@@ -12,20 +12,25 @@ from levyheat.errors import GridMismatchError
 from levyheat.spectral import GridField, PeriodicGrid, _apply_multiplier
 
 
+def freq_axis(grid):
+    """Radian frequencies along one axis, FFT ordering, from numpy alone."""
+    return 2.0 * math.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+
+
 def full_lattice_radii(grid):
     """|xi| at every lattice frequency, FFT ordering."""
-    f = grid.freq_axis
+    f = freq_axis(grid)
     return np.abs(f) if grid.dimension == 1 else np.hypot(f[:, None], f[None, :])
 
 
 def full_multiplier(P):
     """The propagator's multiplier on the full FFT-ordered lattice.
 
-    Column j of the last axis is the frequency ``freq_axis[j]``; m is
-    even, so the half lattice holds it in column |freq_axis[j]| / (pi / L).
+    Column j of the last axis is the frequency ``freq_axis(grid)[j]``; m
+    is even, so the half lattice holds it in column |that| / (pi / L).
     """
     g = P.grid
-    cols = np.rint(np.abs(g.freq_axis) * g.half_width / math.pi).astype(int)
+    cols = np.rint(np.abs(freq_axis(g)) * g.half_width / math.pi).astype(int)
     return P.half[..., cols]
 
 

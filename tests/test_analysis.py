@@ -25,7 +25,7 @@ from levyheat.spectral import (
     random_nonnegative,
 )
 from levyheat.symbol import build_symbol_table, log_grid
-from lattice import full_multiplier, mode_field
+from lattice import freq_axis, full_multiplier, mode_field
 
 INTEGRABLE = LevyKernel(dimension=1, near=Bounded(c0=0.7), tail=CompactSupport())
 CAUCHY = LevyKernel(dimension=1, near=FractionalPower(beta=1.0), tail=PowerTail(alpha=1.0))
@@ -170,7 +170,7 @@ def test_spectral_form_single_mode_closed_form(integrable_table):
     A = 1.7
     f = mode_field(g, 3, amplitude=A)
     xi1 = 3 * math.pi / g.half_width
-    k = np.argmin(np.abs(g.freq_axis - xi1))
+    k = np.argmin(np.abs(freq_axis(g) - xi1))
     want = P.half[k] * A**2 * (2 * g.half_width) / 2
     assert an.dirichlet_form_spectral(P, f) == pytest.approx(want, rel=1e-12)
 
@@ -403,7 +403,7 @@ def test_nash_ratio_single_mode_closed_form(cauchy_table):
     d, r = 1.0, 1.0
     got, _ = an._nash_terms(P, f, d, r)
     xi1 = 4 * math.pi / g.half_width
-    k = np.argmin(np.abs(g.freq_axis - xi1))
+    k = np.argmin(np.abs(freq_axis(g) - xi1))
     g2 = lp_norm(f, 2.0) / lp_norm(f, 1.0)
     want = P.half[k] / min(1.0, g2 ** (2.0 / d))
     assert got == pytest.approx(want, rel=1e-12)
@@ -453,7 +453,7 @@ def test_interpolation_single_mode(cauchy_table):
     assert (rep.theta1, rep.theta2) == an.theta_exponents(4.0 / 3.0, 2.0, 1.0, 1)
     # s = 2: the second monomial is exactly the energy
     xi1 = 5 * math.pi / g.half_width
-    k = np.argmin(np.abs(g.freq_axis - xi1))
+    k = np.argmin(np.abs(freq_axis(g) - xi1))
     E = P.half[k] * A**2 * g.half_width
     energy = an.dirichlet_form_spectral(P, z)
     norm_r, norm_s_sq = lp_norm(z, 4.0 / 3.0), lp_norm(z, 2.0) ** 2

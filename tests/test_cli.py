@@ -383,6 +383,21 @@ def test_seed_override_changes_manifest_and_fields(tmp_path):
     assert field_a != field_b, "different seeds must move the random datum"
 
 
+def test_negative_seed_override_fails_before_any_computation(tmp_path, monkeypatch, capsys):
+    # --seed goes through the section's own check, as the config key does
+    body = BASE.replace("kind = box\nwidth = 2.0", "kind = random\nband = 0.25")
+    path = write_cfg(tmp_path, body=body)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the symbol table was built before the seed check")
+
+    monkeypatch.setattr(cli, "build_symbol_table", no_table)
+    assert main(["evolve", "--config", str(path), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: [experiment].seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_outputs_byte_reproducible(tmp_path):
     body = BASE.replace("kind = box\nwidth = 2.0", "kind = random\nband = 0.25")
     body_2d = body.replace("dimension = 1", "dimension = 2").replace("points = 2048", "points = 8")
@@ -503,6 +518,7 @@ s = 2
 
 
 def _artifact_digests(tmp_path, command):
+    """{config: {artifact: sha256}} of ``command`` run on each of PIN_CONFIGS."""
     digests = {}
     for name, body in PIN_CONFIGS.items():
         root = tmp_path / name
@@ -1106,7 +1122,7 @@ def test_verify_reports_seconds_per_criterion_on_stderr(monkeypatch, capsys):
 
     monkeypatch.setattr(acceptance, "run_criterion", stub)
     monkeypatch.setattr(acceptance, "_bounded_tail_run", dict)
-    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
     numbers = list(acceptance.CRITERION_NUMBERS)

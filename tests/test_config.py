@@ -274,6 +274,8 @@ MESSAGES = [
         "\n[interpolation]\nr = 1.5\ns = 1.25\n",
         "[interpolation]: exponents must satisfy 1 < r < s <= 2, got r = 1.5, s = 1.25",
     ),
+    # experiment
+    ([("seed = 11", "seed = -1")], "", "[experiment].seed must be a non-negative integer, got -1"),
 ]
 
 

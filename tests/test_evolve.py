@@ -47,6 +47,7 @@ from levyheat.symbol import build_symbol_table, log_grid
 from lattice import (
     apply_operator,
     count_transforms,
+    freq_axis,
     full_lattice_radii,
     full_multiplier,
     mode_field,
@@ -129,7 +130,7 @@ def test_operator_eigenmode(cauchy_table):
     resid = np.max(np.abs(out.values - lam * f.values))
     assert resid < 1e-6 * lam, f"eigenrelation residual {resid:.3e}"
     # the tabulated eigenvalue itself is pi|xi| to interpolation accuracy
-    k = np.argmin(np.abs(g.freq_axis - xi1))
+    k = np.argmin(np.abs(freq_axis(g) - xi1))
     assert P.half[k] == pytest.approx(lam, rel=1e-6)
 
 

@@ -24,7 +24,7 @@ from levyheat.spectral import (
     random_nonnegative,
     write_field_csv,
 )
-from lattice import mode_field
+from lattice import freq_axis, mode_field
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def test_grid_geometry():
     assert g.axis[-1] == 8.0 - 0.25
     assert g.max_frequency == pytest.approx(math.pi / 0.25, rel=1e-15)
     # frequencies are integer multiples of pi/L
-    ratio = np.sort(g.freq_axis) / (math.pi / g.half_width)
+    ratio = np.sort(freq_axis(g)) / (math.pi / g.half_width)
     assert np.allclose(ratio, np.round(ratio), atol=1e-12)
 
 
@@ -47,11 +47,11 @@ def test_grid_geometry():
 @pytest.mark.parametrize("half_width", [8.0, 3.7])
 def test_1d_half_lattice_radii_are_the_nonnegative_fft_frequencies(n, half_width):
     # computed alone, Nyquist included, and bit for bit; 3.7 makes a
-    # spacing that is no power of two; the full axis stays uncached
+    # spacing that is no power of two; the grid caches nothing
     g = PeriodicGrid(dimension=1, half_width=half_width, points_per_axis=n)
     want = np.abs(2.0 * math.pi * np.fft.fftfreq(n, g.spacing))[: n // 2 + 1]
     assert np.array_equal(g.half_freq_radii(), want)
-    assert "freq_axis" not in vars(g)
+    assert set(vars(g)) == {"dimension", "half_width", "points_per_axis"}
 
 
 @pytest.mark.parametrize("n", [2**k for k in range(1, 11)])
@@ -221,7 +221,7 @@ def test_mode_field_spectrum():
     g = PeriodicGrid(dimension=1, half_width=4.0, points_per_axis=128)
     A = 0.8
     F = g.cell_volume * np.fft.fftn(mode_field(g, 5, amplitude=A).values)
-    k = np.argmin(np.abs(g.freq_axis - 5 * math.pi / g.half_width))
+    k = np.argmin(np.abs(freq_axis(g) - 5 * math.pi / g.half_width))
     # cosine splits into two conjugate spikes of weight A(2L)/2 = A L
     assert abs(F[k]) == pytest.approx(A * g.half_width, rel=1e-12)
 
@@ -409,7 +409,7 @@ def test_random_band_limited_is_band_limited_and_seeded():
     f = random_band_limited(g, np.random.default_rng(42), band_fraction=0.25)
     assert lp_norm(f, math.inf) == pytest.approx(1.0, rel=1e-13)
     F = g.cell_volume * np.fft.fftn(f.values)
-    outside = np.abs(g.freq_axis) > 0.25 * g.max_frequency + 1e-9
+    outside = np.abs(freq_axis(g)) > 0.25 * g.max_frequency + 1e-9
     leak = np.max(np.abs(F[outside]))
     assert leak < 1e-10, f"spectral leak outside band: {leak:.3e}"
     f2 = random_band_limited(g, np.random.default_rng(42), band_fraction=0.25)
