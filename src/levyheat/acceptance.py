@@ -198,7 +198,7 @@ def _bounded_tail_run():
     del u0  # no snapshot reads the datum again: the flow keeps its spectrum
     times = np.geomspace(1.0, 30.0, 16)
     book = _norm_bookkeeping(first, flow.snapshots(times))
-    return {"times": times, "sup0": first.lp[np.inf], **book}
+    return {"kernel": kernel, "times": times, "sup0": first.lp[np.inf], **book}
 
 
 @functools.cache
@@ -258,36 +258,42 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Fundamental solution reproduces the Poisson kernel and its decay."""
+    """Fundamental solution reproduces the Poisson kernel and its decay,
+    whose sup-norm rate is rho_eps's limit p = inf (exact for this kernel)."""
     run = _poisson_run()
     worst_gap = max(run["gaps"].values())
     fit = fit_decay_exponent(run["sup_series"])
-    ok = worst_gap <= 0.02 and abs(fit.exponent - 1.0) <= 0.03
+    tol = 0.03
+    target, _ = rho_eps(1.0, math.inf, 1, _cauchy_kernel().tail.exponent(), 1.0)
+    ok = worst_gap <= 0.02 and abs(fit.exponent - target) <= tol
     return CriterionResult(
         2,
         "Poisson-kernel profile and sup-norm decay",
         ok,
         f"sup gap {worst_gap:.2e} (tol 2e-2), fitted exponent {fit.exponent:.4f} "
-        f"(target 1.00 +- 0.03)",
+        f"(target {target:.2f} +- {tol:g})",
     )
 
 
 def criterion_3() -> CriterionResult:
     """Tail-driven decay rates: L2 and L4 norms of the bounded-profile flow."""
     run = _bounded_tail_run()
+    tol = 0.10
+    kernel = run["kernel"]
+    t2, t4 = rho_eps(1.0, np.array([2.0, 4.0]), kernel.dimension, kernel.tail.exponent(), 1.0)[0]
     fit2 = fit_late_decay(list(zip(run["times"], run["l2"])))
     fit4 = fit_late_decay(list(zip(run["times"], run["l4"])))
     ok = (
-        abs(fit2.exponent - 0.5) <= 0.05
-        and abs(fit4.exponent - 0.75) <= 0.075
+        abs(fit2.exponent - t2) <= tol * t2
+        and abs(fit4.exponent - t4) <= tol * t4
         and run["guard_max"] <= ESCAPE_GUARD
     )
     return CriterionResult(
         3,
         "decay exponents for the power-tail kernel",
         ok,
-        f"L2 exponent {fit2.exponent:.4f} (target 0.50 +- 10%), "
-        f"L4 exponent {fit4.exponent:.4f} (target 0.75 +- 10%), "
+        f"L2 exponent {fit2.exponent:.4f} (target {t2:.2f} +- {tol:.0%}), "
+        f"L4 exponent {fit4.exponent:.4f} (target {t4:.2f} +- {tol:.0%}), "
         f"escape guard {run['guard_max']:.2e} (tol {ESCAPE_GUARD:g})",
     )
 
@@ -474,14 +480,15 @@ def criterion_11() -> CriterionResult:
     """Porous-medium decay rate and sigma = 1 consistency with the semigroup."""
     run = _porous_run()
     fit = fit_late_decay(list(zip(run["times"], run["l2"])))
-    target = 0.25
+    tol = 0.15
+    target, _ = rho_eps(1.0, 2.0, 1, _cauchy_kernel().tail.exponent(), 2.0)
     cross = _sigma1_crosscheck()
-    ok = abs(fit.exponent - target) <= 0.15 * target and cross["worst_rel_l2"] <= 1e-4
+    ok = abs(fit.exponent - target) <= tol * target and cross["worst_rel_l2"] <= 1e-4
     return CriterionResult(
         11,
         "porous-medium decay and linear limit",
         ok,
-        f"L2 exponent {fit.exponent:.4f} (target 0.25 +- 15%), "
+        f"L2 exponent {fit.exponent:.4f} (target {target:.2f} +- {tol:.0%}), "
         f"sigma=1 stepper vs. semigroup {cross['worst_rel_l2']:.2e} (tol 1e-4)",
     )
 

@@ -272,14 +272,19 @@ def interpolation_check(P, z: GridField, r, s, gamma) -> InterpolationReport:
 
 def rho_eps(q, p, N, alpha, sigma):
     """Decay exponent pair for the (possibly nonlinear) flow:
-    rho = N(p-q) / (p [N(sigma-1) + alpha q]),  eps = 1 - (sigma-1) rho.
+    rho = N(p-q) / (p [N(sigma-1) + alpha q]),  eps = 1 - (sigma-1) rho,
+    with alpha the order of the kernel's tail (``tail.exponent()``).
 
+    This is the one definition of the decay targets and of their range:
+    ``decay-fit`` and the battery's decay criteria read them here.
     sigma = 1 reduces to the linear pair (N/alpha (1/q - 1/p), 1).
-    The range is q >= 1, q >= sigma - 1, q < p; the boundary
+    The range is 1 <= q, sigma - 1 <= q < p <= inf; the boundary
     q = sigma - 1 is admitted because the formulas stay finite there.
-    q and p may be arrays that broadcast together, giving one pair per
-    element, each equal to the scalar call's; any element out of range
-    (NaN included) raises.
+    At p = inf, rho is the formula's limit N / (N(sigma-1) + alpha q);
+    the paper proves only that the sup norm tends to 0 there.  q and p
+    may be arrays that broadcast together, giving one pair per element,
+    each equal to the scalar call's; any element out of range (NaN
+    included) raises.  A scalar call returns scalars.
     """
     if not sigma >= 1:
         raise DomainError(f"sigma must be >= 1, got {sigma}")
@@ -295,7 +300,9 @@ def rho_eps(q, p, N, alpha, sigma):
         raise DomainError(
             f"need 1 <= q, sigma - 1 <= q, q < p; got q={q}, p={p}, sigma={sigma}"
         )
-    rho = N * (p - q) / (p * (N * (sigma - 1.0) + alpha * q))
+    with np.errstate(invalid="ignore"):  # inf / inf where p = inf
+        finite = N * (p - q) / (p * (N * (sigma - 1.0) + alpha * q))
+    rho = np.where(np.isinf(p), N / (N * (sigma - 1.0) + alpha * q), finite)[()]
     eps = 1.0 - (sigma - 1.0) * rho
     return rho, eps
 

@@ -52,6 +52,7 @@ from .analysis import (
     interpolation_check,
     nash_dilation_sweep,
     regularizing_diagnostic,
+    rho_eps,
     theta_exponents,
 )
 from .errors import ConfigError, DomainError, PipelineError
@@ -307,38 +308,23 @@ class Initial(Section):
 
 @dataclass(frozen=True)
 class Decay(Section):
+    # q and norms are policed by rho_eps, which needs the kernel and the flow
     norms: tuple
     q: float = 1.0
     #: 'auto' (the late window by max r^2) or two times, as written
     window: str = field(default="auto", compare=False)
-    targets: tuple | None = None
     tolerance: float | None = None
     #: the window's two times, None for auto
     span: tuple | None = field(init=False, metadata={"key": "window"})
     INFINITE = ("norms",)
 
     def __post_init__(self):
-        if any(p < 1 for p in self.norms):
-            raise ConfigError("[decay].norms: fitted norms need p >= 1")
         span = None if self.window == "auto" else _read("tuple", self.window, "[decay].window")
         if span is not None and (len(span) != 2 or span[0] >= span[1]):
             raise ConfigError("[decay].window: expected 'auto' or two increasing times")
         object.__setattr__(self, "span", span)
-        if self.targets is None:
-            if self.tolerance is not None:
-                raise ConfigError("[decay].tolerance: only meaningful with targets")
-        elif len(self.targets) != len(self.norms):
-            raise ConfigError("[decay].targets must align with [decay].norms")
-        elif self.tolerance is None:
-            raise ConfigError("[decay]: missing required key 'tolerance'")
-        elif not self.tolerance > 0:
+        if self.tolerance is not None and not self.tolerance > 0:
             raise ConfigError("[decay].tolerance must be positive")
-        for p in self.norms:
-            if not self.q < p:
-                raise ConfigError(
-                    f"[decay]: the decay estimate needs q < p; got q = {_fmt(self.q)}, "
-                    f"p = {_fmt(p)}"
-                )
 
 
 @dataclass(frozen=True)
@@ -374,11 +360,6 @@ class Interpolation(Section):
                 "bound covers only 1 < r < s <= 2, and no constant is claimed "
                 "at the endpoint"
             )
-        if not 1.0 < self.r < self.s <= 2.0:
-            raise ConfigError(
-                f"[interpolation]: exponents must satisfy 1 < r < s <= 2, "
-                f"got r = {_fmt(self.r)}, s = {_fmt(self.s)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -409,18 +390,15 @@ class ExperimentConfig:
                     "[decay]: a power-law fit needs positive times, but the window "
                     f"{decay.window!r} includes the snapshot at t = 0"
                 )
-            # admissible range of the decay estimate: sigma - 1 < q < p
-            if flow.kind == "nonlinear" and flow.sigma - 1.0 >= decay.q:
-                raise ConfigError(
-                    "[decay].q: the nonlinear decay estimate holds on the range "
-                    f"sigma - 1 < q < p; got sigma - 1 = {_fmt(flow.sigma - 1.0)} "
-                    f">= q = {_fmt(decay.q)}"
-                )
+            try:
+                self.decay_targets()
+            except DomainError as exc:
+                raise ConfigError(f"[decay]: {exc}") from None
         if self.interpolation is not None:
             r, s = self.interpolation.r, self.interpolation.s
             try:
                 theta_exponents(r, s, self.kernel.levy.tail.exponent(), self.kernel.dimension)
-            except ValueError as exc:
+            except DomainError as exc:
                 raise ConfigError(f"[interpolation]: {exc}") from None
 
     def lattice(self) -> PeriodicGrid:
@@ -429,6 +407,14 @@ class ExperimentConfig:
             half_width=self.grid.half_width,
             points_per_axis=self.grid.points,
         )
+
+    def decay_targets(self) -> tuple:
+        """The paper's decay exponent of each fitted norm: ``rho_eps`` of
+        q, the kernel's dimension and tail order, and the flow's sigma,
+        which also polices their range."""
+        decay, kernel, gamma = self.decay, self.kernel, self.kernel.levy.tail.exponent()
+        rho, _ = rho_eps(decay.q, np.asarray(decay.norms), kernel.dimension, gamma, self.flow.sigma)
+        return tuple(map(float, rho))
 
     def canonical_text(self) -> str:
         """Normalized key-value rendering (the hashing basis).
@@ -553,8 +539,9 @@ def _snapshot_pass(cfg, snapshots, command, art):
 
 def _decay_report(cfg, series):
     pairs = [("name", cfg.experiment.name), ("q", cfg.decay.q)]
+    tolerance = cfg.decay.tolerance
     all_within = True
-    for i, p in enumerate(cfg.decay.norms):
+    for p, target in zip(cfg.decay.norms, cfg.decay_targets()):
         if cfg.decay.span is None:
             fit = fit_late_decay(series[p])
         else:
@@ -565,16 +552,14 @@ def _decay_report(cfg, series):
             (f"{tag}_prefactor", fit.prefactor),
             (f"{tag}_r_squared", fit.r_squared),
             (f"{tag}_window", fit.window),
+            (f"{tag}_target", target),
         ]
-        if cfg.decay.targets is not None:
-            target = cfg.decay.targets[i]
-            within = abs(fit.exponent - target) <= cfg.decay.tolerance * target
+        if tolerance is not None:
+            within = abs(fit.exponent - target) <= tolerance * target
             all_within &= within
-            pairs += [
-                (f"{tag}_target", target),
-                (f"{tag}_within_tolerance", "yes" if within else "NO"),
-            ]
-    pairs.append(("all_within_tolerance", "yes" if all_within else "NO"))
+            pairs.append((f"{tag}_within_tolerance", "yes" if within else "NO"))
+    if tolerance is not None:
+        pairs.append(("all_within_tolerance", "yes" if all_within else "NO"))
     return _kv(pairs)
 
 

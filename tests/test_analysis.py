@@ -118,6 +118,31 @@ def test_rho_eps_recurrences():
     assert worst < 1e-12, f"recurrence residual {worst:.3e}"
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_rho_eps_at_p_infinity_is_the_formulas_limit(N):
+    for q, alpha, sigma in ((1.0, 1.0, 1.0), (1.5, 0.6, 2.5), (2.0, 1.7, 1.5), (1.0, 2.0, 2.0)):
+        rho, eps = an.rho_eps(q, math.inf, N, alpha, sigma)
+        assert rho == N / (N * (sigma - 1.0) + alpha * q)
+        assert eps == 1.0 - (sigma - 1.0) * rho
+    rho, _ = an.rho_eps(1.0, np.array([2.0, math.inf]), N, 1.0, 1.0)
+    assert rho[1] == N / 1.0 and np.isfinite(rho).all()
+
+
+def test_rho_eps_for_finite_p_is_the_closed_form_bit_for_bit():
+    # the oracle is the formula itself, with p finite nothing is a limit
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        sigma = float(rng.choice([1.0, 1.5, 2.0, 2.5]))
+        q = max(1.0, sigma - 1.0) + float(rng.uniform(0.0, 2.0))
+        p = q + float(rng.choice([1e-3, rng.uniform(0.1, 5.0)]))
+        N = int(rng.integers(1, 3))
+        alpha = float(rng.uniform(0.3, 2.0))
+        rho, eps = an.rho_eps(q, p, N, alpha, sigma)
+        want = N * (p - q) / (p * (N * (sigma - 1.0) + alpha * q))
+        assert rho == want and eps == 1.0 - (sigma - 1.0) * want
+        assert np.ndim(rho) == np.ndim(eps) == 0 and not isinstance(rho, np.ndarray)
+
+
 @pytest.mark.parametrize(
     "q,p,N,alpha,sigma",
     [(2.0, 1.5, 1, 1.0, 1.0), (0.5, 2.0, 1, 1.0, 1.0), (1.0, 2.0, 1, 1.0, 2.5),

@@ -145,23 +145,15 @@ def test_interpolation_range_checked_against_kernel_order(tmp_path):
 
 def test_nonlinear_decay_needs_q_above_sigma_minus_one(tmp_path):
     path = write_cfg(tmp_path, decay=["norms = 2", "q = 1.0"])
-    text = path.read_text().replace("kind = linear", "kind = nonlinear\nsigma = 2.0")
+    text = path.read_text().replace("kind = linear", "kind = nonlinear\nsigma = 2.5")
     path.write_text(text)
-    with pytest.raises(ConfigError, match=r"sigma - 1 < q < p"):
+    with pytest.raises(ConfigError, match=r"sigma - 1 <= q, q < p; got q=1.0, p=2.0, sigma=2.5"):
         parse_config(path)
 
 
 def test_decay_q_must_stay_below_fitted_norm(tmp_path):
     path = write_cfg(tmp_path, decay=["norms = 2", "q = 2.0"])
     with pytest.raises(ConfigError, match="q < p"):
-        parse_config(path)
-
-
-def test_decay_targets_must_align_with_norms(tmp_path):
-    path = write_cfg(
-        tmp_path, decay=["norms = 2 4", "q = 1", "targets = 0.5", "tolerance = 0.1"]
-    )
-    with pytest.raises(ConfigError, match="align"):
         parse_config(path)
 
 
@@ -325,14 +317,34 @@ def test_decay_fit_report_on_cauchy_flow(tmp_path):
     path = write_cfg(
         tmp_path,
         body=body,
-        decay=["norms = 2", "q = 1", "targets = 0.5", "tolerance = 0.15"],
+        decay=["norms = 2", "q = 1", "tolerance = 0.15"],
     )
     assert main(["decay-fit", "--config", str(path)]) == 0
     report = (tmp_path / "out" / "decay_fit.txt").read_text()
-    assert "norm_2_within_tolerance = yes" in report, report
+    assert "norm_2_target = 0.5\nnorm_2_within_tolerance = yes\n" in report, report
     assert "all_within_tolerance = yes" in report
     exponent = float(report.split("norm_2_exponent = ")[1].splitlines()[0])
     assert abs(exponent - 0.5) < 0.075, f"fitted exponent {exponent} far from 1/2"
+
+
+def test_decay_fit_without_tolerance_reports_targets_and_no_verdict(tmp_path):
+    # nothing is checked, so no line says that everything is within it;
+    # at p = inf the target is the limit N / (alpha q) of the formula
+    path = write_cfg(tmp_path, decay=["norms = 2 inf", "q = 1"])
+    assert main(["decay-fit", "--config", str(path)]) == 0
+    report = (tmp_path / "out" / "decay_fit.txt").read_text()
+    assert "norm_2_target = 0.5\n" in report and "norm_inf_target = 1\n" in report, report
+    assert "within" not in report
+
+
+def test_nonlinear_decay_fit_admits_q_equal_to_sigma_minus_one(tmp_path):
+    # criterion 11's setting: sigma = 2, q = 1 lies on the closed range
+    path = write_cfg(tmp_path, decay=["norms = 2", "q = 1"])
+    text = path.read_text().replace("kind = linear", "kind = nonlinear\nsigma = 2")
+    path.write_text(text)
+    assert main(["decay-fit", "--config", str(path)]) == 0
+    report = (tmp_path / "out" / "decay_fit.txt").read_text()
+    assert "norm_2_target = 0.25\n" in report, report
 
 
 def test_symbol_writes_closed_form_table(tmp_path):
@@ -461,7 +473,6 @@ width = 2.0
 
 [decay]
 norms = 2 4
-targets = 0.33 0.5
 tolerance = 0.5
 
 [nash]
@@ -536,13 +547,13 @@ def _artifact_digests(tmp_path, command):
 PINNED_DIGESTS = {
     "decay-fit": {
         "1d": {
-            "decay_fit.txt": "1552f94214b3ec0071663fe2f6b790c2af6492cca2bba58d5e19515ac438d9b0",
+            "decay_fit.txt": "e0dcbb2f2b0524592914a86c64f93a383a61bd6d4979a79d1489b299a118192b",
             "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
-            "manifest.json": "3eca055c41d6aa53eef4e0373d5b600aaf0619c4f11a58e1acb3c572eb60d464",
+            "manifest.json": "4ab013202d2394340834c9fca6c036bce09c2c8c1aefc2dae6bb5db7058d6976",
             "norms.csv": "735484ee3ab0c5423070c4d2ad5414d8ed6bec58ff2e2522f1ddcdde75db51d5",
         },
         "2d": {
-            "decay_fit.txt": "59634c9cce526169c7ce4e7b4f8af5a25aa4802cfafd6fbcf4839e79d78d3f9f",
+            "decay_fit.txt": "7a701812c04d44c2cf6ddc56289ac9aaed1f52c4b65e2c9ca2f663692150e356",
             "interpolation.txt": "ac494d6a7e3e78124092c12926f21954cddc949862c7e734ca2450fde36e1981",
             "manifest.json": "3e7a2dfaeeebb9bbbdcbc7c7c69dee42d1a111c127499f606e96296d55e9ec21",
             "norms.csv": "3409ea7eab8b03ec7c2a0e8fdf4964c7585d7201e945335e1eb063844d60e6e2",
@@ -556,7 +567,7 @@ PINNED_DIGESTS = {
             "field_0003.csv": "22a295f3358359688b0f78447487577c16a8d01d65b3e64b3643e0dc1e828e39",
             "field_0004.csv": "d8a16dc56c89c292901f368fe28a868af6375facd159b0a22ab8dd36d7a26751",
             "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
-            "manifest.json": "41ac34b44c0f152d9cfe6881ab3fd0bc9278b07c1e449a3c5df61b594fdbdb28",
+            "manifest.json": "643a2b5c7ae41070cfb9ba0165432651314100d919861d996622302cc757d97c",
             "norms.csv": "735484ee3ab0c5423070c4d2ad5414d8ed6bec58ff2e2522f1ddcdde75db51d5",
         },
         "2d": {
@@ -573,7 +584,7 @@ PINNED_DIGESTS = {
     },
     "nash-check": {
         "1d": {
-            "manifest.json": "bdf91682e269c81f09b7a9d57a0dedb6d648272acf35b530a3d3102896794d56",
+            "manifest.json": "3b0c1071db67df4ddaeb9fc08a5cb101d1d7dd96394291e3af9da3e769445949",
             "nash.txt": "81d517689c14e9589b4a719f34d65968364d8cc158c18bff22444adea29fc2d8",
             "nash_rows.csv": "d98ce9fab5ac4c425303b74a5bc0bef7b02986c0d64e5c1c449b3ad6415a2c0d",
         },
@@ -585,7 +596,7 @@ PINNED_DIGESTS = {
     },
     "regularity": {
         "1d": {
-            "manifest.json": "90c327f6f7a39a82a8cc76b8d670f9e418ffc82f7607dc5fa472e9e38547b057",
+            "manifest.json": "c58d96ce238f54d280bdba2c06e325ffa0d2e3f875d626e9d562a89dd7a223bd",
             "regularity.txt": "65525c5bbde835f929f2afa3c14e045946cc704b5d197e7d56ad23eed4d83678",
         },
         "2d": {
@@ -595,7 +606,7 @@ PINNED_DIGESTS = {
     },
     "symbol": {
         "1d": {
-            "manifest.json": "05b712f2adcca18f1cd7d53af0b9fbe8997d3d9e81430b20899c099df63817ce",
+            "manifest.json": "f8cb1037901cd6ef40d714dd1f8a83fcd6aa105a5cb4e7107d6b5977366b164e",
             "table.csv": "4d25a123e6c25846112c905809fa85cff8ad75c536d95c5a72d4a6cd12401b8a",
         },
         "2d": {
@@ -865,10 +876,6 @@ def test_out_of_range_datum_or_order_fails_before_any_computation(
         ("kind = random\nscale = 2.0", "[initial].scale: only meaningful for kind = gaussian"),
         ("kind = delta\nwidth = 2.0", "[initial].width: only meaningful for kind = box"),
         ("kind = delta\nband = 0.5", "[initial].band: only meaningful for kind = random"),
-        (
-            "kind = box\nwidth = 2.0\n\n[decay]\nnorms = 2\ntolerance = 0.3",
-            "[decay].tolerance: only meaningful with targets",
-        ),
     ],
 )
 def test_keys_the_kind_never_reads_fail_before_any_computation(
@@ -888,16 +895,16 @@ def test_keys_the_kind_never_reads_fail_before_any_computation(
 
 def test_reference_config_is_criterion_3(tmp_path):
     # the reference decay-fit and criterion 3 are one run, table included:
-    # the same snapshot times and norms, and the criterion's targets
+    # the same kernel, snapshot times and norms, and the criterion's targets
     path = Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg"
     cfg = parse_config(path)
-    assert cfg.decay.norms == (2.0, 4.0)
-    assert cfg.decay.targets == (0.5, 0.75) and cfg.decay.tolerance == 0.10
+    run = acceptance._bounded_tail_run()
+    assert cfg.kernel.levy == run["kernel"] and cfg.decay.norms == (2.0, 4.0)
+    assert cfg.decay_targets() == (0.5, 0.75) and cfg.decay.tolerance == 0.10
     assert main(["decay-fit", "--config", str(path), "--output", str(tmp_path)]) == 0
     rows = (tmp_path / "norms.csv").read_text().splitlines()
     assert rows[0] == "t,l1,l2,linf,energy"
     t, _, l2, linf, _ = np.array([[float(v) for v in row.split(",")] for row in rows[1:]]).T
-    run = acceptance._bounded_tail_run()
     assert np.array_equal(t, run["times"])
     assert np.array_equal(l2, run["l2"])
     assert np.array_equal(linf, run["sups"])

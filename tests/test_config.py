@@ -82,13 +82,13 @@ VARIANTS = {
         ],
         "\n[regularity]\ntimes = 0.5 5\n\n[nash]\nd = 0.25\nr = 1.5\n",
     ),
-    "targets-with-tolerance": (
+    "exponential-tolerance": (
         [
             ("near = fractional\nnear_param = 1.0", "near = oscillating\nnear_param = 0.5"),
             ("tail = power\ntail_param = 1.0", "tail = exponential\ntail_param = 2"),
             ("kind = box\nwidth = 2.0", "kind = random\nband = 0.5"),
         ],
-        "\n[decay]\nnorms = 2 4\nwindow = auto\ntargets = 0.5 0.75\ntolerance = 0.25\n",
+        "\n[decay]\nnorms = 2 4\nwindow = auto\ntolerance = 0.25\n",
     ),
     "gaussian-scale-logperturbed": (
         [
@@ -100,13 +100,13 @@ VARIANTS = {
 }
 
 GOLDEN_HASHES = {
-    "reference": "7c2c5b52fb74e3c1245412353d8d8dd0b5a79184b05f9edcc394562fbc07a432",
+    "reference": "d3088d1f39ff4b89149051858aadc614cac85d0ad3fcb08bebba7d5b72bb60e0",
     "delta-regularity-2d": "462426c3e42031a3c81b75f92947e3b17aec97edc00ae1ae43d749b4b9086eac",
+    "exponential-tolerance": "7f4b156f81e22bc3538945735c02cd479f0251e890b180664dc61b5fafcbaa25",
     "gaussian-scale-logperturbed": "751b18e51cb1fb3c8fb36382b2e713f1e733adc6a79e60f8d1ebf7c18479bd21",
     "linear-defaults": "742e122560c14bd90b7b92721d89bcada0ae067efc164e5bf835ae0c2a39125c",
     "nonlinear-gaussian-window": "5de97a22d9bf7f60cdc149df52eb4e59be60bf3fa4a7076fdae92feb0fc7aead",
     "random-nash-interpolation": "0c3630b6871e5ca5183fd047926de6cb21a4a629ce397281165029c47cb9a2b0",
-    "targets-with-tolerance": "12bf9a8513c79e6a320136a02467656c6e00b1ab06dc7b907827d49404bcf792",
 }
 
 
@@ -124,8 +124,9 @@ def _decay(*lines):
     return "\n[decay]\n" + "\n".join(lines) + "\n"
 
 
-NONLINEAR = ("kind = linear", "kind = nonlinear\nsigma = 2")
 AT_ZERO = ("snapshots = 1 2 4", "snapshots = 0 1 2 4")
+#: the range of rho_eps, which polices q and the fitted norms
+RANGE = "[decay]: need 1 <= q, sigma - 1 <= q, q < p; "
 
 #: (edits of BASE, extra sections, the exact message)
 MESSAGES = [
@@ -156,7 +157,6 @@ MESSAGES = [
     ([("snapshots = 1 2 4\n", "")], "", "[flow]: missing required key 'snapshots'"),
     ([("kind = linear", "kind = nonlinear")], "", "[flow]: missing required key 'sigma'"),
     ([], _decay("q = 0.5"), "[decay]: missing required key 'norms'"),
-    ([], _decay("norms = 2", "targets = 0.5"), "[decay]: missing required key 'tolerance'"),
     ([], "\n[nash]\nr = 1.5\n", "[nash]: missing required key 'd'"),
     ([], "\n[regularity]\n", "[regularity]: missing required key 'times'"),
     ([], "\n[interpolation]\nr = 1.5\n", "[interpolation]: missing required key 's'"),
@@ -226,7 +226,8 @@ MESSAGES = [
         "[initial].kind: unknown datum 'dirac'; choices ['box', 'delta', 'gaussian', 'random']",
     ),
     # decay
-    ([], _decay("norms = 0.5"), "[decay].norms: fitted norms need p >= 1"),
+    ([], _decay("norms = 0.5"), f"{RANGE}got q=1.0, p=0.5, sigma=1.0"),
+    ([], _decay("norms = 2", "q = 0.5"), f"{RANGE}got q=0.5, p=2.0, sigma=1.0"),
     ([], _decay("norms = 2", "window = 1"), "[decay].window: expected 'auto' or two increasing times"),
     ([], _decay("norms = 2", "window = 4 2"), "[decay].window: expected 'auto' or two increasing times"),
     ([], _decay("norms = 2", "window = 1 nan"), "[decay].window: nan is not allowed (got '1 nan')"),
@@ -242,23 +243,18 @@ MESSAGES = [
         "[decay]: a power-law fit needs positive times, but the window '0.0  8' includes "
         "the snapshot at t = 0",
     ),
+    ([], _decay("norms = 2", "tolerance = 0"), "[decay].tolerance must be positive"),
     (
         [],
-        _decay("norms = 2 4", "targets = 0.5", "tolerance = 0.1"),
-        "[decay].targets must align with [decay].norms",
-    ),
-    ([], _decay("norms = 2", "targets = 0.5", "tolerance = 0"), "[decay].tolerance must be positive"),
-    (
-        [NONLINEAR],
-        _decay("norms = 2", "q = 1"),
-        "[decay].q: the nonlinear decay estimate holds on the range sigma - 1 < q < p; "
-        "got sigma - 1 = 1 >= q = 1",
+        _decay("norms = 2", "targets = 0.5", "tolerance = 0.1"),
+        "[decay]: unknown keys ['targets']; allowed: ['norms', 'q', 'tolerance', 'window']",
     ),
     (
-        [],
-        _decay("norms = 4 2", "q = 2"),
-        "[decay]: the decay estimate needs q < p; got q = 2, p = 2",
+        [("kind = linear", "kind = nonlinear\nsigma = 2.5")],
+        _decay("norms = 2", "q = 1.25"),
+        f"{RANGE}got q=1.25, p=2.0, sigma=2.5",
     ),
+    ([], _decay("norms = 4 2", "q = 2"), f"{RANGE}got q=2.0, p=2.0, sigma=1.0"),
     # nash, regularity, interpolation
     ([], "\n[nash]\nd = 0\n", "[nash].d must be positive, got 0.0"),
     ([], "\n[nash]\nd = 1\nr = 2\n", "[nash].r must lie in [1, 2), got 2.0"),
@@ -272,7 +268,7 @@ MESSAGES = [
     (
         [],
         "\n[interpolation]\nr = 1.5\ns = 1.25\n",
-        "[interpolation]: exponents must satisfy 1 < r < s <= 2, got r = 1.5, s = 1.25",
+        "[interpolation]: need 1 < r < s <= 2, got r=1.5, s=1.25",
     ),
     # experiment
     ([("seed = 11", "seed = -1")], "", "[experiment].seed must be a non-negative integer, got -1"),
@@ -317,3 +313,11 @@ def test_unreadable_file_message(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert str(err.value) == f"{path}: {want.value}"
+
+
+def test_decay_targets_read_an_exponential_tail_as_order_two(tmp_path):
+    # rho = N (p - q) / (p gamma q) with gamma = 2, whatever the rate
+    edits, extra = VARIANTS["exponential-tolerance"]
+    cfg = parse_config(_config(tmp_path, edits, extra))
+    assert cfg.kernel.levy.tail.exponent() == 2.0
+    assert cfg.decay_targets() == (0.25, 0.375)
