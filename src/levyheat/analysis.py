@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
-from .errors import ContractError, DomainError, GridMismatchError
+from .errors import ContractError, DomainError
 from .evolve import LinearPropagator
 from .kernels import LevyKernel
-from .spectral import GridField, _parseval, _single, lp_norm, mollified_box_field
+from .spectral import GridField, _Lattice, _single, lp_norm, mollified_box_field
 from .symbol import SymbolTable
 
 #: relative slack granted to inequality margins (covers roundoff in the
@@ -42,18 +42,16 @@ def dirichlet_form_spectral(P: LinearPropagator, f: GridField) -> float:
 def dirichlet_bilinear(P: LinearPropagator, f: GridField, g: GridField) -> float:
     """Polarized form E(f, g) = (2L)^-N sum m Re(f_hat conj(g_hat)).
 
-    Read off the plain rfftn half lattice: the (-1)^kappa phase cancels in
-    the product and the dx^N factors leave dx^N / n^N (``_parseval``).
-    Batches of fields (see ``GridField``) give one value per field.
+    Read off the spectra through ``spectral._Lattice``, on the first
+    2^N-th of the lattice exactly when a flow would be.  Batches of
+    fields (see ``GridField``) give one value per field.
     """
     if not isinstance(P, LinearPropagator):
         raise ContractError(f"expected a LinearPropagator, got {type(P)!r}")
-    if not f.grid == g.grid == P.grid:
-        raise GridMismatchError("fields and propagator live on different grids")
-    axes = P.grid.field_axes
-    F = rfftn(f.values, axes=axes)
-    G = F if g is f else rfftn(g.values, axes=axes)
-    return _parseval(P.grid, P.half * (F.real * G.real + F.imag * G.imag))
+    lattice = _Lattice(P.grid, P.half, *((f,) if g is f else (f, g)))
+    F = lattice.forward(lattice.part(f.values))
+    G = F if g is f else lattice.forward(lattice.part(g.values))
+    return lattice.parseval(lattice.weight(F, G))
 
 
 def dirichlet_form_direct(kernel: LevyKernel, f: GridField) -> float:

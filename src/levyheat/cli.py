@@ -319,6 +319,9 @@ class Decay(Section):
     INFINITE = ("norms",)
 
     def __post_init__(self):
+        repeated = next((p for k, p in enumerate(self.norms) if p in self.norms[:k]), None)
+        if repeated is not None:
+            raise ConfigError(f"[decay].norms must be distinct, got p = {_fmt(repeated)} twice")
         span = None if self.window == "auto" else _read("tuple", self.window, "[decay].window")
         if span is not None and (len(span) != 2 or span[0] >= span[1]):
             raise ConfigError("[decay].window: expected 'auto' or two increasing times")

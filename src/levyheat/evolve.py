@@ -11,30 +11,17 @@ Dirichlet energies of the fields in closed form,
 
     E(u(t)) = (dx^N / n^N) sum' m(xi) e^{-2 m(xi) t} |U0(xi)|^2,
 
-with no transform of a snapshot (sum' is the half-lattice sum with
-mirror weight 2, as in ``analysis.dirichlet_bilinear``).  Each decay
-factor e^{-m t} is one array, exponentiated in place, and the energies
-of a run share one.  A propagator
-stores m on the rfftn half lattice only, since m is even, and binding a
-table to a grid (``from_table``) evaluates it there, at the lattice's
-exact radii.
+with no transform of a snapshot (sum' is the Parseval sum of
+``spectral``).  Each decay factor e^{-m t} is one array, exponentiated
+in place, and the energies of a run share one.  A propagator stores m
+on the rfftn half lattice only, since m is even, and binding a table to
+a grid (``from_table``) evaluates it there, at the lattice's exact
+radii.
 
-Both flows pick their transform pair from the datum alone
-(``_Lattice``).  The kernel is symmetric, so m is even and Phi odd, and
-both semigroups commute with the reflection x -> -x: a datum that
-equals its mirror image on every field axis -- symmetric about index
-(n - 1) / 2, as is every box centred at 0 with its edges on nodes --
-stays so, and its flow lives on the first 2^N-th of the lattice.
-There the DCT-II pair of ``scipy.fft`` diagonalises m (symmetric
-convolution, Martucci 1994), with m the first n / 2 entries of each
-axis of the stored half lattice, and a field is mirrored to the whole
-lattice only when a snapshot is made.  The DCT coefficients X of the
-first 2^N-th give |U|^2 = X^2 at the frequencies 0 .. n/2 - 1 of each
-axis, and U is 0 at Nyquist, so sum' becomes the sum with weight
-prod (2 - delta_{kappa,0}).  Every other datum (the delta surrogate,
-which is symmetric about n / 2, a Gaussian, a random field, a box with
-an edge off the nodes) runs on the real FFT pair of ``numpy.fft`` over
-the whole lattice.
+Both flows and the fundamental solution transform through
+``spectral._Lattice``: a datum equal to its mirror image flows on the
+first 2^N-th of the lattice, and a field is mirrored to the whole
+lattice only when a snapshot is made.
 
 The fundamental solution is the inverse transform of e^{-m(xi) t} and
 exists on a grid only when that factor has decayed below roundoff scale
@@ -75,7 +62,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
 from numpy.polynomial.polynomial import polyval
 
 from .errors import (
@@ -85,25 +71,8 @@ from .errors import (
     StabilityError,
     UnresolvableMeasureError,
 )
-from .spectral import GridField, PeriodicGrid, _parseval, _single
+from .spectral import GridField, PeriodicGrid, _Lattice, _decay, _single
 from .symbol import SymbolTable, log_grid
-
-
-def dctn(x, axes):
-    """The DCT-II of ``x`` over ``axes`` (``scipy.fft.dctn``, type 2).
-    ``scipy.fft`` is imported at the first call, so a run on no
-    mirror-symmetric datum never loads it."""
-    from scipy import fft
-
-    return fft.dctn(x, type=2, axes=axes)
-
-
-def idctn(x, axes, overwrite_x=False):
-    """The inverse of ``dctn`` over ``axes`` (``scipy.fft.idctn``, type 2);
-    ``overwrite_x`` lets it transform ``x`` in place."""
-    from scipy import fft
-
-    return fft.idctn(x, type=2, axes=axes, overwrite_x=overwrite_x)
 
 
 @dataclass(frozen=True)
@@ -172,109 +141,6 @@ def _check_times(times):
     return times
 
 
-def _mirrored(values, grid: PeriodicGrid):
-    """Whether ``values`` equal their mirror image on every field axis,
-    exactly: the one selector of a flow's transform pair."""
-    return all(np.array_equal(values, np.flip(values, ax)) for ax in grid.field_axes)
-
-
-class _Lattice:
-    """The part of the lattice a flow from the datum ``u0`` runs on and
-    its transform pair, chosen from the datum's values alone (see the
-    module docstring): the first 2^N-th under the DCT-II pair when the
-    datum equals its mirror image, else the whole lattice under the
-    real FFT pair.  ``m`` is the multiplier on the spectrum's lattice, a
-    view of the propagator's, and ``work`` counts the transforms made
-    and the points of each: n^N / 2^N on the first 2^N-th, else n^N."""
-
-    def __init__(self, P: LinearPropagator, u0: GridField):
-        if _single(u0).grid != P.grid:
-            raise GridMismatchError("field and propagator live on different grids")
-        g = self.grid = P.grid
-        self.mirrored = _mirrored(u0.values, g)
-        self.m = self.part(P.half)
-        n = g.points_per_axis // 2 if self.mirrored else g.points_per_axis
-        self.work = {"spectral.fft_calls": 0, "spectral.fft_points": n**g.dimension}
-
-    def part(self, a):
-        """The entries of ``a`` (a field or the stored multiplier) that
-        the flow runs on, as a view."""
-        if not self.mirrored:
-            return a
-        return a[(slice(0, self.grid.points_per_axis // 2),) * self.grid.dimension]
-
-    def forward(self, v):
-        self.work["spectral.fft_calls"] += 1
-        if self.mirrored:
-            return dctn(v, axes=self.grid.field_axes)
-        return rfftn(v)
-
-    def inverse(self, V, overwrite=False):
-        """The field whose spectrum is ``V``; ``overwrite`` lets the DCT-II
-        pair transform ``V`` in place."""
-        self.work["spectral.fft_calls"] += 1
-        g = self.grid
-        if self.mirrored:
-            return idctn(V, axes=g.field_axes, overwrite_x=overwrite)
-        return irfftn(V, s=g.shape, axes=g.field_axes)
-
-    def weight(self, V):
-        """m |V|^2, the energy density of the spectrum ``V``."""
-        if self.mirrored:
-            return self.m * (V * V)
-        return self.m * (V.real * V.real + V.imag * V.imag)
-
-    def parseval(self, w):
-        """(dx^N / n^N) times the full-lattice sum of ``w``, an even real
-        quantity known on the spectrum's lattice."""
-        g = self.grid
-        if not self.mirrored:
-            return _parseval(g, w)
-        # reduce one axis at a time: every frequency but 0 stands for
-        # itself and its mirror, and the Nyquist ones carry nothing
-        for _ in g.field_axes:
-            w = 2.0 * w.sum(axis=0) - w[0]
-        return float(w) * g.cell_volume / g.points_per_axis**g.dimension
-
-    def field(self, v):
-        """The ``GridField`` whose values on the flow's lattice are ``v``,
-        in an array of its own."""
-        if not self.mirrored:
-            return GridField(self.grid, v.copy())
-        full = np.empty(self.grid.shape)
-        self.part(full)[...] = v
-        return self._mirror(full)
-
-    def decayed(self, U, t):
-        """The ``GridField`` whose spectrum is e^{-m t} ``U``.  On the first
-        2^N-th the decay, the product and the inverse transform are
-        formed in that part of the field's own array, so the field is
-        the only array made."""
-        g = self.grid
-        if not self.mirrored:
-            return GridField(g, self.inverse(_decay(self.m, t) * U))
-        full = np.empty(g.shape)
-        part = self.part(full)
-        _decay(self.m, t, out=part)
-        part *= U
-        # scipy transforms the part in place, and assigning an array to
-        # itself copies nothing
-        part[...] = self.inverse(part, overwrite=True)
-        return self._mirror(full)
-
-    def _mirror(self, full):
-        """``full``, whose first n / 2 entries of every axis are set, as a
-        ``GridField`` equal to its own mirror image."""
-        g = self.grid
-        half = g.points_per_axis // 2
-        # flip the known block into the last n / 2 entries of the last
-        # axis, then of each axis before it
-        for k in reversed(range(g.dimension)):
-            head = (slice(0, half),) * k
-            full[head + (slice(half, None),)] = np.flip(full[head + (slice(0, half),)], axis=k)
-        return GridField(g, full)
-
-
 class Snapshot(NamedTuple):
     """One snapshot of a flow: the time t, the field u(t) and its
     Dirichlet energy E(u(t))."""
@@ -292,7 +158,7 @@ class LinearFlow:
     """
 
     def __init__(self, P: LinearPropagator, u0: GridField):
-        self.lattice = _Lattice(P, u0)
+        self.lattice = _Lattice(P.grid, P.half, _single(u0))
         self.spectrum = self.lattice.forward(self.lattice.part(u0.values))
 
     @property
@@ -317,13 +183,6 @@ class LinearFlow:
         return (Snapshot(t, lat.decayed(U0, t), e) for t, e in zip(times, energies))
 
 
-def _decay(m, t, out=None):
-    """e^{-m t} for the multiplier values ``m``, built in one array
-    (``out`` if given)."""
-    d = np.multiply(m, -t, out=out)
-    return np.exp(d, out=d)
-
-
 #: resolvability threshold: e^{-m_edge t} must fall below this before
 #: the lattice edge, else the discrete fundamental solution aliases
 RESOLVABLE_EDGE = 1e-6
@@ -346,9 +205,9 @@ def fundamental_solution(P: LinearPropagator, t) -> GridField:
             f"measure at t = {t} retains mass beyond the lattice and cannot be "
             f"represented on this grid"
         )
-    # irfftn centres the kernel on index 0; fftshift moves it to the node
-    # x = 0 (index n / 2) on every axis
-    kernel = irfftn(_decay(P.half, float(t)), s=P.grid.shape, axes=P.grid.field_axes)
+    # the inverse transform centres the kernel on index 0; fftshift moves
+    # it to the node x = 0 (index n / 2) on every axis
+    kernel = _Lattice(P.grid, P.half).inverse(_decay(P.half, float(t)))
     return GridField(P.grid, np.fft.fftshift(kernel) / P.grid.cell_volume)
 
 
@@ -451,7 +310,7 @@ class NonlinearFlow:
     """
 
     def __init__(self, P: LinearPropagator, phi: PhiLaw, u0: GridField):
-        self.lattice = _Lattice(P, u0)
+        self.lattice = _Lattice(P.grid, P.half, _single(u0))
         self.sup = float(np.max(np.abs(u0.values)))
         if self.sup > phi.M * (1 + 1e-12):
             raise ContractError(

@@ -1,15 +1,27 @@
-"""Periodic grids, the real-FFT transform pair, and field constructors.
+"""Periodic grids, the lattice transform, and field constructors.
 
 Functions live on the torus [-L, L)^N sampled at n points per axis (n a
-power of two).  The package's lattice transform is the plain real FFT
-pair ``numpy.fft.rfftn``/``irfftn`` on the half lattice, with ``axes``
-passed wherever ``s`` is: a real, even
-multiplier m(xi) acts on a real field as ``irfftn(m * rfftn(u))``, with
-xi_kappa = (pi / L) kappa in FFT ordering, and a lattice integral of a
-product of two fields is read off their half-lattice spectra
-(Parseval).  The one exception is a flow from a datum that equals its
-own mirror image, which ``evolve`` runs on the first 2^N-th of the
-lattice under ``scipy.fft``'s DCT-II pair.
+power of two).  ``_Lattice`` is the one owner of the lattice transform,
+for the flows, the spectral forms and every other transform: a real,
+even multiplier m(xi), xi_kappa = (pi / L) kappa, acts on real fields
+as ``inverse(m * forward(u))``, and the lattice integral of a product
+of two fields is read off their spectra F, G (Parseval) as
+(dx^N / n^N) sum' m Re(F conj(G)), over the field axes, so that leading
+axes are a batch.  The pair is picked from the fields' values alone
+(``_mirrored``).  m is even and Phi odd, so both flows keep a field
+that equals its mirror image on every field axis -- symmetric about
+index (n - 1) / 2, as is every box centred at 0 with its edges on nodes
+-- and it lives on the first 2^N-th of the lattice.  There the DCT-II
+pair of ``scipy.fft`` diagonalises m (symmetric convolution, Martucci
+1994), with m the first n / 2 entries of each axis of the stored half
+lattice; its coefficients X give |U|^2 = X^2 at the frequencies
+0 .. n/2 - 1 of each axis and U is 0 at Nyquist, so sum' has weight
+prod (2 - delta_{kappa,0}).  Every other field (the delta surrogate and
+the Nash family, symmetric about n / 2, a random field, a box with an
+edge off the nodes), and a computation from no field, runs on
+``numpy.fft``'s real pair over the whole lattice, where sum' gives
+every column of the rfftn half lattice but the last axis's first and
+Nyquist one mirror weight 2.
 
 Norms use exact products where the power is an integer the package
 measures -- |u| for p = 1, u*u for p = 2, (u*u)^2 for p = 4 -- and a
@@ -159,24 +171,146 @@ def _single(f: GridField) -> GridField:
     return f
 
 
-def _apply_multiplier(mult, values):
-    """Real samples whose spectrum is ``mult`` (an even multiplier on the
-    rfftn half lattice) times that of ``values``, transformed over
-    mult's axes: any leading axes of ``values`` are a batch of fields."""
-    axes = range(-mult.ndim, 0)
-    return irfftn(mult * rfftn(values, axes=axes), s=values.shape[-mult.ndim :], axes=axes)
+# ---------------------------------------------------------------------------
+# the lattice transform
+# ---------------------------------------------------------------------------
 
 
-def _parseval(grid: PeriodicGrid, w):
-    """(dx^N / n^N) times the full-lattice sum of ``w``, an even real
-    quantity known on the rfftn half lattice: every column but the last
-    axis's first and Nyquist one stands for itself and its mirror.  The
-    sum runs over the last N axes, so leading axes of ``w`` are a batch
-    with one value each (a float when there are none)."""
-    axes = grid.field_axes
-    total = 2.0 * w.sum(axis=axes) - w[..., 0].sum(axis=axes[1:]) - w[..., -1].sum(axis=axes[1:])
-    scaled = total * grid.cell_volume / grid.points_per_axis**grid.dimension
-    return float(scaled) if np.ndim(scaled) == 0 else scaled
+def dctn(x, axes):
+    """The DCT-II of ``x`` over ``axes`` (``scipy.fft.dctn``, type 2).
+    ``scipy.fft`` is imported at the first call, so a run on no
+    mirror-symmetric field never loads it."""
+    from scipy import fft
+
+    return fft.dctn(x, type=2, axes=axes)
+
+
+def idctn(x, axes, overwrite_x=False):
+    """The inverse of ``dctn`` over ``axes`` (``scipy.fft.idctn``, type 2);
+    ``overwrite_x`` lets it transform ``x`` in place."""
+    from scipy import fft
+
+    return fft.idctn(x, type=2, axes=axes, overwrite_x=overwrite_x)
+
+
+def _mirrored(values, grid: PeriodicGrid):
+    """Whether ``values`` equal their mirror image on every field axis,
+    exactly: the one selector of the lattice transform pair."""
+    h, axes = grid.points_per_axis // 2, grid.field_axes
+    # the pair at the centre of each axis first: most fields that are not
+    # mirrored differ there, and are told apart without a pass over them
+    if not all(np.array_equal(values.take(h - 1, ax), values.take(h, ax)) for ax in axes):
+        return False
+    return all(np.array_equal(values, np.flip(values, ax)) for ax in axes)
+
+
+def _decay(m, t, out=None):
+    """e^{-m t} for the multiplier values ``m``, built in one array
+    (``out`` if given)."""
+    d = np.multiply(m, -t, out=out)
+    return np.exp(d, out=d)
+
+
+class _Lattice:
+    """The part of ``grid``'s lattice that a computation on ``fields``
+    runs on, and its transform pair: the first 2^N-th under the DCT-II
+    pair when every field equals its mirror image, else (and with no
+    field) the whole lattice under the real FFT pair.  ``m`` is the view
+    of ``half``, a multiplier on the rfftn half lattice, on the
+    spectrum's lattice; ``work`` counts the transforms made and the
+    points of each: n^N / 2^N on the first 2^N-th, else n^N."""
+
+    def __init__(self, grid: PeriodicGrid, half, *fields: GridField):
+        if any(f.grid != grid for f in fields):
+            raise GridMismatchError("fields and multiplier live on different grids")
+        self.grid = grid
+        self.mirrored = bool(fields) and all(_mirrored(f.values, grid) for f in fields)
+        self.m = self.part(half)
+        n = grid.points_per_axis // 2 if self.mirrored else grid.points_per_axis
+        self.work = {"spectral.fft_calls": 0, "spectral.fft_points": n**grid.dimension}
+
+    def part(self, a):
+        """The entries of ``a`` (fields, or the stored multiplier) on the
+        spectrum's lattice, over the last N axes, as a view."""
+        if not self.mirrored:
+            return a
+        return a[(...,) + (slice(0, self.grid.points_per_axis // 2),) * self.grid.dimension]
+
+    def forward(self, v):
+        self.work["spectral.fft_calls"] += 1
+        if self.mirrored:
+            return dctn(v, axes=self.grid.field_axes)
+        return rfftn(v, axes=self.grid.field_axes)
+
+    def inverse(self, V, overwrite=False):
+        """The fields whose spectra are ``V``; ``overwrite`` lets the DCT-II
+        pair transform ``V`` in place."""
+        self.work["spectral.fft_calls"] += 1
+        g = self.grid
+        if self.mirrored:
+            return idctn(V, axes=g.field_axes, overwrite_x=overwrite)
+        return irfftn(V, s=g.shape, axes=g.field_axes)
+
+    def weight(self, V, W=None):
+        """m Re(V conj(W)), the energy density of the spectra ``V`` and
+        ``W`` (``V`` again when omitted)."""
+        W = V if W is None else W
+        if self.mirrored:
+            return self.m * (V * W)
+        return self.m * (V.real * W.real + V.imag * W.imag)
+
+    def parseval(self, w):
+        """(dx^N / n^N) times the full-lattice sum of ``w``, an even real
+        quantity known on the spectrum's lattice: sum' of the module
+        docstring, one value per field of a batch (a float for one)."""
+        g = self.grid
+        axes = g.field_axes
+        if self.mirrored:  # sum' one axis at a time
+            for ax in axes:
+                w = 2.0 * w.sum(axis=ax) - w.take(0, axis=ax)
+        else:
+            first, nyquist = w[..., 0].sum(axis=axes[1:]), w[..., -1].sum(axis=axes[1:])
+            w = 2.0 * w.sum(axis=axes) - first - nyquist
+        scaled = w * g.cell_volume / g.points_per_axis**g.dimension
+        return float(scaled) if np.ndim(scaled) == 0 else scaled
+
+    def field(self, v):
+        """The ``GridField`` whose values on the spectrum's lattice are
+        ``v``, in an array of its own."""
+        if not self.mirrored:
+            return GridField(self.grid, v.copy())
+        full = np.empty(self.grid.shape)
+        self.part(full)[...] = v
+        return self._mirror(full)
+
+    def decayed(self, U, t):
+        """The ``GridField`` whose spectrum is e^{-m t} ``U``.  On the first
+        2^N-th the decay, the product and the inverse transform are
+        formed in that part of the field's own array, so the field is
+        the only array made."""
+        g = self.grid
+        if not self.mirrored:
+            return GridField(g, self.inverse(_decay(self.m, t) * U))
+        full = np.empty(g.shape)
+        part = self.part(full)
+        _decay(self.m, t, out=part)
+        part *= U
+        # scipy transforms the part in place, and assigning an array to
+        # itself copies nothing
+        part[...] = self.inverse(part, overwrite=True)
+        return self._mirror(full)
+
+    def _mirror(self, full):
+        """``full``, whose first n / 2 entries of every axis are set, as a
+        ``GridField`` equal to its own mirror image."""
+        g = self.grid
+        half = g.points_per_axis // 2
+        # flip the known block into the last n / 2 entries of the last
+        # axis, then of each axis before it
+        for k in reversed(range(g.dimension)):
+            head = (slice(0, half),) * k
+            full[head + (slice(half, None),)] = np.flip(full[head + (slice(0, half),)], axis=k)
+        return GridField(g, full)
 
 
 def _root(f: GridField, power_sum, p) -> float:
@@ -381,8 +515,8 @@ def _band_limited(grid: PeriodicGrid, noise, band_fraction):
     (pi / dx), each field scaled to unit sup-norm."""
     if not 0 < band_fraction <= 1:
         raise DomainError(f"band_fraction must lie in (0, 1], got {band_fraction}")
-    keep = grid.half_freq_radii() <= band_fraction * grid.max_frequency
-    vals = _apply_multiplier(keep, noise)
+    lattice = _Lattice(grid, grid.half_freq_radii() <= band_fraction * grid.max_frequency)
+    vals = lattice.inverse(lattice.m * lattice.forward(noise))
     peak = np.max(np.abs(vals), axis=grid.field_axes, keepdims=True)
     if (peak == 0.0).any():
         raise DomainError("degenerate random field (all filtered out)")

@@ -1,15 +1,15 @@
 """Full-lattice views for the oracle tests, which sum or transform over
 every FFT frequency, not only the rfftn half lattice that a propagator
 stores, the oracles that only tests apply: the operator itself and its
-eigenfunctions, and the names through which the flows transform."""
+eigenfunctions, and the names through which the lattice transforms."""
 
 import math
 
 import numpy as np
 
-from levyheat import evolve
+from levyheat import spectral
 from levyheat.errors import GridMismatchError
-from levyheat.spectral import GridField, PeriodicGrid, _apply_multiplier
+from levyheat.spectral import GridField, PeriodicGrid
 
 
 def freq_axis(grid):
@@ -35,10 +35,13 @@ def full_multiplier(P):
 
 
 def apply_operator(P, f: GridField) -> GridField:
-    """The discrete nonlocal operator: multiplier m applied in frequency."""
-    if f.grid != P.grid:
+    """The discrete nonlocal operator: multiplier m applied in frequency,
+    by numpy's real FFT pair called here, not through levyheat."""
+    g = P.grid
+    if f.grid != g:
         raise GridMismatchError("field and propagator live on different grids")
-    return GridField(P.grid, _apply_multiplier(P.half, f.values))
+    spectrum = np.fft.rfftn(f.values, axes=g.field_axes)
+    return GridField(g, np.fft.irfftn(P.half * spectrum, s=g.shape, axes=g.field_axes))
 
 
 def mode_field(grid: PeriodicGrid, k, amplitude=1.0) -> GridField:
@@ -51,21 +54,21 @@ def mode_field(grid: PeriodicGrid, k, amplitude=1.0) -> GridField:
     return GridField(grid, amplitude * np.cos(phase))
 
 
-#: the module-level names in ``evolve`` of both transform pairs, forward
-#: and inverse: the real FFT pair on the whole lattice and the DCT-II
-#: pair on the first 2^N-th of it
-EVOLVE_TRANSFORMS = ("rfftn", "irfftn", "dctn", "idctn")
+#: the module-level names in ``spectral``, their one home, of both
+#: transform pairs of the lattice, forward and inverse: the real FFT pair
+#: on the whole lattice and the DCT-II pair on the first 2^N-th of it
+TRANSFORMS = ("rfftn", "irfftn", "dctn", "idctn")
 
 
 def count_transforms(monkeypatch):
-    """Hook every name of EVOLVE_TRANSFORMS; returns the list to which
-    each call then appends its name."""
+    """Hook every name of TRANSFORMS in ``spectral``; returns the list to
+    which each call then appends its name."""
     calls = []
-    for name in EVOLVE_TRANSFORMS:
+    for name in TRANSFORMS:
 
-        def counted(*args, _real=getattr(evolve, name), _name=name, **kwargs):
+        def counted(*args, _real=getattr(spectral, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(evolve, name, counted)
+        monkeypatch.setattr(spectral, name, counted)
     return calls

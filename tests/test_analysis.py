@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from levyheat.spectral import (
     random_nonnegative,
 )
 from levyheat.symbol import build_symbol_table, log_grid
-from lattice import freq_axis, full_multiplier, mode_field
+from lattice import count_transforms, freq_axis, full_multiplier, mode_field
 
 INTEGRABLE = LevyKernel(dimension=1, near=Bounded(c0=0.7), tail=CompactSupport())
 CAUCHY = LevyKernel(dimension=1, near=FractionalPower(beta=1.0), tail=PowerTail(alpha=1.0))
@@ -200,25 +201,65 @@ def test_spectral_form_single_mode_closed_form(integrable_table):
     assert an.dirichlet_form_spectral(P, f) == pytest.approx(want, rel=1e-12)
 
 
+def form_fields(kind, g, rng, batch):
+    """Two fields (f, h) of one kind, or two batches of two: a box
+    centred at 0 with its edges on nodes, equal to its mirror image; a
+    member of the Nash family, symmetric about index n / 2 instead; a
+    random field."""
+    if kind == "box":
+        f, h = box_field(g, width=2.0).values, 1.7 * box_field(g, width=3.0).values
+    elif kind == "nash":
+        f, h = mollified_box_field(g, scale=1.3).values, mollified_box_field(g, 0.5, 0.1).values
+    else:
+        f = rng.standard_normal(g.shape)
+        h = f + rng.standard_normal(g.shape)
+    if not batch:
+        return GridField(g, f), GridField(g, h)
+    return GridField(g, np.stack((f, h)), batch=True), GridField(g, np.stack((h, f)), batch=True)
+
+
+def rfftn_half_lattice_form(P, f, h):
+    """E(f, h) off the rfftn half lattice, spelled out: every column but
+    the last axis's first and Nyquist one stands for itself and its
+    mirror."""
+    g, axes = P.grid, P.grid.field_axes
+    F, H = np.fft.rfftn(f.values, axes=axes), np.fft.rfftn(h.values, axes=axes)
+    w = P.half * (F.real * H.real + F.imag * H.imag)
+    total = 2.0 * w.sum(axis=axes) - w[..., 0].sum(axis=axes[1:]) - w[..., -1].sum(axis=axes[1:])
+    return total * g.cell_volume / g.points_per_axis**g.dimension
+
+
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
-def test_forms_match_full_lattice_sum(dim, n):
+def test_forms_match_full_lattice_sum(monkeypatch, dim, n):
     # (2L)^-N sum m Re(f_hat conj(h_hat)) over the whole lattice of the
     # transform dx^N FFT (the continuum phase (-1)^kappa cancels in the
-    # product)
+    # product), for single fields and batches of two.  The forms take the
+    # first 2^N-th of the lattice under the DCT-II pair exactly when a
+    # flow would, for the box; the other fields take the real FFT pair
+    # and are bit-equal to the rfftn half lattice's sum
     g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
     P = abs_propagator(g)
     rng = np.random.default_rng(41)
     vol = (2 * g.half_width) ** dim
     m = full_multiplier(P)
-    for _ in range(3):
-        f = GridField(g, rng.standard_normal(g.shape))
-        h = GridField(g, f.values + rng.standard_normal(g.shape))
-        F = g.cell_volume * np.fft.fftn(f.values)
-        H = g.cell_volume * np.fft.fftn(h.values)
-        want_ff = float(np.sum(m * np.abs(F) ** 2)) / vol
-        want_fh = float(np.sum(m * (F * np.conj(H)).real)) / vol
-        assert an.dirichlet_form_spectral(P, f) == pytest.approx(want_ff, rel=1e-12)
-        assert an.dirichlet_bilinear(P, f, h) == pytest.approx(want_fh, rel=1e-12)
+    axes = g.field_axes
+    calls = count_transforms(monkeypatch)
+    for kind, batch in itertools.product(("random", "nash", "box"), (False, True)):
+        forward, rel = ("dctn", 1e-14) if kind == "box" else ("rfftn", 1e-12)
+        for _ in range(3 if kind == "random" else 1):
+            f, h = form_fields(kind, g, rng, batch)
+            calls.clear()
+            got_ff, got_fh = an.dirichlet_form_spectral(P, f), an.dirichlet_bilinear(P, f, h)
+            assert calls == [forward] * 3, (kind, batch)
+            if kind != "box":
+                assert np.array_equal(got_ff, rfftn_half_lattice_form(P, f, f))
+                assert np.array_equal(got_fh, rfftn_half_lattice_form(P, f, h))
+            F = g.cell_volume * np.fft.fftn(f.values, axes=axes)
+            H = g.cell_volume * np.fft.fftn(h.values, axes=axes)
+            want_ff = np.sum(m * np.abs(F) ** 2, axis=axes) / vol
+            want_fh = np.sum(m * (F * np.conj(H)).real, axis=axes) / vol
+            assert got_ff == pytest.approx(want_ff, rel=rel), (kind, batch)
+            assert got_fh == pytest.approx(want_fh, rel=rel), (kind, batch)
 
 
 def test_forms_need_a_propagator_on_the_fields_grid(integrable_table):

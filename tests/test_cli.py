@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyheat import acceptance, cli, evolve
+from levyheat import acceptance, cli, evolve, spectral
 from levyheat.analysis import dirichlet_form_spectral
 from levyheat.cli import ExperimentConfig, main, parse_config, run
 from levyheat.errors import ConfigError, PipelineError
 from levyheat.evolve import LinearFlow, LinearPropagator, NonlinearFlow, PhiLaw
 from levyheat.spectral import GridField, PeriodicGrid, field_norms
 from levyheat.symbol import build_symbol_table
-from lattice import EVOLVE_TRANSFORMS, count_transforms, full_lattice_radii
+from lattice import TRANSFORMS, count_transforms, full_lattice_radii
 
 BASE = """\
 [experiment]
@@ -237,16 +237,25 @@ def test_manifest_counts_the_transforms_the_flow_takes(tmp_path, monkeypatch, ki
     # the box [-1, 1) has its edges on nodes and runs on the DCT-II pair
     # over half the lattice; the random field on the real FFT pair.  The
     # flow picks its pair once, and the stepper its steps once, whose
-    # counts the manifest reads off the flow
+    # counts the manifest reads off the flow; the count starts once the
+    # datum is built, since the random datum transforms too
     calls = count_transforms(monkeypatch)
     decided = []
-    for name in ("_mirrored", "step_sizes"):
+    for module, name in ((spectral, "_mirrored"), (evolve, "step_sizes")):
 
-        def recorded(*args, _real=getattr(evolve, name), _name=name):
+        def recorded(*args, _real=getattr(module, name), _name=name):
             decided.append(_name)
             return _real(*args)
 
-        monkeypatch.setattr(evolve, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
+    real_initial = cli._initial_field
+
+    def datum_uncounted(cfg, grid):
+        u0 = real_initial(cfg, grid)
+        calls.clear()
+        return u0
+
+    monkeypatch.setattr(cli, "_initial_field", datum_uncounted)
     body = BASE.replace("points = 2048", "points = 256")
     body = body.replace("snapshots = 1 1.5", "snapshots = 0.2 0.3")
     if kind == "nonlinear":
@@ -708,7 +717,7 @@ def test_stability_error_mid_nonlinear_evolve_is_stage_evolve_and_cleans_up(
 
 def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
     # both flows make every record through evolve.Snapshot, and work
-    # toward the next one starts with a transform in evolve: by then
+    # toward the next one starts with a transform in spectral: by then
     # neither the flow nor its consumer may still hold the field of the
     # record before, so that only one field is alive at a time
     real_snapshot = evolve.Snapshot
@@ -733,8 +742,8 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
         return ok
 
     monkeypatch.setattr(evolve, "Snapshot", checked_snapshot)
-    for name in EVOLVE_TRANSFORMS:
-        monkeypatch.setattr(evolve, name, checked(getattr(evolve, name)))
+    for name in TRANSFORMS:
+        monkeypatch.setattr(spectral, name, checked(getattr(spectral, name)))
     linear = write_cfg(tmp_path, decay=["norms = 2", "q = 1"])
     nonlinear = linear.with_name("nonlinear.cfg")
     text = linear.read_text().replace("kind = linear", "kind = nonlinear\nsigma = 2")

@@ -255,6 +255,7 @@ MESSAGES = [
         f"{RANGE}got q=1.25, p=2.0, sigma=2.5",
     ),
     ([], _decay("norms = 4 2", "q = 2"), f"{RANGE}got q=2.0, p=2.0, sigma=1.0"),
+    ([], _decay("norms = 2 inf 2.0"), "[decay].norms must be distinct, got p = 2 twice"),
     # nash, regularity, interpolation
     ([], "\n[nash]\nd = 0\n", "[nash].d must be positive, got 0.0"),
     ([], "\n[nash]\nd = 1\nr = 2\n", "[nash].r must lie in [1, 2), got 2.0"),

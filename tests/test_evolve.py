@@ -745,10 +745,11 @@ def test_a_stepped_run_transforms_four_times_a_step_and_once_for_the_datum(
 ):
     # a snapshot's energy is read off the carried spectrum, so no snapshot
     # costs a transform, not even one that takes no step; the box runs
-    # on the DCT-II pair alone, the random field on the real FFT pair
-    calls = count_transforms(monkeypatch)
+    # on the DCT-II pair alone, the random field on the real FFT pair;
+    # the count starts once the datum is built
     g = PeriodicGrid(dimension=dim, half_width=16.0, points_per_axis=n)
     u0 = GridField(g, 0.5 * datum(kind, g, 31).values)
+    calls = count_transforms(monkeypatch)
     snaps = [0.0, 0.37, 1.0, 1.0, 2.5]
     flow = NonlinearFlow(poisson_propagator(g), PhiLaw(sigma=2.0), u0)
     for _ in flow.snapshots(snaps):
