@@ -119,8 +119,9 @@ def _integrable_table():
 
 
 def _norm_bookkeeping(first, snapshots):
-    """One pass over a run's ``Snapshot`` stream, consumed one field at a
-    time, against the datum's ``FieldNorms`` ``first``.
+    """One pass over a run's ``Snapshot`` stream, consumed one snapshot at
+    a time and read on the flow's own part of the lattice, against the
+    datum's ``FieldNorms`` ``first``.
 
     Returns the mass drift, the worst p-norm increase (p = 1, 2, inf)
     between consecutive snapshots, the L2/L4/sup series, the worst
@@ -131,9 +132,9 @@ def _norm_bookkeeping(first, snapshots):
     l2_sq = prev[2] ** 2
     drift, increase, guard, energy_ratio = 0.0, -np.inf, 0.0, -np.inf
     l2, l4, sups = [], [], []
-    for t, u, energy in snapshots:
-        cur = field_norms(u)
-        del u  # release this field before the next is computed
+    for snap in snapshots:
+        cur, t, energy = snap.norms(), snap.t, snap.energy
+        del snap  # release this snapshot before the next is computed
         drift = max(drift, abs(cur.mass - first.mass))
         increase = max(increase, *(cur.lp[p] - prev[p] for p in (1, 2, np.inf)))
         prev = cur.lp

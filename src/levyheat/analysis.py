@@ -165,12 +165,15 @@ def _nash_terms(P, f: GridField, d: float, r_norm: float):
 
 @dataclass(frozen=True)
 class NashReport:
-    """Ratio landscape of a dilation sweep."""
+    """Ratio landscape of a dilation sweep, over the scales the grid
+    resolves."""
 
     ratios: np.ndarray
     scales: np.ndarray
     #: "poincare" where ||g||_2 >= 1, else "nash", one per scale
     branches: tuple
+    #: how many scales of the family the grid does not resolve
+    unresolved: int
 
     @property
     def branch_poincare(self):
@@ -203,9 +206,19 @@ def nash_dilation_sweep(P, d: float, *, r_norm=1.0) -> NashReport:
     ``NASH_BOX_EDGE_WIDTH``).
 
     With r = 1 the family keeps ||f||_1 fixed while ||f||_2 sweeps both
-    sides of 1, exercising both branches of the min.
+    sides of 1, exercising both branches of the min.  A dilate whose
+    half width h / lambda is below one cell dx is left out and counted
+    as unresolved: the box is centred on a cell, so one that reaches
+    less than half a cell is identically zero.  Raises DomainError when
+    the grid resolves no scale.
     """
-    scales = NASH_SCALES
+    resolved = NASH_BOX_HALF_WIDTH / NASH_SCALES >= P.grid.spacing
+    scales = NASH_SCALES[resolved]
+    if not scales.size:
+        raise DomainError(
+            f"no scale of the Nash family is resolved: half width "
+            f"{NASH_BOX_HALF_WIDTH / NASH_SCALES[0]:g} at the widest, cell {P.grid.spacing:g}"
+        )
     ratios = np.empty_like(scales)
     branches = []
     for i, lam in enumerate(scales):
@@ -214,7 +227,12 @@ def nash_dilation_sweep(P, d: float, *, r_norm=1.0) -> NashReport:
         )
         ratios[i], g2 = _nash_terms(P, f, d, r_norm)
         branches.append("poincare" if g2 >= 1.0 else "nash")
-    return NashReport(ratios=ratios, scales=scales, branches=tuple(branches))
+    return NashReport(
+        ratios=ratios,
+        scales=scales,
+        branches=tuple(branches),
+        unresolved=int(np.count_nonzero(~resolved)),
+    )
 
 
 # ---------------------------------------------------------------------------

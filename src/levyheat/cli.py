@@ -72,7 +72,6 @@ from .spectral import (
     PeriodicGrid,
     box_field,
     delta_surrogate,
-    field_norms,
     gaussian_field,
     random_band_limited,
     write_field_csv,
@@ -516,28 +515,29 @@ def _flow(cfg, P, u0):
 
 def _snapshot_pass(cfg, snapshots, command, art):
     """Analyse the ``Snapshot`` stream ``snapshots`` in one pass, holding
-    one field at a time; writes norms.csv (and, for ``evolve``, each
-    field as it comes) and returns the decay series by p, the
-    escape-guard ratio and the last field.  A failure of the flow
-    itself surfaces here, as stage ``evolve``."""
+    one snapshot at a time and reading its norms off the part of the
+    lattice the flow runs on; writes norms.csv (and, for ``evolve``,
+    each field as it comes, the only fields made) and returns the decay
+    series by p, the escape-guard ratio and the last snapshot.  A
+    failure of the flow itself surfaces here, as stage ``evolve``."""
     fit_ps = cfg.decay.norms if command == "decay-fit" else ()
     rows = []
     series = {p: [] for p in fit_ps}
     guard_ratio = 0.0
     for i in range(len(cfg.flow.snapshots)):
-        u = None  # release the previous field before the next is computed
-        t, u, energy = _stage("evolve", next, snapshots)
-        norms = _stage("analysis", field_norms, u, fit_ps)
+        snap = None  # release the previous snapshot before the next is computed
+        snap = _stage("evolve", next, snapshots)
+        norms = _stage("analysis", snap.norms, fit_ps)
         lp = norms.lp
-        rows.append((t, lp[1], lp[2], lp[np.inf], energy))
+        rows.append((snap.t, lp[1], lp[2], lp[np.inf], snap.energy))
         for p in fit_ps:
-            series[p].append((t, lp[p]))
+            series[p].append((snap.t, lp[p]))
         guard_ratio = max(guard_ratio, norms.face_ratio)
         if command == "evolve":
             fname = f"field_{i:04d}.csv"
-            _stage("write", write_field_csv, u, art.target(fname))
+            _stage("write", write_field_csv, snap.field, art.target(fname))
     art.write_text("norms.csv", _csv("t,l1,l2,linf,energy", rows))
-    return series, guard_ratio, u
+    return series, guard_ratio, snap
 
 
 def _decay_report(cfg, series):
@@ -574,6 +574,7 @@ def _nash_report(cfg, P):
             ("d", cfg.nash.d),
             ("r", cfg.nash.r),
             ("samples", len(rep.ratios)),
+            ("unresolved", rep.unresolved),
             ("branch_poincare", rep.branch_poincare),
             ("branch_nash", rep.branch_nash),
             ("min_ratio", rep.min_ratio),
@@ -595,9 +596,9 @@ def _regularity_report(cfg, tab):
     return _kv(*blocks)
 
 
-def _interpolation_report(cfg, P, u):
+def _interpolation_report(cfg, P, snap):
     r, s = cfg.interpolation.r, cfg.interpolation.s
-    rep = interpolation_check(P, u, r, s, cfg.kernel.levy.tail.exponent())
+    rep = interpolation_check(P, snap.field, r, s, cfg.kernel.levy.tail.exponent())
     return _kv(
         [
             ("name", cfg.experiment.name),

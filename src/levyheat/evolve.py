@@ -20,8 +20,7 @@ radii.
 
 Both flows and the fundamental solution transform through
 ``spectral._Lattice``: a datum equal to its mirror image flows on the
-first 2^N-th of the lattice, and a field is mirrored to the whole
-lattice only when a snapshot is made.
+first 2^N-th of the lattice, and each snapshot holds only that part.
 
 The fundamental solution is the inverse transform of e^{-m(xi) t} and
 exists on a grid only when that factor has decayed below roundoff scale
@@ -48,10 +47,13 @@ snapshot to get its energy.
 Both flows are objects built from the datum, which they check at
 construction: ``LinearFlow(P, u0)`` and ``NonlinearFlow(P, phi, u0)``.
 Both give their snapshots in one shape, ``snapshots(times)``, an
-iterator of ``Snapshot(t, field, energy)`` records in the order of the
-times asked for.  Each field is computed only when it is requested, so
-a consumer that lets go of each field before it asks for the next
-holds one at a time.  Both count their own work in ``work``: the
+iterator of ``Snapshot(t, part, energy, lattice)`` records in the order
+of the times asked for: ``part`` holds u(t) on the lattice part the flow
+runs on.  ``Snapshot.norms`` reads the norms off the part, and
+``Snapshot.field`` mirrors it out to the whole lattice only when read.
+Each snapshot is computed only when it is requested, so a consumer that
+lets go of each one before it asks for the next holds one part at a
+time.  Both count their own work in ``work``: the
 transforms made so far and the points of each, and the stepper's steps.
 """
 
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -71,7 +73,7 @@ from .errors import (
     StabilityError,
     UnresolvableMeasureError,
 )
-from .spectral import GridField, PeriodicGrid, _Lattice, _decay, _single
+from .spectral import FieldNorms, GridField, PeriodicGrid, _Lattice, _decay, _norms, _single
 from .symbol import SymbolTable, log_grid
 
 
@@ -141,13 +143,32 @@ def _check_times(times):
     return times
 
 
-class Snapshot(NamedTuple):
-    """One snapshot of a flow: the time t, the field u(t) and its
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """One snapshot of a flow: the time t, ``part``, the values of u(t) on
+    the part of the lattice the flow runs on (``lattice``, a
+    ``spectral._Lattice``), in an array of the snapshot's own, and the
     Dirichlet energy E(u(t))."""
 
     t: float
-    field: GridField
+    part: np.ndarray
     energy: float
+    lattice: _Lattice
+
+    @property
+    def field(self) -> GridField:
+        """u(t) on the whole lattice, made on each read: the part mirrored
+        out into an array of its own on the first 2^N-th, else the part
+        itself."""
+        return self.lattice.field(self.part)
+
+    def norms(self, extra=()) -> FieldNorms:
+        """u(t)'s ``FieldNorms`` (with L^p for each p in ``extra``), read
+        off the part: equal to ``field_norms(self.field, extra)``,
+        bit-identical on the whole lattice and to roundoff on the first
+        2^N-th.  Raises ContractError if u(t) is not finite."""
+        lat = self.lattice
+        return _norms(lat.grid, self.part, lat.copies, extra)
 
 
 class LinearFlow:
@@ -180,7 +201,7 @@ class LinearFlow:
             _decay(lat.m, 2.0 * t, out=d)
             d *= w
             energies.append(lat.parseval(d))
-        return (Snapshot(t, lat.decayed(U0, t), e) for t, e in zip(times, energies))
+        return (Snapshot(t, lat.decayed(U0, t), e, lat) for t, e in zip(times, energies))
 
 
 #: resolvability threshold: e^{-m_edge t} must fall below this before
@@ -377,4 +398,5 @@ class NonlinearFlow:
                 t += dt
                 self.steps.append(dt)
             t = target
-            yield Snapshot(target, lat.field(u), lat.parseval(lat.weight(U)))
+            # a copy: the stream's next step reads u
+            yield Snapshot(target, u.copy(), lat.parseval(lat.weight(U)), lat)

@@ -11,27 +11,34 @@ axes are a batch.  The pair is picked from the fields' values alone
 (``_mirrored``).  m is even and Phi odd, so both flows keep a field
 that equals its mirror image on every field axis -- symmetric about
 index (n - 1) / 2, as is every box centred at 0 with its edges on nodes
--- and it lives on the first 2^N-th of the lattice.  There the DCT-II
+and every member of the cell-centred Nash family -- and it lives on the
+first 2^N-th of the lattice.  There the DCT-II
 pair of ``scipy.fft`` diagonalises m (symmetric convolution, Martucci
 1994), with m the first n / 2 entries of each axis of the stored half
 lattice; its coefficients X give |U|^2 = X^2 at the frequencies
 0 .. n/2 - 1 of each axis and U is 0 at Nyquist, so sum' has weight
-prod (2 - delta_{kappa,0}).  Every other field (the delta surrogate and
-the Nash family, symmetric about n / 2, a random field, a box with an
-edge off the nodes), and a computation from no field, runs on
+prod (2 - delta_{kappa,0}).  Every other field (the delta surrogate,
+symmetric about n / 2, a random field, a box with an edge off the
+nodes), and a computation from no field, runs on
 ``numpy.fft``'s real pair over the whole lattice, where sum' gives
 every column of the rfftn half lattice but the last axis's first and
 Nyquist one mirror weight 2.
 
 Norms use exact products where the power is an integer the package
 measures -- |u| for p = 1, u*u for p = 2, (u*u)^2 for p = 4 -- and a
-general power only for other p; ``field_norms`` gives every scalar a
-snapshot is checked by (mass, the L^1/L^2/L^4/sup norms, the face
-ratio) with one scratch array.
+general power only for other p.  One body (``_norms``) gives every
+scalar a snapshot is checked by (mass, the L^1/L^2/L^4/sup norms, the
+face ratio) with one scratch array, from a field's values on the part
+of the lattice where they live: each sum over the part is scaled by the
+part's copy count, 2^N on the mirrored first 2^N-th and 1 on the whole
+lattice, and the sup and the face ratio are read off the part, which
+holds row and column 0.  ``field_norms`` calls it on a whole field and
+``evolve.Snapshot.norms`` on a flow's part, so a mirrored run is
+measured without mirroring its snapshots out.
 
 The command line (``cli.main``) has the C allocator keep freed memory
 in the process: a 2^20-point transform frees 16 MiB at the top of the
-heap (its scratch and the previous snapshot's field), which glibc would
+heap (its scratch and the previous snapshot), which glibc would
 otherwise hand back to the kernel and fault in again, zero-filled, at
 the next transform.
 
@@ -217,17 +224,19 @@ class _Lattice:
     pair when every field equals its mirror image, else (and with no
     field) the whole lattice under the real FFT pair.  ``m`` is the view
     of ``half``, a multiplier on the rfftn half lattice, on the
-    spectrum's lattice; ``work`` counts the transforms made and the
-    points of each: n^N / 2^N on the first 2^N-th, else n^N."""
+    spectrum's lattice; ``copies`` is how many times the whole lattice
+    holds the part's values (2^N on the first 2^N-th, else 1); ``work``
+    counts the transforms made and the points of each, n^N / copies."""
 
     def __init__(self, grid: PeriodicGrid, half, *fields: GridField):
         if any(f.grid != grid for f in fields):
             raise GridMismatchError("fields and multiplier live on different grids")
         self.grid = grid
         self.mirrored = bool(fields) and all(_mirrored(f.values, grid) for f in fields)
+        self.copies = 2**grid.dimension if self.mirrored else 1
         self.m = self.part(half)
-        n = grid.points_per_axis // 2 if self.mirrored else grid.points_per_axis
-        self.work = {"spectral.fft_calls": 0, "spectral.fft_points": n**grid.dimension}
+        points = grid.points_per_axis**grid.dimension // self.copies
+        self.work = {"spectral.fft_calls": 0, "spectral.fft_points": points}
 
     def part(self, a):
         """The entries of ``a`` (fields, or the stored multiplier) on the
@@ -276,34 +285,13 @@ class _Lattice:
 
     def field(self, v):
         """The ``GridField`` whose values on the spectrum's lattice are
-        ``v``, in an array of its own."""
-        if not self.mirrored:
-            return GridField(self.grid, v.copy())
-        full = np.empty(self.grid.shape)
-        self.part(full)[...] = v
-        return self._mirror(full)
-
-    def decayed(self, U, t):
-        """The ``GridField`` whose spectrum is e^{-m t} ``U``.  On the first
-        2^N-th the decay, the product and the inverse transform are
-        formed in that part of the field's own array, so the field is
-        the only array made."""
+        ``v``: ``v`` itself on the whole lattice, else ``v`` mirrored out
+        into an array of its own."""
         g = self.grid
         if not self.mirrored:
-            return GridField(g, self.inverse(_decay(self.m, t) * U))
+            return GridField(g, v)
         full = np.empty(g.shape)
-        part = self.part(full)
-        _decay(self.m, t, out=part)
-        part *= U
-        # scipy transforms the part in place, and assigning an array to
-        # itself copies nothing
-        part[...] = self.inverse(part, overwrite=True)
-        return self._mirror(full)
-
-    def _mirror(self, full):
-        """``full``, whose first n / 2 entries of every axis are set, as a
-        ``GridField`` equal to its own mirror image."""
-        g = self.grid
+        self.part(full)[...] = v
         half = g.points_per_axis // 2
         # flip the known block into the last n / 2 entries of the last
         # axis, then of each axis before it
@@ -312,38 +300,54 @@ class _Lattice:
             full[head + (slice(half, None),)] = np.flip(full[head + (slice(0, half),)], axis=k)
         return GridField(g, full)
 
+    def decayed(self, U, t):
+        """The values on the spectrum's lattice of the field whose spectrum
+        is e^{-m t} ``U``, in an array of their own.  On the first 2^N-th
+        the decay, the product and the inverse transform are formed in
+        one array of the part's size, the only array made."""
+        if not self.mirrored:
+            return self.inverse(_decay(self.m, t) * U)
+        part = _decay(self.m, t)
+        part *= U
+        return self.inverse(part, overwrite=True)
 
-def _root(f: GridField, power_sum, p) -> float:
-    return float((f.grid.cell_volume * power_sum) ** (1.0 / p))
+
+def _root(volume, power_sum, p) -> float:
+    return float((volume * power_sum) ** (1.0 / p))
 
 
-def lp_norm(f: GridField, p) -> float:
-    """Discrete L^p norm (dx^N sum |u|^p)^(1/p); max |u| for p = math.inf.
+def _power_sum(v, p):
+    """sum |v|^p for 1 <= p < inf.
 
-    p = 1, 2 and 4 sum the exact products |u|, u*u and (u*u)^2; any
-    other p raises only the nonzero |u| to a general power.  A zero
+    p = 1, 2 and 4 sum the exact products |v|, v*v and (v*v)^2; any
+    other p raises only the nonzero |v| to a general power.  A zero
     sample stays 0 = 0^p, so the sum is bit-identical to powering every
     sample, without paying libm's slow ``pow`` on the (often many)
     exact zeros of a compactly supported field.
     """
-    _single(f)
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
     if not 1.0 <= float(p) < math.inf:
         raise DomainError(f"p must be >= 1 or math.inf, got {p!r}")
     p = float(p)
-    v = f.values
     if p == 1.0:
-        return _root(f, np.sum(np.abs(v)), p)
+        return np.sum(np.abs(v))
     if p == 2.0:
-        return _root(f, np.sum(v * v), p)
+        return np.sum(v * v)
     if p == 4.0:
         sq = v * v
         sq *= sq
-        return _root(f, np.sum(sq), p)
+        return np.sum(sq)
     a = np.abs(v)
     np.power(a, p, out=a, where=a > 0)
-    return _root(f, np.sum(a), p)
+    return np.sum(a)
+
+
+def lp_norm(f: GridField, p) -> float:
+    """Discrete L^p norm (dx^N sum |u|^p)^(1/p) (``_power_sum``); max |u|
+    for p = math.inf."""
+    _single(f)
+    if p == math.inf:
+        return float(np.max(np.abs(f.values)))
+    return _root(f.grid.cell_volume, _power_sum(f.values, p), float(p))
 
 
 def mass(f: GridField) -> float:
@@ -360,22 +364,38 @@ class FieldNorms(NamedTuple):
     face_ratio: float
 
 
+def _norms(grid: PeriodicGrid, part, copies, extra=()) -> FieldNorms:
+    """Mass, L^1/L^2/L^4/sup norms (and L^p for each p in ``extra``) and
+    face ratio of the field on ``grid`` whose values on a part of the
+    lattice are ``part``, which the whole lattice holds ``copies`` times
+    (``_Lattice.copies``).  Each sum over the part is scaled by
+    ``copies``; the sup and the face ratio are read off the part, which
+    holds row and column 0.  |u|, u*u and (u*u)^2 take turns in one
+    scratch array.  A field that is not finite raises ContractError: nan
+    and inf reach the sup."""
+    buf = np.abs(part)
+    sup = float(buf.max())
+    if not math.isfinite(sup):
+        raise ContractError("field values must be finite")
+    # the first row and column in 2-D; buf[0] is both in 1-D
+    face = 0.0 if sup == 0.0 else float(max(buf[0].max(), buf[..., 0].max())) / sup
+    volume = grid.cell_volume * copies
+    lp = {1.0: _root(volume, np.sum(buf), 1.0), math.inf: sup}
+    np.multiply(part, part, out=buf)
+    lp[2.0] = _root(volume, np.sum(buf), 2.0)
+    buf *= buf
+    lp[4.0] = _root(volume, np.sum(buf), 4.0)
+    for p in extra:
+        if float(p) not in lp:
+            lp[float(p)] = _root(volume, _power_sum(part, p), float(p))
+    return FieldNorms(float(volume * np.sum(part)), lp, face)
+
+
 def field_norms(f: GridField, extra=()) -> FieldNorms:
     """Mass, L^1/L^2/L^4/sup norms (and L^p for each p in ``extra``) and
     face ratio of one field, each equal to what ``mass``/``lp_norm``
-    return; |u|, u*u and (u*u)^2 take turns in one scratch array."""
-    v = _single(f).values
-    buf = np.abs(v)
-    sup = float(buf.max())
-    # the first row and column in 2-D; buf[0] is both in 1-D
-    face = 0.0 if sup == 0.0 else float(max(buf[0].max(), buf[..., 0].max())) / sup
-    lp = {1.0: _root(f, np.sum(buf), 1.0), math.inf: sup}
-    np.multiply(v, v, out=buf)
-    lp[2.0] = _root(f, np.sum(buf), 2.0)
-    buf *= buf
-    lp[4.0] = _root(f, np.sum(buf), 4.0)
-    lp.update((float(p), lp_norm(f, p)) for p in extra if float(p) not in lp)
-    return FieldNorms(mass(f), lp, face)
+    return (``_norms`` on the whole lattice)."""
+    return _norms(f.grid, _single(f).values, 1, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +404,13 @@ def field_norms(f: GridField, extra=()) -> FieldNorms:
 
 
 def _band(grid: PeriodicGrid, lo_x, hi_x):
-    """(slice, x): the node indices j, and the nodes x_j = -L + dx j
-    there, that cover every node with lo_x <= x_j < hi_x and two cells
-    more on each side against rounding.  The ends are clipped to the
-    lattice before int(), since lo_x or hi_x may lie far outside it or
-    be infinite."""
+    """The slice of node indices j that covers every node
+    x_j = -L + dx j with lo_x <= x_j < hi_x, and two cells more on each
+    side against rounding.  The ends are clipped to the lattice before
+    int(), since lo_x or hi_x may lie far outside it or be infinite."""
     n, L, dx = grid.points_per_axis, grid.half_width, grid.spacing
     lo, hi = (int(min(max(j, 0.0), n)) for j in ((L + lo_x) / dx - 2.0, (L + hi_x) / dx + 3.0))
-    return slice(lo, hi), -L + dx * np.arange(lo, hi)
+    return slice(lo, hi)
 
 
 def box_field(grid: PeriodicGrid, width=1.0) -> GridField:
@@ -411,7 +430,8 @@ def box_field(grid: PeriodicGrid, width=1.0) -> GridField:
     # a Python float: the node index of a far edge overflows to inf
     # without a numpy warning, and _band clips it
     hi_edge = 0.5 * float(width)
-    band, x = _band(grid, -hi_edge, hi_edge)
+    band = _band(grid, -hi_edge, hi_edge)
+    x = -grid.half_width + grid.spacing * np.arange(band.start, band.stop)
     profile = np.zeros(grid.points_per_axis)
     profile[band] = (x >= -hi_edge) & (x < hi_edge)
     # the outer product of the profile; in 1-D, the profile itself
@@ -459,18 +479,25 @@ ERF_SATURATES = 6.0
 def mollified_box_field(
     grid: PeriodicGrid, half_width=1.0, edge_width=0.25, scale=1.0
 ) -> GridField:
-    """Smooth box: per-axis profile (erf((x+h)/w) - erf((x-h)/w))/2.
+    """Smooth box centred on the cell at -dx/2: per-axis profile
+    (erf((c+h)/w) - erf((c-h)/w))/2 at the cell centres
+    c_j = x_j + dx/2 = dx (j + 1/2 - n/2), so that every member is
+    symmetric about index (n - 1)/2 and the spectral forms take it on
+    the first 2^N-th of the lattice.
 
     ``scale`` = lambda > 0 evaluates the mass-preserving dilation
-    lambda^N f(lambda x), the family driving the Nash-ratio sweeps.
+    lambda^N f(lambda c), the family driving the Nash-ratio sweeps; a
+    dilate whose reach (|h| + ERF_SATURATES |w|) / lambda is under half
+    a cell is identically zero.
 
     Both erf terms are exactly +-1 and cancel to +0.0 wherever
-    |lambda x| >= |h| + ERF_SATURATES |w|.  The band of nodes
-    x_j = -L + dx j inside that reach is worked out from L, dx and
-    lambda (padded by two cells against rounding), lambda x_j and erf
-    are formed only there, the rest of the profile is +0.0, and the
-    product starts from the scalar lambda^N: bit-identical to evaluating
-    erf at every sample.  One profile serves every axis.
+    |lambda c| >= |h| + ERF_SATURATES |w|.  The profile is formed on the
+    first half of the axis, only on the band of centres inside that
+    reach (worked out from L, dx and lambda, padded by two cells against
+    rounding), and mirrored into the second half, c_{n-1-j} being -c_j
+    exactly; the rest is +0.0, and the product starts from the scalar
+    lambda^N: bit-identical to evaluating erf at every cell centre.  One
+    profile serves every axis.
     """
     if not 0 < scale < math.inf:
         raise DomainError(f"scale must be positive and finite, got {scale}")
@@ -482,10 +509,13 @@ def mollified_box_field(
     # numpy warning, and _band clips it
     half_width, edge_width, scale = float(half_width), float(edge_width), float(scale)
     reach = (abs(half_width) + ERF_SATURATES * abs(edge_width)) / scale
-    band, x = _band(grid, -reach, reach)
-    y = scale * x
+    h = grid.points_per_axis // 2
+    band = _band(grid, -reach, 0.0)
+    head = slice(band.start, min(band.stop, h))  # the band's part in the first half
+    y = scale * (grid.spacing * (np.arange(head.start, head.stop) + (0.5 - h)))
     profile = np.zeros(grid.points_per_axis)
-    profile[band] = erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width)
+    profile[head] = erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width)
+    profile[h:] = profile[h - 1 :: -1]
     vals = scale**grid.dimension
     # the one profile along each axis, as np.ix_'s broadcastable views
     for along in np.ix_(*(profile,) * grid.dimension):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from levyheat import analysis as an
 from levyheat.errors import ContractError, DomainError, GridMismatchError
@@ -203,9 +204,8 @@ def test_spectral_form_single_mode_closed_form(integrable_table):
 
 def form_fields(kind, g, rng, batch):
     """Two fields (f, h) of one kind, or two batches of two: a box
-    centred at 0 with its edges on nodes, equal to its mirror image; a
-    member of the Nash family, symmetric about index n / 2 instead; a
-    random field."""
+    centred at 0 with its edges on nodes, and members of the Nash family,
+    centred on a cell, each equal to its mirror image; a random field."""
     if kind == "box":
         f, h = box_field(g, width=2.0).values, 1.7 * box_field(g, width=3.0).values
     elif kind == "nash":
@@ -235,8 +235,8 @@ def test_forms_match_full_lattice_sum(monkeypatch, dim, n):
     # transform dx^N FFT (the continuum phase (-1)^kappa cancels in the
     # product), for single fields and batches of two.  The forms take the
     # first 2^N-th of the lattice under the DCT-II pair exactly when a
-    # flow would, for the box; the other fields take the real FFT pair
-    # and are bit-equal to the rfftn half lattice's sum
+    # flow would, for the box and the Nash family; the random fields take
+    # the real FFT pair and are bit-equal to the rfftn half lattice's sum
     g = PeriodicGrid(dimension=dim, half_width=4.0, points_per_axis=n)
     P = abs_propagator(g)
     rng = np.random.default_rng(41)
@@ -245,13 +245,13 @@ def test_forms_match_full_lattice_sum(monkeypatch, dim, n):
     axes = g.field_axes
     calls = count_transforms(monkeypatch)
     for kind, batch in itertools.product(("random", "nash", "box"), (False, True)):
-        forward, rel = ("dctn", 1e-14) if kind == "box" else ("rfftn", 1e-12)
+        forward, rel = ("rfftn", 1e-12) if kind == "random" else ("dctn", 1e-14)
         for _ in range(3 if kind == "random" else 1):
             f, h = form_fields(kind, g, rng, batch)
             calls.clear()
             got_ff, got_fh = an.dirichlet_form_spectral(P, f), an.dirichlet_bilinear(P, f, h)
             assert calls == [forward] * 3, (kind, batch)
-            if kind != "box":
+            if kind == "random":
                 assert np.array_equal(got_ff, rfftn_half_lattice_form(P, f, f))
                 assert np.array_equal(got_fh, rfftn_half_lattice_form(P, f, h))
             F = g.cell_volume * np.fft.fftn(f.values, axes=axes)
@@ -505,6 +505,52 @@ def test_nash_dilation_sweep_floor_and_branches(cauchy_table):
     assert drift < 0.20, f"floor unstable under refinement: {drift:.3f}"
 
 
+def _full_lattice_nash_ratio(P, lam, d, r):
+    """The Nash quotient of the cell-centred dilate lambda f(lambda c) of
+    the sweep's mollified box, from erf at every cell centre c_j = x_j +
+    dx/2, numpy's sums and the full-lattice ``np.fft.fft``: no levyheat
+    norm, field or transform."""
+    g = P.grid
+    h, w = an.NASH_BOX_HALF_WIDTH, an.NASH_BOX_EDGE_WIDTH
+    y = lam * (g.axis + 0.5 * g.spacing)
+    f = lam * 0.5 * (erf((y + h) / w) - erf((y - h) / w))
+    f = f / (g.spacing * np.sum(np.abs(f) ** r)) ** (1.0 / r)
+    g2 = math.sqrt(g.spacing * np.sum(f * f))
+    F = g.spacing * np.fft.fft(f)
+    energy = np.sum(full_multiplier(P) * np.abs(F) ** 2) / (2 * g.half_width)
+    return energy / (g2**2 * min(1.0, g2 ** (2.0 / d)))
+
+
+@pytest.mark.parametrize("exponent", [17, 18])
+def test_nash_sweep_matches_a_full_lattice_sum_on_the_criterion_grids(cauchy_table, exponent):
+    # criterion 7's sweep: every dilate is centred on a cell, so the forms
+    # take the DCT-II pair on the first half of the lattice; each quotient
+    # must still be the whole lattice's sum
+    d, r = 1.0 / 3.0, 1.5
+    g = PeriodicGrid(dimension=1, half_width=256.0, points_per_axis=2**exponent)
+    P = LinearPropagator.from_table(g, cauchy_table)
+    rep = an.nash_dilation_sweep(P, d, r_norm=r)
+    assert rep.unresolved == 0 and np.array_equal(rep.scales, an.NASH_SCALES)
+    want = [_full_lattice_nash_ratio(P, lam, d, r) for lam in rep.scales]
+    assert rep.ratios == pytest.approx(want, rel=1e-13)
+
+
+def test_nash_sweep_leaves_out_the_dilates_the_grid_cannot_resolve(cauchy_table):
+    # a dilate of half width h / lambda below one cell is left out and
+    # counted; the rest are swept as on a finer grid
+    g = PeriodicGrid(dimension=1, half_width=64.0, points_per_axis=512)
+    P = LinearPropagator.from_table(g, cauchy_table)
+    rep = an.nash_dilation_sweep(P, 1.5, r_norm=1.0)
+    kept = an.NASH_BOX_HALF_WIDTH / an.NASH_SCALES >= g.spacing
+    assert rep.unresolved == 8 == np.count_nonzero(~kept)
+    assert np.array_equal(rep.scales, an.NASH_SCALES[kept])
+    assert len(rep.ratios) == len(rep.branches) == 17
+    assert rep.branch_poincare + rep.branch_nash == 17 and rep.min_ratio > 0
+    coarse = PeriodicGrid(dimension=1, half_width=4096.0, points_per_axis=64)
+    with pytest.raises(DomainError, match="no scale of the Nash family"):
+        an.nash_dilation_sweep(LinearPropagator(coarse, coarse.half_freq_radii()), 1.5)
+
+
 # ---------------------------------------------------------------------------
 # interpolation inequality
 # ---------------------------------------------------------------------------
@@ -624,7 +670,7 @@ def test_differential_inequality_consistency():
     P = abs_propagator(g)
     u0 = box_field(g, width=2.0)
     ts = np.geomspace(5.0, 200.0, 24)
-    series = [(t, lp_norm(u, 2.0) ** 2) for t, u, _ in LinearFlow(P, u0).snapshots(ts)]
+    series = [(s.t, lp_norm(s.field, 2.0) ** 2) for s in LinearFlow(P, u0).snapshots(ts)]
     fit = an.fit_late_decay(series)
     assert fit.exponent >= 1.0 * (1 - 0.1), f"psi decays too slowly: {fit.exponent:.3f}"
 

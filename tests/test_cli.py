@@ -442,13 +442,13 @@ def test_outputs_byte_reproducible(tmp_path):
     )
     snapshots = LinearFlow(P, cli._initial_field(cfg, grid)).snapshots(cfg.flow.snapshots)
     x, y = np.meshgrid(grid.axis, grid.axis, indexing="ij")
-    for i, (_, u, _) in enumerate(snapshots):
+    for i, snap in enumerate(snapshots):
         header, *rows = (root / "a" / f"field_{i:04d}.csv").read_text().splitlines()
         assert header == "x,y,u"
         parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert parsed.shape == (64, 3)
         assert np.array_equal(parsed[:, 0], x.ravel()) and np.array_equal(parsed[:, 1], y.ravel())
-        assert np.array_equal(parsed[:, 2], u.values.ravel())
+        assert np.array_equal(parsed[:, 2], snap.field.values.ravel())
     assert i == len(cfg.flow.snapshots) - 1
 
 
@@ -594,13 +594,13 @@ PINNED_DIGESTS = {
     "nash-check": {
         "1d": {
             "manifest.json": "3b0c1071db67df4ddaeb9fc08a5cb101d1d7dd96394291e3af9da3e769445949",
-            "nash.txt": "81d517689c14e9589b4a719f34d65968364d8cc158c18bff22444adea29fc2d8",
-            "nash_rows.csv": "d98ce9fab5ac4c425303b74a5bc0bef7b02986c0d64e5c1c449b3ad6415a2c0d",
+            "nash.txt": "33c2753ae650598e16c46b214f7dd71cd237721f925103dee6e29be172ae31be",
+            "nash_rows.csv": "d95eed89d64c981c6735b5d19fab734ff6d3d8f772e975c4120c078beb053993",
         },
         "2d": {
             "manifest.json": "e67ef313f13ce4ce95bc44a6baa4c2261c010f55f0f4337d9184313c25ed273c",
-            "nash.txt": "a6051c83a334709f549e91ec85abf365aad0cc0d95a9d9da5d5d4c5b6fc3f20a",
-            "nash_rows.csv": "8dbaad907470306e7dc5072145ba362dddf842a12f8dec94d3e1c14f7daccec4",
+            "nash.txt": "5856f48b56bb8deb4eb2315d0927a46855ddd8efcf7795edc9814f14c0e094ba",
+            "nash_rows.csv": "609b50f756e219f14326a9e048a4b6415dc5a483c50ff97c9f0f24d0a256f239",
         },
     },
     "regularity": {
@@ -718,14 +718,20 @@ def test_stability_error_mid_nonlinear_evolve_is_stage_evolve_and_cleans_up(
 def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
     # both flows make every record through evolve.Snapshot, and work
     # toward the next one starts with a transform in spectral: by then
-    # neither the flow nor its consumer may still hold the field of the
-    # record before, so that only one field is alive at a time
-    real_snapshot = evolve.Snapshot
-    previous, released = [], []
+    # neither the flow nor its consumer may still hold the part of the
+    # record before, so that only one snapshot is alive at a time.  A
+    # whole-lattice field is made only for a file: evolve makes one per
+    # snapshot, and decay-fit without [interpolation] makes none
+    real_snapshot, real_field = evolve.Snapshot, spectral._Lattice.field
+    previous, released, fields = [], [], []
 
-    def checked_snapshot(t, field, energy):
-        previous.append(weakref.ref(field))
-        return real_snapshot(t, field, energy)
+    def checked_snapshot(t, part, energy, lattice):
+        previous.append(weakref.ref(part))
+        return real_snapshot(t, part, energy, lattice)
+
+    def counted_field(self, v):
+        fields.append(v.shape)
+        return real_field(self, v)
 
     def checked(transform):
         def first_checks(*args, **kwargs):
@@ -742,6 +748,7 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
         return ok
 
     monkeypatch.setattr(evolve, "Snapshot", checked_snapshot)
+    monkeypatch.setattr(spectral._Lattice, "field", counted_field)
     for name in TRANSFORMS:
         monkeypatch.setattr(spectral, name, checked(getattr(spectral, name)))
     linear = write_cfg(tmp_path, decay=["norms = 2", "q = 1"])
@@ -750,9 +757,11 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
     nonlinear.write_text(text.replace("q = 1", "q = 1.5"))
     for path in (linear, nonlinear):
         cfg = parse_config(path)
-        for command in ("evolve", "decay-fit"):
+        for command, made in (("evolve", len(cfg.flow.snapshots)), ("decay-fit", 0)):
+            fields.clear()
             run(cfg, command)
             assert one_at_a_time(len(cfg.flow.snapshots)), (cfg.flow.kind, command)
+            assert len(fields) == made, (cfg.flow.kind, command)
     grid = cfg.lattice()
     P = LinearPropagator(grid, grid.half_freq_radii())
     u0 = GridField(grid, np.cos(grid.axis))
@@ -763,6 +772,7 @@ def test_snapshot_passes_hold_one_field_at_a_time(tmp_path, monkeypatch):
     ):
         acceptance._norm_bookkeeping(field_norms(u0), snapshots)
         assert one_at_a_time(len(times))
+    assert fields == []
 
 
 def test_linear_runs_let_go_of_the_datum(tmp_path, monkeypatch):

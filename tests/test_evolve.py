@@ -38,6 +38,7 @@ from levyheat.spectral import (
     PeriodicGrid,
     box_field,
     delta_surrogate,
+    field_norms,
     gaussian_field,
     lp_norm,
     mass,
@@ -160,7 +161,7 @@ def test_real_route_matches_continuum_pair_2d():
     got = apply_operator(P, f).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     want = _continuum_pair_apply(P, np.exp(-0.3 * m), f.values)
-    ((_, got, _),) = LinearFlow(P, f).snapshots([0.3])
+    (got,) = (s.field for s in LinearFlow(P, f).snapshots([0.3]))
     assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -173,7 +174,7 @@ def test_one_etd_step_matches_continuum_pair_2d():
     u0 = random_band_limited(g, np.random.default_rng(6), 0.5)
     dt = 0.002  # below the first step of the accuracy rule: one step
     assert step_sizes([dt]) == [[dt]]
-    ((_, got, _),) = NonlinearFlow(P, phi, u0).snapshots([dt])
+    (got,) = (s.field for s in NonlinearFlow(P, phi, u0).snapshots([dt]))
 
     u = u0.values
     c = 0.5 * phi.derivative_bound(np.max(np.abs(u)))
@@ -276,7 +277,7 @@ def test_propagate_t0_is_identity(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = random_band_limited(g, np.random.default_rng(4), 0.4)
-    ((_, out, _),) = LinearFlow(P, u0).snapshots([0.0])
+    (out,) = (s.field for s in LinearFlow(P, u0).snapshots([0.0]))
     assert np.max(np.abs(out.values - u0.values)) < 1e-12
 
 
@@ -284,9 +285,9 @@ def test_propagate_semigroup(cauchy_table):
     g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=256)
     P = LinearPropagator.from_table(g, cauchy_table)
     u0 = random_band_limited(g, np.random.default_rng(8), 0.4)
-    ((_, one_shot, _),) = LinearFlow(P, u0).snapshots([0.7])
-    ((_, half_way, _),) = LinearFlow(P, u0).snapshots([0.3])
-    ((_, two_step, _),) = LinearFlow(P, half_way).snapshots([0.4])
+    (one_shot,) = (s.field for s in LinearFlow(P, u0).snapshots([0.7]))
+    (half_way,) = (s.field for s in LinearFlow(P, u0).snapshots([0.3]))
+    (two_step,) = (s.field for s in LinearFlow(P, half_way).snapshots([0.4]))
     err = np.max(np.abs(one_shot.values - two_step.values))
     assert err < 1e-10, f"semigroup defect {err:.3e}"
 
@@ -312,10 +313,10 @@ def test_propagate_yields_lazily_and_matches_single_times(cauchy_table):
     assert iter(run) is run, "expected an iterator, not a list"
     snapshots = list(run)
     assert [s.t for s in snapshots] == times
-    for t, u, energy in snapshots:
-        ((_, alone, alone_energy),) = LinearFlow(P, u0).snapshots([t])
-        assert np.array_equal(u.values, alone.values)
-        assert energy == alone_energy
+    for snap in snapshots:
+        (alone,) = LinearFlow(P, u0).snapshots([snap.t])
+        assert np.array_equal(snap.part, alone.part)
+        assert snap.energy == alone.energy
 
 
 @pytest.mark.parametrize(
@@ -359,10 +360,54 @@ def test_linear_energies_match_the_form_of_each_field(dim, n, kind):
     flow = LinearFlow(P, u0)
     snapshots = list(flow.snapshots(times))
     assert [s.t for s in snapshots] == times
-    for t, u, e in snapshots:
-        assert e == pytest.approx(dirichlet_form_spectral(P, u), rel=1e-12), t
+    for s in snapshots:
+        assert s.energy == pytest.approx(dirichlet_form_spectral(P, s.field), rel=1e-12), s.t
     energies = [s.energy for s in snapshots]
     assert energies == sorted(energies, reverse=True)
+
+
+def make_flow(kind, P, u0):
+    return LinearFlow(P, u0) if kind == "linear" else NonlinearFlow(P, PhiLaw(sigma=2.0), u0)
+
+
+@pytest.mark.parametrize("flow", ["linear", "nonlinear"])
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_snapshot_norms_on_the_half_lattice_match_the_whole_field(dim, n, flow):
+    # a mirrored run hands each snapshot its first 2^N-th of the lattice:
+    # the norms read there, each sum scaled by 2^N, agree with the norms
+    # of the mirrored-out field to roundoff; the sup and the face ratio
+    # are read off the same values
+    g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
+    u0 = scaled_box(g, 2.0, 0.5)
+    for snap in make_flow(flow, poisson_propagator(g), u0).snapshots([0.0, 0.3, 2.0]):
+        assert snap.part.shape == (n // 2,) * dim
+        got, want = snap.norms((3,)), field_norms(snap.field, (3,))
+        assert got.lp.keys() == want.lp.keys() == {1.0, 2.0, 3.0, 4.0, math.inf}
+        pairs = [(got.mass, want.mass)] + [(got.lp[p], want.lp[p]) for p in want.lp]
+        for a, b in pairs:
+            assert abs(a - b) <= 1e-14 * abs(b), (snap.t, a, b)
+        assert (got.lp[math.inf], got.face_ratio) == (want.lp[math.inf], want.face_ratio)
+
+
+@pytest.mark.parametrize("flow", ["linear", "nonlinear"])
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_snapshot_norms_on_the_whole_lattice_are_the_field_norms(dim, n, flow):
+    # a random datum runs on the whole lattice: the part is the field
+    g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
+    u0 = GridField(g, 0.5 * datum("random", g, 17).values)
+    for snap in make_flow(flow, poisson_propagator(g), u0).snapshots([0.0, 0.3, 2.0]):
+        assert snap.part.shape == g.shape
+        assert snap.norms((3,)) == field_norms(snap.field, (3,))
+
+
+@pytest.mark.parametrize("kind", ["random", "box"])
+def test_snapshot_norms_refuse_a_field_that_is_not_finite(kind):
+    g = PeriodicGrid(dimension=1, half_width=8.0, points_per_axis=64)
+    (snap,) = LinearFlow(poisson_propagator(g), datum(kind, g, 3)).snapshots([0.5])
+    for bad in (math.nan, math.inf, -math.inf):
+        snap.part[-1] = bad
+        with pytest.raises(ContractError, match="finite"):
+            snap.norms()
 
 
 def test_linear_flow_checks_its_arguments(cauchy_table):
@@ -404,7 +449,7 @@ def test_poisson_supnorm_decay(t):
     # delta evolves to the Poisson kernel; sup norm 1/(pi t)
     g = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**15)
     P = poisson_propagator(g)
-    ((_, u, _),) = LinearFlow(P, delta_surrogate(g)).snapshots([t])
+    (u,) = (s.field for s in LinearFlow(P, delta_surrogate(g)).snapshots([t]))
     got = lp_norm(u, math.inf)
     want = 1.0 / (math.pi * t)
     assert got == pytest.approx(want, rel=0.02), f"sup at t={t}: {got} vs {want}"
@@ -414,7 +459,7 @@ def test_poisson_profile_pointwise():
     g = PeriodicGrid(dimension=1, half_width=512.0, points_per_axis=2**15)
     P = poisson_propagator(g)
     t = 2.0
-    ((_, u, _),) = LinearFlow(P, delta_surrogate(g)).snapshots([t])
+    (u,) = (s.field for s in LinearFlow(P, delta_surrogate(g)).snapshots([t]))
     oracle = t / (math.pi * (t**2 + g.axis**2))
     err = np.max(np.abs(u.values - oracle)) / oracle.max()
     assert err < 0.02, f"Poisson profile error {err:.3e}"
@@ -426,7 +471,7 @@ def test_lp_contraction(p, t):
     g = PeriodicGrid(dimension=1, half_width=64.0, points_per_axis=4096)
     P = poisson_propagator(g)
     u0 = random_band_limited(g, np.random.default_rng(31), 0.3)
-    ((_, u, _),) = LinearFlow(P, u0).snapshots([t])
+    (u,) = (s.field for s in LinearFlow(P, u0).snapshots([t]))
     assert lp_norm(u, p) <= lp_norm(u0, p) + 1e-10
 
 
@@ -460,18 +505,18 @@ def test_smoothing_bound_all_modes():
     n2sq = lp_norm(u0, 2) ** 2
     m = full_multiplier(P)
     times = (0.01, 0.1, 1.0, 10.0)
-    for t, u, _ in LinearFlow(P, u0).snapshots(times):
-        E = float(np.sum(m * np.abs(continuum_spectrum(u)) ** 2)) / vol
-        bound = n2sq / (2 * math.e * t)
-        assert E <= bound * (1 + 1e-12), f"t={t}: E={E} exceeds {bound}"
+    for s in LinearFlow(P, u0).snapshots(times):
+        E = float(np.sum(m * np.abs(continuum_spectrum(s.field)) ** 2)) / vol
+        bound = n2sq / (2 * math.e * s.t)
+        assert E <= bound * (1 + 1e-12), f"t={s.t}: E={E} exceeds {bound}"
 
 
 def test_nonnegativity_preserved_when_resolvable():
     g = PeriodicGrid(dimension=1, half_width=64.0, points_per_axis=4096)
     P = poisson_propagator(g)
     u0 = box_field(g, width=2.0)
-    for _, u, _ in LinearFlow(P, u0).snapshots((0.5, 2.0)):
-        assert u.values.min() >= -1e-8 * lp_norm(u0, math.inf)
+    for s in LinearFlow(P, u0).snapshots((0.5, 2.0)):
+        assert s.field.values.min() >= -1e-8 * lp_norm(u0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +601,10 @@ def test_sigma_one_matches_exact_linear_flow():
     u0 = scaled_box(g, 2.0, 0.8)
     snaps = [0.25, 0.5, 1.0]
     got = NonlinearFlow(P, PhiLaw(sigma=1.0, M=1.0), u0).snapshots(snaps)
-    for (t, u, _), (_, exact, _) in zip(got, LinearFlow(P, u0).snapshots(snaps)):
-        rel = lp_norm(GridField(g, u.values - exact.values), 2) / lp_norm(exact, 2)
-        assert rel < 1e-4, f"sigma=1 defect {rel:.3e} at t={t}"
+    for s, exact in zip(got, LinearFlow(P, u0).snapshots(snaps)):
+        u, exact_u = s.field, exact.field
+        rel = lp_norm(GridField(g, u.values - exact_u.values), 2) / lp_norm(exact_u, 2)
+        assert rel < 1e-4, f"sigma=1 defect {rel:.3e} at t={s.t}"
 
 
 def test_nonlinear_mass_conservation():
@@ -566,8 +612,8 @@ def test_nonlinear_mass_conservation():
     P = poisson_propagator(g)
     u0 = scaled_box(g, 2.0, 0.9)
     snaps = [0.2, 1.0, 2.0]
-    for t, u, _ in NonlinearFlow(P, PhiLaw(sigma=2.0, M=1.0), u0).snapshots(snaps):
-        assert mass(u) == pytest.approx(mass(u0), abs=1e-10), f"mass drift at t={t}"
+    for s in NonlinearFlow(P, PhiLaw(sigma=2.0, M=1.0), u0).snapshots(snaps):
+        assert mass(s.field) == pytest.approx(mass(u0), abs=1e-10), f"mass drift at t={s.t}"
 
 
 def test_nonlinear_sup_norm_decreases():
@@ -576,7 +622,7 @@ def test_nonlinear_sup_norm_decreases():
     u0 = scaled_box(g, 2.0, 0.9)
     snaps = [0.0, 0.5, 1.0, 2.0]
     snapshots = NonlinearFlow(P, PhiLaw(sigma=2.0, M=1.0), u0).snapshots(snaps)
-    sups = [lp_norm(u, math.inf) for _, u, _ in snapshots]
+    sups = [lp_norm(s.field, math.inf) for s in snapshots]
     assert all(a >= b - 1e-12 for a, b in zip(sups, sups[1:])), sups
 
 
@@ -685,8 +731,8 @@ def test_stepped_run_read_one_snapshot_at_a_time_holds_one_field():
         times = np.geomspace(1.0, 10.0, count)
         tracemalloc.start()
         try:
-            for _, u, _ in NonlinearFlow(P, PhiLaw(sigma=2.0), u0).snapshots(times):
-                del u
+            for snap in NonlinearFlow(P, PhiLaw(sigma=2.0), u0).snapshots(times):
+                del snap
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -769,8 +815,8 @@ def test_stepped_energies_match_the_form_of_each_field(dim, n, kind):
     g = PeriodicGrid(dimension=dim, half_width=8.0, points_per_axis=n)
     P = poisson_propagator(g)
     u0 = GridField(g, 0.5 * datum(kind, g, 29).values)
-    for t, u, e in NonlinearFlow(P, PhiLaw(sigma=1.5), u0).snapshots([0.0, 0.2, 1.0, 3.0]):
-        assert e == pytest.approx(dirichlet_form_spectral(P, u), rel=1e-12), t
+    for s in NonlinearFlow(P, PhiLaw(sigma=1.5), u0).snapshots([0.0, 0.2, 1.0, 3.0]):
+        assert s.energy == pytest.approx(dirichlet_form_spectral(P, s.field), rel=1e-12), s.t
 
 
 def test_fields_match_a_step_refined_reference(monkeypatch):
@@ -801,7 +847,7 @@ def test_under_stabilised_run_raises_stability_error(monkeypatch):
     P = poisson_propagator(g)
     u0 = scaled_box(g, 0.5, 0.9)
     phi = PhiLaw(sigma=2.0, M=1.0)
-    ((_, u, _),) = NonlinearFlow(P, phi, u0).snapshots([0.1])
+    (u,) = (s.field for s in NonlinearFlow(P, phi, u0).snapshots([0.1]))
     assert lp_norm(u, math.inf) <= 0.9
     monkeypatch.setattr(PhiLaw, "derivative_bound", lambda self, amplitude: 0.0)
     with pytest.raises(StabilityError) as err:

@@ -350,9 +350,11 @@ def test_gaussian_of_a_vanishing_width_is_its_limit(dim, sigma):
 
 
 def _mollified_box_everywhere(grid, half_width, edge_width, scale):
-    # the profile with erf evaluated at every sample
+    # the profile with erf evaluated at every sample, centred on the cell
+    # at -dx/2: at x_j + dx/2
     vals = np.full(grid.shape, float(scale) ** grid.dimension)
-    for ax in np.ix_(*(grid.axis,) * grid.dimension):
+    centres = grid.axis + 0.5 * grid.spacing
+    for ax in np.ix_(*(centres,) * grid.dimension):
         y = scale * ax
         vals = vals * 0.5 * (erf((y + half_width) / edge_width) - erf((y - half_width) / edge_width))
     return vals
