@@ -6,14 +6,14 @@ The linear flow is diagonal in the transform variables,
 
 so propagation is exact in time; the only discretization is the grid
 itself.  A run of snapshot times transforms its datum once
-(``LinearFlow``): that one spectrum yields every field, and the
-Dirichlet energies of the fields in closed form,
+(``LinearFlow``): that one spectrum yields every field and its
+Dirichlet energy.  A snapshot's decayed spectrum D = e^{-m t} U0 is one
+array, exponentiated in place; the energy is read off it,
 
-    E(u(t)) = (dx^N / n^N) sum' m(xi) e^{-2 m(xi) t} |U0(xi)|^2,
+    E(u(t)) = (dx^N / n^N) sum' m(xi) |D(xi)|^2,
 
 with no transform of a snapshot (sum' is the Parseval sum of
-``spectral``).  Each decay factor e^{-m t} is one array, exponentiated
-in place, and the energies of a run share one.  A propagator stores m
+``spectral``), before D is inverted to the field.  A propagator stores m
 on the rfftn half lattice only, since m is even, and binding a table to
 a grid (``from_table``) evaluates it there, at the lattice's exact
 radii.
@@ -190,18 +190,12 @@ class LinearFlow:
 
     def snapshots(self, times) -> Iterator[Snapshot]:
         """A ``Snapshot`` for each of ``times`` (finite, >= 0), in the order
-        given.  The times are checked, and every energy is read off the
-        datum's spectrum, at the call; each field is computed only when
-        it is requested."""
+        given.  The times are checked at the call; each field and its
+        energy are computed from the datum's spectrum only when the
+        snapshot is requested."""
         times = _check_times(times)
         lat, U0 = self.lattice, self.spectrum
-        w = lat.weight(U0)
-        energies, d = [], np.empty_like(w)
-        for t in times:
-            _decay(lat.m, 2.0 * t, out=d)
-            d *= w
-            energies.append(lat.parseval(d))
-        return (Snapshot(t, lat.decayed(U0, t), e, lat) for t, e in zip(times, energies))
+        return (Snapshot(t, *lat.decayed(U0, t), lat) for t in times)
 
 
 #: resolvability threshold: e^{-m_edge t} must fall below this before

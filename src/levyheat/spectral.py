@@ -211,10 +211,9 @@ def _mirrored(values, grid: PeriodicGrid):
     return all(np.array_equal(values, np.flip(values, ax)) for ax in axes)
 
 
-def _decay(m, t, out=None):
-    """e^{-m t} for the multiplier values ``m``, built in one array
-    (``out`` if given)."""
-    d = np.multiply(m, -t, out=out)
+def _decay(m, t):
+    """e^{-m t} for the multiplier values ``m``, built in one array."""
+    d = np.multiply(m, -t)
     return np.exp(d, out=d)
 
 
@@ -301,15 +300,19 @@ class _Lattice:
         return GridField(g, full)
 
     def decayed(self, U, t):
-        """The values on the spectrum's lattice of the field whose spectrum
-        is e^{-m t} ``U``, in an array of their own.  On the first 2^N-th
-        the decay, the product and the inverse transform are formed in
-        one array of the part's size, the only array made."""
-        if not self.mirrored:
-            return self.inverse(_decay(self.m, t) * U)
-        part = _decay(self.m, t)
-        part *= U
-        return self.inverse(part, overwrite=True)
+        """(values, energy) of the field whose spectrum is D = e^{-m t}
+        ``U``: its values on the spectrum's lattice, in an array of their
+        own, and its energy ``parseval(weight(D))``.  D is formed once and
+        the energy read off it before it is inverted; on the first 2^N-th
+        the decay, the product and the inverse transform share one array
+        of the part's size."""
+        D = _decay(self.m, t)
+        if self.mirrored:
+            D *= U
+        else:
+            D = D * U
+        energy = self.parseval(self.weight(D))
+        return self.inverse(D, overwrite=True), energy
 
 
 def _root(volume, power_sum, p) -> float:

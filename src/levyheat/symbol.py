@@ -8,16 +8,16 @@ For a radial Levy kernel on R^N (N = 1, 2) the multiplier
 with the radial weight B = cos, c_1 = 2 in one dimension and B = J0,
 c_2 = 2 pi in two.  The weight is defined once (``_RADIAL_WEIGHT``), and
 one engine serves both dimensions: the near part on (0, 1] and the tail
-beyond 1 each split at B's first zero.  Before it the integrand is
-smooth and goes to QUADPACK's adaptive Gauss-Kronrod rule, with
-breakpoints at the step profiles' edges; after it comes the profile's
-measure minus the remainder ``int B(xi r) J(r) r^(N-1) dr``, which one
-function (``_remainder``) computes for both pieces: over zero-to-zero
-Gauss panels of B (summed by Euler's transform on the infinite tail),
-except the 1-D near piece [pi/xi, 1], which QUADPACK's cosine-weighted
-rule (QAWO) takes: there the panel count grows like xi / pi, and at
-xi = 1e6 the 3e5 panels of a FractionalPower near part cost some 300
-times QAWO's time.
+beyond 1, each where it has no closed form, split at B's first zero.
+Before it the integrand is smooth and goes to QUADPACK's adaptive
+Gauss-Kronrod rule, with breakpoints at the step profiles' edges; after
+it comes the profile's measure minus the remainder
+``int B(xi r) J(r) r^(N-1) dr``, which one function (``_remainder``)
+computes for both pieces: over zero-to-zero Gauss panels of B (summed
+by Euler's transform on the infinite tail), except the 1-D near piece
+[pi/xi, 1], which QUADPACK's cosine-weighted rule (QAWO) takes: there
+the panel count grows like xi / pi, and at xi = 1e6 the 3e5 panels of a
+FractionalPower near part cost some 300 times QAWO's time.
 
 Closed forms replace quadrature wherever they are exact, each with a
 roundoff bound, so a table's achieved tolerance stays honest.  Every
@@ -31,10 +31,12 @@ closed form of m is a function of this module, and ``_near_parts`` and
   (borderline, oscillating), a sum of differences of the cosine
   integral Cin (``_near_steps_1d``), and of the fractional power with
   beta = 1 (``_unit_power_near``);
-* in one dimension, the remainder beyond max(1, pi/xi) of a power tail
-  with alpha = 1 or 2 (``_power_tail``) and of the exponential tail
-  (``_exp_tail``), and for xi < pi the power tail's piece on [1, pi/xi]
-  (``_power_head``), so that such a table calls no quadrature;
+* in one dimension, the whole tail ``int_1^inf (1 - cos xi r) J(r) dr``
+  as one expression: of the power tail with alpha = 1 or 2, by Si and Ci
+  below xi = 8 and by the continued fraction of E_{alpha+1} above
+  (``_power_tail``), and of the exponential tail, an elementary
+  function (``_exponential_tail``); with a closed near part such a table
+  calls no quadrature;
 * the coefficient of a pure power kernel, ``m(xi) = c |xi|^alpha``
   (``build_symbol_table``).
 
@@ -140,87 +142,56 @@ def _cin(x):
     return out
 
 
-def _one_minus_cos_antiderivative(alpha, u):
-    """The terms of A(u), an antiderivative of ``(1 - cos u) u^(-1-alpha)``
-    for alpha in {1, 2}: ``Si u - 2 sin^2(u/2) / u`` for alpha = 1 and
-    ``Ci(u) / 2 - sin u / (2u) - sin^2(u/2) / u^2`` for alpha = 2."""
-    si, ci = sici(u)
-    one_minus_cos = 2.0 * math.sin(0.5 * u) ** 2
-    if alpha == 1.0:
-        return [si, -one_minus_cos / u]
-    return [0.5 * ci, -0.5 * math.sin(u) / u, -0.5 * one_minus_cos / (u * u)]
-
-
 def _unit_power_near(xi):
     """``int_0^1 (1 - cos(xi r)) r^-2 dr``, the 1-D near part of the
     fractional power with beta = 1, xi > 0, as (value, error bound).
 
-    With u = xi r this is ``xi A(xi)``, with the alpha = 1 antiderivative
-    A of ``_one_minus_cos_antiderivative`` (A(0) = 0).  A rises from u/2
-    near 0 to pi/2 and stays above a third of its terms' sum, and Si and
-    sin carry about one ulp of their value, so the bound is relative to
-    the terms (no Ci, hence no floor of one).
+    With u = xi r this is ``xi A(xi)``, where the antiderivative
+    ``A(u) = Si u - 2 sin^2(u/2) / u`` of ``(1 - cos u) u^-2`` has
+    A(0) = 0.  A rises from u/2 near 0 to pi/2 and stays above a third of
+    its terms' sum, and Si and sin carry about one ulp of their value,
+    so the bound is relative to the terms.
     """
-    terms = _one_minus_cos_antiderivative(1.0, xi)
+    terms = [sici(xi)[0], -2.0 * math.sin(0.5 * xi) ** 2 / xi]
     return xi * math.fsum(terms), xi * 4.0 * _EPS * sum(map(abs, terms))
 
 
-def _power_head(alpha, xi, match):
-    """``int_1^(pi/xi) (1 - cos(xi r)) J(r) dr`` of the power tail
-    ``J = match r^(-1-alpha)`` in one dimension, alpha in {1, 2} and
-    0 < xi < pi, as (value, error bound).
-
-    With u = xi r this is ``match xi^alpha K(xi)``, where
-
-        K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du = A(pi) - A(x)
-
-    with the antiderivative A of ``_one_minus_cos_antiderivative``.  K
-    vanishes as xi -> pi, where A(pi) - A(x) cancels, so the bound is a
-    roundoff bound on the terms, not relative to K: it is small against
-    the multiplier, which the other parts keep of order xi^alpha.
-    """
-    terms = _one_minus_cos_antiderivative(alpha, math.pi)
-    terms += [-t for t in _one_minus_cos_antiderivative(alpha, xi)]
-    scale = match * xi**alpha
-    # as in _power_tail: Si and Ci carry about one ulp of max(1, |value|)
-    return scale * math.fsum(terms), scale * (4.0 * _EPS * (sum(map(abs, terms)) + 1.0))
-
-
-#: the Si/Ci form of ``_power_tail`` serves x below this (error under 2e-14
-#: of the integral's envelope); the continued fraction serves the rest in
-#: at most ~40 terms
+#: the Si/Ci form of ``_power_tail`` serves xi below this; the continued
+#: fraction serves the rest in at most ~40 terms
 SICI_MAX_X = 8.0
 
 
-def _power_tail(alpha, a, xi, match):
-    """``int_a^inf cos(xi r) J(r) dr`` of the power tail
-    ``J = match r^(-1-alpha)`` in one dimension, alpha in {1, 2} and
-    xi a > 0, as (value, error bound).
+def _power_tail(alpha, xi, match):
+    """The whole tail ``int_1^inf (1 - cos(xi r)) J(r) dr`` of the power
+    tail ``J = match r^(-1-alpha)`` in one dimension, alpha in {1, 2} and
+    xi > 0, as (value, error bound).
 
-    With x = xi a this is ``match xi^alpha I(x)``, where
-
-        I(x) = int_x^inf cos(u) u^(-1-alpha) du = Re x^-alpha E_{alpha+1}(-ix),
-
-    i.e. ``cos x / x - (pi/2 - Si x)`` for alpha = 1 and
-    ``cos x / (2x^2) - sin x / (2x) + Ci(x) / 2`` for alpha = 2.  That
-    Si/Ci form loses about x- to x^2-fold to cancellation, so it is used
-    only below ``SICI_MAX_X``; above it the continued fraction of
-    E_{alpha+1} gives I with no cancellation.
+    Below ``SICI_MAX_X`` it is the Si/Ci form (DLMF 6.2),
+    ``2 sin^2(xi/2) + xi (pi/2 - Si xi)`` for alpha = 1 and
+    ``sin^2(xi/2) + xi sin xi / 2 - xi^2 Ci(xi) / 2`` for alpha = 2, whose
+    terms cancel at most 24-fold (alpha = 1, just below 8) and 16-fold
+    (alpha = 2) there.  From it up, where the Si/Ci terms would cancel
+    like xi^alpha, the form is ``1/alpha - Re e^(i xi) h`` with
+    ``h = e^z E_{alpha+1}(z)`` at z = -i xi, whose continued fraction
+    converges with no cancellation.
     """
-    x, scale = xi * a, match * xi**alpha
-    if x < SICI_MAX_X:
-        si, ci = sici(x)
-        c, s = math.cos(x), math.sin(x)
+    if xi < SICI_MAX_X:
+        si, ci = sici(xi)
+        one_minus_cos = 2.0 * math.sin(0.5 * xi) ** 2
+        # Si, which is positive, carries about one ulp of its value, and
+        # Ci, which has zeros, about one ulp of max(1, |Ci|): hence the
+        # floor xi^2 / 2 on the Ci term
         if alpha == 1.0:
-            terms = (c / x, si - 0.5 * math.pi)
+            terms, floor = (one_minus_cos, 0.5 * math.pi * xi, -xi * si), 0.0
         else:
-            terms = (0.5 * c / (x * x), -0.5 * s / x, 0.5 * ci)
-        # Si and Ci carry about one ulp of max(1, |value|)
-        return scale * math.fsum(terms), scale * (4.0 * _EPS * (sum(map(abs, terms)) + 1.0))
-    # h = e^z E_n(z) at z = -ix, n = alpha + 1, by the modified Lentz
-    # algorithm, so that int_x^inf e^(iu) u^-n du = x^-alpha e^(ix) h
+            terms = (0.5 * one_minus_cos, 0.5 * xi * math.sin(xi), -0.5 * xi * xi * ci)
+            floor = 0.5 * xi * xi
+        value = math.fsum(terms)
+        return match * value, match * 4.0 * _EPS * (sum(map(abs, terms)) + floor)
+    # h by the modified Lentz algorithm, so that
+    # int_1^inf e^(i xi r) r^(-1-alpha) dr = e^(i xi) h
     n = alpha + 1.0
-    b = complex(n, -x)
+    b = complex(n, -xi)
     c, d = 1e300, 1.0 / b  # c starts at 1/tiny, as Lentz's method requires
     h, delta, i = d, 0.0, 0
     while abs(delta - 1.0) > _EPS:
@@ -231,17 +202,36 @@ def _power_tail(alpha, a, xi, match):
         c = b + an / c
         delta = c * d
         h *= delta
-    w = x**-alpha * complex(math.cos(x), math.sin(x)) * h
-    return scale * w.real, scale * ((2 * i + 8) * _EPS * abs(w))
+    w = complex(math.cos(xi), math.sin(xi)) * h
+    # |w| <= 2/xi <= 1/4 < 1/alpha (integrate by parts once): the
+    # difference does not cancel
+    value = 1.0 / alpha - w.real
+    return match * value, match * (_EPS * value + (2 * i + 8) * _EPS * abs(w))
 
 
-def _exp_tail(lam, a, xi, match):
-    """``int_a^inf cos(xi r) J(r) dr`` of the exponential tail
-    ``J = match e^(-lam (r - 1))`` in one dimension, as (value, error
-    bound): the real part of ``int_a^inf e^(-lam (r - 1) + i xi r) dr``."""
-    c = complex(lam, -xi)
-    w = np.exp(complex(-lam * (a - 1.0), xi * a)) / c
-    return match * w.real, 4.0 * _EPS * match * abs(w)
+def _exponential_tail(lam, xi, match):
+    """The whole tail ``int_1^inf (1 - cos(xi r)) J(r) dr`` of the
+    exponential tail ``J = match e^(-lam (r - 1))`` in one dimension, as
+    (value, error bound):
+
+        (xi^2 + 2 lam^2 sin^2(xi/2) + lam xi sin xi) / (lam (lam^2 + xi^2)),
+
+    ``1/lam - Re e^(i xi) / (lam - i xi)`` over one denominator.  lam and
+    xi are divided by max(lam, xi) first, so no intermediate value
+    overflows, and none underflows but a term negligible beside the
+    others.  With y = lam |sin(xi/2)| the numerator is at least
+    ``(xi - y)^2 + y^2`` and the terms' sum of moduli at most
+    ``xi^2 + 2 y^2 + 2 xi y``, so they cancel at most
+    ``(2 + sqrt 2) / (2 - sqrt 2)``, 5.8-fold.  The value takes 17
+    roundings of at most eps/2 each, relative to the terms, hence the
+    bound of 9 eps.
+    """
+    s = max(lam, xi)
+    l, x = lam / s, xi / s
+    terms = (x * x, 2.0 * l * l * math.sin(0.5 * xi) ** 2, l * x * math.sin(xi))
+    denom = lam * (l * l + x * x)
+    value = math.fsum(terms) / denom
+    return match * value, match * 9.0 * _EPS * sum(map(abs, terms)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +356,25 @@ def _near_parts(near, xi, w):
 
 
 def _tail_parts(kernel, xi, w):
-    """(value, err) parts of ``int_1^inf (1 - B(xi r)) J(r) r^(N-1) dr``: the piece
-    up to big (B's first zero, at least 1), the tail's measure beyond big, and
-    minus the remainder beyond big.  In one dimension the power tail with
-    alpha = 1 or 2 takes both the piece (when xi < pi, so that big > 1) and the
-    remainder in closed form, and the exponential tail the remainder."""
+    """(value, err) parts of ``int_1^inf (1 - B(xi r)) J(r) r^(N-1) dr``.
+
+    One closed form of the whole tail where one is exact: in one
+    dimension the power tail with alpha = 1 or 2 and the exponential
+    tail.  Otherwise the piece up to big (B's first zero, at least 1) by
+    QUADPACK, the tail's measure beyond big, and minus the remainder
+    beyond big.
+    """
     tail, match, dim = kernel.tail, kernel.matching_constant, w.dim
     if isinstance(tail, CompactSupport):
         return []
+    if dim == 1 and isinstance(tail, PowerTail) and tail.alpha in (1.0, 2.0):
+        return [_power_tail(tail.alpha, xi, match)]
+    if dim == 1 and isinstance(tail, ExponentialTail):
+        return [_exponential_tail(tail.lam, xi, match)]
     jt = lambda r: tail.j(r, dim, match)
     big = max(1.0, w.zero / xi)
-    exact_power = dim == 1 and isinstance(tail, PowerTail) and tail.alpha in (1.0, 2.0)
-    if exact_power and big > 1.0:
-        head = _power_head(tail.alpha, xi, match)
-    else:
-        head = adaptive_quad(w.plain(xi, jt), 1.0, big)
-    if exact_power:
-        v, e = _power_tail(tail.alpha, big, xi, match)
-    elif dim == 1 and isinstance(tail, ExponentialTail):
-        v, e = _exp_tail(tail.lam, big, xi, match)
-    else:
-        v, e = _remainder(jt, big, math.inf, xi, w)
+    head = adaptive_quad(w.plain(xi, jt), 1.0, big)
+    v, e = _remainder(jt, big, math.inf, xi, w)
     return [head, (tail.int_measure(big, dim, match), 0.0), (-v, e)]
 
 

@@ -559,7 +559,7 @@ PINNED_DIGESTS = {
             "decay_fit.txt": "e0dcbb2f2b0524592914a86c64f93a383a61bd6d4979a79d1489b299a118192b",
             "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
             "manifest.json": "4ab013202d2394340834c9fca6c036bce09c2c8c1aefc2dae6bb5db7058d6976",
-            "norms.csv": "735484ee3ab0c5423070c4d2ad5414d8ed6bec58ff2e2522f1ddcdde75db51d5",
+            "norms.csv": "ebbd2f8d740ac6ef9fd8a308ef6c40f8ef8890d55673b28468ac65c3783645cd",
         },
         "2d": {
             "decay_fit.txt": "7a701812c04d44c2cf6ddc56289ac9aaed1f52c4b65e2c9ca2f663692150e356",
@@ -577,7 +577,7 @@ PINNED_DIGESTS = {
             "field_0004.csv": "d8a16dc56c89c292901f368fe28a868af6375facd159b0a22ab8dd36d7a26751",
             "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
             "manifest.json": "643a2b5c7ae41070cfb9ba0165432651314100d919861d996622302cc757d97c",
-            "norms.csv": "735484ee3ab0c5423070c4d2ad5414d8ed6bec58ff2e2522f1ddcdde75db51d5",
+            "norms.csv": "ebbd2f8d740ac6ef9fd8a308ef6c40f8ef8890d55673b28468ac65c3783645cd",
         },
         "2d": {
             "field_0000.csv": "183228e19485efc869d327e80a845669eda1900c57509bfdbd929bb53fb9d819",

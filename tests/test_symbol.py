@@ -30,8 +30,8 @@ from levyheat.symbol import (
     SymbolTable,
     _bounded_near,
     _monotone_cubic,
+    _exponential_tail,
     _near_steps_1d,
-    _power_head,
     _power_tail,
     _symbol_value_err,
     _unit_power_near,
@@ -163,9 +163,9 @@ def test_every_catalog_kernel_has_a_finite_positive_even_symbol():
 #: remainders beyond them run as QAWO (1-D) and J0 panels (2-D)
 _PINNED_XI = (0.3, 3.0, 30.0, 1e3)
 
-#: m(xi) of every catalog kernel at _PINNED_XI, as this package computed it
-#: before its per-dimension engines were merged into one; the merge must
-#: not move a single bit
+#: m(xi) of every catalog kernel at _PINNED_XI, bit for bit: a change of
+#: the engine's arithmetic shows here, and a moved value is re-pinned only
+#: when it moved by roundoff and stays as close to an mpmath reference
 _PINNED_SYMBOL = {
     "FractionalPower-PowerTail-1d": (
         0.4442337416899872, 7.401067409764958, 52.7238219646853, 889.7044537222956,
@@ -180,7 +180,7 @@ _PINNED_SYMBOL = {
         0.11756160154917598, 9.642009701389183, 107.21219590732414, 1893.9417739439943,
     ),
     "FractionalPower-ExponentialTail-1d": (
-        0.4845501356416892, 8.020865077544125, 53.39043819230046, 890.3711220888725,
+        0.48455013564168914, 8.020865077544125, 53.39043819230046, 890.3711220888725,
     ),
     "FractionalPower-ExponentialTail-2d": (
         2.1449951974251467, 23.09392884199799, 119.7542990733344, 1906.5081741114736,
@@ -198,7 +198,7 @@ _PINNED_SYMBOL = {
         0.07048736178630204, 5.379328287346106, 20.665501259893173, 42.67425788140392,
     ),
     "Borderline-ExponentialTail-1d": (
-        0.4545922712637848, 5.395066839279294, 9.956752858495795, 16.969941889415438,
+        0.45459227126378476, 5.395066839279293, 9.956752858495795, 16.969941889415438,
     ),
     "Borderline-ExponentialTail-2d": (
         2.0979209576622724, 18.83124742795491, 33.207604425903426, 55.24065804888349,
@@ -216,7 +216,7 @@ _PINNED_SYMBOL = {
         0.05938999186764042, 4.435042076020143, 13.483983850142751, 22.51399196487202,
     ),
     "LogPerturbed-ExponentialTail-1d": (
-        0.44753145040742004, 4.826130937409276, 6.97504865016076, 9.671448923514452,
+        0.44753145040742, 4.826130937409276, 6.97504865016076, 9.671448923514452,
     ),
     "LogPerturbed-ExponentialTail-2d": (
         2.086823587743611, 17.88696121662895, 26.026087016153, 35.08039213235159,
@@ -234,7 +234,7 @@ _PINNED_SYMBOL = {
         0.02464744074683874, 1.702028462001374, 2.216524672589232, 2.1990940613109236,
     ),
     "Bounded-ExponentialTail-1d": (
-        0.3077381811662692, 2.932013349147935, 2.79981149402066, 2.7999992115124503,
+        0.3077381811662693, 2.932013349147935, 2.79981149402066, 2.7999992115124503,
     ),
     "Bounded-ExponentialTail-2d": (
         1.443850957860018, 11.118371860427537, 10.995996888796402, 10.995574178546626,
@@ -252,7 +252,7 @@ _PINNED_SYMBOL = {
         0.07877437331840624, 6.190963972751678, 38.73739755463613, 93.67195749318236,
     ),
     "Oscillating-ExponentialTail-1d": (
-        0.4598675765872966, 5.90814600591328, 17.30400244973563, 36.881950948846516,
+        0.45986757658729654, 5.908146005913279, 17.30400244973563, 36.881950948846516,
     ),
     "Oscillating-ExponentialTail-2d": (
         2.1062079691943767, 19.642883113360483, 51.279500720646375, 106.23835766066195,
@@ -262,24 +262,23 @@ _PINNED_SYMBOL = {
 
 #: m(xi) at _PINNED_XI of the 1-D kernels whose parts are the closed forms
 #: the catalog parameters miss: the beta = 1 near part, the alpha = 1 and 2
-#: power-tail head (xi < pi) and tail (Si/Ci at 0.3 and 3, the continued
-#: fraction at 30 and 1e3), and the exponential tail; recorded before those
-#: forms moved from the kernel profiles into the symbol engine
+#: power tail (Si/Ci at 0.3 and 3, the continued fraction at 30 and 1e3),
+#: and the exponential tail with lam = 1; pinned as _PINNED_SYMBOL is
 _PINNED_CLOSED_FORMS = {
     (FractionalPower(1.0), PowerTail(1.0)): (
-        0.9424777960769379, 9.42477796076938, 94.2477796076938, 3141.5926535897934,
+        0.9424777960769379, 9.424777960769378, 94.2477796076938, 3141.5926535897934,
     ),
     (FractionalPower(1.0), PowerTail(2.0)): (
-        0.28152054137563837, 8.448614621503959, 93.24787068278683, 3140.5926524551533,
+        0.2815205413756383, 8.448614621503959, 93.24787068278683, 3140.5926524551533,
     ),
     (FractionalPower(1.0), ExponentialTail(1.0)): (
-        0.49953608870570554, 9.394600678951926, 94.2477572324005, 3141.592654722794,
+        0.4995360887057055, 9.394600678951926, 94.24775723240052, 3141.592654722794,
     ),
     (Bounded(1.0), PowerTail(1.0)): (
-        0.8825676804659028, 4.218767780600216, 3.9997530810370865, 3.9999977405883325,
+        0.8825676804659028, 4.218767780600215, 3.9997530810370865, 3.9999977405883325,
     ),
     (Bounded(0.7), PowerTail(2.0)): (
-        0.15512729803522227, 2.269823108934357, 2.099890909291081, 2.0999976241639575,
+        0.15512729803522227, 2.2698231089343572, 2.099890909291081, 2.099997624163958,
     ),
 }
 
@@ -550,55 +549,50 @@ def test_step_profile_near_part_at_high_frequency(near):
 # ---------------------------------------------------------------------------
 
 
-def _si_ci_tail(alpha, x):
-    """int_x^inf cos(u) u^(-1-alpha) du from Si/Ci at 50 digits, with the
-    modulus of int_x^inf e^(iu) u^(-1-alpha) du, the oscillation's
-    envelope, which bounds it."""
+def _check_tail_form(form, param, xi, ref):
+    """``form(param, xi, match)``, a whole 1-D tail in closed form, against
+    its reference value at match = 1: error <= bound <= 1e-13 of the
+    value, and a match of 1/2 halves the value exactly."""
+    value, bound = form(param, xi, 1.0)
+    err = abs(value - ref)
+    assert err <= bound <= 1e-13 * value, (param, xi, err / ref, bound / value)
+    assert form(param, xi, 0.5)[0] == 0.5 * value
+
+
+def _power_tail_ref(alpha, xi):
+    """int_1^inf (1 - cos xi r) r^(-1-alpha) dr = 1/alpha - Re E_{alpha+1}(-i xi)
+    at 50 digits, which its cancellation (1e8-fold at xi = 1e-8) leaves
+    above 40."""
     with mpmath.workdps(50):
-        X = mpmath.mpf(x)
-        if alpha == 1.0:
-            value = mpmath.cos(X) / X - (mpmath.pi / 2 - mpmath.si(X))
-        else:
-            value = (
-                mpmath.cos(X) / (2 * X**2) - mpmath.sin(X) / (2 * X) + mpmath.ci(X) / 2
-            )
-        envelope = abs(X**-alpha * mpmath.expint(alpha + 1, -1j * X))
-        return value, float(envelope)
+        return float(1 / mpmath.mpf(alpha) - mpmath.re(mpmath.expint(alpha + 1, -1j * xi)))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
-def test_power_tail_cosine_integral_matches_si_ci(alpha):
-    # x = omega a from pi (the split point for omega <= pi) to 1e7
-    # (criterion 8's tables), both sides of the Si/Ci-to-continued-fraction
-    # switch included.  The integral vanishes at the zeros of its
-    # oscillation, so the scale of the error is the envelope there.
-    below = math.nextafter(SICI_MAX_X, 0.0)
-    xs = [*np.geomspace(math.pi, 1e7, 61), below, SICI_MAX_X, 2 * SICI_MAX_X, 100.0]
-    for x in xs:
-        ref, envelope = _si_ci_tail(alpha, x)
-        value, bound = _power_tail(alpha, 1.0, x, 1.0)
-        err = float(abs(value / x**alpha - ref))
-        assert err <= 1e-13 * envelope, (x, err / envelope)
-        assert 0.0 < bound and err <= bound / x**alpha, (x, err, bound)
-    # the split point scales omega out: omega^alpha I(omega a)
-    value, _ = _power_tail(alpha, math.pi / 1e-3, 1e-3, 0.5)
-    want = 0.5 * 1e-3**alpha * float(_si_ci_tail(alpha, math.pi)[0])
-    assert value == pytest.approx(want, rel=1e-14)
+def test_power_tail_matches_mpmath(alpha):
+    # xi from 1e-8 to 1e7 (criterion 8's tables), and both sides of the
+    # Si/Ci-to-continued-fraction switch, just below which the terms
+    # cancel 24-fold (alpha = 1)
+    below, above = math.nextafter(SICI_MAX_X, 0.0), math.nextafter(SICI_MAX_X, 9.0)
+    for xi in [*np.geomspace(1e-8, 1e7, 91), math.pi, below, SICI_MAX_X, above, 100.0]:
+        _check_tail_form(_power_tail, alpha, xi, _power_tail_ref(alpha, xi))
 
 
-@pytest.mark.parametrize("alpha", [1.0, 2.0])
-def test_power_tail_head_matches_mpmath(alpha):
-    # K(x) = int_x^pi (1 - cos u) u^(-1-alpha) du from 1e-5 up to the last
-    # floats below pi, where K vanishes and the bound must still cover it
-    xs = [*np.geomspace(1e-5, 3.0, 41), *(math.pi * (1.0 - 10.0**-k) for k in range(1, 13))]
-    for x in xs:
-        with mpmath.workdps(40):
-            f = lambda u: (1 - mpmath.cos(u)) * u ** (-1 - alpha)
-            ref = mpmath.quad(f, [mpmath.mpf(x), mpmath.pi])
-        value, bound = _power_head(alpha, x, 1.0)
-        err = float(abs(value / x**alpha - ref))
-        assert 0.0 < bound and err <= bound / x**alpha, (x, err, bound)
-        assert bound / x**alpha <= 1e-14 * (2.0 + abs(math.log(x))), (x, bound)
+def _exponential_tail_ref(lam, xi):
+    """int_1^inf (1 - cos xi r) e^(-lam (r - 1)) dr = 1/lam - Re e^(i xi) / (lam - i xi)
+    at 60 digits, which its cancellation leaves above 30."""
+    with mpmath.workdps(60):
+        L, X = mpmath.mpf(lam), mpmath.mpf(xi)
+        return float(1 / L - mpmath.re(mpmath.expj(X) / (L - 1j * X)))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e300])
+def test_exponential_tail_matches_mpmath(lam):
+    # xi over 16 decades and at 1e308, where the unscaled form overflows;
+    # at lam = 1e300 the value is subnormal below xi ~ 1e-3, so that lam
+    # starts at xi = 1
+    lo = 1e-8 if lam <= 1e3 else 1.0
+    for xi in [*np.geomspace(lo, 1e8, 65), 1e308]:
+        _check_tail_form(_exponential_tail, lam, xi, _exponential_tail_ref(lam, xi))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -689,25 +683,83 @@ def _bounded_power_multiplier(c0, alpha, xi):
         return 2 * c0 * (near + rest)
 
 
+def _bounded_exponential_multiplier(c0, lam, xi):
+    """m(xi) of Bounded(c0) + ExponentialTail(lam) in one dimension, in
+    closed form at 60 digits."""
+    with mpmath.workdps(60):
+        X, L = mpmath.mpf(xi), mpmath.mpf(lam)
+        near = 1 - mpmath.sin(X) / X
+        return 2 * c0 * (near + 1 / L - mpmath.re(mpmath.expj(X) / (L - 1j * X)))
+
+
+#: 16 frequencies a decade, and pi's neighbours up to its last float below
+#: and the first float above, where a tail split at pi / xi would vanish
+_HONEST_XIS = np.unique(
+    [
+        *log_grid(1e-5, 1e4, 16),
+        *(math.pi * (1.0 - 10.0**-k) for k in range(1, 13)),
+        math.nextafter(math.pi, 4.0),
+    ]
+)
+
+
+def _closed_form_table_error(monkeypatch, kernel, multiplier):
+    """The table of a 1-D kernel whose every part is a closed form, on
+    ``_HONEST_XIS``, built with no quad call, and its worst relative error
+    against ``multiplier(xi)``."""
+    calls = _count_quad(monkeypatch)
+    tab = build_symbol_table(kernel, _HONEST_XIS)
+    assert calls == []
+    refs = [multiplier(xi) for xi in _HONEST_XIS]
+    return tab, max(float(abs(v - ref) / ref) for v, ref in zip(tab.values, refs))
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_bounded_power_table_is_closed_form_and_honest(monkeypatch, alpha):
-    # both sides of the split at pi, up to its last float below and the
-    # first float above; the piece on [1, pi / xi] vanishes as xi -> pi
-    xis = np.unique(
-        [
-            *log_grid(1e-5, 1e4, 16),
-            *(math.pi * (1.0 - 10.0**-k) for k in range(1, 13)),
-            math.nextafter(math.pi, 4.0),
-        ]
-    )
     c0 = 0.7
-    calls = _count_quad(monkeypatch)
-    tab = build_symbol_table(LevyKernel(1, Bounded(c0), PowerTail(alpha)), xis)
-    assert calls == []
-    refs = [_bounded_power_multiplier(c0, alpha, xi) for xi in xis]
-    actual = max(float(abs(v - ref) / ref) for v, ref in zip(tab.values, refs))
+    kernel = LevyKernel(1, Bounded(c0), PowerTail(alpha))
+    tab, actual = _closed_form_table_error(
+        monkeypatch, kernel, lambda xi: _bounded_power_multiplier(c0, alpha, xi)
+    )
     assert actual <= 1e-14
     assert actual <= tab.quad_tol <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [1e-3, 2.0, 1e3])
+def test_bounded_exponential_table_is_closed_form_and_honest(monkeypatch, lam):
+    # lam over six decades; the table reports the roundoff bound of its
+    # closed forms, not a quadrature estimate
+    c0 = 0.7
+    kernel = LevyKernel(1, Bounded(c0), ExponentialTail(lam))
+    tab, actual = _closed_form_table_error(
+        monkeypatch, kernel, lambda xi: _bounded_exponential_multiplier(c0, lam, xi)
+    )
+    assert actual <= 1e-14
+    assert actual <= tab.quad_tol <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "near",
+    [Bounded(0.7), FractionalPower(1.0), Borderline(), Oscillating(1.0)],
+    ids=["bounded", "unit-power", "borderline", "osc"],
+)
+def test_exponential_tail_tables_need_no_quadrature(monkeypatch, near):
+    # every 1-D near part with a closed form, beside the exponential tail
+    calls = _count_quad(monkeypatch)
+    tab = build_symbol_table(LevyKernel(1, near, ExponentialTail(1.0)))
+    assert calls == []
+    assert tab.quad_tol <= 1e-13
+
+
+def test_bounded_exponential_symbol_is_finite_at_the_largest_frequencies():
+    # the exponential tail's form scales lam and xi by max(lam, xi): the
+    # unscaled xi^2 and lam^2 + xi^2 overflow at xi = 1e308
+    kernel = LevyKernel(1, Bounded(0.7), ExponentialTail(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (1e154, 1e308):
+            m = symbol_quadrature(kernel, xi)
+            assert m == pytest.approx(2.0 * 0.7 * 2.0, rel=1e-15)
 
 
 #: the pure power coefficient c, m(xi) = c xi^alpha, in mpmath
