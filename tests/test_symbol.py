@@ -567,13 +567,36 @@ def _power_tail_ref(alpha, xi):
         return float(1 / mpmath.mpf(alpha) - mpmath.re(mpmath.expint(alpha + 1, -1j * xi)))
 
 
+def _si_ci_tail_ref(alpha, xi):
+    """The same tail as 1/alpha - xi^alpha int_xi^inf cos(u) u^(-1-alpha) du,
+    the cosine integral from Si/Ci at 50 digits."""
+    with mpmath.workdps(50):
+        X = mpmath.mpf(xi)
+        if alpha == 1.0:
+            cos_integral = mpmath.cos(X) / X - (mpmath.pi / 2 - mpmath.si(X))
+        else:
+            cos_integral = (
+                mpmath.cos(X) / (2 * X**2) - mpmath.sin(X) / (2 * X) + mpmath.ci(X) / 2
+            )
+        return float(1 / mpmath.mpf(alpha) - X**alpha * cos_integral)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
-def test_power_tail_matches_mpmath(alpha):
-    # xi from 1e-8 to 1e7 (criterion 8's tables), and both sides of the
+def test_power_tail_cosine_integral_matches_si_ci(alpha):
+    # xi from pi to 1e7 (criterion 8's tables), and both sides of the
     # Si/Ci-to-continued-fraction switch, just below which the terms
     # cancel 24-fold (alpha = 1)
     below, above = math.nextafter(SICI_MAX_X, 0.0), math.nextafter(SICI_MAX_X, 9.0)
-    for xi in [*np.geomspace(1e-8, 1e7, 91), math.pi, below, SICI_MAX_X, above, 100.0]:
+    for xi in [*np.geomspace(math.pi, 1e7, 61), below, SICI_MAX_X, above, 100.0]:
+        _check_tail_form(_power_tail, alpha, xi, _si_ci_tail_ref(alpha, xi))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_power_tail_head_matches_mpmath(alpha):
+    # xi from 1e-8 up to the last floats below pi, where a head on
+    # [1, pi / xi] would vanish: the whole tail must not notice
+    xis = [*np.geomspace(1e-8, 3.0, 61), *(math.pi * (1.0 - 10.0**-k) for k in range(1, 13))]
+    for xi in xis:
         _check_tail_form(_power_tail, alpha, xi, _power_tail_ref(alpha, xi))
 
 
