@@ -41,11 +41,11 @@ closed form of m is a function of this module, and ``_near_parts`` and
   (``build_symbol_table``).
 
 Tables of multiplier values on a logarithmic grid feed the spectral
-propagators through monotone log-log interpolation (PCHIP, on numpy;
-bit-identical to scipy's ``PchipInterpolator``), inside the tabulated
-range only: a radius outside it raises DomainError, so a lattice wider
-than its table is reported, never extrapolated.  Pure power kernels
-carry a closed-form tag instead and bypass interpolation entirely.
+propagators through a log-log cubic Hermite interpolant with parabola
+slopes (``_hermite_cubic``), inside the tabulated range only: a radius
+outside it, or NaN, raises DomainError, so a lattice wider than its
+table is reported, never extrapolated.  Pure power kernels carry a
+closed-form tag instead and bypass interpolation entirely.
 """
 
 from __future__ import annotations
@@ -79,11 +79,14 @@ _EPS = np.finfo(float).eps
 
 
 def log_grid(lo=1e-3, hi=1e4, per_decade=64):
-    """Logarithmically spaced radial frequency grid."""
-    if not 0 < lo < hi:
-        raise DomainError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    count = int(round(per_decade * math.log10(hi / lo))) + 1
-    return np.geomspace(lo, hi, count)
+    """Logarithmically spaced radial frequency grid of at least two points,
+    since no table interpolates one; DomainError names a bad argument."""
+    if not 0 < lo < hi < math.inf:
+        raise DomainError(f"log_grid needs 0 < lo < hi < inf, got lo={lo!r}, hi={hi!r}")
+    intervals = per_decade * (math.log10(hi) - math.log10(lo))
+    if not 0.5 < intervals < math.inf:  # rounds to one interval or more
+        raise DomainError(f"log_grid needs 2 to finitely many points, per_decade={per_decade!r}")
+    return np.geomspace(lo, hi, int(round(intervals)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +422,15 @@ def symbol_quadrature(kernel: LevyKernel, xi):
 # ---------------------------------------------------------------------------
 
 
-def _end_slope(h0, h1, m0, m1):
-    # one-sided three-point slope, kept from overshooting (Moler's pchiptx)
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+def _hermite_cubic(x, y):
+    """The piecewise cubic Hermite interpolant of y on increasing knots x,
+    as a function of a 1-D array z in [x[0], x[-1]].
 
-
-def _monotone_cubic(x, y):
-    """The monotone piecewise cubic Hermite interpolant (PCHIP) of y on
-    increasing knots x, as a function of a 1-D array z in [x[0], x[-1]].
-
-    It repeats scipy's ``PchipInterpolator`` operation for operation, so
-    the values are bit-identical: Fritsch-Carlson slopes (the weighted
-    harmonic mean of the adjacent secants, zero at a local extremum or
-    flat secant), one-sided end slopes, a straight line through two knots,
-    and the power-basis cubic ``c3 + c2 s + c1 s^2 + c0 s^3`` in
+    Each knot takes the slope of the parabola through it and its two
+    neighbours, an end knot that of the first or last three (Bessel
+    slopes; de Boor, *A Practical Guide to Splines*, ch. IV), so
+    quadratics are reproduced; two knots give the straight line.  Interval
+    i holds the power-basis cubic ``c3 + c2 s + c1 s^2 + c0 s^3`` in
     s = z - x[i], summed in that order.
     """
     h = np.diff(x)
@@ -445,17 +438,10 @@ def _monotone_cubic(x, y):
     if x.size == 2:
         d = np.array([m[0], m[0]])
     else:
-        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-        d = np.concatenate(
-            (
-                [_end_slope(h[0], h[1], m[0], m[1])],
-                np.where(flat, 0.0, inner),
-                [_end_slope(h[-1], h[-2], m[-1], m[-2])],
-            )
-        )
+        # with c its second divided difference, the parabola through knots
+        # i-1..i+1 has slopes m[i-1] - c h[i-1], m[i-1] + c h[i-1], m[i] + c h[i]
+        c = np.diff(m) / (h[:-1] + h[1:])
+        d = np.concatenate(([m[0] - c[0] * h[0]], m[:-1] + c * h[:-1], [m[-1] + c[-1] * h[-1]]))
     t = (d[:-1] + d[1:] - 2.0 * m) / h
     coeffs = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
     inner_knots = x[1:-1]
@@ -501,7 +487,8 @@ class SymbolTable:
 
     ``closed_form`` short-circuits interpolation for pure power
     kernels; ``quad_tol`` is the worst achieved relative quadrature
-    tolerance across the grid.
+    tolerance across the grid.  A table without a closed form reads log m,
+    so an entry <= 0 raises DomainError, naming its radius.
     """
 
     dimension: int
@@ -517,21 +504,27 @@ class SymbolTable:
             raise DomainError("grid and values must have matching shapes")
         if grid.size and ((grid <= 0).any() or (np.diff(grid) <= 0).any()):
             raise DomainError("radial grid must be positive and strictly increasing")
-        if not np.isfinite(vals).all() or (vals < 0).any():
-            raise DomainError("multiplier values must be finite and nonnegative")
+        if not np.isfinite(vals).all():
+            raise DomainError("multiplier values must be finite")
+        bad = np.flatnonzero(vals <= 0 if self.closed_form is None else vals < 0)
+        if bad.size:
+            raise DomainError(
+                f"multiplier values must be positive (nonnegative with a closed form), "
+                f"got m = {vals[bad[0]]:g} at radius {grid[bad[0]]:g}"
+            )
         object.__setattr__(self, "radial_grid", grid)
         object.__setattr__(self, "values", vals)
 
     @cached_property
     def _loglog(self):
-        return _monotone_cubic(np.log(self.radial_grid), np.log(np.maximum(self.values, 1e-300)))
+        return _hermite_cubic(np.log(self.radial_grid), np.log(self.values))
 
     def evaluate(self, rho):
         """Interpolated (or closed-form) multiplier at radial frequency rho.
 
-        rho = 0 maps to 0 exactly.  A table answers only inside its
-        tabulated range; any other rho raises DomainError, naming the
-        range and the radii outside it.
+        rho = 0 maps to 0 exactly; a NaN rho raises DomainError.  A table
+        answers only inside its tabulated range; any other rho raises
+        DomainError, naming the range and the radii outside it.
         """
         rho = np.asarray(rho, dtype=float)
         out = self._evaluate_in_place(np.abs(np.atleast_1d(rho)))
@@ -542,9 +535,14 @@ class SymbolTable:
         order), with m there and return it; see ``evaluate``, which calls
         this on a copy.
 
-        After one range check over the whole array, the values go in
-        EVAL_BLOCK points at a time.  A radius that is not > 0 maps to 0.
+        After a NaN check and a table's range check over the whole array,
+        the values go in EVAL_BLOCK points at a time.  0 maps to 0.
         """
+        # a view in memory order: the blocks write into radii itself
+        flat = radii.ravel(order="K")
+        # a sum of |xi| is NaN just when a radius is; no lattice-sized mask
+        if math.isnan(flat.sum()):
+            raise DomainError(f"{np.count_nonzero(np.isnan(flat))} of {flat.size} radii are NaN")
         if self.closed_form is not None:
             cf = self.closed_form
             symbol = lambda r: cf.coefficient * r**cf.alpha
@@ -553,8 +551,6 @@ class SymbolTable:
                 raise DomainError("table too small to interpolate and no closed form")
             self._check_range(radii)
             symbol = lambda r: np.exp(self._loglog(np.log(r)))
-        # a view in memory order: the blocks write into radii itself
-        flat = radii.ravel(order="K")
         for start in range(0, flat.size, EVAL_BLOCK):
             block = flat[start : start + EVAL_BLOCK]
             pos = block > 0

@@ -556,51 +556,51 @@ def _artifact_digests(tmp_path, command):
 PINNED_DIGESTS = {
     "decay-fit": {
         "1d": {
-            "decay_fit.txt": "e0dcbb2f2b0524592914a86c64f93a383a61bd6d4979a79d1489b299a118192b",
-            "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
-            "manifest.json": "4ab013202d2394340834c9fca6c036bce09c2c8c1aefc2dae6bb5db7058d6976",
-            "norms.csv": "ebbd2f8d740ac6ef9fd8a308ef6c40f8ef8890d55673b28468ac65c3783645cd",
+            "decay_fit.txt": "1e62c84cf16c45435601786c6a3d5ad8bba878594b94afa89c625f55997ae8a8",
+            "interpolation.txt": "e1f45b653e02a1c47d6fe21c20015bef750c3a05a02b221667f22a43a41b3c56",
+            "manifest.json": "0358090bc9c09cffeacf2d3c57adc71551373a7ddc98c40db1cd4bb14bfa8dde",
+            "norms.csv": "59414bdea69e887e8895493e4042c11331b461a103a407548242fa8e65844207",
         },
         "2d": {
-            "decay_fit.txt": "7a701812c04d44c2cf6ddc56289ac9aaed1f52c4b65e2c9ca2f663692150e356",
-            "interpolation.txt": "ac494d6a7e3e78124092c12926f21954cddc949862c7e734ca2450fde36e1981",
-            "manifest.json": "3e7a2dfaeeebb9bbbdcbc7c7c69dee42d1a111c127499f606e96296d55e9ec21",
-            "norms.csv": "3409ea7eab8b03ec7c2a0e8fdf4964c7585d7201e945335e1eb063844d60e6e2",
+            "decay_fit.txt": "23987ce04b2e8736e7052c52188d38d507908bd608fd91b04ec9824773f76ed7",
+            "interpolation.txt": "f94759a2dd64824a3835dd9249652e655f71d47908f6751a0b4227334baeb6b9",
+            "manifest.json": "68ad883ae4fa3ed7a10aeed6c789bd0db9c100b3cbe9d8efd90348280a99d0b8",
+            "norms.csv": "75c6662aa997f9094277fd908f849aad4a6e962795321a4815e4eb4995d07854",
         },
     },
     "evolve": {
         "1d": {
-            "field_0000.csv": "6c7a5096967d285f8f00a384d246456eae802eb4a7ab55660b70af06a938a8e1",
-            "field_0001.csv": "3853ecb36d19f045752e80c8dce836ff33eed29c5045aab72b94e6a0e9a68593",
-            "field_0002.csv": "7f07730a9b73c011ddac9bc0c00d4cee02a493ed2d66cbc1244df673ff76fa6b",
-            "field_0003.csv": "22a295f3358359688b0f78447487577c16a8d01d65b3e64b3643e0dc1e828e39",
-            "field_0004.csv": "d8a16dc56c89c292901f368fe28a868af6375facd159b0a22ab8dd36d7a26751",
-            "interpolation.txt": "588b6c35ebf0c7aa80c1cd7f80389e1c7a7b5e733fc0d3c50982f3404514b3ee",
-            "manifest.json": "643a2b5c7ae41070cfb9ba0165432651314100d919861d996622302cc757d97c",
-            "norms.csv": "ebbd2f8d740ac6ef9fd8a308ef6c40f8ef8890d55673b28468ac65c3783645cd",
+            "field_0000.csv": "343d0120283077f741ea1281c44be907a5dad4eb24ee2e85aed522b0109b0004",
+            "field_0001.csv": "845043668a55c99bb8ed58cd1fc4f9a2248b00880fc9d99be5675559bea0ad71",
+            "field_0002.csv": "16710c5fa29b781b3beb6e59c96bd1ed1f72075c3058a19200e491a760d199e9",
+            "field_0003.csv": "7bf19d9b19ef2707e0caf6ebc02a86ea5b497af7f23ed2802fa5d1dbfe71f2d4",
+            "field_0004.csv": "24107448696e63dfe6418adec8bba07d00f1b5a8529f2da86b053911f16137a6",
+            "interpolation.txt": "e1f45b653e02a1c47d6fe21c20015bef750c3a05a02b221667f22a43a41b3c56",
+            "manifest.json": "fcfea20ada9b104064ff505e77ce8770607c524835689e21dd003f64e0651d9b",
+            "norms.csv": "59414bdea69e887e8895493e4042c11331b461a103a407548242fa8e65844207",
         },
         "2d": {
-            "field_0000.csv": "183228e19485efc869d327e80a845669eda1900c57509bfdbd929bb53fb9d819",
-            "field_0001.csv": "46efc63872a06cd18002689629b9bb49dda731ef366b8dc83d69f2573681c8d8",
-            "field_0002.csv": "95524239929b74cf91d40be650a7b240c6011cc576a0fe563690fa73405d8728",
-            "field_0003.csv": "d5cd1ea4fda4db6d1673b67ccb9d637980a9d80f5cff824bd095885024560b45",
-            "field_0004.csv": "ee59e99eb49cf6bc5b13987352515db38ecb9174ad91bf2fb6ad7ea7d5ee1f3b",
-            "field_0005.csv": "d3e43e757822e3e9ba6ce6b2bd235a7c52610c64d3cbefde7198a45a7510c357",
-            "interpolation.txt": "ac494d6a7e3e78124092c12926f21954cddc949862c7e734ca2450fde36e1981",
-            "manifest.json": "e69933bc9ab7cd47163e262c96934379948cf2020e5c5e7b2bce79c103fb5281",
-            "norms.csv": "3409ea7eab8b03ec7c2a0e8fdf4964c7585d7201e945335e1eb063844d60e6e2",
+            "field_0000.csv": "990fa9a4bc05e9549204f4acab96fd38f329dd766bd5c775c65bf4352765ac4f",
+            "field_0001.csv": "d54136711df485bf848285b10f703c1e3a65874ec50b62b91d7758f2e8035316",
+            "field_0002.csv": "d6f700f60d534ff6e8a5ffca50fcb5c5e48222d4d7c4b6c4edab3d24546835b7",
+            "field_0003.csv": "e18095490020d0d87e5149b52c3006accd4856247215478a7c45aa5b58bd5e9d",
+            "field_0004.csv": "48a1a4b346605ccac7ee4df08ac3ffbb2806b79ebcd8ba965c21ae5276d499aa",
+            "field_0005.csv": "75ac13768e72686717befbb3d334b5d3ec580d9d10dcb3f240861e274845fa43",
+            "interpolation.txt": "f94759a2dd64824a3835dd9249652e655f71d47908f6751a0b4227334baeb6b9",
+            "manifest.json": "9c9023a97d837a5e3efb7ea7378c1306ba86c43ba3417594d3031180c1c94447",
+            "norms.csv": "75c6662aa997f9094277fd908f849aad4a6e962795321a4815e4eb4995d07854",
         },
     },
     "nash-check": {
         "1d": {
             "manifest.json": "3b0c1071db67df4ddaeb9fc08a5cb101d1d7dd96394291e3af9da3e769445949",
-            "nash.txt": "33c2753ae650598e16c46b214f7dd71cd237721f925103dee6e29be172ae31be",
-            "nash_rows.csv": "d95eed89d64c981c6735b5d19fab734ff6d3d8f772e975c4120c078beb053993",
+            "nash.txt": "82e809a44c309d5540eaa3e8f35bc2a320662cbd60f1395c86cda18f7c6ff9e1",
+            "nash_rows.csv": "cf3dad7a1a25c32d89d700d413d198073df21de95260fceaa89679a077571082",
         },
         "2d": {
             "manifest.json": "e67ef313f13ce4ce95bc44a6baa4c2261c010f55f0f4337d9184313c25ed273c",
-            "nash.txt": "5856f48b56bb8deb4eb2315d0927a46855ddd8efcf7795edc9814f14c0e094ba",
-            "nash_rows.csv": "609b50f756e219f14326a9e048a4b6415dc5a483c50ff97c9f0f24d0a256f239",
+            "nash.txt": "29fbdc76aeae8e4409c6575aaa3ef722d624dbcb334b5895ecd81356adbd0d7d",
+            "nash_rows.csv": "e8cb5ae74b14a34d33a236057993e9f4012ab5bbbd27976b30b6bfc012697122",
         },
     },
     "regularity": {
@@ -973,6 +973,52 @@ def test_verify_loads_scipy_fft_alone():
     # the tail, porous and sigma = 1 runs start from boxes with their
     # edges on nodes and transform by scipy.fft's DCT-II pair
     assert _modules_loaded_by(COLD_VERIFY) == ["scipy.fft"]
+
+
+def test_traced_harness_child_passes_and_writes_what_an_untraced_run_writes(tmp_path):
+    # the benchmark's traced repetitions wrap every public levyheat call,
+    # and verify's two threads share the tracer's counters: one traced
+    # child runs decay-fit on the reference config at 4096 points (same
+    # spacing) and verify, as perfbench/run.py --trace 1 spawns it
+    root = Path(cli.__file__).parents[2]
+    ref = (root / "acceptance" / "linear_alpha1.cfg").read_text()
+    small = ref.replace("half_width = 262144", "half_width = 1024").replace(
+        "points = 1048576", "points = 4096"
+    )
+    assert small.count("1024") == 1 and "points = 4096" in small
+    cfg = tmp_path / "ref4096.cfg"
+    cfg.write_text(small)
+    src = str(root / "src")
+    spec = {
+        "mode": "run",
+        "src": src,
+        "configs": [],
+        "invocations": [
+            ["decay-fit", "--config", str(cfg), "--output", str(tmp_path / "traced")],
+            ["verify"],
+        ],
+        "trace": True,
+        "result": str(tmp_path / "result.json"),
+        "spans": str(tmp_path / "spans.csv"),
+    }
+    child = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), json.dumps(spec)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["codes"] == [0, 0], result["errors"]
+    assert result["stdout"][1].endswith("12/12 criteria passed\n")
+    out = tmp_path / "untraced"
+    assert main(["decay-fit", "--config", str(cfg), "--output", str(out)]) == 0
+    traced = sorted(p.name for p in (tmp_path / "traced").iterdir())
+    assert traced == sorted(p.name for p in out.iterdir())
+    for name in traced:
+        assert (tmp_path / "traced" / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_cold_verify_prints_the_serial_table():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -24,13 +25,14 @@ from levyheat.kernels import (
     PowerTail,
 )
 from levyheat.quadrature import adaptive_quad, gauss_panel_sums
+from levyheat.spectral import PeriodicGrid
 from levyheat.symbol import (
     SICI_MAX_X,
     PurePower,
     SymbolTable,
     _bounded_near,
-    _monotone_cubic,
     _exponential_tail,
+    _hermite_cubic,
     _near_steps_1d,
     _power_tail,
     _symbol_value_err,
@@ -439,6 +441,8 @@ def test_table_rejects_bad_data():
     g = np.array([1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         SymbolTable(1, g, np.array([1.0, -1.0, 2.0]))
+    with pytest.raises(DomainError, match="got m = -0 at radius 2"):
+        SymbolTable(1, g, np.array([1.0, -0.0, 2.0]))
     with pytest.raises(DomainError):
         SymbolTable(1, g[::-1].copy(), np.ones(3))
     with pytest.raises(DomainError):
@@ -450,18 +454,58 @@ def test_table_quad_tol_recorded():
     assert 0.0 < tab.quad_tol < 2e-7
 
 
-@pytest.mark.parametrize(
-    "values", [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0]], ids=["zero_low_edge", "zero_high_edge"]
-)
-def test_table_raises_outside_its_range(values):
+@pytest.mark.parametrize("edge", [0, -1], ids=["zero_low_edge", "zero_high_edge"])
+def test_table_raises_outside_its_range(edge):
     g = np.array([1.0, 2.0, 4.0])
-    tab = SymbolTable(1, g, np.array(values))
+    values = np.array([0.5, 1.0, 2.0])
+    tab = SymbolTable(1, g, values)
     for rho in (0.5, 8.0, [0.0, 1.0, 0.5, 3.0, 9.0]):
         with pytest.raises(DomainError, match=r"outside the table's range \[1, 4\]"):
             tab.evaluate(rho)
-    # rho = 0 and the ends are in range, and a zero entry still interpolates
+    # rho = 0 and the ends are in range
     assert tab.evaluate(0.0) == 0.0
     assert np.isfinite(tab.evaluate([1.0, 1.5, 3.0, 4.0])).all()
+    # a zero entry is refused when the table is built: with log 0 clamped
+    # to log 1e-300, [0, 1, 2] on these knots read 4e37 between its nodes
+    values[edge] = 0.0
+    with pytest.raises(DomainError, match=f"got m = 0 at radius {g[edge]:g}"):
+        SymbolTable(1, g, values)
+
+
+@pytest.mark.parametrize("closed_form", [False, True])
+def test_a_nan_radius_is_a_domain_error(closed_form):
+    # a NaN radius read m = 0
+    tab = build_symbol_table(PURE1) if closed_form else build_symbol_table(
+        BORDER_PT2, log_grid(0.1, 10.0, 16)
+    )
+    rows = ((math.nan, 1), ([1.0, math.nan], 1), ([[math.nan, 2.0], [0.0, -math.nan]], 2))
+    for rho, count in rows:
+        with pytest.raises(DomainError, match=f"{count} of {np.size(rho)} radii are NaN"):
+            tab.evaluate(rho)
+
+
+@pytest.mark.parametrize(
+    "arg,bad",
+    [
+        ("per_decade", math.nan),
+        ("per_decade", -5),
+        ("per_decade", 0),
+        ("per_decade", math.inf),
+        ("per_decade", 1e308),
+        ("per_decade", 5e-324),
+        ("hi", math.inf),
+        ("hi", math.nan),
+        ("hi", -0.0),
+        ("lo", math.nan),
+        ("lo", -1.0),
+        ("lo", 0.0),
+    ],
+)
+def test_log_grid_names_the_argument_that_makes_no_table(arg, bad):
+    # nan and -5 raised a bare ValueError, inf a bare OverflowError, and
+    # 0 returned one point, which no table interpolates
+    with pytest.raises(DomainError, match=re.escape(f"{arg}={bad!r}")):
+        log_grid(**{arg: bad})
 
 
 def _quadpack(fn, a, b, breakpoints):
@@ -811,36 +855,47 @@ def test_pure_power_table_takes_the_closed_form_coefficient(monkeypatch, dim, al
     assert abs(coeff - value) <= err
 
 
-def _pchip_cases():
+def _random_knots():
     rng = np.random.default_rng(2024)
-    cases = []
-    for n in (3, 8, 40):
-        x = np.sort(rng.uniform(-5.0, 5.0, n))
-        cases += [
-            (f"monotone-{n}", x, np.cumsum(rng.uniform(0.0, 1.0, n))),
-            (f"non-monotone-{n}", x, rng.normal(size=n)),
-            (f"flat-runs-{n}", x, np.round(rng.normal(size=n))),
-        ]
-    cases.append(("two-point", np.array([-1.0, 2.5]), np.array([0.3, -1.2])))
-    return cases
+    return [np.sort(rng.uniform(-5.0, 5.0, n)) for n in (3, 8, 40)]
 
 
-@pytest.mark.parametrize("name,x,y", _pchip_cases(), ids=[c[0] for c in _pchip_cases()])
-def test_monotone_cubic_is_scipy_pchip_bit_for_bit(name, x, y):
-    from scipy.interpolate import PchipInterpolator
-
+@pytest.mark.parametrize("x", _random_knots(), ids=["3", "8", "40"])
+def test_hermite_cubic_reproduces_quadratics(x):
+    # each slope is a parabola's, so a quadratic comes back to roundoff;
+    # PCHIP's harmonic-mean slopes do not reproduce one
     z = np.concatenate([x, np.linspace(x[0], x[-1], 1001)])
-    assert np.array_equal(_monotone_cubic(x, y)(z), PchipInterpolator(x, y)(z))
+    for a, b, c in ((0.3, -1.2, 0.7), (-2.0, 0.5, -3.0), (1.0, 0.0, 1e-3)):
+        q = lambda t: a + b * t + c * t * t
+        scale = np.abs(q(z)).max()
+        assert np.abs(_hermite_cubic(x, q(x))(z) - q(z)).max() <= 8 * np.finfo(float).eps * scale
 
 
-def test_reference_table_interpolates_as_scipy_pchip():
-    # every radius of the reference lattice's rfftn half lattice
-    from scipy.interpolate import PchipInterpolator
+def test_hermite_cubic_through_two_knots_is_the_line():
+    x, y = np.array([-1.0, 2.5]), np.array([0.3, -1.2])
+    z = np.linspace(-1.0, 2.5, 1001)
+    line = 0.3 + (z + 1.0) * (-1.5 / 3.5)
+    assert np.allclose(_hermite_cubic(x, y)(z), line, rtol=0.0, atol=4 * np.finfo(float).eps)
 
+
+def _midpoint_error(kernel, tab):
+    """Max relative error of ``tab`` against the engine at the geometric
+    midpoint of every table interval."""
+    mid = np.sqrt(tab.radial_grid[:-1] * tab.radial_grid[1:])
+    exact = np.array([symbol_quadrature(kernel, x) for x in mid])
+    return np.max(np.abs(tab.evaluate(mid) - exact) / exact)
+
+
+def test_reference_table_reads_its_multiplier_at_every_midpoint():
+    # log-log PCHIP read 1.34e-4 here, the Hermite cubic 3.76e-6
     cfg = parse_config(Path(__file__).parents[1] / "acceptance" / "linear_alpha1.cfg")
-    grid = cfg.lattice()
-    tab = build_symbol_table(cfg.kernel.levy, LinearPropagator.table_grid(grid))
-    rho = grid.half_freq_radii()[1:]
-    x, y = np.log(tab.radial_grid), np.log(tab.values)
-    want = np.exp(PchipInterpolator(x, y)(np.log(rho)))
-    assert np.array_equal(tab.evaluate(rho), want)
+    kernel = cfg.kernel.levy
+    tab = build_symbol_table(kernel, LinearPropagator.table_grid(cfg.lattice()))
+    assert _midpoint_error(kernel, tab) <= 1e-5
+
+
+def test_2d_bounded_power_table_reads_its_multiplier_at_every_midpoint():
+    # measured 1.97e-5 (PCHIP 1.27e-4); the bound leaves a 1.5x margin
+    kernel = LevyKernel(2, Bounded(0.7), PowerTail(1.5))
+    grid = LinearPropagator.table_grid(PeriodicGrid(2, 32.0, 128))
+    assert _midpoint_error(kernel, build_symbol_table(kernel, grid)) <= 3e-5
