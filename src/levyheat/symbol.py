@@ -41,10 +41,10 @@ closed form of m is a function of this module, and ``_near_parts`` and
   (``build_symbol_table``).
 
 Tables of multiplier values on a logarithmic grid feed the spectral
-propagators through a log-log cubic Hermite interpolant with parabola
-slopes (``_hermite_cubic``), inside the tabulated range only: a radius
-outside it, or NaN, raises DomainError, so a lattice wider than its
-table is reported, never extrapolated.  Pure power kernels carry a
+propagators through a log-log cubic Hermite interpolant (``_hermite_cubic``)
+with parabola slopes (``_parabola_slopes``), inside the tabulated range
+only: a radius outside it, or NaN, raises DomainError, so a lattice wider
+than its table is reported, never extrapolated.  Pure power kernels carry a
 closed-form tag instead and bypass interpolation entirely.
 """
 
@@ -422,26 +422,28 @@ def symbol_quadrature(kernel: LevyKernel, xi):
 # ---------------------------------------------------------------------------
 
 
-def _hermite_cubic(x, y):
-    """The piecewise cubic Hermite interpolant of y on increasing knots x,
-    as a function of a 1-D array z in [x[0], x[-1]].
-
-    Each knot takes the slope of the parabola through it and its two
-    neighbours, an end knot that of the first or last three (Bessel
-    slopes; de Boor, *A Practical Guide to Splines*, ch. IV), so
-    quadratics are reproduced; two knots give the straight line.  Interval
-    i holds the power-basis cubic ``c3 + c2 s + c1 s^2 + c0 s^3`` in
-    s = z - x[i], summed in that order.
-    """
+def _parabola_slopes(x, y):
+    """Each knot's slope from the parabola through it and its two
+    neighbours, an end knot's from the first or last three (Bessel slopes;
+    de Boor, *A Practical Guide to Splines*, ch. IV), so a Hermite cubic on
+    them reproduces quadratics; two knots give the straight line's slope."""
     h = np.diff(x)
     m = np.diff(y) / h
     if x.size == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        # with c its second divided difference, the parabola through knots
-        # i-1..i+1 has slopes m[i-1] - c h[i-1], m[i-1] + c h[i-1], m[i] + c h[i]
-        c = np.diff(m) / (h[:-1] + h[1:])
-        d = np.concatenate(([m[0] - c[0] * h[0]], m[:-1] + c * h[:-1], [m[-1] + c[-1] * h[-1]]))
+        return np.array([m[0], m[0]])
+    # with c its second divided difference, the parabola through knots
+    # i-1..i+1 has slopes m[i-1] - c h[i-1], m[i-1] + c h[i-1], m[i] + c h[i]
+    c = np.diff(m) / (h[:-1] + h[1:])
+    return np.concatenate(([m[0] - c[0] * h[0]], m[:-1] + c * h[:-1], [m[-1] + c[-1] * h[-1]]))
+
+
+def _hermite_cubic(x, y, d):
+    """The cubic Hermite interpolant of y with knot slopes d on increasing
+    knots x, as a function of a 1-D array z in [x[0], x[-1]].  Interval i
+    holds the power-basis cubic ``c3 + c2 s + c1 s^2 + c0 s^3`` in
+    s = z - x[i], summed in that order, as scipy's ``PPoly`` does."""
+    h = np.diff(x)
+    m = np.diff(y) / h
     t = (d[:-1] + d[1:] - 2.0 * m) / h
     coeffs = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
     inner_knots = x[1:-1]
@@ -517,7 +519,8 @@ class SymbolTable:
 
     @cached_property
     def _loglog(self):
-        return _hermite_cubic(np.log(self.radial_grid), np.log(self.values))
+        x, y = np.log(self.radial_grid), np.log(self.values)
+        return _hermite_cubic(x, y, _parabola_slopes(x, y))
 
     def evaluate(self, rho):
         """Interpolated (or closed-form) multiplier at radial frequency rho.

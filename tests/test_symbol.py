@@ -34,6 +34,7 @@ from levyheat.symbol import (
     _exponential_tail,
     _hermite_cubic,
     _near_steps_1d,
+    _parabola_slopes,
     _power_tail,
     _symbol_value_err,
     _unit_power_near,
@@ -855,6 +856,35 @@ def test_pure_power_table_takes_the_closed_form_coefficient(monkeypatch, dim, al
     assert abs(coeff - value) <= err
 
 
+def _pchip_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (3, 8, 40):
+        x = np.sort(rng.uniform(-5.0, 5.0, n))
+        cases += [
+            (f"monotone-{n}", x, np.cumsum(rng.uniform(0.0, 1.0, n))),
+            (f"non-monotone-{n}", x, rng.normal(size=n)),
+            (f"flat-runs-{n}", x, np.round(rng.normal(size=n))),
+        ]
+    cases.append(("two-point", np.array([-1.0, 2.5]), np.array([0.3, -1.2])))
+    return cases
+
+
+@pytest.mark.parametrize("name,x,y", _pchip_cases(), ids=[c[0] for c in _pchip_cases()])
+def test_monotone_cubic_is_scipy_pchip_bit_for_bit(name, x, y):
+    # given PCHIP's knot slopes, the Hermite evaluation is scipy's PCHIP to
+    # the last bit: coefficients, interval search and summation order
+    from scipy.interpolate import PchipInterpolator
+
+    pchip = PchipInterpolator(x, y)
+    # an interval's linear coefficient is its left knot's slope; the last
+    # knot's is minus the first of the mirrored data, as PCHIP is odd in x
+    last = -PchipInterpolator(-x[::-1], y[::-1]).c[2, 0]
+    d = np.append(pchip.c[2], last)
+    z = np.concatenate([x, np.linspace(x[0], x[-1], 1001)])
+    assert np.array_equal(_hermite_cubic(x, y, d)(z), pchip(z))
+
+
 def _random_knots():
     rng = np.random.default_rng(2024)
     return [np.sort(rng.uniform(-5.0, 5.0, n)) for n in (3, 8, 40)]
@@ -868,14 +898,14 @@ def test_hermite_cubic_reproduces_quadratics(x):
     for a, b, c in ((0.3, -1.2, 0.7), (-2.0, 0.5, -3.0), (1.0, 0.0, 1e-3)):
         q = lambda t: a + b * t + c * t * t
         scale = np.abs(q(z)).max()
-        assert np.abs(_hermite_cubic(x, q(x))(z) - q(z)).max() <= 8 * np.finfo(float).eps * scale
+        assert np.abs(_hermite_cubic(x, q(x), _parabola_slopes(x, q(x)))(z) - q(z)).max() <= 8 * np.finfo(float).eps * scale
 
 
 def test_hermite_cubic_through_two_knots_is_the_line():
     x, y = np.array([-1.0, 2.5]), np.array([0.3, -1.2])
     z = np.linspace(-1.0, 2.5, 1001)
     line = 0.3 + (z + 1.0) * (-1.5 / 3.5)
-    assert np.allclose(_hermite_cubic(x, y)(z), line, rtol=0.0, atol=4 * np.finfo(float).eps)
+    assert np.allclose(_hermite_cubic(x, y, _parabola_slopes(x, y))(z), line, rtol=0.0, atol=4 * np.finfo(float).eps)
 
 
 def _midpoint_error(kernel, tab):
